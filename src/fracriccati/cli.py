@@ -5,15 +5,19 @@ Output tables are plain text: one '#' header line naming the columns, comma
 separators, 17-significant-digit decimals (bit-faithful round trip), newline
 endings.  Lattice points nearest a solution pole (within half a grid step)
 are emitted as pole rows: 'nan' in the value column and pole=1.
-Exit codes: 0 ok, 2 flag errors, 3 numeric non-convergence, 4 pole inside a
-verification/scale interval, 5 cosmology with c = 0.
+Exit codes: 0 ok, 2 flag errors or an unwritable --out, 3 numeric
+non-convergence or overflow, 4 pole inside a verification/scale interval,
+5 cosmology with c = 0.
+
+Each table is evaluated as arrays: its parameters are mapped once and the
+whole lattice goes through one array call of the Bessel kernels.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-
 import numpy as np
 
 from . import cosmo, odeverify, riccati
@@ -39,21 +43,26 @@ def _parse_grid(text: str) -> GridSpec:
         )
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
+def _emit(out_path: str | None, header: list[str], rows) -> int:
+    """Write the table; exit code EXIT_FLAGS if --out cannot be written.
 
-
-def _emit(out_path: str | None, header: list[str], rows) -> None:
+    Every row goes through one '%.17g' template, which prints the integer
+    columns (pole flag, branch) as plain integers.
+    """
+    fmt = ",".join(["%.17g"] * len(header))
     lines = ["# " + ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(fmt % row for row in rows)
     text = "\n".join(lines) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        _err(f"cannot write --out {out_path}: {exc.strerror or exc}")
+        return EXIT_FLAGS
+    return EXIT_OK
 
 
 def _err(msg: str) -> None:
@@ -71,55 +80,61 @@ def pole_search_bounds(grid: GridSpec) -> tuple[float, float]:
     return max(grid.start - half, 1e-12), grid.stop + half
 
 
-def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec) -> set[int]:
-    """Lattice indices whose nearest denominator zero lies within half a step."""
-    bm = riccati.map_params(rp)
-    if bm.regime != riccati.OSCILLATORY:
-        return set()
+def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec) -> list[int]:
+    """Lattice indices whose nearest denominator zero lies within half a step.
+
+    A zero flags index i when |x_i - zero| <= half; the candidates are the
+    indices next to round((zero - start) / step).  Each bracket is bisected
+    only until it is narrower than one step and both of its ends flag the
+    same indices: every point inside it then flags those indices, the 1e-12
+    zero included.
+    """
     pts = grid.points()
-    lo, hi = pole_search_bounds(grid)
-    zeros = riccati.find_poles(rp, lo, hi, branch)
-    flagged: set[int] = set()
     half = 0.5 * grid.step * (1.0 + 1e-9)
-    for z in zeros:
-        for i, x in enumerate(pts):
-            if abs(float(x) - z) <= half:
-                flagged.add(i)
-    return flagged
+
+    def near(x: float) -> list[int]:
+        i = round((x - grid.start) / grid.step)
+        candidates = range(max(i - 1, 0), min(i + 2, grid.count))
+        return [j for j in candidates if abs(float(pts[j]) - x) <= half]
+
+    def settled(lo: float, hi: float) -> bool:
+        return hi - lo < grid.step and near(lo) == near(hi)
+
+    lo, hi = pole_search_bounds(grid)
+    return [i for x in riccati.find_poles(rp, lo, hi, branch, settled) for i in near(x)]
+
+
+def _branch_columns(rps: list[riccati.RiccatiParams], branch: int, grid: GridSpec):
+    """x, value and pole lists of the branch on rps x grid, value nan on
+    pole rows (a small denominator or a zero within half a step)."""
+    xs = grid.points()
+    value, pole = riccati.branch_table(rps, branch, xs)
+    for row, rp in enumerate(rps):
+        pole[row, _pole_indices(rp, branch, grid)] = True
+    value[pole] = math.nan
+    return xs.tolist(), value.tolist(), pole.astype(int).tolist()
 
 
 def riccati_rows(rp: riccati.RiccatiParams, branch: int, grid: GridSpec):
     """(x, u, pole) rows of the chosen closed-form branch on the grid."""
-    pts = grid.points()
-    flagged = _pole_indices(rp, branch, grid)
-    ev = riccati.eval_u1 if branch == 1 else riccati.eval_u2
-    rows = []
-    for i, x in enumerate(pts):
-        x = float(x)
-        s = ev(rp, x)
-        if i in flagged or s.pole_flag:
-            rows.append((x, float("nan"), 1))
-        else:
-            rows.append((x, s.value, 0))
-    return rows
+    xs, value, pole = _branch_columns([rp], branch, grid)
+    return list(zip(xs, value[0], pole[0]))
+
+
+def _hubble_columns(cps: list[cosmo.CosmoParams], branch: int, grid: GridSpec):
+    """eta, H and pole lists of the Hubble branch of each of cps (one k and
+    c) on the grid; the flat case has no poles by construction.
+    For k = +-1, H is the Riccati branch with a = c, b = -k c."""
+    if cps[0].k == 0:
+        flat = cosmo.hubble_flat(cps[0], grid.points())
+        return flat.eta.tolist(), [flat.H.tolist()] * len(cps), [[0] * grid.count] * len(cps)
+    return _branch_columns([cp.riccati_params() for cp in cps], branch, grid)
 
 
 def hubble_rows(cp: cosmo.CosmoParams, branch: int, grid: GridSpec):
-    """(eta, H, pole) rows; the flat case has no poles by construction."""
-    pts = grid.points()
-    if cp.k == 0:
-        return [(float(e), cosmo.hubble_flat(cp, float(e)).H, 0) for e in pts]
-    rp = cp.riccati_params()
-    flagged = _pole_indices(rp, branch, grid)
-    rows = []
-    for i, e in enumerate(pts):
-        e = float(e)
-        h = cosmo.hubble(cp, e, branch)
-        if i in flagged or h.pole_flag:
-            rows.append((e, float("nan"), 1))
-        else:
-            rows.append((e, h.H, 0))
-    return rows
+    """(eta, H, pole) rows of the chosen Hubble branch on the grid."""
+    etas, h, pole = _hubble_columns([cp], branch, grid)
+    return list(zip(etas, h[0], pole[0]))
 
 
 def figure_rows(
@@ -129,7 +144,8 @@ def figure_rows(
     delta_grid: GridSpec | None = None,
     branch: int = 1,
 ):
-    """(eta, delta, H, pole) rows, delta-major, covering the full lattice.
+    """(eta, delta, H, pole) rows, delta-major, covering the full lattice,
+    which is evaluated in one array pass.
 
     The delta axis may ride along as eta_grid.second instead of being passed
     separately."""
@@ -137,13 +153,14 @@ def figure_rows(
         delta_grid = eta_grid.second
     if delta_grid is None:
         raise ValueError("figure_rows needs a delta axis")
-    rows = []
-    for d in delta_grid.points():
-        d = float(d)
-        cp = cosmo.CosmoParams(k=k, delta=d, c=c)
-        for eta, h, pole in hubble_rows(cp, branch, eta_grid):
-            rows.append((eta, d, h, pole))
-    return rows
+    deltas = delta_grid.points().tolist()
+    cps = [cosmo.CosmoParams(k=k, delta=d, c=c) for d in deltas]
+    etas, h, pole = _hubble_columns(cps, branch, eta_grid)
+    return [
+        (eta, d, hv, p)
+        for d, h_row, p_row in zip(deltas, h, pole)
+        for eta, hv, p in zip(etas, h_row, p_row)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +219,7 @@ def _cmd_fracderiv(args) -> int:
         else:
             rows.append((x, numeric))
     header = ["x", "numeric", "oracle", "abs_err"] if oracle else ["x", "numeric"]
-    _emit(args.out, header, rows)
-    return EXIT_OK
+    return _emit(args.out, header, rows)
 
 
 def _make_riccati_params(args):
@@ -235,13 +251,11 @@ def _cmd_riccati(args) -> int:
         if args.grid.start <= 0.0:
             _err("evaluation grid must start above 0")
             return EXIT_FLAGS
-        _emit(args.out, ["x", "u", "pole"], riccati_rows(rp, args.branch, args.grid))
-        return EXIT_OK
+        return _emit(args.out, ["x", "u", "pole"], riccati_rows(rp, args.branch, args.grid))
 
     if args.action == "poles":
         poles = riccati.find_poles(rp, args.grid.start, args.grid.stop, args.branch)
-        _emit(args.out, ["x_pole"], [(p,) for p in poles])
-        return EXIT_OK
+        return _emit(args.out, ["x_pole"], [(p,) for p in poles])
 
     # verify
     if args.x0 is None or args.x1 is None:
@@ -271,12 +285,11 @@ def _cmd_riccati(args) -> int:
         x = float(x)
         up = odeverify.fd_derivative(u_of, x)
         max_res = max(max_res, abs(riccati.residual(rp, x, u_of(x), up)))
-    _emit(
+    return _emit(
         args.out,
         ["a", "b", "delta", "branch", "x0", "x1", "max_residual", "max_deviation"],
         [(rp.a, rp.b, rp.delta, args.branch, args.x0, args.x1, max_res, max_dev)],
     )
-    return EXIT_OK
 
 
 def _cmd_cosmo(args) -> int:
@@ -301,25 +314,16 @@ def _cmd_cosmo(args) -> int:
         return EXIT_FLAGS
 
     if args.action == "hubble":
-        _emit(args.out, ["eta", "H", "pole"], hubble_rows(cp, args.branch, grid))
-        return EXIT_OK
+        return _emit(args.out, ["eta", "H", "pole"], hubble_rows(cp, args.branch, grid))
 
     if args.action == "scale":
         eta_ref = args.eta_ref if args.eta_ref is not None else grid.start
         if eta_ref <= 0.0:
             _err("--eta-ref must be positive")
             return EXIT_FLAGS
-        lo = min(eta_ref, grid.start)
-        hi = max(eta_ref, grid.stop)
-        if cp.k != 0 and riccati.find_poles(cp.riccati_params(), lo, hi, args.branch):
-            _err(f"scale interval [{lo}, {hi}] crosses a zero of the linear branch")
-            return EXIT_POLE
-        rows = [
-            (float(e), cosmo.scale_factor(cp, float(e), eta_ref, args.branch))
-            for e in grid.points()
-        ]
-        _emit(args.out, ["eta", "R_ratio"], rows)
-        return EXIT_OK
+        etas = grid.points()
+        ratios = cosmo.scale_factor(cp, etas, eta_ref, args.branch)
+        return _emit(args.out, ["eta", "R_ratio"], list(zip(etas.tolist(), ratios.tolist())))
 
     # figure
     delta_grid = args.delta_grid
@@ -328,8 +332,7 @@ def _cmd_cosmo(args) -> int:
         _err("delta grid values must lie in (0, 1]")
         return EXIT_FLAGS
     rows = figure_rows(args.k, c, grid, delta_grid, args.branch)
-    _emit(args.out, ["eta", "delta", "H", "pole"], rows)
-    return EXIT_OK
+    return _emit(args.out, ["eta", "delta", "H", "pole"], rows)
 
 
 def _cmd_selftest(args) -> int:
@@ -405,6 +408,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConvergenceError as exc:
         _err(f"numeric non-convergence: {exc}")
+        return EXIT_NONCONVERGENT
+    except OverflowError as exc:
+        _err(f"numeric overflow: {exc}")
         return EXIT_NONCONVERGENT
     except (BranchZeroError,) as exc:
         _err(str(exc))

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BranchZeroError, FlatCaseError
 from .fracops import _delta_value, adaptive_simpson
-from . import riccati
+from . import riccati, specfun
 
 __all__ = [
     "CosmoParams",
@@ -100,48 +102,64 @@ def hubble(cp: CosmoParams, eta: float, branch: int = 1) -> HubbleEval:
     return HubbleEval(eta, ev.value, branch, ev.pole_flag)
 
 
-def hubble_flat(cp: CosmoParams, eta: float) -> HubbleEval:
+def hubble_flat(cp: CosmoParams, eta: float | np.ndarray) -> HubbleEval:
     """Classical flat-universe solution H = 1/(c eta) of dH/deta + c H^2 = 0,
     integration constant fixed so H diverges as eta -> 0+ like the curved
-    branch-1 solutions; tagged as untouched by delta."""
-    eta = float(eta)
-    if not eta > 0.0:
+    branch-1 solutions; tagged as untouched by delta.
+
+    An ndarray eta gives eta and H as arrays of the same shape."""
+    eta = eta if isinstance(eta, np.ndarray) else float(eta)
+    if not np.all(eta > 0.0):
         raise ValueError(f"conformal time must be positive, got {eta}")
     if cp.k != 0:
         raise ValueError(f"hubble_flat needs k = 0, got k = {cp.k}")
     return HubbleEval(eta, 1.0 / (cp.c * eta), 1, False, delta_applied=False)
 
 
-def scale_factor(cp: CosmoParams, eta: float, eta_ref: float, branch: int = 1) -> float:
+def scale_factor(
+    cp: CosmoParams, eta: float | np.ndarray, eta_ref: float, branch: int = 1
+) -> float | np.ndarray:
     """Scale-factor ratio R(eta)/R(eta_ref) recovered from H = (dR/deta)/R.
 
     Through u = y'/(a y) the ratio is (y(eta)/y(eta_ref))^(1/c) with y the
     chosen linear branch; both times must sit in one pole-free interval on
     which y keeps its sign.  The flat case integrates H = 1/(c eta) directly
     to (eta/eta_ref)^(1/c).
+
+    An ndarray eta gives the ratios at all its times from one array pass,
+    with one pole check over the span of eta and eta_ref.
     """
-    eta = float(eta)
-    eta_ref = float(eta_ref)
-    if not (eta > 0.0 and eta_ref > 0.0):
+    if isinstance(eta, np.ndarray):
+        return _scale_factors(cp, eta, float(eta_ref), branch)
+    return float(_scale_factors(cp, np.array([float(eta)]), float(eta_ref), branch)[0])
+
+
+def _scale_factors(
+    cp: CosmoParams, eta: np.ndarray, eta_ref: float, branch: int
+) -> np.ndarray:
+    """scale_factor at every element of eta."""
+    if not (np.all(eta > 0.0) and eta_ref > 0.0):
         raise ValueError("both times must be positive")
     if cp.k == 0:
-        return (eta / eta_ref) ** (1.0 / cp.c)
-    if eta == eta_ref:
-        return 1.0
+        return specfun.power(eta / eta_ref, 1.0 / cp.c)
     rp = cp.riccati_params()
-    lo, hi = min(eta, eta_ref), max(eta, eta_ref)
-    if riccati.find_poles(rp, lo, hi, branch):
+    lo, hi = min(float(eta.min()), eta_ref), max(float(eta.max()), eta_ref)
+    if lo < hi and riccati.find_poles(rp, lo, hi, branch):
         raise BranchZeroError(
             f"branch-{branch} linear solution crosses zero inside [{lo}, {hi}]"
         )
-    y_a, _ = riccati.eval_y_branch(rp, branch, eta)
-    y_b, _ = riccati.eval_y_branch(rp, branch, eta_ref)
-    if y_a == 0.0 or y_b == 0.0 or (y_a > 0.0) != (y_b > 0.0):
+    y = riccati.y_branch_table(rp, branch, np.append(eta, eta_ref))
+    y, y_ref = y[:-1], y[-1]
+    moving = eta != eta_ref
+    flips = moving & ((y == 0.0) | (y_ref == 0.0) | ((y > 0.0) != (y_ref > 0.0)))
+    if flips.any():
         raise BranchZeroError(
             f"branch-{branch} linear solution changes sign between "
-            f"{eta_ref} and {eta}"
+            f"{eta_ref} and {eta[flips][0]}"
         )
-    return (y_a / y_b) ** (1.0 / cp.c)
+    ratio = np.ones_like(y)
+    ratio[moving] = specfun.power(y[moving] / y_ref, 1.0 / cp.c)
+    return ratio
 
 
 def scale_factor_by_quadrature(

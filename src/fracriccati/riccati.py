@@ -16,6 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateRegimeError
 from .fracops import _delta_value, frac_const
 from . import specfun
@@ -28,7 +30,9 @@ __all__ = [
     "map_params",
     "eval_u1",
     "eval_u2",
+    "branch_table",
     "eval_y_branch",
+    "y_branch_table",
     "residual",
     "find_poles",
 ]
@@ -96,22 +100,21 @@ class SolutionEval:
 
     value: float
     pole_flag: bool
-    denominator_magnitude: float
 
 
-def _branch_ratio(bm: BesselMap, branch: int, x: float) -> tuple[float, float, float]:
-    """(num, den, sign) with num/den the neighbouring-order Bessel ratio and
-    sign the factor entering y'/y (K alone flips it)."""
-    z = bm.q_mag * x**bm.r
+def _kind(bm: BesselMap, branch: int) -> tuple[str, float]:
+    """(Bessel kind, sign entering y'/y) of the branch; K alone flips it."""
     if bm.regime == OSCILLATORY:
-        kind = "J" if branch == 1 else "Y"
-        sign = 1.0
-    else:
-        kind = "I" if branch == 1 else "K"
-        sign = 1.0 if branch == 1 else -1.0
-    num = specfun.bessel(kind, bm.n - 1.0, z)
-    den = specfun.bessel(kind, bm.n, z)
-    return num, den, sign
+        return ("J" if branch == 1 else "Y"), 1.0
+    return ("I", 1.0) if branch == 1 else ("K", -1.0)
+
+
+def _check_regime(bm: BesselMap) -> None:
+    if bm.regime == DEGENERATE:
+        raise DegenerateRegimeError(
+            "b = 0 has no Bessel-ratio branch; the flat-case solution "
+            "u = 1/(a(x - C)) lives in the cosmology module"
+        )
 
 
 def _eval_branch(rp: RiccatiParams, branch: int, x: float) -> SolutionEval:
@@ -119,16 +122,48 @@ def _eval_branch(rp: RiccatiParams, branch: int, x: float) -> SolutionEval:
     if not x > 0.0:
         raise ValueError(f"Riccati branch evaluation requires x > 0, got {x}")
     bm = map_params(rp)
-    if bm.regime == DEGENERATE:
-        raise DegenerateRegimeError(
-            "b = 0 has no Bessel-ratio branch; the flat-case solution "
-            "u = 1/(a(x - C)) lives in the cosmology module"
-        )
-    num, den, sign = _branch_ratio(bm, branch, x)
+    _check_regime(bm)
+    kind, sign = _kind(bm, branch)
+    z = bm.q_mag * x**bm.r
+    num = specfun.bessel(kind, bm.n - 1.0, z)
+    den = specfun.bessel(kind, bm.n, z)
     if abs(den) < _POLE_RTOL * (abs(num) + 1.0):
-        return SolutionEval(math.nan, True, abs(den))
+        return SolutionEval(math.nan, True)
     prefactor = bm.q_mag * bm.r * x ** (bm.r - 1.0) / rp.a
-    return SolutionEval(sign * prefactor * num / den, False, abs(den))
+    return SolutionEval(sign * prefactor * num / den, False)
+
+
+def branch_table(
+    rps: list[RiccatiParams], branch: int, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The chosen branch on the lattice rps x xs in one array pass.
+
+    Returns (value, pole_flag) arrays of shape (len(rps), len(xs)), each
+    element bit-identical to eval_u1/eval_u2 at that point.  The parameter
+    sets must share one regime (a figure surface varies delta only).
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(xs > 0.0):
+        raise ValueError(f"Riccati branch evaluation requires x > 0, got {xs.min()}")
+    bms = [map_params(rp) for rp in rps]
+    for bm in bms:
+        _check_regime(bm)
+    if len({bm.regime for bm in bms}) != 1:
+        raise ValueError("branch_table needs parameter sets of one regime")
+    kind, sign = _kind(bms[0], branch)
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+
+    q, r, n = (column([getattr(bm, f) for bm in bms]) for f in ("q_mag", "r", "n"))
+    x = xs[None, :]
+    z = q * specfun.power(x, r)
+    num, den = specfun.bessel(kind, np.stack([n - 1.0, n]), z)
+    pole = np.abs(den) < _POLE_RTOL * (np.abs(num) + 1.0)
+    prefactor = q * r * specfun.power(x, r - 1.0) / column([rp.a for rp in rps])
+    value = np.full(pole.shape, math.nan)
+    np.divide(sign * prefactor * num, den, out=value, where=~pole)
+    return value, pole
 
 
 def eval_u1(rp: RiccatiParams, x: float) -> SolutionEval:
@@ -147,13 +182,9 @@ def eval_u2(rp: RiccatiParams, x: float) -> SolutionEval:
 def _yprime_forms(rp: RiccatiParams, branch: int, x: float) -> tuple[float, float, float]:
     """(y, y' by the lower-order form, y' by the upper-order form)."""
     bm = map_params(rp)
-    if bm.regime == DEGENERATE:
-        raise DegenerateRegimeError("b = 0 has no Bessel-template branch")
+    _check_regime(bm)
     z = bm.q_mag * x**bm.r
-    if bm.regime == OSCILLATORY:
-        kind = "J" if branch == 1 else "Y"
-    else:
-        kind = "I" if branch == 1 else "K"
+    kind = _kind(bm, branch)[0]
     b_n = specfun.bessel(kind, bm.n, z)
     b_lo = specfun.bessel(kind, bm.n - 1.0, z)
     b_hi = specfun.bessel(kind, bm.n + 1.0, z)
@@ -198,6 +229,15 @@ def eval_y_branch(rp: RiccatiParams, branch: int, x: float) -> tuple[float, floa
     return y, d_lo
 
 
+def y_branch_table(rp: RiccatiParams, branch: int, xs: np.ndarray) -> np.ndarray:
+    """y = sqrt(x) B_n(q x^r) of the chosen linear branch at every x in one
+    array pass, bit-identical to the y that eval_y_branch returns."""
+    bm = map_params(rp)
+    _check_regime(bm)
+    kind = _kind(bm, branch)[0]
+    return np.sqrt(xs) * specfun.bessel(kind, bm.n, bm.q_mag * specfun.power(xs, bm.r))
+
+
 def residual(rp: RiccatiParams, x: float, u: float, u_prime: float) -> float:
     """Defect u' + a u^2 - b x^(1-delta)/Gamma(2-delta) of a candidate value."""
     x = float(x)
@@ -211,10 +251,17 @@ def find_poles(
     x_lo: float,
     x_hi: float,
     branch: int = 1,
+    settled=None,
 ) -> list[float]:
-    """All poles of the chosen branch in [x_lo, x_hi]: zeros of the
-    denominator Bessel function, bracketed by a sign scan in the (monotone)
-    Bessel argument and bisected to 1e-12 relative.
+    """All poles of the chosen branch in [x_lo, x_hi], in ascending order:
+    zeros of the denominator Bessel function, bracketed by a sign scan in
+    the (monotone) Bessel argument and bisected to 1e-12 relative.
+
+    The sign scan evaluates the denominator on its whole lattice in one array
+    call; each sign change is then bisected with scalar calls.  settled(lo,
+    hi), when given, stops a bisection early and the bracket midpoint is
+    returned; the bisection steps do not depend on it, so the 1e-12 zero
+    lies inside every bracket that settled sees.
 
     The modified regime has none (I_n, K_n > 0 on x > 0): empty list.
     """
@@ -227,42 +274,34 @@ def find_poles(
     bm = map_params(rp)
     if bm.regime != OSCILLATORY:
         return []
-    kind = "J" if branch == 1 else "Y"
+    kind = _kind(bm, branch)[0]
 
-    def den(x: float) -> float:
-        return specfun.bessel(kind, bm.n, bm.q_mag * x**bm.r)
+    def den(x):
+        return specfun.bessel(kind, bm.n, bm.q_mag * specfun.power(x, bm.r))
 
     # zeros of B_n(z) are simple and at least ~pi apart asymptotically; an
     # eighth-of-pi scan in z cannot skip a pair
     z_lo = bm.q_mag * x_lo**bm.r
     z_hi = bm.q_mag * x_hi**bm.r
     n_steps = max(8, int((z_hi - z_lo) / (math.pi / 8.0)) + 1)
+    z = z_lo + (z_hi - z_lo) * np.arange(1, n_steps + 1) / n_steps
+    xs = np.concatenate(([x_lo], specfun.power(z / bm.q_mag, 1.0 / bm.r)))
+    xs[-1] = x_hi
+    fs = den(xs)
+    starts = np.flatnonzero((fs == 0.0) | np.append(fs[:-1] * fs[1:] < 0.0, False))
+    xs, fs = xs.tolist(), fs.tolist()
     poles = []
-    x_prev = x_lo
-    f_prev = den(x_prev)
-    for i in range(1, n_steps + 1):
-        z = z_lo + (z_hi - z_lo) * i / n_steps
-        x_cur = (z / bm.q_mag) ** (1.0 / bm.r)
-        if i == n_steps:
-            x_cur = x_hi
-        f_cur = den(x_cur)
-        if f_prev == 0.0:
-            poles.append(x_prev)
-        elif f_prev * f_cur < 0.0:
-            lo, hi = x_prev, x_cur
-            flo = f_prev
-            while hi - lo > 1e-12 * hi:
-                mid = 0.5 * (lo + hi)
-                fmid = den(mid)
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fmid < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            poles.append(0.5 * (lo + hi))
-        x_prev, f_prev = x_cur, f_cur
-    if f_prev == 0.0:
-        poles.append(x_prev)
+    for i in starts.tolist():
+        lo, flo = xs[i], fs[i]
+        hi = lo if flo == 0.0 else xs[i + 1]
+        while hi - lo > 1e-12 * hi and not (settled and settled(lo, hi)):
+            mid = 0.5 * (lo + hi)
+            fmid = den(mid)
+            if fmid == 0.0:
+                lo = hi = mid
+            elif flo * fmid < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        poles.append(0.5 * (lo + hi))
     return poles

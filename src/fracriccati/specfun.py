@@ -1,7 +1,10 @@
 """Self-contained special functions: gamma, generalized binomial, and Bessel
 functions of arbitrary real order.
 
-Everything here is scalar float-in/float-out and pure.  Bessel evaluation is
+Everything here is pure.  The kernels are scalar float-in/float-out;
+``bessel`` also takes ndarray orders and arguments and then runs the array
+path, which repeats the scalar kernels' floating-point operations element by
+element and so returns the same bits.  Bessel evaluation is
 split by argument size: ascending power series for small x, Hankel-type
 asymptotic expansions (truncated at the smallest term) for large x.  Y and K
 of non-integer order go through the reflection formulas; exact integer orders
@@ -18,6 +21,10 @@ Known caveat: Y and K lose digits as non-integer nu approaches an integer
 from __future__ import annotations
 
 import math
+import operator
+from itertools import repeat
+
+import numpy as np
 
 from .errors import GammaPoleError, IndeterminateFormError
 
@@ -31,6 +38,7 @@ __all__ = [
     "bessel_i",
     "bessel_k",
     "bessel_derivative",
+    "power",
     "BESSEL_KINDS",
 ]
 
@@ -202,8 +210,16 @@ def _hankel_pq(nu: float, x: float) -> tuple[float, float]:
     """P, Q of the large-argument expansion, truncated at the smallest term.
 
     For large orders the terms grow before they decay, so divergence is only
-    declared once a term grows after the decaying phase has started.
+    declared once a term grows after the decaying phase has started.  An
+    ndarray x truncates each element at its own smallest term.
     """
+    if isinstance(x, np.ndarray):
+        p_arr = np.ones_like(x)
+        q_arr = np.zeros_like(x)
+        for k, term, live in _asymptotic_terms(nu, x):
+            acc = q_arr if k % 2 == 1 else p_arr
+            np.add(acc, term if (k // 2) % 2 == 0 else -term, out=acc, where=live)
+        return p_arr, q_arr
     mu = 4.0 * nu * nu
     p_sum = 1.0
     q_sum = 0.0
@@ -231,9 +247,10 @@ def _hankel_pq(nu: float, x: float) -> tuple[float, float]:
 def _jy_asymptotic(nu: float, x: float) -> tuple[float, float]:
     p, q = _hankel_pq(nu, x)
     omega = x - (0.5 * nu + 0.25) * math.pi
-    c = math.cos(omega)
-    s = math.sin(omega)
-    amp = math.sqrt(2.0 / (math.pi * x))
+    if isinstance(x, np.ndarray):
+        c, s, amp = np.cos(omega), np.sin(omega), np.sqrt(2.0 / (math.pi * x))
+    else:
+        c, s, amp = math.cos(omega), math.sin(omega), math.sqrt(2.0 / (math.pi * x))
     return amp * (p * c - q * s), amp * (p * s + q * c)
 
 
@@ -311,7 +328,10 @@ def _bessel_k_quad(nu: float, x: float) -> float:
 
     Exponentially convergent in the node spacing; used for x >= 2 with
     |nu| < 2 (larger orders are reduced by the upward recurrence first).
+    ndarray nu and x run every element's own nodes side by side.
     """
+    if isinstance(x, np.ndarray):
+        return _k_quad_array(nu, x)
     h = 0.18 if x <= 8.0 else 0.18 / math.sqrt(x / 8.0)
     # truncation point: integrand down by e^-46 relative to the t=0 value
     t_max = 1.0
@@ -415,15 +435,224 @@ def bessel_k(nu: float, x: float) -> float:
     )
 
 
+# ---------------------------------------------------------------------------
+# Array path
+# ---------------------------------------------------------------------------
+#
+# Each array kernel repeats the floating-point operations of its scalar
+# kernel in the same order, element by element: a term loop runs until its
+# last element meets the scalar stopping rule, and each element stops adding
+# terms where the scalar kernel would have stopped.  exp and cosh go through
+# ``math`` and pow through Python's float power (``operator.pow``), because
+# numpy's versions differ from libm's in the last place for a few percent of
+# arguments; numpy's arithmetic, sqrt, sin and cos are used as they are.
+# Sub-paths that would not pay to vectorise (integer orders below the
+# cutovers, K of order >= 2, arrays under _ARRAY_MIN_SIZE elements) loop the
+# scalar kernels.
+
+
+def _each(func, *args):
+    """func over equal-length 1-D arrays element by element (a float argument
+    is repeated)."""
+    n = next(a.size for a in args if isinstance(a, np.ndarray))
+    cols = [a.tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
+    return np.fromiter(map(func, *cols), float, n)
+
+
+def _per_value(func, v: np.ndarray) -> np.ndarray:
+    """func of every element of v, called once per distinct value."""
+    u, inv = np.unique(v, return_inverse=True)
+    return np.array([func(t) for t in u.tolist()])[inv]
+
+
+def power(x, p):
+    """x**p; element by element through Python's float power when x or p is
+    an ndarray, so every element has the bits (and errors) of x**p."""
+    if not isinstance(x, np.ndarray) and not isinstance(p, np.ndarray):
+        return x**p
+    x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
+    return _each(operator.pow, x.ravel(), p.ravel()).reshape(x.shape)
+
+
+def _series_array(nu: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
+    """_bessel_j_series (sign -1) or _bessel_i_series (sign +1) per element."""
+    half = 0.5 * x
+    term = _each(operator.pow, half, nu) * _per_value(recip_gamma, nu + 1.0)
+    total = term.copy()
+    peak = np.abs(term)
+    q = sign * half * half
+    live = np.ones(x.size, dtype=bool)
+    for k in range(1, _SERIES_MAX_TERMS):
+        np.multiply(term, q / (k * (k + nu)), out=term, where=live)
+        np.add(total, term, out=total, where=live)
+        mag = np.abs(term)
+        grow = live & (mag > peak)
+        np.copyto(peak, mag, where=grow)
+        if k > 2:
+            live &= grow | ~(mag <= 1e-17 * peak)
+            if not live.any():
+                break
+    return total
+
+
+def _asymptotic_terms(nu, x: np.ndarray):
+    """Yield (k, term, live) of the large-argument expansion in _hankel_pq and
+    bessel_i; live marks the elements that still add term k."""
+    mu = 4.0 * nu * nu
+    term = np.ones_like(x)
+    prev = np.ones_like(x)
+    decaying = np.zeros(x.size, dtype=bool)
+    live = np.ones(x.size, dtype=bool)
+    for k in range(1, 200):
+        np.multiply(term, (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x), out=term, where=live)
+        mag = np.abs(term)
+        smaller = mag < prev
+        live &= smaller | ~decaying  # smallest term passed: stop before it
+        if not live.any():
+            return
+        decaying |= smaller
+        yield k, term, live
+        live &= ~(mag < 1e-18)
+        np.copyto(prev, mag, where=live)
+
+
+def _i_asymptotic(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The 30 < x <= 700 branch of bessel_i per element."""
+    s_alt = np.ones_like(x)
+    s_pos = np.ones_like(x)
+    for k, term, live in _asymptotic_terms(nu, x):
+        np.add(s_alt, -term if k % 2 else term, out=s_alt, where=live)
+        np.add(s_pos, term, out=s_pos, where=live)
+    amp = 1.0 / np.sqrt(2.0 * math.pi * x)
+    return amp * (
+        _each(math.exp, x) * s_alt - _per_value(_sinpi, nu) * _each(math.exp, -x) * s_pos
+    )
+
+
+def _k_quad_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_bessel_k_quad per element: node j of every element whose own node
+    count reaches j is added in one step."""
+    h = np.where(x <= 8.0, 0.18, 0.18 / np.sqrt(x / 8.0))
+    t_max = np.ones_like(x)
+    t = 1.0
+    grow = x * (math.cosh(t) - 1.0) - np.abs(nu) * t < 46.0
+    while grow.any():
+        t += 0.5
+        t_max[grow] = t
+        grow &= x * (math.cosh(t) - 1.0) - np.abs(nu) * t < 46.0
+    n = (t_max / h).astype(int) + 1
+    acc = 0.5 * _each(math.exp, -x)
+    for j in range(1, int(n.max()) + 1):
+        a = np.flatnonzero(n >= j)
+        t_j = j * h[a]
+        kernel = _each(math.exp, -x[a] * _each(math.cosh, t_j))
+        acc[a] += kernel * _each(math.cosh, nu[a] * t_j)
+    return h * acc
+
+
+def _negative_integers(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nu with negative integers replaced by -nu, mask of the odd ones)."""
+    neg = (nu < 0.0) & (nu == np.floor(nu))
+    return np.where(neg, -nu, nu), neg & (np.fmod(nu, 2.0) != 0.0)
+
+
+def _jy_array(kind: str, nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    nu, odd = _negative_integers(nu)
+    out = np.empty_like(x)
+    asym = x >= np.maximum(12.0, 1.6 * np.abs(nu))
+    if asym.any():
+        out[asym] = _jy_asymptotic(nu[asym], x[asym])[0 if kind == "J" else 1]
+    series = ~asym
+    if kind == "Y":
+        integer = series & (nu == np.floor(nu))
+        if integer.any():
+            out[integer] = _each(bessel_y, nu[integer], x[integer])
+        series &= ~integer
+    if series.any():
+        v, t = nu[series], x[series]
+        if kind == "J":
+            out[series] = _series_array(v, t, -1.0)
+        else:  # reflection through J of orders +-nu
+            out[series] = (
+                _series_array(v, t, -1.0) * _per_value(_cospi, v) - _series_array(-v, t, -1.0)
+            ) / _per_value(_sinpi, v)
+    out[odd] = -out[odd]
+    return out
+
+
+def _i_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    nu = _negative_integers(nu)[0]
+    out = np.empty_like(x)
+    series = x <= 30.0
+    if series.any():
+        out[series] = _series_array(nu[series], x[series], 1.0)
+    asym = ~series
+    if asym.any():
+        if (x > 700.0).any():
+            raise OverflowError(f"bessel_i overflows for x = {x[x > 700.0][0]}")
+        out[asym] = _i_asymptotic(nu[asym], x[asym])
+    return out
+
+
+def _k_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    nu = np.abs(nu)
+    out = np.empty_like(x)
+    quad = (x >= 2.0) & (nu < 2.0)
+    reflect = (x < 2.0) & (nu != np.floor(nu))
+    rest = ~(quad | reflect)
+    if quad.any():
+        out[quad] = _bessel_k_quad(nu[quad], x[quad])
+    if reflect.any():
+        v, t = nu[reflect], x[reflect]
+        out[reflect] = (
+            0.5 * math.pi * (_series_array(-v, t, 1.0) - _series_array(v, t, 1.0))
+        ) / _per_value(_sinpi, v)
+    if rest.any():
+        out[rest] = _each(bessel_k, nu[rest], x[rest])
+    return out
+
+
+# Below this many elements the array path loops the scalar kernels: a term
+# loop step costs about the same for 8 elements as for 128, and a call takes
+# about 1 ms of them (timed on a 2-vCPU x86-64 VM, numpy 2.4).
+_ARRAY_MIN_SIZE = 128
+
+
+def _bessel_array(kind: str, nu, x) -> np.ndarray:
+    nu, x = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float))
+    shape = x.shape
+    nu, x = nu.ravel(), x.ravel()
+    bad = ~((x > 0.0) & (x < math.inf))
+    if bad.any():
+        raise ValueError(f"Bessel argument must satisfy 0 < x < inf, got {x[bad][0]}")
+    with np.errstate(all="ignore"):
+        if x.size < _ARRAY_MIN_SIZE:
+            out = _each(_BESSEL_FUNCS[kind], nu, x)
+        elif kind == "I":
+            out = _i_array(nu, x)
+        elif kind == "K":
+            out = _k_array(nu, x)
+        else:
+            out = _jy_array(kind, nu, x)
+    return out.reshape(shape)
+
+
 _BESSEL_FUNCS = {"J": bessel_j, "Y": bessel_y, "I": bessel_i, "K": bessel_k}
 
 
-def bessel(kind: str, nu: float, x: float) -> float:
-    """Dispatch to J, Y, I or K by the one-letter kind."""
+def bessel(kind: str, nu, x):
+    """Dispatch to J, Y, I or K by the one-letter kind.
+
+    Floats take the scalar kernels.  If nu or x is an ndarray the two are
+    broadcast and the array path returns an ndarray with the same bits as a
+    scalar call per element.
+    """
     try:
         func = _BESSEL_FUNCS[kind.upper()]
     except (KeyError, AttributeError):
         raise ValueError(f"unknown Bessel kind {kind!r}, expected one of {BESSEL_KINDS}")
+    if isinstance(x, np.ndarray) or isinstance(nu, np.ndarray):
+        return _bessel_array(kind.upper(), nu, x)
     return func(nu, x)
 
 

@@ -124,6 +124,14 @@ class TestRiccatiCommand:
                                   "--delta", "1", "--x0", "2.5", "--x1", "4.0"])
         assert rc == 4 and "pole" in err
 
+    def test_overflow_exits_3_with_one_error_line(self, capsys):
+        # I_n refuses arguments past 700
+        rc, out, err = run(capsys, ["riccati", "eval", "--a", "1", "--b", "1",
+                                    "--delta", "1", "--branch", "1", "--grid", "600:710:3"])
+        assert rc == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "overflow" in err
+
     def test_degenerate_b_exits_2(self, capsys):
         rc, _, err = run(capsys, ["riccati", "eval", "--a", "1", "--b", "0",
                                   "--delta", "1", "--grid", "1:2:4"])
@@ -214,6 +222,14 @@ class TestOutputContract:
                     continue
                 v = float(tok)
                 assert f"{v:.17g}" == tok  # serialization is bit-faithful
+
+    def test_unwritable_out_exits_2_with_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        rc, out, err = run(capsys, ["riccati", "eval", "--a", "1", "--b", "-1",
+                                    "--delta", "1", "--grid", "0.2:3:5", "--out", str(path)])
+        assert rc == 2
+        assert out == "" and not path.exists()
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(path) in err
 
     def test_out_file_newlines(self, tmp_path):
         path = tmp_path / "t.csv"

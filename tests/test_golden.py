@@ -1,0 +1,26 @@
+"""The tracked figure surfaces in out/ are golden: regenerating them with the
+argv of scripts/emit_figures.py must give the same bytes."""
+
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _emit_figures():
+    spec = importlib.util.spec_from_file_location(
+        "emit_figures", ROOT / "scripts" / "emit_figures.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+EMIT = _emit_figures()
+
+
+def test_figure_surfaces_match_golden(tmp_path, capsys):
+    assert EMIT.main(tmp_path) == 0
+    capsys.readouterr()
+    for name, _ in EMIT.FIGURES:
+        assert (tmp_path / name).read_bytes() == (ROOT / "out" / name).read_bytes(), name
