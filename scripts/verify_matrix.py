@@ -18,7 +18,7 @@ def main() -> int:
                 x0, x1 = _verification_interval(rp)
                 u0 = riccati.eval_u1(rp, x0).value
                 got = odeverify.integrate_riccati(
-                    rp, odeverify.IvpSpec(None, x0, u0, x1)
+                    rp, odeverify.IvpSpec(x0, u0, x1)
                 )
                 want = riccati.eval_u1(rp, x1).value
                 dev = abs(got - want) / (1.0 + abs(want))

@@ -164,12 +164,12 @@ def criterion_cross_oracle():
     for rp in _MATRIX:
         x0, x1 = _verification_interval(rp)
         u0 = riccati.eval_u1(rp, x0).value
-        got = odeverify.integrate_riccati(rp, odeverify.IvpSpec(None, x0, u0, x1))
+        got = odeverify.integrate_riccati(rp, odeverify.IvpSpec(x0, u0, x1))
         want = riccati.eval_u1(rp, x1).value
         worst_ric = max(worst_ric, abs(got - want) / (1.0 + abs(want)))
         y0, yp0 = riccati.eval_y_branch(rp, 1, x0)
         y1, yp1 = odeverify.integrate_linear(
-            rp, odeverify.IvpSpec(None, x0, (y0, yp0), x1)
+            rp, odeverify.IvpSpec(x0, (y0, yp0), x1)
         )
         u_lin = yp1 / (rp.a * y1)
         worst_lin = max(worst_lin, abs(u_lin - want) / (1.0 + abs(want)))

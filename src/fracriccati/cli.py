@@ -5,9 +5,9 @@ Output tables are plain text: one '#' header line naming the columns, comma
 separators, 17-significant-digit decimals (bit-faithful round trip), newline
 endings.  Lattice points nearest a solution pole (within half a grid step)
 are emitted as pole rows: 'nan' in the value column and pole=1.
-Exit codes: 0 ok, 2 flag errors or an unwritable --out, 3 numeric
-non-convergence or overflow, 4 pole inside a verification/scale interval,
-5 cosmology with c = 0.
+Exit codes: 0 ok, 2 flag errors (a non-finite grid end, --x1 or --eta-ref
+among them) or an unwritable --out, 3 numeric non-convergence or overflow,
+4 pole inside a verification/scale interval, 5 cosmology with c = 0.
 
 Each table is evaluated as arrays: its parameters are mapped once and the
 whole lattice goes through one array call of the Bessel kernels.
@@ -137,22 +137,9 @@ def hubble_rows(cp: cosmo.CosmoParams, branch: int, grid: GridSpec):
     return list(zip(etas, h[0], pole[0]))
 
 
-def figure_rows(
-    k: int,
-    c: float,
-    eta_grid: GridSpec,
-    delta_grid: GridSpec | None = None,
-    branch: int = 1,
-):
+def figure_rows(k: int, c: float, eta_grid: GridSpec, delta_grid: GridSpec, branch: int = 1):
     """(eta, delta, H, pole) rows, delta-major, covering the full lattice,
-    which is evaluated in one array pass.
-
-    The delta axis may ride along as eta_grid.second instead of being passed
-    separately."""
-    if delta_grid is None:
-        delta_grid = eta_grid.second
-    if delta_grid is None:
-        raise ValueError("figure_rows needs a delta axis")
+    which is evaluated in one array pass."""
     deltas = delta_grid.points().tolist()
     cps = [cosmo.CosmoParams(k=k, delta=d, c=c) for d in deltas]
     etas, h, pole = _hubble_columns(cps, branch, eta_grid)
@@ -261,8 +248,8 @@ def _cmd_riccati(args) -> int:
     if args.x0 is None or args.x1 is None:
         _err("verify needs --x0 and --x1")
         return EXIT_FLAGS
-    if not 0.0 < args.x0 < args.x1:
-        _err(f"need 0 < x0 < x1, got {args.x0}, {args.x1}")
+    if not 0.0 < args.x0 < args.x1 < math.inf:
+        _err(f"need 0 < x0 < x1 < inf, got {args.x0}, {args.x1}")
         return EXIT_FLAGS
     if riccati.find_poles(rp, args.x0, args.x1, args.branch):
         _err(f"verification interval [{args.x0}, {args.x1}] contains a pole")
@@ -278,7 +265,7 @@ def _cmd_riccati(args) -> int:
     u_num = u_of(float(pts[0]))
     for x_prev, x_cur in zip(pts[:-1], pts[1:]):
         u_num = odeverify.integrate_riccati(
-            rp, odeverify.IvpSpec(None, float(x_prev), u_num, float(x_cur))
+            rp, odeverify.IvpSpec(float(x_prev), u_num, float(x_cur))
         )
         max_dev = max(max_dev, abs(u_num - u_of(float(x_cur))))
     for x in pts:
@@ -318,8 +305,8 @@ def _cmd_cosmo(args) -> int:
 
     if args.action == "scale":
         eta_ref = args.eta_ref if args.eta_ref is not None else grid.start
-        if eta_ref <= 0.0:
-            _err("--eta-ref must be positive")
+        if not 0.0 < eta_ref < math.inf:
+            _err("--eta-ref must be positive and finite")
             return EXIT_FLAGS
         etas = grid.points()
         ratios = cosmo.scale_factor(cp, etas, eta_ref, args.branch)

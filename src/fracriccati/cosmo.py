@@ -8,13 +8,12 @@ untouched by the scheme and keeps its classical solution H = 1/(c eta).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BranchZeroError, FlatCaseError
-from .fracops import _delta_value, adaptive_simpson
+from .fracops import _delta_value
 from . import riccati, specfun
 
 __all__ = [
@@ -161,31 +160,3 @@ def _scale_factors(
     ratio[moving] = specfun.power(y[moving] / y_ref, 1.0 / cp.c)
     return ratio
 
-
-def scale_factor_by_quadrature(
-    cp: CosmoParams, eta: float, eta_ref: float, branch: int = 1, tol: float = 1e-9
-) -> float:
-    """Cross-check route: exp(integral of H) by adaptive quadrature."""
-    eta = float(eta)
-    eta_ref = float(eta_ref)
-    if eta == eta_ref:
-        return 1.0
-    if cp.k == 0:
-        integral = adaptive_simpson(
-            lambda t: hubble_flat(cp, t).H, eta_ref, eta, tol
-        ) if eta > eta_ref else -adaptive_simpson(
-            lambda t: hubble_flat(cp, t).H, eta, eta_ref, tol
-        )
-        return math.exp(integral)
-
-    def h_of(t: float) -> float:
-        ev = hubble(cp, t, branch)
-        if ev.pole_flag:
-            raise BranchZeroError(f"Hubble pole hit at eta = {t}")
-        return ev.H
-
-    if eta > eta_ref:
-        integral = adaptive_simpson(h_of, eta_ref, eta, tol)
-    else:
-        integral = -adaptive_simpson(h_of, eta, eta_ref, tol)
-    return math.exp(integral)

@@ -13,11 +13,11 @@ class ConvergenceError(RuntimeError):
     """A quadrature or series refinement budget was exhausted."""
 
 
-class StepUnderflowError(RuntimeError):
+class StepUnderflowError(ConvergenceError):
     """ODE step size underflowed; usually signals a pole or stiffness."""
 
 
-class MaxStepsError(RuntimeError):
+class MaxStepsError(ConvergenceError):
     """ODE integrator exceeded its step budget."""
 
 

@@ -24,7 +24,6 @@ from .grids import GridSpec
 from .specfun import gamma, recip_gamma, gen_binomial
 
 __all__ = [
-    "FracOrder",
     "QuadratureSpec",
     "SeriesSpec",
     "SeriesResult",
@@ -39,24 +38,6 @@ __all__ = [
     "solve_linear_fractional",
     "adaptive_simpson",
 ]
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """Scheme parameter delta in (0, 1]; the applied operator has order 1-delta."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-
-    @property
-    def applied_order(self) -> float:
-        return 1.0 - self.delta
-
-    def __float__(self) -> float:
-        return self.delta
 
 
 def _delta_value(delta) -> float:
@@ -161,7 +142,7 @@ class _NaturalCubicSpline:
 
 class RealFunction:
     """Real-valued function on [0, X]: a callable plus optional closed-form
-    derivative suppliers and a continuity-class annotation.
+    derivative suppliers.
 
     ``deriv_factory(k)`` returns the k-th derivative as a callable, or None
     when no closed form is available; missing derivatives of order <= 2 fall
@@ -172,12 +153,10 @@ class RealFunction:
         self,
         func: Callable[[float], float],
         deriv_factory: Callable[[int], Callable[[float], float] | None] | None = None,
-        smoothness: str = "smooth",
         label: str = "f",
     ):
         self._func = func
         self._deriv_factory = deriv_factory
-        self.smoothness = smoothness
         self.label = label
 
     def __call__(self, x: float) -> float:
@@ -200,41 +179,17 @@ class RealFunction:
             d = self._deriv_factory(k)
             if d is not None:
                 return d
-        if k <= 2:
-            return self._fd_derivative(k)
+        f = self._func
+        if k == 1:
+            return lambda x: _richardson_d1(f, x, _fd_step(x, 1e-6))
+        if k == 2:
+            return lambda x: _richardson_d2(f, x, _fd_step(x, 1e-4))
         raise ValueError(
             f"{self.label}: no derivative supplier for order {k} "
             "(finite-difference fallback stops at order 2)"
         )
 
-    def _fd_derivative(self, k: int) -> Callable[[float], float]:
-        f = self._func
-
-        def d1(x: float) -> float:
-            h = max(1e-6, abs(x) * 1e-6)
-            a = (f(x + h) - f(x - h)) / (2.0 * h)
-            b = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-            return (4.0 * b - a) / 3.0
-
-        def d2(x: float) -> float:
-            h = max(1e-4, abs(x) * 1e-4)
-            a = (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-            hh = 0.5 * h
-            b = (f(x + hh) - 2.0 * f(x) + f(x - hh)) / (hh * hh)
-            return (4.0 * b - a) / 3.0
-
-        return d1 if k == 1 else d2
-
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_callable(cls, func, derivatives: Sequence[Callable] = (), **kw) -> "RealFunction":
-        derivatives = tuple(derivatives)
-
-        def factory(k: int):
-            return derivatives[k - 1] if k <= len(derivatives) else None
-
-        return cls(func, factory if derivatives else None, **kw)
 
     @classmethod
     def constant(cls, c: float) -> "RealFunction":
@@ -305,7 +260,6 @@ class SampledFunction(RealFunction):
         super().__init__(
             spline.eval,
             lambda k: (lambda t, k=k: spline.eval(t, k)) if k <= 3 else None,
-            smoothness="C2 (cubic spline)",
             label="sampled",
         )
 
@@ -353,34 +307,31 @@ def rl_integral(f, alpha: float, x: float, q: QuadratureSpec = QuadratureSpec())
         raise ValueError(f"integral order must be positive, got {alpha}")
     if not x > 0.0:
         raise ValueError(f"rl_integral requires x > 0, got {x}")
-    f = _as_real_function(f)
+    return _converged_mesh(_as_real_function(f), alpha, x, q)[1]
+
+
+def _converged_mesh(
+    f: RealFunction, alpha: float, x: float, q: QuadratureSpec
+) -> tuple[int, float]:
+    """(n, value) of the first mesh, doubled from q.n_base, whose result
+    agrees with the previous one to q.tol (scaled)."""
     n = q.n_base
     prev = _product_trapezoid(f, alpha, x, n)
     for _ in range(q.max_doublings):
         n *= 2
         cur = _product_trapezoid(f, alpha, x, n)
         if abs(cur - prev) <= q.tol * (1.0 + abs(cur)):
-            return cur
+            return n, cur
         prev = cur
     raise ConvergenceError(
-        f"rl_integral(alpha={alpha}, x={x}) did not converge within "
+        f"fractional integral of order {alpha} at x={x} did not converge within "
         f"{q.max_doublings} mesh doublings of n_base={q.n_base}"
     )
 
 
-def _converged_mesh(f: RealFunction, alpha: float, x: float, q: QuadratureSpec) -> int:
-    n = q.n_base
-    prev = _product_trapezoid(f, alpha, x, n)
-    for _ in range(q.max_doublings):
-        n *= 2
-        cur = _product_trapezoid(f, alpha, x, n)
-        if abs(cur - prev) <= q.tol * (1.0 + abs(cur)):
-            return n
-        prev = cur
-    raise ConvergenceError(
-        f"fractional-integral profile did not converge at x={x} "
-        f"within {q.max_doublings} doublings"
-    )
+def _fd_step(x: float, rel: float) -> float:
+    """Step of the fixed-step central differences: max(rel, |x| rel)."""
+    return max(rel, abs(x) * rel)
 
 
 def _richardson_d1(F: Callable[[float], float], x: float, h: float) -> float:
@@ -426,7 +377,7 @@ def rl_derivative(f, beta: float, x: float, q: QuadratureSpec = QuadratureSpec()
         if n == 1:
             return _richardson_d1(f, x, h)
         return _richardson_d2(f, x, h)
-    mesh = _converged_mesh(f, alpha, x, q)
+    mesh = _converged_mesh(f, alpha, x, q)[0]
 
     def F(sx: float) -> float:
         return _product_trapezoid(f, alpha, sx, mesh)
@@ -478,6 +429,30 @@ def _frac_deriv_or_integral(g: RealFunction, order: float, x: float, q: Quadratu
     return rl_integral(g, -order, x, q)
 
 
+def _truncated_series(name: str, s: SeriesSpec, term_of) -> SeriesResult:
+    """sum_{k <= s.terms} term_of(k), where term_of(k) is None for a term that
+    vanishes; warns when the final term fails to decay."""
+    total = 0.0
+    prev_mag = None
+    last = 0.0
+    for k in range(s.terms + 1):
+        term = term_of(k)
+        if term is None:
+            last = 0.0
+            prev_mag = 0.0
+            continue
+        total += term
+        last = abs(term)
+        if prev_mag is not None and prev_mag > 0.0 and last > prev_mag and k == s.terms:
+            warnings.warn(
+                f"{name}: terms not decaying at truncation (|T_{k}|={last:.3e} "
+                f"> |T_{k-1}|={prev_mag:.3e})",
+                stacklevel=3,
+            )
+        prev_mag = last
+    return SeriesResult(total, last)
+
+
 def frac_leibniz(
     f,
     g,
@@ -495,31 +470,17 @@ def frac_leibniz(
     g = _as_real_function(g)
     beta = float(beta)
     x = float(x)
-    total = 0.0
-    prev_mag = None
-    last = 0.0
-    for k in range(s.terms + 1):
+
+    def term(k: int) -> float | None:
         w = gen_binomial(beta, k)
         if w == 0.0:
-            last = 0.0
-            prev_mag = 0.0
-            continue
+            return None
         fk = f.derivative(k)(x) if k else f(x)
         if fk == 0.0:
-            last = 0.0
-            prev_mag = 0.0
-            continue
-        term = w * fk * _frac_deriv_or_integral(g, beta - k, x, q)
-        total += term
-        last = abs(term)
-        if prev_mag is not None and prev_mag > 0.0 and last > prev_mag and k == s.terms:
-            warnings.warn(
-                f"frac_leibniz: terms not decaying at truncation (|T_{k}|={last:.3e} "
-                f"> |T_{k-1}|={prev_mag:.3e})",
-                stacklevel=2,
-            )
-        prev_mag = last
-    return SeriesResult(total, last)
+            return None
+        return w * fk * _frac_deriv_or_integral(g, beta - k, x, q)
+
+    return _truncated_series("frac_leibniz", s, term)
 
 
 def frac_chain(
@@ -535,28 +496,16 @@ def frac_chain(
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"frac_chain requires x > 0, got {x}")
-    total = 0.0
-    prev_mag = None
-    last = 0.0
-    for k in range(s.terms + 1):
+
+    def term(k: int) -> float | None:
         w = gen_binomial(beta, k)
         rg = recip_gamma(1.0 + k - beta)
         if w == 0.0 or rg == 0.0:
-            last = 0.0
-            prev_mag = 0.0
-            continue
+            return None
         hk = h.derivative(k)(x) if k else h(x)
-        term = w * x ** (k - beta) * rg * hk
-        total += term
-        last = abs(term)
-        if prev_mag is not None and prev_mag > 0.0 and last > prev_mag and k == s.terms:
-            warnings.warn(
-                f"frac_chain: terms not decaying at truncation (|T_{k}|={last:.3e} "
-                f"> |T_{k-1}|={prev_mag:.3e})",
-                stacklevel=2,
-            )
-        prev_mag = last
-    return SeriesResult(total, last)
+        return w * x ** (k - beta) * rg * hk
+
+    return _truncated_series("frac_chain", s, term)
 
 
 # ---------------------------------------------------------------------------

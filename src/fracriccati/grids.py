@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,15 +10,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform 1-D lattice with inclusive endpoints, optionally carrying a
-    second axis (used for (eta, delta) surfaces)."""
+    """Uniform 1-D lattice with inclusive, finite endpoints."""
 
     start: float
     stop: float
     count: int
-    second: "GridSpec | None" = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(
+                f"grid start and stop must be finite, got [{self.start}, {self.stop}]"
+            )
         if not self.start < self.stop:
             raise ValueError(f"grid start must be < stop, got [{self.start}, {self.stop}]")
         if self.count < 2:

@@ -14,16 +14,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MaxStepsError, StepUnderflowError
-from .fracops import frac_const
+from .fracops import _fd_step, _richardson_d1, frac_const
 from .riccati import RiccatiParams
 from .specfun import gamma
 
 __all__ = [
     "IvpSpec",
-    "StepRecord",
-    "IntegrationResult",
     "integrate",
-    "integrate_fixed",
     "integrate_riccati",
     "integrate_linear",
     "fd_derivative",
@@ -32,9 +29,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IvpSpec:
-    """Initial-value problem: integrate rhs from (x0, u0) to x1 > x0."""
+    """Initial-value problem: integrate from (x0, u0) to x1 > x0."""
 
-    rhs: Callable[[float, np.ndarray], np.ndarray] | None
     x0: float
     u0: float | Sequence[float]
     x1: float
@@ -48,22 +44,6 @@ class IvpSpec:
             raise ValueError(f"need x1 > x0, got x1={self.x1}, x0={self.x0}")
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One accepted step; local_error is the tolerance-scaled norm (<= 1)."""
-
-    x: float
-    u: tuple
-    step: float
-    local_error: float
-
-
-@dataclass(frozen=True)
-class IntegrationResult:
-    value: np.ndarray
-    steps: tuple[StepRecord, ...]
 
 
 # Dormand-Prince 5(4) tableau
@@ -135,8 +115,9 @@ def _initial_step(rhs, x0, y0, x1, rel_tol, abs_tol):
     return min(100.0 * h0, h1, x1 - x0)
 
 
-def integrate(rhs, spec: IvpSpec, max_steps: int = 100000, keep_steps: bool = False) -> IntegrationResult:
-    """Integrate the IVP with the embedded 5(4) pair and PI step control."""
+def integrate(rhs, spec: IvpSpec, max_steps: int = 100000) -> np.ndarray:
+    """The state at spec.x1, integrated with the embedded 5(4) pair and PI
+    step control."""
     y = np.atleast_1d(np.asarray(spec.u0, dtype=float)).copy()
 
     def f(x, state):
@@ -144,11 +125,10 @@ def integrate(rhs, spec: IvpSpec, max_steps: int = 100000, keep_steps: bool = Fa
 
     x = spec.x0
     h = _initial_step(f, x, y, spec.x1, spec.rel_tol, spec.abs_tol)
-    records: list[StepRecord] = []
     prev_err = 1.0
     for _ in range(max_steps):
         if x >= spec.x1:
-            return IntegrationResult(y, tuple(records))
+            return y
         h = min(h, spec.x1 - x)
         if h <= 16.0 * np.finfo(float).eps * max(abs(x), 1.0):
             raise StepUnderflowError(
@@ -159,29 +139,12 @@ def integrate(rhs, spec: IvpSpec, max_steps: int = 100000, keep_steps: bool = Fa
         if norm <= 1.0:
             x += h
             y = y_new
-            if keep_steps:
-                records.append(StepRecord(x, tuple(y), h, norm))
             factor = _SAFETY * (norm + 1e-16) ** (-_PI_ALPHA) * prev_err**_PI_BETA
             prev_err = norm + 1e-16
         else:
             factor = max(_MIN_FACTOR, _SAFETY * norm**(-_PI_ALPHA))
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
     raise MaxStepsError(f"integration exceeded {max_steps} steps")
-
-
-def integrate_fixed(rhs, x0: float, u0, x1: float, n_steps: int) -> np.ndarray:
-    """Fixed-step integration with the 5th-order weights (order studies)."""
-    y = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-
-    def f(x, state):
-        return np.atleast_1d(np.asarray(rhs(x, state), dtype=float))
-
-    h = (x1 - x0) / n_steps
-    x = x0
-    for _ in range(n_steps):
-        y, _err = _step(f, x, y, h)
-        x += h
-    return y
 
 
 def riccati_rhs(rp: RiccatiParams) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -210,8 +173,7 @@ def integrate_riccati(rp: RiccatiParams, ivp: IvpSpec) -> float:
 
     The caller is responsible for a pole-free [x0, x1] (see find_poles).
     """
-    res = integrate(riccati_rhs(rp), ivp)
-    return float(res.value[0])
+    return float(integrate(riccati_rhs(rp), ivp)[0])
 
 
 def integrate_linear(rp: RiccatiParams, ivp: IvpSpec) -> tuple[float, float]:
@@ -219,18 +181,10 @@ def integrate_linear(rp: RiccatiParams, ivp: IvpSpec) -> tuple[float, float]:
     u0 = np.asarray(ivp.u0, dtype=float)
     if u0.shape != (2,):
         raise ValueError(f"integrate_linear needs u0 = (y, y'), got {ivp.u0!r}")
-    res = integrate(linear_rhs(rp), ivp)
-    return float(res.value[0]), float(res.value[1])
+    y, yp = integrate(linear_rhs(rp), ivp)
+    return float(y), float(yp)
 
 
-def fd_derivative(f: Callable[[float], float], x: float, target_tol: float = 1e-8) -> float:
-    """Central difference with one Richardson step, h = max(1e-6, |x|*1e-6).
-
-    target_tol documents the caller's accuracy intent; the step itself is
-    fixed by the contract above and accuracy degrades gracefully beyond it.
-    """
-    del target_tol
-    h = max(1e-6, abs(x) * 1e-6)
-    a = (f(x + h) - f(x - h)) / (2.0 * h)
-    b = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return (4.0 * b - a) / 3.0
+def fd_derivative(f: Callable[[float], float], x: float) -> float:
+    """Central difference with one Richardson step, h = max(1e-6, |x|*1e-6)."""
+    return _richardson_d1(f, x, _fd_step(x, 1e-6))

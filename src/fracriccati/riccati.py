@@ -62,23 +62,15 @@ class RiccatiParams:
 
 @dataclass(frozen=True)
 class BesselMap:
-    """Parameters (p, q, r, n) of the linear-equation template plus regime.
-
-    p - n*r vanishes identically for this family (p = 1/2, r = (3-delta)/2,
-    n = 1/(3-delta)); the solution formulas rely on that cancellation
-    analytically, so it is exposed as an exact property rather than a
-    rounded difference of the float fields.
+    """Parameters (q, r, n) of the linear-equation template y = x^p B_n(q x^r)
+    plus regime.  The template's p = 1/2 equals n*r (r = (3-delta)/2,
+    n = 1/(3-delta)); the solution formulas rely on that cancellation.
     """
 
-    p: float
     q_mag: float
     r: float
     n: float
     regime: Regime
-
-    @property
-    def p_minus_nr(self) -> float:
-        return 0.0
 
 
 def map_params(rp: RiccatiParams) -> BesselMap:
@@ -88,10 +80,10 @@ def map_params(rp: RiccatiParams) -> BesselMap:
     n = 1.0 / (3.0 - d)
     ab = rp.a * rp.b
     if rp.b == 0.0:
-        return BesselMap(0.5, 0.0, r, n, DEGENERATE)
+        return BesselMap(0.0, r, n, DEGENERATE)
     q_mag = (2.0 / (3.0 - d)) * math.sqrt(abs(ab) / specfun.gamma(2.0 - d))
     regime = OSCILLATORY if ab < 0.0 else MODIFIED
-    return BesselMap(0.5, q_mag, r, n, regime)
+    return BesselMap(q_mag, r, n, regime)
 
 
 @dataclass(frozen=True)
@@ -191,7 +183,7 @@ def _yprime_forms(rp: RiccatiParams, branch: int, x: float) -> tuple[float, floa
     y = math.sqrt(x) * b_n
     qrx = bm.q_mag * bm.r * x ** (bm.r - 1.0)
     nr_over_x = bm.n * bm.r / x
-    p_over_x = bm.p / x
+    p_over_x = 0.5 / x
     if kind in ("J", "Y"):
         # y'/y = (p - nr)/x + qr x^(r-1) B_(n-1)/B_n, the p - nr = 0 form
         d_lo = y * qrx * (b_lo / b_n)

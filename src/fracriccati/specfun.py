@@ -170,31 +170,14 @@ def _check_x(x: float) -> float:
     return x
 
 
-def _bessel_j_series(nu: float, x: float) -> float:
-    # sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)); nu not a negative integer
+def _series(nu: float, x: float, sign: float) -> float:
+    """sum_k sign^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)): the ascending series
+    of J (sign -1) or I (sign +1); nu not a negative integer."""
     half = 0.5 * x
     term = half**nu * recip_gamma(nu + 1.0)
     total = term
     peak = abs(term)
-    q = -half * half
-    for k in range(1, _SERIES_MAX_TERMS):
-        term *= q / (k * (k + nu))
-        total += term
-        mag = abs(term)
-        if mag > peak:
-            peak = mag
-        elif k > 2 and mag <= 1e-17 * peak:
-            break
-    return total
-
-
-def _bessel_i_series(nu: float, x: float) -> float:
-    # same series as J without the alternating sign
-    half = 0.5 * x
-    term = half**nu * recip_gamma(nu + 1.0)
-    total = term
-    peak = abs(term)
-    q = half * half
+    q = sign * half * half
     for k in range(1, _SERIES_MAX_TERMS):
         term *= q / (k * (k + nu))
         total += term
@@ -288,7 +271,7 @@ def _bessel_y_series_int(n: int, x: float) -> float:
             peak = mag
         elif k > 2 and mag <= 1e-17 * peak:
             break
-    jn = _bessel_j_series(float(n), x)
+    jn = _series(float(n), x, -1.0)
     return (2.0 * jn * lg - finite - (half**n) * total) / math.pi
 
 
@@ -319,7 +302,7 @@ def _bessel_k_series_int(n: int, x: float) -> float:
         if k > 2 and abs(term) <= 1e-17 * abs(total):
             break
     sgn = -1.0 if n % 2 else 1.0
-    i_n = _bessel_i_series(float(n), x)
+    i_n = _series(float(n), x, 1.0)
     return finite - sgn * lg * i_n + sgn * 0.5 * (half**n) * total
 
 
@@ -354,7 +337,7 @@ def bessel_j(nu: float, x: float) -> float:
         val = bessel_j(float(n), x)
         return -val if n % 2 else val
     if x < _jy_cutover(nu):
-        return _bessel_j_series(nu, x)
+        return _series(nu, x, -1.0)
     return _jy_asymptotic(nu, x)[0]
 
 
@@ -372,7 +355,7 @@ def bessel_y(nu: float, x: float) -> float:
         return _bessel_y_series_int(int(nu), x)
     # reflection through J of orders +-nu
     s = _sinpi(nu)
-    return (_bessel_j_series(nu, x) * _cospi(nu) - _bessel_j_series(-nu, x)) / s
+    return (_series(nu, x, -1.0) * _cospi(nu) - _series(-nu, x, -1.0)) / s
 
 
 def bessel_i(nu: float, x: float) -> float:
@@ -382,7 +365,7 @@ def bessel_i(nu: float, x: float) -> float:
     if nu < 0.0 and nu == math.floor(nu):
         return bessel_i(-nu, x)
     if x <= 30.0:
-        return _bessel_i_series(nu, x)
+        return _series(nu, x, 1.0)
     if x > 700.0:
         raise OverflowError(f"bessel_i overflows for x = {x}")
     # large argument: exponentially-growing series plus the reflected
@@ -427,12 +410,7 @@ def bessel_k(nu: float, x: float) -> float:
     if nu == math.floor(nu):
         return _bessel_k_series_int(int(nu), x)
     s = _sinpi(nu)
-    return (
-        0.5
-        * math.pi
-        * (_bessel_i_series(-nu, x) - _bessel_i_series(nu, x))
-        / s
-    )
+    return 0.5 * math.pi * (_series(-nu, x, 1.0) - _series(nu, x, 1.0)) / s
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +453,7 @@ def power(x, p):
 
 
 def _series_array(nu: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
-    """_bessel_j_series (sign -1) or _bessel_i_series (sign +1) per element."""
+    """_series per element."""
     half = 0.5 * x
     term = _each(operator.pow, half, nu) * _per_value(recip_gamma, nu + 1.0)
     total = term.copy()

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fracriccati import cli
+from fracriccati import cli, odeverify
+from fracriccati.errors import MaxStepsError, StepUnderflowError
 
 
 def run(capsys, argv):
@@ -132,6 +134,19 @@ class TestRiccatiCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "overflow" in err
 
+    @pytest.mark.parametrize("error", [MaxStepsError, StepUnderflowError])
+    def test_integrator_failure_exits_3_with_one_error_line(self, capsys, monkeypatch, error):
+        # e.g. --x1 1e300 exhausts the step budget, but takes about 12 s to get there
+        def fail(rp, ivp):
+            raise error("integrator gave up")
+
+        monkeypatch.setattr(odeverify, "integrate_riccati", fail)
+        rc, out, err = run(capsys, ["riccati", "verify", "--a", "1", "--b", "1",
+                                    "--delta", "1", "--x0", "0.1", "--x1", "1"])
+        assert rc == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "gave up" in err
+
     def test_degenerate_b_exits_2(self, capsys):
         rc, _, err = run(capsys, ["riccati", "eval", "--a", "1", "--b", "0",
                                   "--delta", "1", "--grid", "1:2:4"])
@@ -185,11 +200,8 @@ class TestCosmoCommand:
     def test_figure_accepts_second_axis_grid(self):
         from fracriccati.grids import GridSpec
 
-        surface = GridSpec(0.1, 2.0, 8, second=GridSpec(0.3, 1.0, 4))
-        rows = cli.figure_rows(-1, 1.0, surface)
+        rows = cli.figure_rows(-1, 1.0, GridSpec(0.1, 2.0, 8), GridSpec(0.3, 1.0, 4))
         assert len(rows) == 32
-        with pytest.raises(ValueError):
-            cli.figure_rows(-1, 1.0, GridSpec(0.1, 2.0, 8))
 
     def test_c_zero_exits_5(self, capsys):
         rc, _, _ = run(capsys, ["cosmo", "hubble", "--k", "1", "--gamma",
@@ -199,6 +211,31 @@ class TestCosmoCommand:
     def test_needs_c_or_gamma(self, capsys):
         rc, _, _ = run(capsys, ["cosmo", "hubble", "--k", "1", "--grid", "1:2:3"])
         assert rc == 2
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("argv, reason", [
+        (["riccati", "poles", "--a", "1", "--b", "-1", "--delta", "1", "--grid", "0.1:inf:3"],
+         "must be finite"),
+        (["riccati", "eval", "--a", "1", "--b", "-1", "--delta", "1", "--grid", "0.1:inf:3"],
+         "must be finite"),
+        (["fracderiv", "--beta", "0.5", "--power", "1", "--grid", "0.1:inf:3"],
+         "must be finite"),
+        (["riccati", "verify", "--a", "1", "--b", "1", "--delta", "1", "--x0", "0.1",
+          "--x1", "inf"], "x1 < inf"),
+        (["cosmo", "scale", "--k", "1", "--c", "1", "--grid", "0.5:2:4", "--eta-ref", "inf"],
+         "positive and finite"),
+        (["cosmo", "scale", "--k", "-1", "--c", "1", "--grid", "0.5:2:4", "--eta-ref", "nan"],
+         "positive and finite"),
+    ])
+    def test_rejected_as_flag_error(self, capsys, argv, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and reason in errors[0]
 
 
 class TestOutputContract:

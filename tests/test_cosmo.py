@@ -7,7 +7,19 @@ from hypothesis import given, settings, strategies as st
 from fracriccati import cosmo as co
 from fracriccati import odeverify as ov
 from fracriccati.errors import BranchZeroError, FlatCaseError
-from fracriccati.fracops import frac_const
+from fracriccati.fracops import adaptive_simpson, frac_const
+
+
+def scale_factor_by_quadrature(cp, eta: float, eta_ref: float, tol: float = 1e-9) -> float:
+    """exp of the branch-1 Hubble integral from eta_ref up to eta > eta_ref by
+    adaptive quadrature: the cross-check on scale_factor's closed form."""
+
+    def h_of(t: float) -> float:
+        ev = co.hubble(cp, t)
+        assert not ev.pole_flag, f"Hubble pole hit at eta = {t}"
+        return ev.H
+
+    return math.exp(adaptive_simpson(h_of, eta_ref, eta, tol))
 
 
 class TestCOfGamma:
@@ -72,7 +84,7 @@ class TestHubble:
         rp = cp.riccati_params()
         assert rp.a == 1.0 and rp.b == -1.0
         u0 = co.hubble(cp, 0.25).H
-        got = ov.integrate_riccati(rp, ov.IvpSpec(None, 0.25, u0, 1.0))
+        got = ov.integrate_riccati(rp, ov.IvpSpec(0.25, u0, 1.0))
         want = co.hubble(cp, 1.0).H
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
@@ -140,7 +152,7 @@ class TestScaleFactor:
     def test_matches_exp_integral_quadrature(self):
         cp = co.CosmoParams(k=-1, delta=0.45, c=0.8)
         r1 = co.scale_factor(cp, 1.7, 0.6)
-        r2 = co.scale_factor_by_quadrature(cp, 1.7, 0.6)
+        r2 = scale_factor_by_quadrature(cp, 1.7, 0.6)
         assert r1 == pytest.approx(r2, rel=1e-6)
 
     def test_zero_crossing_refused(self):

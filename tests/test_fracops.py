@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,16 +141,6 @@ class TestFracConst:
                     got = fo.rl_integral(fo.RealFunction.constant(b), 1.0 - delta, x)
                     assert got == pytest.approx(fo.frac_const(b, delta, x), rel=1e-8)
 
-    def test_accepts_frac_order(self):
-        d = fo.FracOrder(0.5)
-        assert d.applied_order == 0.5
-        assert fo.frac_const(1.0, d, 1.0) == pytest.approx(1.1283791670955126, rel=1e-12)
-
-    def test_frac_order_validation(self):
-        for bad in (0.0, -0.1, 1.2):
-            with pytest.raises(ValueError):
-                fo.FracOrder(bad)
-
 
 class TestLeibniz:
     def test_constant_left_factor_collapses(self):
@@ -206,6 +197,25 @@ class TestChain:
             + 3.0 * fo.power_rule(3.0, 0.7, 1.4)
         )
         assert v9 == pytest.approx(want, rel=1e-12)
+
+
+class TestTruncationWarning:
+    # e^x has undamped derivatives, so at x = 10 the k = 3 term outgrows the k = 2 one
+    EXP = fo.RealFunction(math.exp, lambda k: math.exp, label="exp")
+
+    def test_growing_last_term_warns_at_the_caller(self):
+        with pytest.warns(UserWarning, match="frac_chain: terms not decaying") as rec:
+            fo.frac_chain(self.EXP, 0.5, 10.0, fo.SeriesSpec(3))
+        assert rec[0].filename == __file__
+        one = fo.RealFunction.constant(1.0)
+        with pytest.warns(UserWarning, match="frac_leibniz: terms not decaying") as rec:
+            fo.frac_leibniz(self.EXP, one, 0.5, 10.0, fo.SeriesSpec(3), FAST_Q)
+        assert rec[0].filename == __file__
+
+    def test_decaying_terms_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fo.frac_chain(self.EXP, 0.5, 0.1, fo.SeriesSpec(3))
 
 
 class TestSolveLinear:

@@ -11,28 +11,28 @@ from fracriccati.errors import MaxStepsError, StepUnderflowError
 class TestIvpSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ov.IvpSpec(None, -1.0, 0.0, 1.0)
+            ov.IvpSpec(-1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            ov.IvpSpec(None, 1.0, 0.0, 0.5)
+            ov.IvpSpec(1.0, 0.0, 0.5)
         with pytest.raises(ValueError):
-            ov.IvpSpec(None, 0.5, 0.0, 1.0, rel_tol=0.0)
+            ov.IvpSpec(0.5, 0.0, 1.0, rel_tol=0.0)
 
 
 class TestIntegrateRiccati:
     def test_coth_propagation(self):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
-        got = ov.integrate_riccati(rp, ov.IvpSpec(None, 0.5, 1.0 / math.tanh(0.5), 1.0))
+        got = ov.integrate_riccati(rp, ov.IvpSpec(0.5, 1.0 / math.tanh(0.5), 1.0))
         assert got == pytest.approx(1.3130352854993313, abs=1e-8)
 
     def test_equilibrium_is_fixed(self):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
-        got = ov.integrate_riccati(rp, ov.IvpSpec(None, 0.5, 1.0, 5.0))
+        got = ov.integrate_riccati(rp, ov.IvpSpec(0.5, 1.0, 5.0))
         assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_cross_oracle_fractional(self):
         rp = rc.RiccatiParams(1.0, -1.0, 0.5)
         u0 = rc.eval_u1(rp, 0.5).value
-        got = ov.integrate_riccati(rp, ov.IvpSpec(None, 0.5, u0, 1.2))
+        got = ov.integrate_riccati(rp, ov.IvpSpec(0.5, u0, 1.2))
         want = rc.eval_u1(rp, 1.2).value
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
@@ -40,13 +40,13 @@ class TestIntegrateRiccati:
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)  # cot: pole at pi
         u0 = rc.eval_u1(rp, 2.0).value
         with pytest.raises(StepUnderflowError):
-            ov.integrate_riccati(rp, ov.IvpSpec(None, 2.0, u0, 4.0))
+            ov.integrate_riccati(rp, ov.IvpSpec(2.0, u0, 4.0))
 
     def test_max_steps(self):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
         with pytest.raises(MaxStepsError):
             ov.integrate(
-                ov.riccati_rhs(rp), ov.IvpSpec(None, 0.5, 1.0, 100.0), max_steps=3
+                ov.riccati_rhs(rp), ov.IvpSpec(0.5, 1.0, 100.0), max_steps=3
             )
 
 
@@ -54,7 +54,7 @@ class TestIntegrateLinear:
     def test_trig_case(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)  # y'' + y = 0
         y1, yp1 = ov.integrate_linear(
-            rp, ov.IvpSpec(None, 0.5, (math.sin(0.5), math.cos(0.5)), 2.0)
+            rp, ov.IvpSpec(0.5, (math.sin(0.5), math.cos(0.5)), 2.0)
         )
         assert y1 == pytest.approx(math.sin(2.0), abs=1e-9)
         assert yp1 == pytest.approx(math.cos(2.0), abs=1e-9)
@@ -62,7 +62,7 @@ class TestIntegrateLinear:
     def test_hyperbolic_case(self):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)  # y'' - y = 0
         y1, yp1 = ov.integrate_linear(
-            rp, ov.IvpSpec(None, 0.5, (math.sinh(0.5), math.cosh(0.5)), 2.0)
+            rp, ov.IvpSpec(0.5, (math.sinh(0.5), math.cosh(0.5)), 2.0)
         )
         assert y1 == pytest.approx(math.sinh(2.0), rel=1e-9)
         assert yp1 == pytest.approx(math.cosh(2.0), rel=1e-9)
@@ -70,7 +70,7 @@ class TestIntegrateLinear:
     def test_matches_closed_branch_generic_delta(self):
         rp = rc.RiccatiParams(1.0, -1.0, 0.6)
         y0, yp0 = rc.eval_y_branch(rp, 1, 0.5)
-        y1, yp1 = ov.integrate_linear(rp, ov.IvpSpec(None, 0.5, (y0, yp0), 1.5))
+        y1, yp1 = ov.integrate_linear(rp, ov.IvpSpec(0.5, (y0, yp0), 1.5))
         yw, ypw = rc.eval_y_branch(rp, 1, 1.5)
         assert y1 == pytest.approx(yw, rel=1e-7)
         assert yp1 == pytest.approx(ypw, rel=1e-7)
@@ -79,30 +79,30 @@ class TestIntegrateLinear:
         rp = rc.RiccatiParams(1.5, -1.0, 0.45)
         x0, x1 = 0.4, 1.3
         y0, yp0 = rc.eval_y_branch(rp, 1, x0)
-        y1, yp1 = ov.integrate_linear(rp, ov.IvpSpec(None, x0, (y0, yp0), x1))
+        y1, yp1 = ov.integrate_linear(rp, ov.IvpSpec(x0, (y0, yp0), x1))
         u_lin = yp1 / (rp.a * y1)
         u0 = rc.eval_u1(rp, x0).value
-        u_ric = ov.integrate_riccati(rp, ov.IvpSpec(None, x0, u0, x1))
+        u_ric = ov.integrate_riccati(rp, ov.IvpSpec(x0, u0, x1))
         assert abs(u_lin - u_ric) <= 1e-7 * (1.0 + abs(u_ric))
 
     def test_state_shape_validation(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
-            ov.integrate_linear(rp, ov.IvpSpec(None, 0.5, 1.0, 2.0))
+            ov.integrate_linear(rp, ov.IvpSpec(0.5, 1.0, 2.0))
+
+
+def integrate_fixed(rhs, x0: float, u0, x1: float, n_steps: int) -> np.ndarray:
+    """Fixed-step integration with the 5th-order weights of the DP5 pair."""
+    y = np.atleast_1d(np.asarray(u0, dtype=float))
+    h = (x1 - x0) / n_steps
+    x = x0
+    for _ in range(n_steps):
+        y, _err = ov._step(rhs, x, y, h)
+        x += h
+    return y
 
 
 class TestStepControl:
-    def test_accepted_steps_meet_tolerance(self):
-        rp = rc.RiccatiParams(1.0, 1.0, 1.0)
-        res = ov.integrate(
-            ov.riccati_rhs(rp),
-            ov.IvpSpec(None, 0.5, 1.0 / math.tanh(0.5), 3.0),
-            keep_steps=True,
-        )
-        assert len(res.steps) > 0
-        assert all(s.local_error <= 1.0 for s in res.steps)
-        assert res.steps[-1].x == pytest.approx(3.0, abs=1e-12)
-
     def test_order_study_fixed_step(self):
         # halving the step must cut the error at least 8x (5th-order pair)
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
@@ -110,7 +110,7 @@ class TestStepControl:
         want = 1.0 / math.tanh(1.0)
         errs = []
         for n in (20, 40, 80):
-            got = ov.integrate_fixed(rhs, 0.5, 1.0 / math.tanh(0.5), 1.0, n)[0]
+            got = integrate_fixed(rhs, 0.5, 1.0 / math.tanh(0.5), 1.0, n)[0]
             errs.append(abs(got - want))
         assert errs[0] / errs[1] >= 8.0
         assert errs[1] / errs[2] >= 8.0
@@ -119,10 +119,10 @@ class TestStepControl:
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
         want = 1.0 / math.tanh(2.0)
         loose = ov.integrate_riccati(
-            rp, ov.IvpSpec(None, 0.5, 1.0 / math.tanh(0.5), 2.0, rel_tol=1e-5, abs_tol=1e-8)
+            rp, ov.IvpSpec(0.5, 1.0 / math.tanh(0.5), 2.0, rel_tol=1e-5, abs_tol=1e-8)
         )
         tight = ov.integrate_riccati(
-            rp, ov.IvpSpec(None, 0.5, 1.0 / math.tanh(0.5), 2.0, rel_tol=1e-11, abs_tol=1e-13)
+            rp, ov.IvpSpec(0.5, 1.0 / math.tanh(0.5), 2.0, rel_tol=1e-11, abs_tol=1e-13)
         )
         assert abs(tight - want) < abs(loose - want)
 

@@ -26,7 +26,7 @@ class TestParams:
 class TestMapParams:
     def test_classical_oscillatory(self):
         m = rc.map_params(rc.RiccatiParams(1.0, -1.0, 1.0))
-        assert (m.p, m.r, m.n) == (0.5, 1.0, 0.5)
+        assert (m.r, m.n) == (1.0, 0.5)
         assert m.q_mag == pytest.approx(1.0, rel=1e-14)
         assert m.regime == rc.OSCILLATORY
 
@@ -35,11 +35,10 @@ class TestMapParams:
         m2 = rc.map_params(rc.RiccatiParams(1.0, 1.0, 1.0))
         assert m2.regime == rc.MODIFIED
         assert m2.q_mag == pytest.approx(m1.q_mag, rel=1e-14)
-        assert (m2.p, m2.r, m2.n) == (m1.p, m1.r, m1.n)
+        assert (m2.r, m2.n) == (m1.r, m1.n)
 
     def test_fractional_values(self):
         m = rc.map_params(rc.RiccatiParams(1.0, 1.0, 0.5))
-        assert m.p == 0.5
         assert m.r == pytest.approx(1.25, rel=1e-15)
         assert m.n == pytest.approx(0.4, rel=1e-15)
         assert m.q_mag == pytest.approx(0.8 * math.sqrt(1.0 / gamma(1.5)), rel=1e-14)
@@ -52,8 +51,7 @@ class TestMapParams:
     def test_p_minus_nr_exact(self):
         for d in (0.25, 0.5, 0.75, 1.0, 0.123456):
             m = rc.map_params(rc.RiccatiParams(1.0, -1.0, d))
-            assert m.p_minus_nr == 0.0
-            assert m.n * m.r == pytest.approx(m.p, rel=1e-15)
+            assert m.n * m.r == 0.5
 
     @given(
         st.floats(0.05, 1.0),
@@ -63,7 +61,7 @@ class TestMapParams:
     @settings(max_examples=60, deadline=None)
     def test_map_invariants_property(self, delta, a, b):
         m = rc.map_params(rc.RiccatiParams(a, b, delta))
-        assert m.p == 0.5
+        assert m.n * m.r == pytest.approx(0.5, rel=1e-15)
         assert 1.0 <= m.r < 1.5
         assert 1.0 / 3.0 < m.n <= 0.5
         assert m.regime == (rc.OSCILLATORY if a * b < 0 else rc.MODIFIED)
