@@ -5,9 +5,10 @@ Output tables are plain text: one '#' header line naming the columns, comma
 separators, 17-significant-digit decimals (bit-faithful round trip), newline
 endings.  Lattice points nearest a solution pole (within half a grid step)
 are emitted as pole rows: 'nan' in the value column and pole=1.
-Exit codes: 0 ok, 2 flag errors (a non-finite grid end, --x1 or --eta-ref
-among them) or an unwritable --out, 3 numeric non-convergence or overflow,
-4 pole inside a verification/scale interval, 5 cosmology with c = 0.
+Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
+--x1 or --eta-ref, or a pole-search span over the scan budget among them)
+or an unwritable --out, 3 numeric non-convergence or overflow, 4 pole
+inside a verification/scale interval, 5 cosmology with c = 0.
 
 Each table is evaluated as arrays: its parameters are mapped once and the
 whole lattice goes through one array call of the Bessel kernels.
@@ -16,13 +17,14 @@ whole lattice goes through one array call of the Bessel kernels.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import numpy as np
 
 from . import cosmo, odeverify, riccati
 from . import fracops as fo
-from .errors import BranchZeroError, ConvergenceError, DegenerateRegimeError
+from .errors import BranchZeroError, ConvergenceError, DegenerateRegimeError, ScanBudgetError
 from .grids import GridSpec
 from .specfun import gamma, recip_gamma
 
@@ -41,6 +43,16 @@ def _parse_grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError(
             f"grid must be start:stop:count, got {text!r} ({exc})"
         )
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _emit(out_path: str | None, header: list[str], rows) -> int:
@@ -254,22 +266,25 @@ def _cmd_riccati(args) -> int:
     if riccati.find_poles(rp, args.x0, args.x1, args.branch):
         _err(f"verification interval [{args.x0}, {args.x1}] contains a pole")
         return EXIT_POLE
-    ev = riccati.eval_u1 if args.branch == 1 else riccati.eval_u2
 
-    def u_of(t):
-        return ev(rp, t).value
+    def closed_form(xs: list[float]) -> list[float]:
+        value, _ = riccati.branch_table([rp], args.branch, np.array(xs))
+        return value[0].tolist()
 
-    pts = np.linspace(args.x0, args.x1, 33)
+    # the difference stencils are evaluated after the integration, so an
+    # integrator failure (exit 3) comes before a stencil that reaches
+    # x <= 0 (exit 2)
+    pts = np.linspace(args.x0, args.x1, 33).tolist()
+    u_pts = closed_form(pts)
     max_res = 0.0
     max_dev = 0.0
-    u_num = u_of(float(pts[0]))
-    for x_prev, x_cur in zip(pts[:-1], pts[1:]):
-        u_num = odeverify.integrate_riccati(
-            rp, odeverify.IvpSpec(float(x_prev), u_num, float(x_cur))
-        )
-        max_dev = max(max_dev, abs(u_num - u_of(float(x_cur))))
+    u_num = u_pts[0]
+    for x_prev, x_cur, u_cur in zip(pts[:-1], pts[1:], u_pts[1:]):
+        u_num = odeverify.integrate_riccati(rp, odeverify.IvpSpec(x_prev, u_num, x_cur))
+        max_dev = max(max_dev, abs(u_num - u_cur))
+    stencils = [t for x in pts for t in odeverify.fd_stencil(x)]
+    u_of = dict(zip(stencils + pts, closed_form(stencils) + u_pts)).__getitem__
     for x in pts:
-        x = float(x)
         up = odeverify.fd_derivative(u_of, x)
         max_res = max(max_res, abs(riccati.residual(rp, x, u_of(x), up)))
     return _emit(
@@ -329,7 +344,9 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="fracriccati",
         description=(
@@ -342,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fracderiv", help="fractional derivative tables")
     p.add_argument("--beta", type=float, required=True, help="derivative order in [0, 2)")
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--power", type=float, help="differentiate t^a")
+    grp.add_argument("--power", type=_finite_float, help="differentiate t^a")
     grp.add_argument("--builtin", type=str, help="sin | exp | poly:c0,c1,...")
     p.add_argument("--grid", type=_parse_grid, required=True, help="start:stop:count")
     p.add_argument("--out", type=str, default=None)
@@ -350,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("riccati", help="closed-form branches, verification, poles")
     p.add_argument("action", choices=("eval", "verify", "poles"))
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--a", type=_finite_float, required=True)
+    p.add_argument("--b", type=_finite_float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--branch", type=int, default=1)
     p.add_argument("--grid", type=_parse_grid, default=None)
@@ -363,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cosmo", help="Hubble-parameter and scale-factor tables")
     p.add_argument("action", choices=("hubble", "scale", "figure"))
     p.add_argument("--k", type=int, required=True, choices=(-1, 0, 1))
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--c", type=_finite_float, default=None)
+    p.add_argument("--gamma", type=_finite_float, default=None)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--branch", type=int, default=1)
     p.add_argument("--grid", type=_parse_grid, required=True)
@@ -386,9 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_FLAGS
     try:
@@ -399,6 +415,10 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         _err(f"numeric overflow: {exc}")
         return EXIT_NONCONVERGENT
+    except ScanBudgetError as exc:
+        flags = {"verify": "--x0/--x1", "scale": "--grid/--eta-ref"}
+        _err(f"{flags.get(getattr(args, 'action', None), '--grid')} too wide: {exc}")
+        return EXIT_FLAGS
     except (BranchZeroError,) as exc:
         _err(str(exc))
         return EXIT_POLE

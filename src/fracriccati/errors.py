@@ -31,3 +31,7 @@ class FlatCaseError(ValueError):
 
 class BranchZeroError(ValueError):
     """Scale-factor ratio across a zero of the chosen linear branch."""
+
+
+class ScanBudgetError(ValueError):
+    """A pole search span needs more sign-scan cells than the fixed budget."""

@@ -117,12 +117,11 @@ class _NaturalCubicSpline:
         self.h = h
         self.m = m
 
-    def _panel(self, x: float) -> int:
-        i = int(np.searchsorted(self.xs, x, side="right")) - 1
-        return min(max(i, 0), self.xs.size - 2)
-
-    def eval(self, x: float, k: int = 0) -> float:
-        i = self._panel(x)
+    def eval(self, x, k: int = 0):
+        """The spline (k = 0) or its k-th derivative (k <= 3) at a float or
+        elementwise at an ndarray; edge panels extend beyond the knots."""
+        # panel = number of interior knots <= x, so 0 <= i <= n - 2
+        i = np.searchsorted(self.xs[1:-1], x, side="right")
         t = x - self.xs[i]
         h = self.h[i]
         m0, m1 = self.m[i], self.m[i + 1]
@@ -135,9 +134,7 @@ class _NaturalCubicSpline:
             return c1 + t * (2.0 * c2 + 3.0 * t * c3)
         if k == 2:
             return 2.0 * c2 + 6.0 * t * c3
-        if k == 3:
-            return 6.0 * c3
-        return 0.0
+        return 6.0 * c3
 
 
 class RealFunction:
@@ -264,7 +261,7 @@ class SampledFunction(RealFunction):
         )
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self._spline.eval(float(t)) for t in np.asarray(xs, dtype=float)])
+        return self._spline.eval(np.asarray(xs, dtype=float))
 
 
 def _as_real_function(f) -> RealFunction:
@@ -287,10 +284,10 @@ def _product_trapezoid(f: RealFunction, alpha: float, x: float, n: int) -> float
     fv = f.eval_array(t)
     s = x - t
     s[-1] = 0.0
-    pa = s[:-1] ** alpha
-    pb = s[1:] ** alpha
-    m0 = (pa - pb) / alpha
-    m1 = s[:-1] * m0 - (s[:-1] * pa - s[1:] * pb) / (alpha + 1.0)
+    p = s**alpha
+    sp = s * p
+    m0 = (p[:-1] - p[1:]) / alpha
+    m1 = s[:-1] * m0 - (sp[:-1] - sp[1:]) / (alpha + 1.0)
     h = x / n
     return (fv[:-1] @ m0 + np.diff(fv) @ (m1 / h)) / gamma(alpha)
 
@@ -334,9 +331,15 @@ def _fd_step(x: float, rel: float) -> float:
     return max(rel, abs(x) * rel)
 
 
+def _d1_stencil(x: float, h: float) -> tuple[float, float, float, float]:
+    """The points _richardson_d1 evaluates F at, in call order."""
+    return x + h, x - h, x + 0.5 * h, x - 0.5 * h
+
+
 def _richardson_d1(F: Callable[[float], float], x: float, h: float) -> float:
-    a = (F(x + h) - F(x - h)) / (2.0 * h)
-    b = (F(x + 0.5 * h) - F(x - 0.5 * h)) / h
+    fp, fm, fhp, fhm = map(F, _d1_stencil(x, h))
+    a = (fp - fm) / (2.0 * h)
+    b = (fhp - fhm) / h
     return (4.0 * b - a) / 3.0
 
 

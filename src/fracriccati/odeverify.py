@@ -8,13 +8,15 @@ reports step underflow rather than attempting to continue through one.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import MaxStepsError, StepUnderflowError
-from .fracops import _fd_step, _richardson_d1, frac_const
+from .fracops import _d1_stencil, _fd_step, _richardson_d1
 from .riccati import RiccatiParams
 from .specfun import gamma
 
@@ -23,6 +25,7 @@ __all__ = [
     "integrate",
     "integrate_riccati",
     "integrate_linear",
+    "fd_stencil",
     "fd_derivative",
 ]
 
@@ -74,40 +77,58 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
-
-
-def _rk_stages(rhs, x, y, h):
-    k = [rhs(x, y)]
-    for i in range(1, 7):
-        acc = _A[i][0] * k[0]
-        for j in range(1, i):
-            acc = acc + _A[i][j] * k[j]
-        k.append(rhs(x + _C[i] * h, y + h * acc))
-    return k
+_EPS = sys.float_info.epsilon
 
 
 def _step(rhs, x, y, h):
-    k = _rk_stages(rhs, x, y, h)
-    y5 = y + h * sum(b * ki for b, ki in zip(_B5, k))
-    err = h * sum(e * ki for e, ki in zip(_E, k))
+    """One DP5 step from (x, y): the 5th-order state and the local error
+    estimate, as lists of floats.  Each component is summed in tableau
+    order; the y5 and err sums start from 0.0."""
+    k = [rhs(x, y)]
+    for i in range(1, 7):
+        row = _A[i]
+        stage = []
+        for c, yc in enumerate(y):
+            acc = row[0] * k[0][c]
+            for j in range(1, i):
+                acc = acc + row[j] * k[j][c]
+            stage.append(yc + h * acc)
+        k.append(rhs(x + _C[i] * h, stage))
+    y5, err = [], []
+    for c, yc in enumerate(y):
+        s5 = se = 0.0
+        for b, e, kj in zip(_B5, _E, k):
+            s5 = s5 + b * kj[c]
+            se = se + e * kj[c]
+        y5.append(yc + h * s5)
+        err.append(h * se)
     return y5, err
 
 
+def _rms(values) -> float:
+    """Root mean square, summed left to right."""
+    total = 0.0
+    for v in values:
+        total = total + v * v
+    return math.sqrt(total / len(values))
+
+
 def _error_norm(err, y, y_new, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    return _rms([
+        e / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err, y, y_new)
+    ])
 
 
 def _initial_step(rhs, x0, y0, x1, rel_tol, abs_tol):
     f0 = rhs(x0, y0)
-    scale = abs_tol + rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    scale = [abs_tol + rel_tol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, x1 - x0)
-    y1 = y0 + h0 * f0
+    y1 = [v + h0 * f for v, f in zip(y0, f0)]
     f1 = rhs(x0 + h0, y1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -117,24 +138,24 @@ def _initial_step(rhs, x0, y0, x1, rel_tol, abs_tol):
 
 def integrate(rhs, spec: IvpSpec, max_steps: int = 100000) -> np.ndarray:
     """The state at spec.x1, integrated with the embedded 5(4) pair and PI
-    step control."""
-    y = np.atleast_1d(np.asarray(spec.u0, dtype=float)).copy()
+    step control.
 
-    def f(x, state):
-        return np.atleast_1d(np.asarray(rhs(x, state), dtype=float))
-
+    rhs(x, y) takes the state as a sequence of floats and returns the
+    derivative as one; the state is carried as Python floats between steps.
+    """
+    y = np.atleast_1d(np.asarray(spec.u0, dtype=float)).tolist()
     x = spec.x0
-    h = _initial_step(f, x, y, spec.x1, spec.rel_tol, spec.abs_tol)
+    h = _initial_step(rhs, x, y, spec.x1, spec.rel_tol, spec.abs_tol)
     prev_err = 1.0
     for _ in range(max_steps):
         if x >= spec.x1:
-            return y
+            return np.array(y)
         h = min(h, spec.x1 - x)
-        if h <= 16.0 * np.finfo(float).eps * max(abs(x), 1.0):
+        if h <= 16.0 * _EPS * max(abs(x), 1.0):
             raise StepUnderflowError(
                 f"step size underflow at x={x}; likely a pole or stiffness"
             )
-        y_new, err = _step(f, x, y, h)
+        y_new, err = _step(rhs, x, y, h)
         norm = _error_norm(err, y, y_new, spec.rel_tol, spec.abs_tol)
         if norm <= 1.0:
             x += h
@@ -147,23 +168,33 @@ def integrate(rhs, spec: IvpSpec, max_steps: int = 100000) -> np.ndarray:
     raise MaxStepsError(f"integration exceeded {max_steps} steps")
 
 
-def riccati_rhs(rp: RiccatiParams) -> Callable[[float, np.ndarray], np.ndarray]:
+def riccati_rhs(rp: RiccatiParams) -> Callable[[float, Sequence[float]], tuple[float]]:
     """u' = b x^(1-delta)/Gamma(2-delta) - a u^2 as a vector field."""
+    a, b, delta = float(rp.a), float(rp.b), rp.delta
+    if delta == 1.0:
+        def f(x, u):
+            (v,) = u
+            return (b - a * v * v,)
+
+        return f
+    e = 1.0 - delta
+    g = gamma(2.0 - delta)
 
     def f(x, u):
-        return frac_const(rp.b, rp.delta, x) - rp.a * u * u
+        (v,) = u
+        return (b * x**e / g - a * v * v,)
 
     return f
 
 
-def linear_rhs(rp: RiccatiParams) -> Callable[[float, np.ndarray], np.ndarray]:
+def linear_rhs(rp: RiccatiParams) -> Callable[[float, Sequence[float]], tuple[float, float]]:
     """First-order system for y'' = (ab/Gamma(2-delta)) x^(1-delta) y."""
     coef = rp.a * rp.b / gamma(2.0 - rp.delta)
     e = 1.0 - rp.delta
 
     def f(x, state):
         y, yp = state
-        return np.array([yp, coef * x**e * y])
+        return (yp, coef * x**e * y)
 
     return f
 
@@ -185,6 +216,15 @@ def integrate_linear(rp: RiccatiParams, ivp: IvpSpec) -> tuple[float, float]:
     return float(y), float(yp)
 
 
+# relative step of fd_derivative
+_FD_REL = 1e-6
+
+
+def fd_stencil(x: float) -> tuple[float, ...]:
+    """The points at which fd_derivative(f, x) evaluates f, in call order."""
+    return _d1_stencil(x, _fd_step(x, _FD_REL))
+
+
 def fd_derivative(f: Callable[[float], float], x: float) -> float:
     """Central difference with one Richardson step, h = max(1e-6, |x|*1e-6)."""
-    return _richardson_d1(f, x, _fd_step(x, 1e-6))
+    return _richardson_d1(f, x, _fd_step(x, _FD_REL))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegimeError
+from .errors import DegenerateRegimeError, ScanBudgetError
 from .fracops import _delta_value, frac_const
 from . import specfun
 
@@ -44,6 +44,9 @@ Regime = str
 
 # pole threshold: |B_n| below this relative scale marks a solution pole
 _POLE_RTOL = 1e-12
+# most sign-scan cells one find_poles call may allocate: a Bessel-argument
+# span of about 39 000, far past the 10-digit domain (argument <= ~100)
+_MAX_SCAN_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -256,6 +259,8 @@ def find_poles(
     lies inside every bracket that settled sees.
 
     The modified regime has none (I_n, K_n > 0 on x > 0): empty list.
+    A span that needs more than _MAX_SCAN_CELLS scan cells raises
+    ScanBudgetError before anything is evaluated.
     """
     x_lo = float(x_lo)
     x_hi = float(x_hi)
@@ -275,7 +280,13 @@ def find_poles(
     # eighth-of-pi scan in z cannot skip a pair
     z_lo = bm.q_mag * x_lo**bm.r
     z_hi = bm.q_mag * x_hi**bm.r
-    n_steps = max(8, int((z_hi - z_lo) / (math.pi / 8.0)) + 1)
+    cells = (z_hi - z_lo) / (math.pi / 8.0)
+    if not cells <= _MAX_SCAN_CELLS:
+        raise ScanBudgetError(
+            f"pole search of [{x_lo}, {x_hi}] needs {cells:.4g} scan cells, "
+            f"over the budget of {_MAX_SCAN_CELLS}"
+        )
+    n_steps = max(8, int(cells) + 1)
     z = z_lo + (z_hi - z_lo) * np.arange(1, n_steps + 1) / n_steps
     xs = np.concatenate(([x_lo], specfun.power(z / bm.q_mag, 1.0 / bm.r)))
     xs[-1] = x_hi

@@ -2,7 +2,9 @@
 
 specfun.bessel with ndarray arguments must equal a scalar call per element
 exactly, and the CLI's bracket-based grid pole flags must equal the old rule
-that compares every located zero with every grid point.
+that compares every located zero with every grid point.  The spline and the
+product-trapezoid mesh are held to their earlier point-by-point and two-pow
+forms, kept here as oracles.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracriccati import cli, riccati
+from fracriccati import fracops as fo
 from fracriccati import specfun as sf
 from fracriccati.grids import GridSpec
 
@@ -117,3 +120,70 @@ def test_branch_table_matches_scalar_eval(a, b, delta, branch, unit):
         value, pole = riccati.branch_table([rp], branch, xs)
     assert pole[0].tolist() == [s.pole_flag for s in want]
     assert value[0].tobytes() == np.array([s.value for s in want]).tobytes()
+
+
+def old_spline_eval(spline, x):
+    """The point-by-point spline evaluation that SampledFunction.eval_array
+    replaced: int panel index, min/max clamp, Horner cubic."""
+    i = int(np.searchsorted(spline.xs, x, side="right")) - 1
+    i = min(max(i, 0), spline.xs.size - 2)
+    t = x - spline.xs[i]
+    h = spline.h[i]
+    m0, m1 = spline.m[i], spline.m[i + 1]
+    c2 = 0.5 * m0
+    c3 = (m1 - m0) / (6.0 * h)
+    c1 = (spline.ys[i + 1] - spline.ys[i]) / h - h * (2.0 * m0 + m1) / 6.0
+    return spline.ys[i] + t * (c1 + t * (c2 + t * c3))
+
+
+@given(
+    start=st.floats(-50.0, 50.0),
+    gaps=st.lists(st.floats(1e-3, 5.0), min_size=3, max_size=39),
+    ys=st.lists(st.floats(-1e3, 1e3), min_size=40, max_size=40),
+    unit=st.lists(st.floats(-0.5, 1.5), max_size=60),
+    pick=st.lists(st.integers(0, 39), max_size=10),
+)
+@settings(max_examples=150, deadline=None)
+def test_spline_eval_array_matches_point_by_point(start, gaps, ys, unit, pick):
+    xs = start + np.cumsum([0.0] + gaps)
+    f = fo.SampledFunction(xs, ys[: xs.size])
+    # points inside, beyond both ends, and on the knots themselves
+    pts = xs[0] + (xs[-1] - xs[0]) * np.array(unit)
+    pts = np.concatenate([pts, xs[[i % xs.size for i in pick]], xs[:1], xs[-1:]])
+    want = np.array([old_spline_eval(f._spline, float(t)) for t in pts.tolist()])
+    assert f.eval_array(pts).tobytes() == want.tobytes()
+    assert np.array([f._spline.eval(float(t)) for t in pts.tolist()]).tobytes() == want.tobytes()
+
+
+def old_product_trapezoid(f, alpha, x, n):
+    """The mesh with both kernel powers computed, s[:-1]**alpha and
+    s[1:]**alpha, as before they were one power sliced twice."""
+    t = np.linspace(0.0, x, n + 1)
+    fv = f.eval_array(t)
+    s = x - t
+    s[-1] = 0.0
+    pa = s[:-1] ** alpha
+    pb = s[1:] ** alpha
+    m0 = (pa - pb) / alpha
+    m1 = s[:-1] * m0 - (s[:-1] * pa - s[1:] * pb) / (alpha + 1.0)
+    h = x / n
+    return (fv[:-1] @ m0 + np.diff(fv) @ (m1 / h)) / sf.gamma(alpha)
+
+
+@given(
+    alpha=st.one_of(st.floats(0.01, 2.5), st.sampled_from([0.5, 1.0, 2.0])),
+    x=st.floats(1e-3, 50.0),
+    n=st.one_of(st.integers(16, 300), st.sampled_from([1024, 4096, 4097, 8192])),
+    kind=st.sampled_from(["sin", "power", "sampled"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_product_trapezoid_matches_two_pow_form(alpha, x, n, kind):
+    if kind == "sin":
+        f = fo.RealFunction(np.sin)
+    elif kind == "power":
+        f = fo.RealFunction.power(1.5)
+    else:
+        ts = np.linspace(0.0, x, 200)
+        f = fo.SampledFunction(ts, np.cos(ts))
+    got = fo._product_trapezoid(f, alpha, x, n)
+    assert np.float64(got).tobytes() == np.float64(old_product_trapezoid(f, alpha, x, n)).tobytes()

@@ -227,6 +227,16 @@ class TestNonFiniteFlags:
          "positive and finite"),
         (["cosmo", "scale", "--k", "-1", "--c", "1", "--grid", "0.5:2:4", "--eta-ref", "nan"],
          "positive and finite"),
+        (["riccati", "eval", "--a", "inf", "--b", "-1", "--delta", "1", "--grid", "0.2:3:5"],
+         "--a: must be finite"),
+        (["riccati", "verify", "--a", "1", "--b", "nan", "--delta", "1", "--x0", "0.1",
+          "--x1", "1"], "--b: must be finite"),
+        (["cosmo", "hubble", "--k", "1", "--c", "nan", "--grid", "0.2:3:5"],
+         "--c: must be finite"),
+        (["cosmo", "hubble", "--k", "-1", "--gamma", "inf", "--grid", "0.2:3:5"],
+         "--gamma: must be finite"),
+        (["fracderiv", "--beta", "0.5", "--power", "inf", "--grid", "0.2:3:5"],
+         "--power: must be finite"),
     ])
     def test_rejected_as_flag_error(self, capsys, argv, reason):
         with warnings.catch_warnings():
@@ -236,6 +246,27 @@ class TestNonFiniteFlags:
         assert out == ""
         errors = [ln for ln in err.splitlines() if "error:" in ln]
         assert len(errors) == 1 and reason in errors[0]
+
+
+class TestPoleScanBudget:
+    # the scan's cell count is checked before anything is allocated
+    @pytest.mark.parametrize("argv, flag", [
+        (["riccati", "poles", "--a", "1", "--b", "-1", "--delta", "1", "--grid", "0.1:1e300:3"],
+         "--grid"),
+        (["riccati", "eval", "--a", "1", "--b", "-1", "--delta", "1", "--grid", "0.1:1e300:3"],
+         "--grid"),
+        (["riccati", "poles", "--a", "1", "--b", "-1", "--delta", "1", "--grid", "0.1:1e6:3"],
+         "--grid"),
+        (["cosmo", "hubble", "--k", "1", "--c", "1", "--grid", "0.1:1e300:3"], "--grid"),
+        (["riccati", "verify", "--a", "1", "--b", "-1", "--delta", "1", "--x0", "0.1",
+          "--x1", "1e300"], "--x0/--x1"),
+    ])
+    def test_over_budget_is_a_flag_error(self, capsys, argv, flag):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag} too wide")
+        assert "scan cells" in err
 
 
 class TestOutputContract:
@@ -275,3 +306,52 @@ class TestOutputContract:
         text = path.read_text()
         assert text.endswith("\n") and "\r" not in text
         assert text.splitlines()[0] == "# eta,H,pole"
+
+
+class TestVerifyPinned:
+    # stdout and exit codes of a point-by-point eval_u1/eval_u2 evaluation,
+    # which the table evaluation must repeat
+    @pytest.mark.parametrize("argv, code, stdout", [
+        ("riccati verify --a 1 --b 1 --delta 0.5 --x0 0.5 --x1 1.5 --branch 1", 0,
+         "1,1,0.5,1,0.5,1.5,1.6805057345692376e-09,1.2014167438678669e-11"),
+        ("riccati verify --a 2 --b 0.5 --delta 0.3 --x0 0.2 --x1 3 --branch 1", 0,
+         "2,0.5,0.29999999999999999,1,0.20000000000000001,3,"
+         "6.3794403093453411e-10,4.5229375800204252e-11"),
+        ("riccati verify --a 1 --b -1 --delta 0.7 --x0 0.3 --x1 1.2 --branch 2", 0,
+         "1,-1,0.69999999999999996,2,0.29999999999999999,1.2,"
+         "4.4145209709967048e-09,3.4422686923107904e-11"),
+        ("riccati verify --a -1.5 --b 0.7 --delta 0.8 --x0 0.4 --x1 2.5 --branch 1", 0,
+         "-1.5,0.69999999999999996,0.80000000000000004,1,0.40000000000000002,2.5,"
+         "1.0535133876388159e-09,5.0480730706681243e-11"),
+        # the difference step (1e-6) is as large as x0, hence the residual
+        ("riccati verify --a 1 --b -1 --delta 0.5 --x0 2e-6 --x1 1 --branch 1", 0,
+         "1,-1,0.5,1,1.9999999999999999e-06,1,5555555555.5559778,3.2995544074765348e-09"),
+        # a difference stencil reaches x <= 0
+        ("riccati verify --a 1 --b -1 --delta 0.5 --x0 5e-7 --x1 1 --branch 1", 2, None),
+        # I_n overflows at the far grid points; the oscillatory scan is over budget
+        ("riccati verify --a 1 --b 1 --delta 1 --x0 0.1 --x1 1e300", 3, None),
+        ("riccati verify --a 1 --b -1 --delta 1 --x0 0.1 --x1 1e300", 2, None),
+        ("riccati verify --a 1 --b -1 --delta 1 --x0 2.5 --x1 4.0", 4, None),
+    ])
+    def test_stdout_and_exit_code(self, capsys, argv, code, stdout):
+        rc, out, _ = run(capsys, argv.split())
+        assert rc == code
+        if stdout is None:
+            assert out == ""
+        else:
+            assert out == "# a,b,delta,branch,x0,x1,max_residual,max_deviation\n" + stdout + "\n"
+
+
+class TestParser:
+    def test_built_once_and_not_mutated_by_parsing(self, capsys, tmp_path):
+        assert cli._parser() is cli._parser()
+        argv = ["riccati", "eval", "--a", "1", "--b", "-1", "--delta", "1", "--grid", "0.2:3:5"]
+        before = vars(cli._parser().parse_args(argv))
+        # values, an --out path and a rejected flag must leave no trace
+        assert run(capsys, argv + ["--branch", "2", "--out", str(tmp_path / "t.csv")])[0] == 0
+        assert run(capsys, ["cosmo", "figure", "--k", "1", "--c", "1", "--grid", "0.2:1:3",
+                            "--delta-grid", "0.5:1:2"])[0] == 0
+        assert run(capsys, argv + ["--a", "nan"])[0] == 2
+        assert vars(cli._parser().parse_args(argv)) == before
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0 and out.startswith("# x,u,pole\n")

@@ -136,3 +136,44 @@ class TestFdDerivative:
 
     def test_exp(self):
         assert ov.fd_derivative(math.exp, 1.0) == pytest.approx(math.e, abs=1e-8)
+
+
+# (a, b, delta), IvpSpec arguments and the repr of the result of a DP5 that
+# carried its state in numpy arrays; the float state must repeat them
+PINNED_RICCATI = [
+    ((1.0, 1.0, 1.0), (0.5, 1.0 / math.tanh(0.5), 2.0), "1.0373147207801316"),
+    ((1.0, 1.0, 1.0), (0.5, 1.0, 5.0), "1.0"),
+    ((1, -1, 1), (0.2, 4.9, 3.0), "-7.082006348315342"),
+    ((1.0, -1.0, 0.5), (0.5, 1.7, 1.2), "0.31877729208936995"),
+    ((2.0, 0.5, 0.3), (0.2, 3.0, 3.0), "0.7369838004553613"),
+    ((-1.5, 0.7, 0.8), (0.3, -2.0, 2.0), "0.5369881312784278"),
+    ((0.5, -2.0, 0.25), (0.1, 10.0, 0.9), "1.4600133455224926"),
+    ((1.0, -1.0, 0.5), (5e-7, 2e6, 1.0), "0.6588554969209833"),
+    ((3.0, 3.0, 0.6), (1.0, 0.0, 4.0), "1.3922026356822281"),
+    ((1.0, 1.0, 0.9), (0.01, 0.0, 50.0), "1.2462423340474502"),
+    ((1.0, 1.0, 1.0), (0.5, 1.0 / math.tanh(0.5), 2.0, 1e-5, 1e-8), "1.0373149833648379"),
+    ((1.2, -0.8, 0.4), (0.3, 1.0, 2.5, 1e-11, 1e-13), "-26.52074094350283"),
+]
+PINNED_LINEAR = [
+    ((1.0, -1.0, 1.0), (0.5, (math.sin(0.5), math.cos(0.5)), 2.0),
+     "(0.9092974267922371, -0.4161468365345509)"),
+    ((1.0, 1.0, 1.0), (0.5, (math.sinh(0.5), math.cosh(0.5)), 2.0),
+     "(3.6268604080788527, 3.762195691325602)"),
+    ((1.0, -1.0, 0.6), (0.5, (0.3, 0.8), 1.5), "(0.8167515581804401, 0.089795699710804)"),
+    ((1.5, -1.0, 0.45), (0.4, (1.0, -0.5), 1.3), "(0.13523161824865107, -1.3068220454287038)"),
+    ((2.0, 3.0, 0.2), (0.1, (1.0, 0.0), 2.0), "(40.79661829105669, 132.04182179878987)"),
+    ((-1.0, 2.0, 0.7), (1.0, (0.0, 1.0), 6.0), "(0.2870473434485581, -0.9928235674194622)"),
+    ((1.0, -4.0, 0.35), (0.05, (1.0, 1.0), 8.0), "(0.5726302071893346, 2.5417596782892504)"),
+    ((1.0, -1.0, 0.9), (0.5, (1.0, 0.0), 30.0, 1e-6, 1e-9),
+     "(-0.8639963632358171, -0.34960794236187354)"),
+]
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("params, ivp, want", PINNED_RICCATI)
+    def test_riccati(self, params, ivp, want):
+        assert repr(ov.integrate_riccati(rc.RiccatiParams(*params), ov.IvpSpec(*ivp))) == want
+
+    @pytest.mark.parametrize("params, ivp, want", PINNED_LINEAR)
+    def test_linear(self, params, ivp, want):
+        assert repr(ov.integrate_linear(rc.RiccatiParams(*params), ov.IvpSpec(*ivp))) == want

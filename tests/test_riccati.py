@@ -249,3 +249,13 @@ class TestFindPoles:
         rp = rc.RiccatiParams(1.0, -1.0, 0.5)
         with pytest.raises(ValueError):
             rc.find_poles(rp, 2.0, 1.0)
+
+    def test_scan_over_budget_raises_before_any_evaluation(self, monkeypatch):
+        def no_bessel(*args):
+            raise AssertionError("the budget check must come first")
+
+        monkeypatch.setattr(rc.specfun, "bessel", no_bessel)
+        rp = rc.RiccatiParams(1.0, -1.0, 1.0)
+        for hi in (1e6, 1e300):
+            with pytest.raises(ValueError, match=r"\[0\.1, .*scan cells"):
+                rc.find_poles(rp, 0.1, hi)
