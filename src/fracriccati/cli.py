@@ -7,8 +7,9 @@ endings.  Lattice points nearest a solution pole (within half a grid step)
 are emitted as pole rows: 'nan' in the value column and pole=1.
 Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
 --x1 or --eta-ref, or a pole-search span over the scan budget among them)
-or an unwritable --out, 3 numeric non-convergence or overflow, 4 pole
-inside a verification/scale interval, 5 cosmology with c = 0.
+or an unwritable --out, 3 numeric non-convergence, overflow or a
+non-finite verification value, 4 pole inside a verification/scale
+interval, 5 cosmology with c = 0.
 
 Each table is evaluated as arrays: its parameters are mapped once and the
 whole lattice goes through one array call of the Bessel kernels.
@@ -24,7 +25,13 @@ import numpy as np
 
 from . import cosmo, odeverify, riccati
 from . import fracops as fo
-from .errors import BranchZeroError, ConvergenceError, DegenerateRegimeError, ScanBudgetError
+from .errors import (
+    BranchZeroError,
+    ConvergenceError,
+    DegenerateRegimeError,
+    NonFiniteError,
+    ScanBudgetError,
+)
 from .grids import GridSpec
 from .specfun import gamma, recip_gamma
 
@@ -271,22 +278,28 @@ def _cmd_riccati(args) -> int:
         value, _ = riccati.branch_table([rp], args.branch, np.array(xs))
         return value[0].tolist()
 
+    def checked(what: str, x: float, v: float) -> float:
+        # max() would keep its other argument over a nan
+        if not math.isfinite(v):
+            raise NonFiniteError(f"{what} is {v} at x = {x!r}")
+        return v
+
     # the difference stencils are evaluated after the integration, so an
     # integrator failure (exit 3) comes before a stencil that reaches
     # x <= 0 (exit 2)
     pts = np.linspace(args.x0, args.x1, 33).tolist()
-    u_pts = closed_form(pts)
+    u_pts = [checked("closed-form value", x, u) for x, u in zip(pts, closed_form(pts))]
     max_res = 0.0
     max_dev = 0.0
     u_num = u_pts[0]
     for x_prev, x_cur, u_cur in zip(pts[:-1], pts[1:], u_pts[1:]):
         u_num = odeverify.integrate_riccati(rp, odeverify.IvpSpec(x_prev, u_num, x_cur))
-        max_dev = max(max_dev, abs(u_num - u_cur))
+        max_dev = max(max_dev, checked("deviation", x_cur, abs(u_num - u_cur)))
     stencils = [t for x in pts for t in odeverify.fd_stencil(x)]
     u_of = dict(zip(stencils + pts, closed_form(stencils) + u_pts)).__getitem__
     for x in pts:
         up = odeverify.fd_derivative(u_of, x)
-        max_res = max(max_res, abs(riccati.residual(rp, x, u_of(x), up)))
+        max_res = max(max_res, checked("residual", x, abs(riccati.residual(rp, x, u_of(x), up))))
     return _emit(
         args.out,
         ["a", "b", "delta", "branch", "x0", "x1", "max_residual", "max_deviation"],
@@ -414,6 +427,9 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGENT
     except OverflowError as exc:
         _err(f"numeric overflow: {exc}")
+        return EXIT_NONCONVERGENT
+    except NonFiniteError as exc:
+        _err(str(exc))
         return EXIT_NONCONVERGENT
     except ScanBudgetError as exc:
         flags = {"verify": "--x0/--x1", "scale": "--grid/--eta-ref"}

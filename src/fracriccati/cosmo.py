@@ -8,6 +8,7 @@ untouched by the scheme and keeps its classical solution H = 1/(c eta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,16 +148,22 @@ def _scale_factors(
         raise BranchZeroError(
             f"branch-{branch} linear solution crosses zero inside [{lo}, {hi}]"
         )
-    y = riccati.y_branch_table(rp, branch, np.append(eta, eta_ref))
-    y, y_ref = y[:-1], y[-1]
+    # y = s exp(e) with s free of the exponential growth or decay: the signs
+    # are those of s, and (y/y_ref)^(1/c) = (s/s_ref)^(1/c) exp((e - e_ref)/c);
+    # math.exp raises OverflowError past the float range, as power does
+    s, e = riccati.y_branch_table(rp, branch, np.append(eta, eta_ref))
+    s, s_ref = s[:-1], s[-1]
     moving = eta != eta_ref
-    flips = moving & ((y == 0.0) | (y_ref == 0.0) | ((y > 0.0) != (y_ref > 0.0)))
+    flips = moving & ((s == 0.0) | (s_ref == 0.0) | ((s > 0.0) != (s_ref > 0.0)))
     if flips.any():
         raise BranchZeroError(
             f"branch-{branch} linear solution changes sign between "
             f"{eta_ref} and {eta[flips][0]}"
         )
-    ratio = np.ones_like(y)
-    ratio[moving] = specfun.power(y[moving] / y_ref, 1.0 / cp.c)
+    shift = ((e[:-1][moving] - e[-1]) / cp.c).tolist()
+    ratio = np.ones_like(s)
+    ratio[moving] = specfun.power(s[moving] / s_ref, 1.0 / cp.c) * np.array(
+        [math.exp(v) for v in shift]
+    )
     return ratio
 

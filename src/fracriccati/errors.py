@@ -35,3 +35,7 @@ class BranchZeroError(ValueError):
 
 class ScanBudgetError(ValueError):
     """A pole search span needs more sign-scan cells than the fixed budget."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A verification value (closed form, deviation or residual) is inf or nan."""

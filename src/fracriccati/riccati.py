@@ -42,7 +42,8 @@ MODIFIED = "modified"
 DEGENERATE = "degenerate"
 Regime = str
 
-# pole threshold: |B_n| below this relative scale marks a solution pole
+# pole threshold (oscillatory regime): |B_n| below this relative scale marks
+# a solution pole
 _POLE_RTOL = 1e-12
 # most sign-scan cells one find_poles call may allocate: a Bessel-argument
 # span of about 39 000, far past the 10-digit domain (argument <= ~100)
@@ -120,9 +121,9 @@ def _eval_branch(rp: RiccatiParams, branch: int, x: float) -> SolutionEval:
     _check_regime(bm)
     kind, sign = _kind(bm, branch)
     z = bm.q_mag * x**bm.r
-    num = specfun.bessel(kind, bm.n - 1.0, z)
-    den = specfun.bessel(kind, bm.n, z)
-    if abs(den) < _POLE_RTOL * (abs(num) + 1.0):
+    num = specfun.bessel_scaled(kind, bm.n - 1.0, z)[0]
+    den = specfun.bessel_scaled(kind, bm.n, z)[0]
+    if bm.regime == OSCILLATORY and abs(den) < _POLE_RTOL * (abs(num) + 1.0):
         return SolutionEval(math.nan, True)
     prefactor = bm.q_mag * bm.r * x ** (bm.r - 1.0) / rp.a
     return SolutionEval(sign * prefactor * num / den, False)
@@ -135,7 +136,10 @@ def branch_table(
 
     Returns (value, pole_flag) arrays of shape (len(rps), len(xs)), each
     element bit-identical to eval_u1/eval_u2 at that point.  The parameter
-    sets must share one regime (a figure surface varies delta only).
+    sets must share one regime (a figure surface varies delta only).  The
+    Bessel ratio is taken from specfun.bessel_scaled, so a modified-regime
+    ratio neither overflows nor underflows, and, I_n and K_n being
+    positive, is never flagged as a pole.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all(xs > 0.0):
@@ -153,8 +157,8 @@ def branch_table(
     q, r, n = (column([getattr(bm, f) for bm in bms]) for f in ("q_mag", "r", "n"))
     x = xs[None, :]
     z = q * specfun.power(x, r)
-    num, den = specfun.bessel(kind, np.stack([n - 1.0, n]), z)
-    pole = np.abs(den) < _POLE_RTOL * (np.abs(num) + 1.0)
+    num, den = specfun.bessel_scaled(kind, np.stack([n - 1.0, n]), z)[0]
+    pole = (bms[0].regime == OSCILLATORY) & (np.abs(den) < _POLE_RTOL * (np.abs(num) + 1.0))
     prefactor = q * r * specfun.power(x, r - 1.0) / column([rp.a for rp in rps])
     value = np.full(pole.shape, math.nan)
     np.divide(sign * prefactor * num, den, out=value, where=~pole)
@@ -224,13 +228,17 @@ def eval_y_branch(rp: RiccatiParams, branch: int, x: float) -> tuple[float, floa
     return y, d_lo
 
 
-def y_branch_table(rp: RiccatiParams, branch: int, xs: np.ndarray) -> np.ndarray:
+def y_branch_table(
+    rp: RiccatiParams, branch: int, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """y = sqrt(x) B_n(q x^r) of the chosen linear branch at every x in one
-    array pass, bit-identical to the y that eval_y_branch returns."""
+    array pass, split as y = s * exp(e) by specfun.bessel_scaled; returns
+    (s, e).  Where e = 0, s is the y that eval_y_branch returns, bit for bit."""
     bm = map_params(rp)
     _check_regime(bm)
     kind = _kind(bm, branch)[0]
-    return np.sqrt(xs) * specfun.bessel(kind, bm.n, bm.q_mag * specfun.power(xs, bm.r))
+    s, e = specfun.bessel_scaled(kind, bm.n, bm.q_mag * specfun.power(xs, bm.r))
+    return np.sqrt(xs) * s, e
 
 
 def residual(rp: RiccatiParams, x: float, u: float, u_prime: float) -> float:

@@ -9,9 +9,12 @@ split by argument size: ascending power series for small x, Hankel-type
 asymptotic expansions (truncated at the smallest term) for large x.  Y and K
 of non-integer order go through the reflection formulas; exact integer orders
 use the limiting log-series instead (no epsilon-offset tricks).  K at
-moderate and large argument is evaluated by trapezoidal quadrature of its
+moderate argument (2 <= x < 20) is evaluated by trapezoidal quadrature of its
 cosh-kernel integral representation, which stays accurate in the window where
-both the reflection formula and the divergent asymptotic series fall short.
+both the reflection formula and the divergent asymptotic series fall short;
+from x = 20 on the asymptotic series is good to ~e^(-2x).
+``bessel_scaled`` returns I and K past their series/quadrature ranges with the
+exponential factor split off, so ratios over the order need no exp(+-x).
 
 Accuracy target: >= 10 significant digits for 0 < x <= 100, |nu| <= 10.
 Known caveat: Y and K lose digits as non-integer nu approaches an integer
@@ -20,6 +23,7 @@ Known caveat: Y and K lose digits as non-integer nu approaches an integer
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from itertools import repeat
@@ -37,6 +41,7 @@ __all__ = [
     "bessel_y",
     "bessel_i",
     "bessel_k",
+    "bessel_scaled",
     "bessel_derivative",
     "power",
     "BESSEL_KINDS",
@@ -156,6 +161,10 @@ def _digamma_int(m: int) -> float:
 BESSEL_KINDS = ("J", "Y", "I", "K")
 
 _SERIES_MAX_TERMS = 500
+# I takes its ascending series up to here and the asymptotic expansion past it
+_I_SERIES_MAX = 30.0
+# K takes its asymptotic expansion from here on, quadrature from 2 up to it
+_K_ASYMPTOTIC_MIN = 20.0
 # J/Y switch from the ascending series to the Hankel expansion here.  The
 # 1.6|nu| scaling balances series cancellation against the asymptotic
 # smallest-term floor for orders up to ~10.
@@ -189,25 +198,18 @@ def _series(nu: float, x: float, sign: float) -> float:
     return total
 
 
-def _hankel_pq(nu: float, x: float) -> tuple[float, float]:
-    """P, Q of the large-argument expansion, truncated at the smallest term.
+def _asymptotic_terms(nu: float, x: float) -> list[float]:
+    """[a_1(nu)/x, a_2(nu)/x^2, ...]: the terms k >= 1 of the large-argument
+    expansions of J, Y, I and K (DLMF 10.17.1, 10.40.1-2), truncated at the
+    smallest term.
 
     For large orders the terms grow before they decay, so divergence is only
-    declared once a term grows after the decaying phase has started.  An
-    ndarray x truncates each element at its own smallest term.
+    declared once a term grows after the decaying phase has started.
     """
-    if isinstance(x, np.ndarray):
-        p_arr = np.ones_like(x)
-        q_arr = np.zeros_like(x)
-        for k, term, live in _asymptotic_terms(nu, x):
-            acc = q_arr if k % 2 == 1 else p_arr
-            np.add(acc, term if (k // 2) % 2 == 0 else -term, out=acc, where=live)
-        return p_arr, q_arr
     mu = 4.0 * nu * nu
-    p_sum = 1.0
-    q_sum = 0.0
-    term = 1.0  # A_0
-    prev = abs(term)
+    terms = []
+    term = 1.0  # a_0
+    prev = 1.0
     decaying = False
     for k in range(1, 200):
         term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
@@ -216,15 +218,71 @@ def _hankel_pq(nu: float, x: float) -> tuple[float, float]:
             decaying = True
         elif decaying:  # smallest term passed; stop before divergence
             break
-        signed = term if (k // 2) % 2 == 0 else -term
-        if k % 2 == 1:
-            q_sum += signed
-        else:
-            p_sum += signed
+        terms.append(term)
         if mag < 1e-18:
             break
         prev = mag
+    return terms
+
+
+def _hankel_pq(nu: float, x: float) -> tuple[float, float]:
+    """P, Q of the large-argument expansion of J and Y.  An ndarray x
+    truncates each element at its own smallest term."""
+    if isinstance(x, np.ndarray):
+        p_arr = np.ones_like(x)
+        q_arr = np.zeros_like(x)
+        for k, term, live in _asymptotic_terms_array(nu, x):
+            acc = q_arr if k % 2 == 1 else p_arr
+            np.add(acc, term if (k // 2) % 2 == 0 else -term, out=acc, where=live)
+        return p_arr, q_arr
+    terms = _asymptotic_terms(nu, x)
+    # Q sums the odd k with signs + - + ..., P the even k with signs - + - ...
+    q_sum, negate = 0.0, False
+    for term in terms[0::2]:
+        q_sum += -term if negate else term
+        negate = not negate
+    p_sum, negate = 1.0, True
+    for term in terms[1::2]:
+        p_sum += -term if negate else term
+        negate = not negate
     return p_sum, q_sum
+
+
+def _i_asymptotic(nu, x, scaled: bool = False):
+    """I_nu(x) for x > _I_SERIES_MAX: the exponentially growing series plus the
+    reflected exponentially small correction (exact for half-integer
+    orders); e^-x I_nu(x) if scaled, which has no upper limit on x."""
+    if isinstance(x, np.ndarray):
+        s_alt = np.ones_like(x)
+        s_pos = np.ones_like(x)
+        for k, term, live in _asymptotic_terms_array(nu, x):
+            np.add(s_alt, -term if k % 2 else term, out=s_alt, where=live)
+            np.add(s_pos, term, out=s_pos, where=live)
+        amp, sin = 1.0 / np.sqrt(2.0 * math.pi * x), _per_value(_sinpi, nu)
+        exp = functools.partial(_each, math.exp)
+    else:
+        s_alt = s_pos = 1.0
+        for k, term in enumerate(_asymptotic_terms(nu, x), 1):
+            s_alt += -term if k % 2 else term
+            s_pos += term
+        amp, sin, exp = 1.0 / math.sqrt(2.0 * math.pi * x), _sinpi(nu), math.exp
+    if scaled:
+        return amp * (s_alt - sin * exp(-2.0 * x) * s_pos)
+    return amp * (exp(x) * s_alt - sin * exp(-x) * s_pos)
+
+
+def _k_scaled(nu, x):
+    """e^x K_nu(x) = sqrt(pi/(2x)) sum_k a_k(nu)/x^k for x >= _K_ASYMPTOTIC_MIN,
+    where the smallest term is ~e^(-2x) < 5e-18; even in nu, as K is."""
+    if isinstance(x, np.ndarray):
+        s_pos = np.ones_like(x)
+        for _, term, live in _asymptotic_terms_array(nu, x):
+            np.add(s_pos, term, out=s_pos, where=live)
+        return np.sqrt(math.pi / (2.0 * x)) * s_pos
+    s_pos = 1.0
+    for term in _asymptotic_terms(nu, x):
+        s_pos += term
+    return math.sqrt(math.pi / (2.0 * x)) * s_pos
 
 
 def _jy_asymptotic(nu: float, x: float) -> tuple[float, float]:
@@ -309,7 +367,7 @@ def _bessel_k_series_int(n: int, x: float) -> float:
 def _bessel_k_quad(nu: float, x: float) -> float:
     """K_nu by trapezoidal quadrature of int_0^inf exp(-x cosh t) cosh(nu t) dt.
 
-    Exponentially convergent in the node spacing; used for x >= 2 with
+    Exponentially convergent in the node spacing; used for 2 <= x < 20 with
     |nu| < 2 (larger orders are reduced by the upward recurrence first).
     ndarray nu and x run every element's own nodes side by side.
     """
@@ -364,38 +422,19 @@ def bessel_i(nu: float, x: float) -> float:
     nu = float(nu)
     if nu < 0.0 and nu == math.floor(nu):
         return bessel_i(-nu, x)
-    if x <= 30.0:
+    if x <= _I_SERIES_MAX:
         return _series(nu, x, 1.0)
     if x > 700.0:
         raise OverflowError(f"bessel_i overflows for x = {x}")
-    # large argument: exponentially-growing series plus the reflected
-    # exponentially-small correction (exact for half-integer orders)
-    mu = 4.0 * nu * nu
-    s_alt = 1.0
-    s_pos = 1.0
-    term = 1.0
-    prev = 1.0
-    decaying = False
-    for k in range(1, 200):
-        term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        mag = abs(term)
-        if mag < prev:
-            decaying = True
-        elif decaying:
-            break
-        s_alt += -term if k % 2 else term
-        s_pos += term
-        if mag < 1e-18:
-            break
-        prev = mag
-    amp = 1.0 / math.sqrt(2.0 * math.pi * x)
-    return amp * (math.exp(x) * s_alt - _sinpi(nu) * math.exp(-x) * s_pos)
+    return _i_asymptotic(nu, x)
 
 
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function of the second kind, real order."""
     x = _check_x(x)
     nu = abs(float(nu))  # K is even in its order
+    if x >= _K_ASYMPTOTIC_MIN:
+        return math.exp(-x) * _k_scaled(nu, x)
     if x >= 2.0:
         if nu < 2.0:
             return _bessel_k_quad(nu, x)
@@ -473,9 +512,9 @@ def _series_array(nu: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
     return total
 
 
-def _asymptotic_terms(nu, x: np.ndarray):
-    """Yield (k, term, live) of the large-argument expansion in _hankel_pq and
-    bessel_i; live marks the elements that still add term k."""
+def _asymptotic_terms_array(nu, x: np.ndarray):
+    """Yield (k, term, live), term k of _asymptotic_terms per element; live
+    marks the elements that still add it."""
     mu = 4.0 * nu * nu
     term = np.ones_like(x)
     prev = np.ones_like(x)
@@ -492,19 +531,6 @@ def _asymptotic_terms(nu, x: np.ndarray):
         yield k, term, live
         live &= ~(mag < 1e-18)
         np.copyto(prev, mag, where=live)
-
-
-def _i_asymptotic(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The 30 < x <= 700 branch of bessel_i per element."""
-    s_alt = np.ones_like(x)
-    s_pos = np.ones_like(x)
-    for k, term, live in _asymptotic_terms(nu, x):
-        np.add(s_alt, -term if k % 2 else term, out=s_alt, where=live)
-        np.add(s_pos, term, out=s_pos, where=live)
-    amp = 1.0 / np.sqrt(2.0 * math.pi * x)
-    return amp * (
-        _each(math.exp, x) * s_alt - _per_value(_sinpi, nu) * _each(math.exp, -x) * s_pos
-    )
 
 
 def _k_quad_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -561,7 +587,7 @@ def _jy_array(kind: str, nu: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _i_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     nu = _negative_integers(nu)[0]
     out = np.empty_like(x)
-    series = x <= 30.0
+    series = x <= _I_SERIES_MAX
     if series.any():
         out[series] = _series_array(nu[series], x[series], 1.0)
     asym = ~series
@@ -575,9 +601,13 @@ def _i_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _k_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     nu = np.abs(nu)
     out = np.empty_like(x)
-    quad = (x >= 2.0) & (nu < 2.0)
+    asym = x >= _K_ASYMPTOTIC_MIN
+    quad = ~asym & (x >= 2.0) & (nu < 2.0)
     reflect = (x < 2.0) & (nu != np.floor(nu))
-    rest = ~(quad | reflect)
+    rest = ~(asym | quad | reflect)
+    if asym.any():
+        t = x[asym]
+        out[asym] = _each(math.exp, -t) * _k_scaled(nu[asym], t)
     if quad.any():
         out[quad] = _bessel_k_quad(nu[quad], x[quad])
     if reflect.any():
@@ -596,13 +626,19 @@ def _k_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
 _ARRAY_MIN_SIZE = 128
 
 
-def _bessel_array(kind: str, nu, x) -> np.ndarray:
+def _broadcast(nu, x) -> tuple[np.ndarray, np.ndarray]:
+    """nu and x as broadcast float ndarrays; x must lie in (0, inf)."""
     nu, x = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float))
-    shape = x.shape
-    nu, x = nu.ravel(), x.ravel()
     bad = ~((x > 0.0) & (x < math.inf))
     if bad.any():
         raise ValueError(f"Bessel argument must satisfy 0 < x < inf, got {x[bad][0]}")
+    return nu, x
+
+
+def _bessel_array(kind: str, nu, x) -> np.ndarray:
+    nu, x = _broadcast(nu, x)
+    shape = x.shape
+    nu, x = nu.ravel(), x.ravel()
     with np.errstate(all="ignore"):
         if x.size < _ARRAY_MIN_SIZE:
             out = _each(_BESSEL_FUNCS[kind], nu, x)
@@ -632,6 +668,40 @@ def bessel(kind: str, nu, x):
     if isinstance(x, np.ndarray) or isinstance(nu, np.ndarray):
         return _bessel_array(kind.upper(), nu, x)
     return func(nu, x)
+
+
+def bessel_scaled(kind: str, nu, x):
+    """The Bessel function split as B_nu(x) = s * exp(e); returns (s, e).
+
+    e = x for I past its series range (x > 30) and e = -x for K from x = 20
+    on, where s = e^-x I or e^x K is summed from the large-argument
+    expansion: it neither overflows nor underflows, and I has no upper
+    limit on x.  Elsewhere, and for J and Y, e = 0 and s is bessel(kind,
+    nu, x) itself.  At one x, e does not depend on the order, so a ratio
+    over the order is the ratio of the s values.  Floats and ndarrays as in
+    bessel, with the same bits on both paths.
+    """
+    arrays = isinstance(x, np.ndarray) or isinstance(nu, np.ndarray)
+    t = np.asarray(x, dtype=float) if arrays else _check_x(x)
+    big = False  # J, Y and unknown kinds, which bessel rejects
+    letter = kind.upper() if isinstance(kind, str) else kind
+    if letter == "I":
+        big, sign, kernel = t > _I_SERIES_MAX, 1.0, functools.partial(_i_asymptotic, scaled=True)
+    elif letter == "K":
+        big, sign, kernel = t >= _K_ASYMPTOTIC_MIN, -1.0, _k_scaled
+    if not arrays:
+        return (kernel(float(nu), t), sign * t) if big else (bessel(kind, nu, t), 0.0)
+    if not np.any(big):
+        s = bessel(kind, nu, x)
+        return s, np.zeros(s.shape)
+    nu, x = _broadcast(nu, x)
+    big = np.broadcast_to(big, x.shape)
+    s = np.empty(x.shape)
+    s[~big] = bessel(kind, nu[~big], x[~big])
+    v, t = nu[big], x[big]
+    with np.errstate(all="ignore"):
+        s[big] = _each(kernel, v, t) if t.size < _ARRAY_MIN_SIZE else kernel(v, t)
+    return s, np.where(big, sign * x, 0.0)
 
 
 def bessel_derivative(kind: str, nu: float, x: float) -> float:

@@ -73,6 +73,22 @@ def test_bessel_broadcasts_orders_and_arguments(kind, nus, unit):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("array_min_size", [1, sf._ARRAY_MIN_SIZE])
+@given(
+    kind=st.sampled_from("JYIK"),
+    nu=ORDERS,
+    log_x=st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=40),
+)
+@settings(max_examples=150, deadline=None)
+def test_bessel_scaled_array_matches_scalar_bits(array_min_size, kind, nu, log_x):
+    xs = [10.0**v for v in log_x]
+    want = [sf.bessel_scaled(kind, nu, x) for x in xs]
+    with mock.patch.object(sf, "_ARRAY_MIN_SIZE", array_min_size):
+        s, e = sf.bessel_scaled(kind, nu, np.array(xs))
+    assert s.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert e.tobytes() == np.array([w[1] for w in want]).tobytes()
+
+
 def old_pole_indices(rp, branch, grid):
     """The rule the bracket flagging replaced: every located zero against
     every grid point."""

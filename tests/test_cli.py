@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
-from fracriccati import cli, odeverify
+from fracriccati import cli, odeverify, riccati
 from fracriccati.errors import MaxStepsError, StepUnderflowError
 
 
@@ -126,13 +127,38 @@ class TestRiccatiCommand:
                                   "--delta", "1", "--x0", "2.5", "--x1", "4.0"])
         assert rc == 4 and "pole" in err
 
-    def test_overflow_exits_3_with_one_error_line(self, capsys):
-        # I_n refuses arguments past 700
+    def test_past_700_prints_rows(self, capsys):
+        # the I ratio comes from e^-x I, which has no upper limit on x
         rc, out, err = run(capsys, ["riccati", "eval", "--a", "1", "--b", "1",
                                     "--delta", "1", "--branch", "1", "--grid", "600:710:3"])
+        assert rc == 0 and err == ""
+        _, rows = parse_table(out)
+        assert rows == [["600", "1", "0"], ["655", "1", "0"], ["710", "1", "0"]]
+
+    def test_modified_branch2_has_no_pole_rows(self, capsys):
+        # K_n(z) falls below 1e-12 from z ~ 27 on; u2 = -sqrt(b/a) at delta = 1
+        rc, out, _ = run(capsys, ["riccati", "eval", "--a", "1", "--b", "1",
+                                  "--delta", "1", "--branch", "2", "--grid", "20:40:5"])
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert [r[1:] for r in rows] == [["-1", "0"]] * 5
+
+    @pytest.mark.parametrize("first_bad", [0, 7])
+    def test_nonfinite_closed_form_exits_3_naming_x(self, capsys, monkeypatch, first_bad):
+        pts = np.linspace(20.0, 31.0, 33)
+
+        def table(rps, branch, xs):
+            xs = np.asarray(xs)
+            value = np.where(xs >= pts[first_bad], math.nan, -1.0)[None, :]
+            return value, np.zeros(value.shape, dtype=bool)
+
+        monkeypatch.setattr(riccati, "branch_table", table)
+        rc, out, err = run(capsys, ["riccati", "verify", "--a", "1", "--b", "1",
+                                    "--delta", "1", "--x0", "20", "--x1", "31", "--branch", "2"])
         assert rc == 3
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ") and "overflow" in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "nan" in err and f"x = {float(pts[first_bad])!r}" in err
 
     @pytest.mark.parametrize("error", [MaxStepsError, StepUnderflowError])
     def test_integrator_failure_exits_3_with_one_error_line(self, capsys, monkeypatch, error):
@@ -181,6 +207,36 @@ class TestCosmoCommand:
         for row in rows:
             eta = float(row[0])
             assert float(row[1]) == pytest.approx(math.sin(eta) / math.sin(0.5), rel=1e-9)
+
+    @pytest.mark.parametrize("branch, sign", [(1, 1.0), (2, -1.0)])
+    def test_open_scale_past_700(self, capsys, branch, sign):
+        # at delta = 1, y is sinh(eta) on branch 1 and e^-eta on branch 2 (up
+        # to constants): I_n past 700 overflows and K_n there underflows, the
+        # ratios do neither
+        rc, out, _ = run(capsys, ["cosmo", "scale", "--k", "-1", "--c", "1", "--delta", "1",
+                                  "--branch", str(branch), "--eta-ref", "700",
+                                  "--grid", "650:760:3"])
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert [float(r[0]) for r in rows] == [650.0, 705.0, 760.0]
+        for eta, ratio in rows:
+            assert float(ratio) == pytest.approx(math.exp(sign * (float(eta) - 700.0)), rel=1e-12)
+
+    def test_open_hubble_branch2_has_no_pole_rows(self, capsys):
+        rc, out, _ = run(capsys, ["cosmo", "hubble", "--k", "-1", "--c", "1", "--branch", "2",
+                                  "--delta", "0.7", "--grid", "5:40:6"])
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert [r[2] for r in rows] == ["0"] * 6
+        # H = -(q r eta^(r-1) / c) K_(n-1)(z)/K_n(z), z = q eta^r
+        d = 0.7
+        r, n = 0.5 * (3.0 - d), 1.0 / (3.0 - d)
+        q = (2.0 / (3.0 - d)) / math.sqrt(sp.gamma(2.0 - d))
+        for eta_s, h_s, _ in rows:
+            eta = float(eta_s)
+            z = q * eta**r
+            want = -q * r * eta ** (r - 1.0) * sp.kve(n - 1.0, z) / sp.kve(n, z)
+            assert float(h_s) == pytest.approx(want, rel=1e-10)
 
     def test_scale_pole_exits_4(self, capsys):
         rc, _, _ = run(capsys, ["cosmo", "scale", "--k", "1", "--c", "1",
@@ -328,7 +384,8 @@ class TestVerifyPinned:
          "1,-1,0.5,1,1.9999999999999999e-06,1,5555555555.5559778,3.2995544074765348e-09"),
         # a difference stencil reaches x <= 0
         ("riccati verify --a 1 --b -1 --delta 0.5 --x0 5e-7 --x1 1 --branch 1", 2, None),
-        # I_n overflows at the far grid points; the oscillatory scan is over budget
+        # the integrator runs out of steps on the way to 1e300; the oscillatory
+        # scan is over budget
         ("riccati verify --a 1 --b 1 --delta 1 --x0 0.1 --x1 1e300", 3, None),
         ("riccati verify --a 1 --b -1 --delta 1 --x0 0.1 --x1 1e300", 2, None),
         ("riccati verify --a 1 --b -1 --delta 1 --x0 2.5 --x1 4.0", 4, None),

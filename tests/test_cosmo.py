@@ -10,12 +10,14 @@ from fracriccati.errors import BranchZeroError, FlatCaseError
 from fracriccati.fracops import adaptive_simpson, frac_const
 
 
-def scale_factor_by_quadrature(cp, eta: float, eta_ref: float, tol: float = 1e-9) -> float:
-    """exp of the branch-1 Hubble integral from eta_ref up to eta > eta_ref by
+def scale_factor_by_quadrature(
+    cp, eta: float, eta_ref: float, tol: float = 1e-9, branch: int = 1
+) -> float:
+    """exp of the Hubble integral from eta_ref up to eta > eta_ref by
     adaptive quadrature: the cross-check on scale_factor's closed form."""
 
     def h_of(t: float) -> float:
-        ev = co.hubble(cp, t)
+        ev = co.hubble(cp, t, branch)
         assert not ev.pole_flag, f"Hubble pole hit at eta = {t}"
         return ev.H
 
@@ -154,6 +156,16 @@ class TestScaleFactor:
         r1 = co.scale_factor(cp, 1.7, 0.6)
         r2 = scale_factor_by_quadrature(cp, 1.7, 0.6)
         assert r1 == pytest.approx(r2, rel=1e-6)
+
+    @pytest.mark.parametrize("branch, eta, eta_ref", [(1, 25.0, 15.0), (2, 20.0, 10.0)])
+    def test_matches_quadrature_across_scaled_range(self, branch, eta, eta_ref):
+        # Bessel argument 0.665 eta^1.275 crosses 30 (I) and 20 (K): y is
+        # unscaled at eta_ref and scaled at eta
+        cp = co.CosmoParams(k=-1, delta=0.45, c=0.8)
+        got = co.scale_factor(cp, eta, eta_ref, branch)
+        assert got == pytest.approx(
+            scale_factor_by_quadrature(cp, eta, eta_ref, branch=branch), rel=1e-6
+        )
 
     def test_zero_crossing_refused(self):
         cp = co.CosmoParams(k=1, delta=1.0, c=1.0)  # y = sin has a zero at pi

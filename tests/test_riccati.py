@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 from hypothesis import given, settings, strategies as st
 
 from fracriccati import riccati as rc
@@ -130,6 +131,51 @@ class TestBranchValues:
                 want = math.cos(c * x) / math.sin(c * x)
                 got = rc.eval_u1(rp, x).value
                 assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
+
+
+class TestModifiedRegime:
+    """a*b > 0: the branches are ratios of I or K, which have no zeros."""
+
+    @given(
+        a=st.floats(0.2, 5.0),
+        b=st.floats(0.2, 5.0),
+        negative=st.booleans(),
+        delta=st.floats(0.0, 1.0, exclude_min=True),
+        branch=st.sampled_from([1, 2]),
+        log_z=st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_no_poles_and_scaled_ratio_oracle(self, a, b, negative, delta, branch, log_z):
+        # Bessel arguments from 1e-3 to 1e4, far past where I overflows and
+        # K underflows; the oracle is the ratio of scipy's scaled functions
+        rp = rc.RiccatiParams(-a if negative else a, -b if negative else b, delta)
+        bm = rc.map_params(rp)
+        xs = np.array([(10.0**lz / bm.q_mag) ** (1.0 / bm.r) for lz in log_z])
+        value, pole = rc.branch_table([rp], branch, xs)
+        assert not pole.any()
+        z = np.array([bm.q_mag * x**bm.r for x in xs.tolist()])
+        ratio = sp.ive(bm.n - 1.0, z) / sp.ive(bm.n, z) if branch == 1 else (
+            -sp.kve(bm.n - 1.0, z) / sp.kve(bm.n, z)
+        )
+        want = bm.q_mag * bm.r * xs ** (bm.r - 1.0) / rp.a * ratio
+        assert np.all(np.abs(value[0] - want) <= 1e-10 * np.abs(want))
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5), (-0.5, -3.0)])
+    def test_delta_one_oracles(self, a, b):
+        # u1 = (w/a) coth(w x) and u2 = -w/a with w = sqrt(ab); for a > 0,
+        # u2 = -sqrt(b/a)
+        rp = rc.RiccatiParams(a, b, 1.0)
+        w = math.sqrt(a * b)
+        xs = np.geomspace(1e-3, 1e4, 200) / w
+        u1, pole1 = rc.branch_table([rp], 1, xs)
+        u2, pole2 = rc.branch_table([rp], 2, xs)
+        assert not (pole1.any() or pole2.any())
+        want1 = w / a / np.tanh(w * xs)
+        assert np.all(np.abs(u1[0] - want1) <= 1e-12 * np.abs(want1))
+        assert np.all(np.abs(u2[0] + w / a) <= 1e-12 * (w / abs(a)))
+        for x in (0.5, 25.0, 800.0, 5e3):
+            assert rc.eval_u2(rp, x / w).value == pytest.approx(-w / a, rel=1e-12)
+            assert not rc.eval_u1(rp, x / w).pole_flag
 
 
 class TestYBranch:

@@ -136,6 +136,32 @@ class TestBesselValues:
                     scale = abs(want)
                 assert abs(got - want) <= 1e-10 * scale, (kind, nu, x)
 
+    @pytest.mark.parametrize("kind, ref, scaled_from", [("I", sp.ive, 30.0), ("K", sp.kve, 20.0)])
+    def test_scaled_against_reference_library(self, kind, ref, scaled_from):
+        # past the cutover s = e^-x I or e^x K, from the large-argument
+        # expansion; below it, the unscaled value itself
+        xs = np.concatenate([np.geomspace(0.5, scaled_from, 20), np.geomspace(scaled_from, 1e5, 60)])
+        big = xs > scaled_from if kind == "I" else xs >= scaled_from
+        for nu in np.concatenate([np.linspace(-2.0 / 3.0, 1.5, 14), [-9.75, 2.0, 5.25, 10.0]]):
+            s, e = sf.bessel_scaled(kind, nu, xs)
+            assert e.tolist() == np.where(big, xs if kind == "I" else -xs, 0.0).tolist()
+            assert s[~big].tobytes() == sf.bessel(kind, nu, xs[~big]).tobytes()
+            want = ref(nu, xs[big])
+            assert np.all(np.abs(s[big] - want) <= 2e-15 * want), nu
+            for x, s_x, e_x in zip(xs.tolist()[::7], s.tolist()[::7], e.tolist()[::7]):
+                assert sf.bessel_scaled(kind, nu, x) == (s_x, e_x)
+
+    def test_scaled_j_y_are_unsplit_and_unknown_kinds_raise(self):
+        xs = np.geomspace(0.1, 100.0, 30)
+        for kind in ("J", "y"):
+            s, e = sf.bessel_scaled(kind, 0.4, xs)
+            assert s.tobytes() == sf.bessel(kind, 0.4, xs).tobytes() and not e.any()
+            assert sf.bessel_scaled(kind, 0.4, 50.0) == (sf.bessel(kind, 0.4, 50.0), 0.0)
+        for kind in ("H", None):
+            for x in (50.0, xs):
+                with pytest.raises(ValueError):
+                    sf.bessel_scaled(kind, 0.4, x)
+
     def test_integer_order_limiting_formula(self):
         # integer nu must use the log-series, not a reflection blowup
         for n in (0, 1, 2, 5, 10):
