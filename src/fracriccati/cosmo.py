@@ -149,10 +149,13 @@ def _scale_factors(
             f"branch-{branch} linear solution crosses zero inside [{lo}, {hi}]"
         )
     # y = s exp(e) with s free of the exponential growth or decay: the signs
-    # are those of s, and (y/y_ref)^(1/c) = (s/s_ref)^(1/c) exp((e - e_ref)/c);
-    # math.exp raises OverflowError past the float range, as power does
+    # are those of s.  Where e = e_ref the ratio is (s/s_ref)^(1/c), bit for
+    # bit the unscaled one; elsewhere it is exp((log(s/s_ref) + e - e_ref)/c),
+    # one exponential of the whole log ratio, so a factor alone never leaves
+    # the float range.  math.exp raises OverflowError only when the ratio
+    # itself does, as power does.
     s, e = riccati.y_branch_table(rp, branch, np.append(eta, eta_ref))
-    s, s_ref = s[:-1], s[-1]
+    s, s_ref, e, e_ref = s[:-1], s[-1], e[:-1], e[-1]
     moving = eta != eta_ref
     flips = moving & ((s == 0.0) | (s_ref == 0.0) | ((s > 0.0) != (s_ref > 0.0)))
     if flips.any():
@@ -160,10 +163,13 @@ def _scale_factors(
             f"branch-{branch} linear solution changes sign between "
             f"{eta_ref} and {eta[flips][0]}"
         )
-    shift = ((e[:-1][moving] - e[-1]) / cp.c).tolist()
     ratio = np.ones_like(s)
-    ratio[moving] = specfun.power(s[moving] / s_ref, 1.0 / cp.c) * np.array(
-        [math.exp(v) for v in shift]
-    )
+    plain = moving & (e == e_ref)
+    ratio[plain] = specfun.power(s[plain] / s_ref, 1.0 / cp.c)
+    scaled = moving & (e != e_ref)
+    ratio[scaled] = [
+        math.exp((math.log(q) + d) / cp.c)
+        for q, d in zip((s[scaled] / s_ref).tolist(), (e[scaled] - e_ref).tolist())
+    ]
     return ratio
 

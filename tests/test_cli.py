@@ -222,6 +222,23 @@ class TestCosmoCommand:
         for eta, ratio in rows:
             assert float(ratio) == pytest.approx(math.exp(sign * (float(eta) - 700.0)), rel=1e-12)
 
+    @pytest.mark.parametrize("argv, want", [
+        # z = c eta; eta_ref sits below the cutovers, the grid runs past them.
+        # Branch 1: (sinh z / sinh z_ref)^25 with z_ref = 29.6 < 30 < 30.4,
+        # where exp(z/c) = exp(760) alone overflows
+        (["--c", "0.04", "--eta-ref", "740", "--grid", "740:760:3"],
+         [1.0, 22026.465794807795, 485165195.4097966]),
+        # Branch 2: e^-(eta - eta_ref) with z_ref = 19.5 < 20, where
+        # (s/s_ref)^40 alone overflows
+        (["--c", "0.025", "--branch", "2", "--eta-ref", "780", "--grid", "780:820:3"],
+         [1.0, 2.061153622438543e-09, 4.248354255291518e-18]),
+    ])
+    def test_open_scale_across_cutover(self, capsys, argv, want):
+        rc, out, _ = run(capsys, ["cosmo", "scale", "--k", "-1", "--delta", "1", *argv])
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert [float(r[1]) for r in rows] == pytest.approx(want, rel=1e-12)
+
     def test_open_hubble_branch2_has_no_pole_rows(self, capsys):
         rc, out, _ = run(capsys, ["cosmo", "hubble", "--k", "-1", "--c", "1", "--branch", "2",
                                   "--delta", "0.7", "--grid", "5:40:6"])
