@@ -120,22 +120,20 @@ def _pole_free_grid(rp, branch, lo=0.2, hi=3.2, count=50, margin=0.08):
 
 def criterion_closed_form_residual():
     """Both branches satisfy the modified equation to 1e-6 scaled, with the
-    derivative estimated by finite differences, poles excluded by margin."""
+    derivative estimated by finite differences, poles excluded by margin.
+    Each branch's points and difference stencils are one table."""
     worst = 0.0
     for rp in _MATRIX:
         for branch in (1, 2):
-            ev = riccati.eval_u1 if branch == 1 else riccati.eval_u2
-
-            def u_of(t, ev=ev, rp=rp):
-                return ev(rp, t).value
-
-            for x in _pole_free_grid(rp, branch):
-                x = float(x)
-                s = ev(rp, x)
-                if s.pole_flag:
+            xs = _pole_free_grid(rp, branch).tolist()
+            pts = xs + [t for x in xs for t in odeverify.fd_stencil(x)]
+            value, pole = riccati.branch_table([rp], branch, np.array(pts))
+            u_of = dict(zip(pts, value[0].tolist())).__getitem__
+            for x, flagged in zip(xs, pole[0, : len(xs)].tolist()):
+                if flagged:
                     continue
                 up = odeverify.fd_derivative(u_of, x)
-                r = riccati.residual(rp, x, s.value, up)
+                r = riccati.residual(rp, x, u_of(x), up)
                 scale = 1.0 + abs(fo.frac_const(rp.b, rp.delta, x))
                 worst = max(worst, abs(r) / scale)
     return worst <= 1e-6, f"max scaled residual {worst:.3e} (tol 1e-6)"
@@ -181,21 +179,18 @@ def criterion_cross_oracle():
 
 def criterion_classical_limits():
     """H(eta; delta=1) equals cot(c eta) for k=1 and coth(c eta) for k=-1 to
-    1e-8, computed through the general real-order Bessel path."""
+    1e-8, computed through the general real-order Bessel path: one table per
+    (k, c), H being the Riccati branch with a = c, b = -k c."""
     worst = 0.0
     for c in (0.5, 1.0, 2.0):
-        cp = cosmo.CosmoParams(k=1, delta=1.0, c=c)
-        for eta in np.linspace(0.05, math.pi / (2.0 * c), 102)[1:-1]:
-            eta = float(eta)
-            want = math.cos(c * eta) / math.sin(c * eta)
-            got = cosmo.hubble(cp, eta).H
-            worst = max(worst, abs(got - want) / (1.0 + abs(want)))
-        cp = cosmo.CosmoParams(k=-1, delta=1.0, c=c)
-        for eta in np.linspace(0.05, 5.0, 100):
-            eta = float(eta)
-            want = math.cosh(c * eta) / math.sinh(c * eta)
-            got = cosmo.hubble(cp, eta).H
-            worst = max(worst, abs(got - want) / (1.0 + abs(want)))
+        closed = (1, np.linspace(0.05, math.pi / (2.0 * c), 102)[1:-1], math.cos, math.sin)
+        open_ = (-1, np.linspace(0.05, 5.0, 100), math.cosh, math.sinh)
+        for k, etas, num, den in (closed, open_):
+            rp = cosmo.CosmoParams(k=k, delta=1.0, c=c).riccati_params()
+            h, _ = riccati.branch_table([rp], 1, etas)
+            for eta, got in zip(etas.tolist(), h[0].tolist()):
+                want = num(c * eta) / den(c * eta)
+                worst = max(worst, abs(got - want) / (1.0 + abs(want)))
     return worst <= 1e-8, f"max scaled err {worst:.3e} (tol 1e-8)"
 
 

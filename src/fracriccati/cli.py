@@ -6,10 +6,10 @@ separators, 17-significant-digit decimals (bit-faithful round trip), newline
 endings.  Lattice points nearest a solution pole (within half a grid step)
 are emitted as pole rows: 'nan' in the value column and pole=1.
 Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
---x1 or --eta-ref, or a pole-search span over the scan budget among them)
-or an unwritable --out, 3 numeric non-convergence, overflow or a
-non-finite verification value, 4 pole inside a verification/scale
-interval, 5 cosmology with c = 0.
+--x1 or --eta-ref, a pole-search span over the scan budget, or a point
+whose Bessel argument underflows to 0 among them) or an unwritable --out,
+3 numeric non-convergence, overflow or a non-finite verification value,
+4 pole inside a verification/scale interval, 5 cosmology with c = 0.
 
 Each table is evaluated as arrays: its parameters are mapped once and the
 whole lattice goes through one array call of the Bessel kernels.
@@ -28,7 +28,6 @@ from . import fracops as fo
 from .errors import (
     BranchZeroError,
     ConvergenceError,
-    DegenerateRegimeError,
     NonFiniteError,
     ScanBudgetError,
 )
@@ -415,6 +414,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _lattice_flags(args) -> str:
+    """The flags that set the evaluation lattice of a riccati or cosmo action."""
+    return {"verify": "--x0/--x1", "scale": "--grid/--eta-ref"}.get(args.action, "--grid")
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -432,14 +436,15 @@ def main(argv=None) -> int:
         _err(str(exc))
         return EXIT_NONCONVERGENT
     except ScanBudgetError as exc:
-        flags = {"verify": "--x0/--x1", "scale": "--grid/--eta-ref"}
-        _err(f"{flags.get(getattr(args, 'action', None), '--grid')} too wide: {exc}")
+        _err(f"{_lattice_flags(args)} too wide: {exc}")
         return EXIT_FLAGS
-    except (BranchZeroError,) as exc:
+    except BranchZeroError as exc:
         _err(str(exc))
         return EXIT_POLE
-    except (ValueError, DegenerateRegimeError) as exc:
-        _err(str(exc))
+    except ValueError as exc:
+        # past the handlers' own checks, a value error of a riccati or cosmo
+        # action (such as a point too close to 0) comes from the lattice
+        _err(f"{_lattice_flags(args)}: {exc}" if hasattr(args, "action") else str(exc))
         return EXIT_FLAGS
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BranchZeroError, FlatCaseError
 from .fracops import _delta_value
-from . import riccati, specfun
+from . import riccati
 
 __all__ = [
     "CosmoParams",
@@ -127,7 +127,8 @@ def scale_factor(
     to (eta/eta_ref)^(1/c).
 
     An ndarray eta gives the ratios at all its times from one array pass,
-    with one pole check over the span of eta and eta_ref.
+    with one pole check over the span of eta and eta_ref.  A ratio outside
+    the float range raises OverflowError naming its eta.
     """
     if isinstance(eta, np.ndarray):
         return _scale_factors(cp, eta, float(eta_ref), branch)
@@ -141,20 +142,20 @@ def _scale_factors(
     if not (np.all(eta > 0.0) and eta_ref > 0.0):
         raise ValueError("both times must be positive")
     if cp.k == 0:
-        return specfun.power(eta / eta_ref, 1.0 / cp.c)
-    rp = cp.riccati_params()
-    lo, hi = min(float(eta.min()), eta_ref), max(float(eta.max()), eta_ref)
-    if lo < hi and riccati.find_poles(rp, lo, hi, branch):
-        raise BranchZeroError(
-            f"branch-{branch} linear solution crosses zero inside [{lo}, {hi}]"
-        )
-    # y = s exp(e) with s free of the exponential growth or decay: the signs
-    # are those of s.  Where e = e_ref the ratio is (s/s_ref)^(1/c), bit for
-    # bit the unscaled one; elsewhere it is exp((log(s/s_ref) + e - e_ref)/c),
-    # one exponential of the whole log ratio, so a factor alone never leaves
-    # the float range.  math.exp raises OverflowError only when the ratio
-    # itself does, as power does.
-    s, e = riccati.y_branch_table(rp, branch, np.append(eta, eta_ref))
+        s, e = np.append(eta, eta_ref), np.zeros(eta.size + 1)
+    else:
+        rp = cp.riccati_params()
+        lo, hi = min(float(eta.min()), eta_ref), max(float(eta.max()), eta_ref)
+        if lo < hi and riccati.find_poles(rp, lo, hi, branch):
+            raise BranchZeroError(
+                f"branch-{branch} linear solution crosses zero inside [{lo}, {hi}]"
+            )
+        s, e = riccati.y_branch_table(rp, branch, np.append(eta, eta_ref))
+    # y = s exp(e) with s free of the exponential growth or decay (the flat
+    # case takes y = eta, e = 0): the signs are those of s.  Where e = e_ref
+    # the ratio is (s/s_ref)^(1/c), bit for bit the unscaled one; elsewhere
+    # it is exp((log(s/s_ref) + e - e_ref)/c), one exponential of the whole
+    # log ratio, so a factor alone never leaves the float range.
     s, s_ref, e, e_ref = s[:-1], s[-1], e[:-1], e[-1]
     moving = eta != eta_ref
     flips = moving & ((s == 0.0) | (s_ref == 0.0) | ((s > 0.0) != (s_ref > 0.0)))
@@ -163,13 +164,21 @@ def _scale_factors(
             f"branch-{branch} linear solution changes sign between "
             f"{eta_ref} and {eta[flips][0]}"
         )
+    inv_c = 1.0 / cp.c
+
+    def ratio_at(t: float, q: float, d: float) -> float:
+        try:
+            return q**inv_c if d == 0.0 else math.exp((math.log(q) + d) / cp.c)
+        except OverflowError:
+            raise OverflowError(
+                f"the scale-factor ratio at eta = {t!r} leaves the float range"
+            ) from None
+
     ratio = np.ones_like(s)
-    plain = moving & (e == e_ref)
-    ratio[plain] = specfun.power(s[plain] / s_ref, 1.0 / cp.c)
-    scaled = moving & (e != e_ref)
-    ratio[scaled] = [
-        math.exp((math.log(q) + d) / cp.c)
-        for q, d in zip((s[scaled] / s_ref).tolist(), (e[scaled] - e_ref).tolist())
+    ratio[moving] = [
+        ratio_at(t, q, d)
+        for t, q, d in zip(
+            eta[moving].tolist(), (s[moving] / s_ref).tolist(), (e[moving] - e_ref).tolist()
+        )
     ]
     return ratio
-

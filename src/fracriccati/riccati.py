@@ -8,12 +8,16 @@ distinguished branches are ratios of neighbouring-order Bessel functions:
 first kind (J or I) for branch 1, second kind (Y or K) for branch 2.  The
 regime is fixed by sign(a*b): oscillatory (J/Y) for a*b < 0, modified (I/K)
 for a*b > 0; b = 0 degenerates and is refused here.
+
+Every closed-form value comes from one lattice evaluation (_lattice): a
+table is a lattice of parameter sets times points, and a single point is a
+one-element table.  Only specfun keeps scalar kernels; here they serve the
+pole bisection of find_poles.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,127 +109,95 @@ def _kind(bm: BesselMap, branch: int) -> tuple[str, float]:
     return ("I", 1.0) if branch == 1 else ("K", -1.0)
 
 
-def _check_regime(bm: BesselMap) -> None:
-    if bm.regime == DEGENERATE:
-        raise DegenerateRegimeError(
-            "b = 0 has no Bessel-ratio branch; the flat-case solution "
-            "u = 1/(a(x - C)) lives in the cosmology module"
-        )
+def _underflow_message(x: float) -> str:
+    return f"x = {x} is too close to 0: the Bessel argument q x^r underflows to 0"
 
 
-def _eval_branch(rp: RiccatiParams, branch: int, x: float) -> SolutionEval:
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"Riccati branch evaluation requires x > 0, got {x}")
-    bm = map_params(rp)
-    _check_regime(bm)
-    kind, sign = _kind(bm, branch)
-    z = bm.q_mag * x**bm.r
-    num = specfun.bessel_scaled(kind, bm.n - 1.0, z)[0]
-    den = specfun.bessel_scaled(kind, bm.n, z)[0]
-    if bm.regime == OSCILLATORY and abs(den) < _POLE_RTOL * (abs(num) + 1.0):
-        return SolutionEval(math.nan, True)
-    prefactor = bm.q_mag * bm.r * x ** (bm.r - 1.0) / rp.a
-    return SolutionEval(sign * prefactor * num / den, False)
+def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
+    """The one evaluation of the closed forms, on the lattice rps x xs.
 
-
-def branch_table(
-    rps: list[RiccatiParams], branch: int, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The chosen branch on the lattice rps x xs in one array pass.
-
-    Returns (value, pole_flag) arrays of shape (len(rps), len(xs)), each
-    element bit-identical to eval_u1/eval_u2 at that point.  The parameter
-    sets must share one regime (a figure surface varies delta only).  The
-    Bessel ratio is taken from specfun.bessel_scaled, so a modified-regime
-    ratio neither overflows nor underflows, and, I_n and K_n being
-    positive, is never flagged as a pole.
+    Maps every parameter set once, forms z = q x^r and the signed factor
+    sign q r x^(r-1) of y'/y (shape (len(rps), len(xs))), and takes
+    B_(n+k)(z) for each k of orders (by default B_(n-1) and B_n) of the
+    branch's Bessel kind from one specfun.bessel_scaled call.  Returns
+    (regime, signed factor, s, e) with B = s exp(e), stacked over orders.
+    The parameter sets must share one regime (a figure surface varies delta
+    only).
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all(xs > 0.0):
         raise ValueError(f"Riccati branch evaluation requires x > 0, got {xs.min()}")
     bms = [map_params(rp) for rp in rps]
-    for bm in bms:
-        _check_regime(bm)
+    if any(bm.regime == DEGENERATE for bm in bms):
+        raise DegenerateRegimeError(
+            "b = 0 has no Bessel-ratio branch; the flat-case solution "
+            "u = 1/(a(x - C)) lives in the cosmology module"
+        )
     if len({bm.regime for bm in bms}) != 1:
         raise ValueError("branch_table needs parameter sets of one regime")
     kind, sign = _kind(bms[0], branch)
-
-    def column(values):
-        return np.array(values, dtype=float)[:, None]
-
-    q, r, n = (column([getattr(bm, f) for bm in bms]) for f in ("q_mag", "r", "n"))
+    q, r, n = np.array([(bm.q_mag, bm.r, bm.n) for bm in bms]).T[:, :, None]
     x = xs[None, :]
     z = q * specfun.power(x, r)
-    num, den = specfun.bessel_scaled(kind, np.stack([n - 1.0, n]), z)[0]
-    pole = (bms[0].regime == OSCILLATORY) & (np.abs(den) < _POLE_RTOL * (np.abs(num) + 1.0))
-    prefactor = q * r * specfun.power(x, r - 1.0) / column([rp.a for rp in rps])
+    if not np.all(z > 0.0):
+        raise ValueError(_underflow_message(xs.min()))
+    s, e = specfun.bessel_scaled(kind, np.stack([n + k for k in orders]), z)
+    return bms[0].regime, sign * q * r * specfun.power(x, r - 1.0), s, e
+
+
+def branch_table(
+    rps: list[RiccatiParams], branch: int, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The chosen branch u = (1/a) sign q r x^(r-1) B_(n-1)(q x^r)/B_n(q x^r)
+    on the lattice rps x xs, as (value, pole_flag) arrays of shape
+    (len(rps), len(xs)).
+
+    The parameter sets must share one regime.  The Bessel ratio is the ratio
+    of the s values of specfun.bessel_scaled, so a modified-regime ratio
+    neither overflows nor underflows, and, I_n and K_n being positive, is
+    never flagged as a pole.
+    """
+    regime, factor, s, _ = _lattice(rps, branch, xs)
+    num, den = s
+    pole = (regime == OSCILLATORY) & (np.abs(den) < _POLE_RTOL * (np.abs(num) + 1.0))
+    a = np.array([rp.a for rp in rps], dtype=float)[:, None]
     value = np.full(pole.shape, math.nan)
-    np.divide(sign * prefactor * num, den, out=value, where=~pole)
+    np.divide(factor / a * num, den, out=value, where=~pole)
     return value, pole
+
+
+def _point(rp: RiccatiParams, branch: int, x: float) -> SolutionEval:
+    value, pole = branch_table([rp], branch, np.array([float(x)]))
+    return SolutionEval(float(value[0, 0]), bool(pole[0, 0]))
 
 
 def eval_u1(rp: RiccatiParams, x: float) -> SolutionEval:
     """Branch-1 solution u1 = (1/a) q r x^(r-1) B_(n-1)(q x^r)/B_n(q x^r),
-    B = J in the oscillatory regime and I in the modified one."""
-    return _eval_branch(rp, 1, x)
+    B = J in the oscillatory regime and I in the modified one; a
+    one-element branch_table."""
+    return _point(rp, 1, x)
 
 
 def eval_u2(rp: RiccatiParams, x: float) -> SolutionEval:
     """Branch-2 solution built from the second-kind functions: Y in the
     oscillatory regime, K (with the sign flipped by K' = -K_(n-1) - (n/z)K_n)
-    in the modified one."""
-    return _eval_branch(rp, 2, x)
-
-
-def _yprime_forms(rp: RiccatiParams, branch: int, x: float) -> tuple[float, float, float]:
-    """(y, y' by the lower-order form, y' by the upper-order form)."""
-    bm = map_params(rp)
-    _check_regime(bm)
-    z = bm.q_mag * x**bm.r
-    kind = _kind(bm, branch)[0]
-    b_n = specfun.bessel(kind, bm.n, z)
-    b_lo = specfun.bessel(kind, bm.n - 1.0, z)
-    b_hi = specfun.bessel(kind, bm.n + 1.0, z)
-    y = math.sqrt(x) * b_n
-    qrx = bm.q_mag * bm.r * x ** (bm.r - 1.0)
-    nr_over_x = bm.n * bm.r / x
-    p_over_x = 0.5 / x
-    if kind in ("J", "Y"):
-        # y'/y = (p - nr)/x + qr x^(r-1) B_(n-1)/B_n, the p - nr = 0 form
-        d_lo = y * qrx * (b_lo / b_n)
-        d_hi = y * (p_over_x + nr_over_x - qrx * (b_hi / b_n))
-    elif kind == "I":
-        d_lo = y * qrx * (b_lo / b_n)
-        d_hi = y * (p_over_x + nr_over_x + qrx * (b_hi / b_n))
-    else:  # K
-        d_lo = y * (-qrx) * (b_lo / b_n)
-        d_hi = y * (p_over_x + nr_over_x - qrx * (b_hi / b_n))
-    return y, d_lo, d_hi
+    in the modified one; a one-element branch_table."""
+    return _point(rp, 2, x)
 
 
 def eval_y_branch(rp: RiccatiParams, branch: int, x: float) -> tuple[float, float]:
-    """Linear-equation branch y = sqrt(x) B_n(q x^r) and its derivative.
-
-    y' uses the form in which p - nr cancels; the alternative recurrence form
-    is evaluated as a cross-check and a warning is emitted if they disagree.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"eval_y_branch requires x > 0, got {x}")
+    """Linear-equation branch y = sqrt(x) B_n(q x^r) and its derivative
+    y' = sign q r x^(r-1) sqrt(x) B_(n-1)(q x^r), the lower-order form in
+    which p - nr cancels; a one-element lattice.  Raises OverflowError
+    where y leaves the float range."""
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
-    y, d_lo, d_hi = _yprime_forms(rp, branch, x)
-    # scale by the magnitude of the terms entering the forms, not by y' itself,
-    # which legitimately passes through zero
-    scale = abs(d_lo) + abs(d_hi) + abs(y) / x + 1e-300
-    if abs(d_lo - d_hi) > 1e-6 * scale:
-        warnings.warn(
-            f"eval_y_branch: derivative recurrence forms disagree at x={x} "
-            f"({d_lo} vs {d_hi})",
-            stacklevel=2,
-        )
-    return y, d_lo
+    x = float(x)
+    _, factor, s, e = _lattice([rp], branch, np.array([x]))
+    growth = math.exp(float(e[0, 0, 0]))
+    b_lo, b_n = (float(v) * growth for v in s[:, 0, 0])
+    root = math.sqrt(x)
+    return root * b_n, float(factor[0, 0]) * root * b_lo
 
 
 def y_branch_table(
@@ -234,11 +206,8 @@ def y_branch_table(
     """y = sqrt(x) B_n(q x^r) of the chosen linear branch at every x in one
     array pass, split as y = s * exp(e) by specfun.bessel_scaled; returns
     (s, e).  Where e = 0, s is the y that eval_y_branch returns, bit for bit."""
-    bm = map_params(rp)
-    _check_regime(bm)
-    kind = _kind(bm, branch)[0]
-    s, e = specfun.bessel_scaled(kind, bm.n, bm.q_mag * specfun.power(xs, bm.r))
-    return np.sqrt(xs) * s, e
+    _, _, s, e = _lattice([rp], branch, xs, orders=(0.0,))
+    return np.sqrt(xs) * s[0, 0], e[0, 0]
 
 
 def residual(rp: RiccatiParams, x: float, u: float, u_prime: float) -> float:
@@ -288,6 +257,8 @@ def find_poles(
     # eighth-of-pi scan in z cannot skip a pair
     z_lo = bm.q_mag * x_lo**bm.r
     z_hi = bm.q_mag * x_hi**bm.r
+    if not z_lo > 0.0:
+        raise ValueError(_underflow_message(x_lo))
     cells = (z_hi - z_lo) / (math.pi / 8.0)
     if not cells <= _MAX_SCAN_CELLS:
         raise ScanBudgetError(

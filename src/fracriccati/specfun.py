@@ -23,7 +23,6 @@ Known caveat: Y and K lose digits as non-integer nu approaches an integer
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from itertools import repeat
@@ -248,10 +247,10 @@ def _hankel_pq(nu: float, x: float) -> tuple[float, float]:
     return p_sum, q_sum
 
 
-def _i_asymptotic(nu, x, scaled: bool = False):
-    """I_nu(x) for x > _I_SERIES_MAX: the exponentially growing series plus the
-    reflected exponentially small correction (exact for half-integer
-    orders); e^-x I_nu(x) if scaled, which has no upper limit on x."""
+def _i_asymptotic(nu, x):
+    """e^-x I_nu(x) for x > _I_SERIES_MAX from the large-argument expansion:
+    the series of the growing exponential plus the reflected, exponentially
+    small correction (exact for half-integer orders); no upper limit on x."""
     if isinstance(x, np.ndarray):
         s_alt = np.ones_like(x)
         s_pos = np.ones_like(x)
@@ -259,16 +258,13 @@ def _i_asymptotic(nu, x, scaled: bool = False):
             np.add(s_alt, -term if k % 2 else term, out=s_alt, where=live)
             np.add(s_pos, term, out=s_pos, where=live)
         amp, sin = 1.0 / np.sqrt(2.0 * math.pi * x), _per_value(_sinpi, nu)
-        exp = functools.partial(_each, math.exp)
-    else:
-        s_alt = s_pos = 1.0
-        for k, term in enumerate(_asymptotic_terms(nu, x), 1):
-            s_alt += -term if k % 2 else term
-            s_pos += term
-        amp, sin, exp = 1.0 / math.sqrt(2.0 * math.pi * x), _sinpi(nu), math.exp
-    if scaled:
-        return amp * (s_alt - sin * exp(-2.0 * x) * s_pos)
-    return amp * (exp(x) * s_alt - sin * exp(-x) * s_pos)
+        return amp * (s_alt - sin * _each(math.exp, -2.0 * x) * s_pos)
+    s_alt = s_pos = 1.0
+    for k, term in enumerate(_asymptotic_terms(nu, x), 1):
+        s_alt += -term if k % 2 else term
+        s_pos += term
+    amp = 1.0 / math.sqrt(2.0 * math.pi * x)
+    return amp * (s_alt - _sinpi(nu) * math.exp(-2.0 * x) * s_pos)
 
 
 def _k_scaled(nu, x):
@@ -426,7 +422,7 @@ def bessel_i(nu: float, x: float) -> float:
         return _series(nu, x, 1.0)
     if x > 700.0:
         raise OverflowError(f"bessel_i overflows for x = {x}")
-    return _i_asymptotic(nu, x)
+    return math.exp(x) * _i_asymptotic(nu, x)
 
 
 def bessel_k(nu: float, x: float) -> float:
@@ -594,7 +590,8 @@ def _i_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     if asym.any():
         if (x > 700.0).any():
             raise OverflowError(f"bessel_i overflows for x = {x[x > 700.0][0]}")
-        out[asym] = _i_asymptotic(nu[asym], x[asym])
+        t = x[asym]
+        out[asym] = _each(math.exp, t) * _i_asymptotic(nu[asym], t)
     return out
 
 
@@ -686,7 +683,7 @@ def bessel_scaled(kind: str, nu, x):
     big = False  # J, Y and unknown kinds, which bessel rejects
     letter = kind.upper() if isinstance(kind, str) else kind
     if letter == "I":
-        big, sign, kernel = t > _I_SERIES_MAX, 1.0, functools.partial(_i_asymptotic, scaled=True)
+        big, sign, kernel = t > _I_SERIES_MAX, 1.0, _i_asymptotic
     elif letter == "K":
         big, sign, kernel = t >= _K_ASYMPTOTIC_MIN, -1.0, _k_scaled
     if not arrays:

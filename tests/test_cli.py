@@ -1,5 +1,7 @@
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +257,20 @@ class TestCosmoCommand:
             want = -q * r * eta ** (r - 1.0) * sp.kve(n - 1.0, z) / sp.kve(n, z)
             assert float(h_s) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("argv, eta", [
+        # ((sin 0.00055)/(sin 0.0001))^1000 by the plain power
+        (["--k", "1", "--c", "0.001", "--delta", "1", "--grid", "0.1:1:3", "--eta-ref", "0.1"],
+         "0.55"),
+        # (y(1000.5)/y(1))^2 by the exponential of the log ratio
+        (["--k", "-1", "--c", "0.5", "--delta", "0.5", "--grid", "1:2000:3", "--branch", "1"],
+         "1000.5"),
+    ])
+    def test_scale_overflow_names_eta(self, capsys, argv, eta):
+        rc, out, err = run(capsys, ["cosmo", "scale", *argv])
+        assert rc == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: numeric overflow")
+        assert f"eta = {eta} " in err
+
     def test_scale_pole_exits_4(self, capsys):
         rc, _, _ = run(capsys, ["cosmo", "scale", "--k", "1", "--c", "1",
                                 "--delta", "1", "--grid", "0.5:3.5:5"])
@@ -340,6 +356,23 @@ class TestPoleScanBudget:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"error: {flag} too wide")
         assert "scan cells" in err
+
+
+class TestBesselArgumentUnderflow:
+    # q x^r rounds to 0 for x = 1e-300 at every delta < 1
+    @pytest.mark.parametrize("argv", [
+        ["riccati", "eval", "--a", "1", "--b", "1", "--delta", "0.3", "--branch", "1"],
+        ["riccati", "eval", "--a", "1", "--b", "-1", "--delta", "0.3", "--branch", "1"],
+        ["riccati", "poles", "--a", "1", "--b", "-1", "--delta", "0.3"],
+        ["cosmo", "hubble", "--k", "1", "--c", "1", "--delta", "0.5"],
+        ["cosmo", "figure", "--k", "1", "--c", "1"],
+        ["cosmo", "figure", "--k", "-1", "--c", "1"],
+    ])
+    def test_names_grid(self, capsys, argv):
+        rc, out, err = run(capsys, argv + ["--grid", "1e-300:1e-290:2"])
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --grid: x = 1e-300 ")
+        assert "underflows" in err
 
 
 class TestOutputContract:
@@ -429,3 +462,14 @@ class TestParser:
         assert vars(cli._parser().parse_args(argv)) == before
         rc, out, _ = run(capsys, argv)
         assert rc == 0 and out.startswith("# x,u,pole\n")
+
+
+def test_readme_cli_commands_exit_0(monkeypatch, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(ln, comments=True) for ln in block.splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["fracriccati"]]
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)  # the figure command writes open.csv
+    for argv in commands:
+        assert cli.main(argv) == 0, argv

@@ -9,7 +9,7 @@ from fracriccati import riccati as rc
 from fracriccati import odeverify as ov
 from fracriccati.errors import DegenerateRegimeError
 from fracriccati.fracops import frac_const
-from fracriccati.specfun import gamma
+from fracriccati.specfun import bessel, gamma
 
 
 class TestParams:
@@ -196,11 +196,21 @@ class TestYBranch:
         assert yp == pytest.approx(amp * math.sin(x), rel=1e-12)
 
     def test_derivative_forms_agree_generic_delta(self):
+        # eval_y_branch returns y' in the lower-order form; the upper-order
+        # form y' = y ((p + nr)/x + sign q r x^(r-1) B_(n+1)/B_n), p = 1/2,
+        # with sign +1 for I and -1 for J, Y and K, is built here from the
+        # Bessel functions themselves
         for a, b, d in ((1.0, -1.0, 0.6), (2.0, 1.0, 0.35), (1.0, 1.0, 0.6)):
             rp = rc.RiccatiParams(a, b, d)
-            for branch in (1, 2):
+            bm = rc.map_params(rp)
+            for branch, kind in zip((1, 2), "JY" if a * b < 0.0 else "IK"):
+                sign = 1.0 if kind == "I" else -1.0
                 for x in (0.4, 1.1, 2.7):
-                    y, d_lo, d_hi = rc._yprime_forms(rp, branch, x)
+                    y, d_lo = rc.eval_y_branch(rp, branch, x)
+                    z = bm.q_mag * x**bm.r
+                    ratio = bessel(kind, bm.n + 1.0, z) / bessel(kind, bm.n, z)
+                    qrx = bm.q_mag * bm.r * x ** (bm.r - 1.0)
+                    d_hi = y * ((0.5 + bm.n * bm.r) / x + sign * qrx * ratio)
                     scale = abs(d_lo) + abs(d_hi) + abs(y) / x
                     assert abs(d_lo - d_hi) <= 1e-9 * scale
 
