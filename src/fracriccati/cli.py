@@ -7,8 +7,8 @@ endings.  Lattice points nearest a solution pole (within half a grid step)
 are emitted as pole rows: 'nan' in the value column and pole=1.
 Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
 --x1 or --eta-ref, a pole-search span over the scan budget, or a point
-whose Bessel argument underflows to 0 among them) or an unwritable --out,
-3 numeric non-convergence, overflow or a non-finite verification value,
+whose Bessel argument underflows to 0 or overflows among them) or an
+unwritable --out, 3 numeric non-convergence, overflow or a non-finite verification value,
 4 pole inside a verification/scale interval, 5 cosmology with c = 0.
 
 Each table is evaluated as arrays: its parameters are mapped once and the

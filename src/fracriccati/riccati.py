@@ -113,6 +113,10 @@ def _underflow_message(x: float) -> str:
     return f"x = {x} is too close to 0: the Bessel argument q x^r underflows to 0"
 
 
+def _overflow_message(x: float) -> str:
+    return f"x = {x} is too large: the Bessel argument q x^r overflows"
+
+
 def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
     """The one evaluation of the closed forms, on the lattice rps x xs.
 
@@ -138,9 +142,15 @@ def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
     kind, sign = _kind(bms[0], branch)
     q, r, n = np.array([(bm.q_mag, bm.r, bm.n) for bm in bms]).T[:, :, None]
     x = xs[None, :]
-    z = q * specfun.power(x, r)
+    with np.errstate(over="ignore"):
+        try:
+            z = q * specfun.power(x, r)
+        except OverflowError:  # x^r itself leaves the float range
+            z = np.array(math.inf)
     if not np.all(z > 0.0):
         raise ValueError(_underflow_message(xs.min()))
+    if not np.all(z < math.inf):
+        raise ValueError(_overflow_message(xs.max()))
     s, e = specfun.bessel_scaled(kind, np.stack([n + k for k in orders]), z)
     return bms[0].regime, sign * q * r * specfun.power(x, r - 1.0), s, e
 
@@ -189,7 +199,9 @@ def eval_y_branch(rp: RiccatiParams, branch: int, x: float) -> tuple[float, floa
     """Linear-equation branch y = sqrt(x) B_n(q x^r) and its derivative
     y' = sign q r x^(r-1) sqrt(x) B_(n-1)(q x^r), the lower-order form in
     which p - nr cancels; a one-element lattice.  Raises OverflowError
-    where y leaves the float range."""
+    where y leaves the float range.  On the K branch past z of about 708,
+    y and y' are subnormal and lose relative precision; the split
+    y = s exp(e) of y_branch_table keeps full precision there."""
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
     x = float(x)
@@ -255,8 +267,11 @@ def find_poles(
 
     # zeros of B_n(z) are simple and at least ~pi apart asymptotically; an
     # eighth-of-pi scan in z cannot skip a pair
-    z_lo = bm.q_mag * x_lo**bm.r
-    z_hi = bm.q_mag * x_hi**bm.r
+    try:
+        z_lo = bm.q_mag * x_lo**bm.r
+        z_hi = bm.q_mag * x_hi**bm.r
+    except OverflowError:
+        raise ValueError(_overflow_message(x_hi)) from None
     if not z_lo > 0.0:
         raise ValueError(_underflow_message(x_lo))
     cells = (z_hi - z_lo) / (math.pi / 8.0)

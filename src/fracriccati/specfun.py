@@ -6,25 +6,27 @@ Everything here is pure.  The kernels are scalar float-in/float-out;
 path, which repeats the scalar kernels' floating-point operations element by
 element and so returns the same bits.  Bessel evaluation is
 split by argument size: ascending power series for small x, Hankel-type
-asymptotic expansions (truncated at the smallest term) for large x.  Y and K
-of non-integer order go through the reflection formulas; exact integer orders
-use the limiting log-series instead (no epsilon-offset tricks).  K at
-moderate argument (2 <= x < 20) is evaluated by trapezoidal quadrature of its
-cosh-kernel integral representation, which stays accurate in the window where
-both the reflection formula and the divergent asymptotic series fall short;
-from x = 20 on the asymptotic series is good to ~e^(-2x).
+asymptotic expansions (truncated at the smallest term) for large x.  Y of
+non-integer order goes through the reflection formula; exact integer orders
+use the limiting log-series instead (no epsilon-offset tricks).  K below
+x = 20 has two kernels: trapezoidal quadrature of its cosh-kernel integral
+representation, which converges for every order and has no sin(pi*nu)
+divisor, and, for x < 2 and orders at least 1/4 from an integer, the faster
+reflection formula through I; from x = 20 on the asymptotic series is good
+to ~e^(-2x).
 ``bessel_scaled`` returns I and K past their series/quadrature ranges with the
 exponential factor split off, so ratios over the order need no exp(+-x).
 
 Accuracy target: >= 10 significant digits for 0 < x <= 100, |nu| <= 10.
-Known caveat: Y and K lose digits as non-integer nu approaches an integer
-(the reflection formulas divide by sin(pi*nu)); exact integers are fine.
+Known caveat: Y loses digits as non-integer nu approaches an integer (the
+reflection formula divides by sin(pi*nu)); exact integers are fine.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from itertools import repeat
 
 import numpy as np
@@ -164,10 +166,17 @@ _SERIES_MAX_TERMS = 500
 _I_SERIES_MAX = 30.0
 # K takes its asymptotic expansion from here on, quadrature from 2 up to it
 _K_ASYMPTOTIC_MIN = 20.0
+# below x = 2, K of an order at least this far from an integer takes the
+# reflection formula (1/|sin(pi nu)| <= sqrt 2), the other orders the quadrature
+_K_REFLECT_MIN_GAP = 0.25
+# the largest argument whose cosh is a finite float
+_COSH_MAX = math.log(sys.float_info.max) + math.log(2.0)
 # J/Y switch from the ascending series to the Hankel expansion here.  The
 # 1.6|nu| scaling balances series cancellation against the asymptotic
 # smallest-term floor for orders up to ~10.
-def _jy_cutover(nu: float) -> float:
+def _jy_cutover(nu):
+    if isinstance(nu, np.ndarray):
+        return np.maximum(12.0, 1.6 * np.abs(nu))
     return max(12.0, 1.6 * abs(nu))
 
 
@@ -329,47 +338,23 @@ def _bessel_y_series_int(n: int, x: float) -> float:
     return (2.0 * jn * lg - finite - (half**n) * total) / math.pi
 
 
-def _bessel_k_series_int(n: int, x: float) -> float:
-    """K_n for integer n >= 0 and small x, by the limiting log-series."""
-    half = 0.5 * x
-    q = half * half
-    lg = math.log(half)
-    finite = 0.0
-    if n > 0:
-        t = float(math.factorial(n - 1))
-        finite = t
-        for k in range(1, n):
-            t *= -q / (k * (n - k))
-            finite += t
-        finite *= 0.5 * half ** (-n)
-    d = recip_gamma(n + 1.0)
-    psi_a = _digamma_int(1)
-    psi_b = _digamma_int(n + 1)
-    term = d * (psi_a + psi_b)
-    total = term
-    for k in range(1, _SERIES_MAX_TERMS):
-        d *= q / (k * (n + k))
-        psi_a += 1.0 / k
-        psi_b += 1.0 / (n + k)
-        term = d * (psi_a + psi_b)
-        total += term
-        if k > 2 and abs(term) <= 1e-17 * abs(total):
-            break
-    sgn = -1.0 if n % 2 else 1.0
-    i_n = _series(float(n), x, 1.0)
-    return finite - sgn * lg * i_n + sgn * 0.5 * (half**n) * total
-
-
 def _bessel_k_quad(nu: float, x: float) -> float:
-    """K_nu by trapezoidal quadrature of int_0^inf exp(-x cosh t) cosh(nu t) dt.
+    """K_nu by trapezoidal quadrature of int_0^inf exp(-x cosh t) cosh(nu t) dt
+    (DLMF 10.32.9), for nu >= 0.
 
-    Exponentially convergent in the node spacing; used for 2 <= x < 20 with
-    |nu| < 2 (larger orders are reduced by the upward recurrence first).
-    ndarray nu and x run every element's own nodes side by side.
+    The rule converges exponentially in the node spacing for every order and
+    every x > 0 (Trefethen & Weideman, SIAM Rev. 56, 2014), and nothing in it
+    divides by sin(pi nu); bessel_k uses it for every order at 2 <= x < 20
+    and for orders within 1/4 of an integer below x = 2.  The node spacing
+    shrinks as 1/sqrt(x) past x = 8 and as 1/sqrt(nu) past nu = 10, with
+    the width of the integrand's peak.  Tail nodes where cosh(nu t) would
+    overflow (tiny x and orders >= 1, where K itself is finite) take
+    exp(nu t - x cosh t) / 2 instead.  ndarray nu and x run every element's
+    own nodes side by side.
     """
     if isinstance(x, np.ndarray):
         return _k_quad_array(nu, x)
-    h = 0.18 if x <= 8.0 else 0.18 / math.sqrt(x / 8.0)
+    h = 0.18 / math.sqrt(max(1.0, x / 8.0, nu / 10.0))
     # truncation point: integrand down by e^-46 relative to the t=0 value
     t_max = 1.0
     while x * (math.cosh(t_max) - 1.0) - abs(nu) * t_max < 46.0:
@@ -378,7 +363,11 @@ def _bessel_k_quad(nu: float, x: float) -> float:
     acc = 0.5 * math.exp(-x)
     for j in range(1, n + 1):
         t = j * h
-        acc += math.exp(-x * math.cosh(t)) * math.cosh(nu * t)
+        nu_t = nu * t
+        if nu_t <= _COSH_MAX:
+            acc += math.exp(-x * math.cosh(t)) * math.cosh(nu_t)
+        else:
+            acc += 0.5 * math.exp(nu_t - x * math.cosh(t))
     return h * acc
 
 
@@ -426,24 +415,16 @@ def bessel_i(nu: float, x: float) -> float:
 
 
 def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind, real order."""
+    """Modified Bessel function of the second kind, real order: the
+    asymptotic series from x = 20 on, the quadrature below, except that
+    orders at least 1/4 from an integer take the faster reflection formula
+    through I below x = 2."""
     x = _check_x(x)
     nu = abs(float(nu))  # K is even in its order
     if x >= _K_ASYMPTOTIC_MIN:
         return math.exp(-x) * _k_scaled(nu, x)
-    if x >= 2.0:
-        if nu < 2.0:
-            return _bessel_k_quad(nu, x)
-        # reduce to base orders in [0, 2) and recurse upward (stable for K)
-        m = int(math.floor(nu)) - 1 if nu == math.floor(nu) else int(math.floor(nu))
-        mu0 = nu - m
-        k0 = _bessel_k_quad(mu0, x)
-        k1 = _bessel_k_quad(mu0 + 1.0, x)
-        for j in range(m - 1):
-            k0, k1 = k1, k0 + (2.0 * (mu0 + 1.0 + j) / x) * k1
-        return k1
-    if nu == math.floor(nu):
-        return _bessel_k_series_int(int(nu), x)
+    if x >= 2.0 or abs(nu - round(nu)) < _K_REFLECT_MIN_GAP:
+        return _bessel_k_quad(nu, x)
     s = _sinpi(nu)
     return 0.5 * math.pi * (_series(-nu, x, 1.0) - _series(nu, x, 1.0)) / s
 
@@ -459,9 +440,8 @@ def bessel_k(nu: float, x: float) -> float:
 # ``math`` and pow through Python's float power (``operator.pow``), because
 # numpy's versions differ from libm's in the last place for a few percent of
 # arguments; numpy's arithmetic, sqrt, sin and cos are used as they are.
-# Sub-paths that would not pay to vectorise (integer orders below the
-# cutovers, K of order >= 2, arrays under _ARRAY_MIN_SIZE elements) loop the
-# scalar kernels.
+# Sub-paths that would not pay to vectorise (Y of integer order below the
+# cutover, arrays under _ARRAY_MIN_SIZE elements) loop the scalar kernels.
 
 
 def _each(func, *args):
@@ -532,7 +512,7 @@ def _asymptotic_terms_array(nu, x: np.ndarray):
 def _k_quad_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     """_bessel_k_quad per element: node j of every element whose own node
     count reaches j is added in one step."""
-    h = np.where(x <= 8.0, 0.18, 0.18 / np.sqrt(x / 8.0))
+    h = 0.18 / np.sqrt(np.maximum(np.maximum(1.0, x / 8.0), nu / 10.0))
     t_max = np.ones_like(x)
     t = 1.0
     grow = x * (math.cosh(t) - 1.0) - np.abs(nu) * t < 46.0
@@ -545,8 +525,13 @@ def _k_quad_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     for j in range(1, int(n.max()) + 1):
         a = np.flatnonzero(n >= j)
         t_j = j * h[a]
-        kernel = _each(math.exp, -x[a] * _each(math.cosh, t_j))
-        acc[a] += kernel * _each(math.cosh, nu[a] * t_j)
+        nu_t = nu[a] * t_j
+        tail = nu_t > _COSH_MAX
+        x_cosh = x[a] * _each(math.cosh, t_j)
+        node = _each(math.exp, -x_cosh) * _each(math.cosh, np.where(tail, 0.0, nu_t))
+        if tail.any():
+            node[tail] = 0.5 * _each(math.exp, nu_t[tail] - x_cosh[tail])
+        acc[a] += node
     return h * acc
 
 
@@ -559,7 +544,7 @@ def _negative_integers(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _jy_array(kind: str, nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     nu, odd = _negative_integers(nu)
     out = np.empty_like(x)
-    asym = x >= np.maximum(12.0, 1.6 * np.abs(nu))
+    asym = x >= _jy_cutover(nu)
     if asym.any():
         out[asym] = _jy_asymptotic(nu[asym], x[asym])[0 if kind == "J" else 1]
     series = ~asym
@@ -599,9 +584,8 @@ def _k_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     nu = np.abs(nu)
     out = np.empty_like(x)
     asym = x >= _K_ASYMPTOTIC_MIN
-    quad = ~asym & (x >= 2.0) & (nu < 2.0)
-    reflect = (x < 2.0) & (nu != np.floor(nu))
-    rest = ~(asym | quad | reflect)
+    reflect = (x < 2.0) & (np.abs(nu - np.round(nu)) >= _K_REFLECT_MIN_GAP)
+    quad = ~(asym | reflect)
     if asym.any():
         t = x[asym]
         out[asym] = _each(math.exp, -t) * _k_scaled(nu[asym], t)
@@ -612,8 +596,6 @@ def _k_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         out[reflect] = (
             0.5 * math.pi * (_series_array(-v, t, 1.0) - _series_array(v, t, 1.0))
         ) / _per_value(_sinpi, v)
-    if rest.any():
-        out[rest] = _each(bessel_k, nu[rest], x[rest])
     return out
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracriccati import cli, riccati
 from fracriccati import fracops as fo
@@ -20,9 +20,15 @@ from fracriccati import specfun as sf
 from fracriccati.grids import GridSpec
 
 DELTAS = st.floats(0.05, 1.0)
+INTEGERS = st.integers(-10, 10).map(float)
+SIGNS = st.sampled_from([-1.0, 1.0])
 ORDERS = st.one_of(
-    st.integers(-10, 10).map(float),
+    INTEGERS,
     st.floats(-10.0, 10.0),
+    # near an integer, and on both sides of K's quadrature/reflection edge
+    st.builds(lambda k, s, j: k + s * 10.0**-j, INTEGERS, SIGNS, st.integers(1, 15)),
+    st.builds(lambda k, s, side: math.nextafter(k + 0.25 * s, k + 0.25 * s + side),
+              INTEGERS, SIGNS, st.sampled_from([-1.0, 0.0, 1.0])),
     DELTAS.map(lambda d: 1.0 / (3.0 - d)),  # Riccati order n
     DELTAS.map(lambda d: 1.0 / (3.0 - d) - 1.0),  # and n - 1
 )
@@ -43,6 +49,8 @@ def scalar_values(kind, nu, xs):
     nu=ORDERS,
     unit=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=40),
 )
+@example(kind="K", nu=-2.25, unit=[0.005, 0.015])  # K's 1/4 edge: reflection
+@example(kind="K", nu=math.nextafter(2.25, 0.0), unit=[0.005, 0.015])  # and quadrature
 @settings(max_examples=150, deadline=None)
 def test_bessel_array_matches_scalar_bits(array_min_size, kind, nu, unit):
     # array_min_size 1 runs the vectorised kernels on every size

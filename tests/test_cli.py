@@ -375,6 +375,40 @@ class TestBesselArgumentUnderflow:
         assert "underflows" in err
 
 
+class TestBesselArgumentOverflow:
+    # x^r leaves the float range for x = 1e300 at delta = 0.5 (r = 1.25)
+    GRID = ["--delta", "0.5", "--grid", "1:1e300:3"]
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["riccati", "eval", "--a", "1", "--b", "1"] + GRID, "--grid"),
+        (["riccati", "eval", "--a", "1", "--b", "-1"] + GRID, "--grid"),
+        (["riccati", "poles", "--a", "1", "--b", "-1"] + GRID, "--grid"),
+        (["riccati", "verify", "--a", "1", "--b", "1", "--delta", "0.5",
+          "--x0", "1", "--x1", "1e300"], "--x0/--x1"),
+        (["cosmo", "hubble", "--k", "-1", "--c", "1"] + GRID, "--grid"),
+        (["cosmo", "scale", "--k", "-1", "--c", "1"] + GRID, "--grid/--eta-ref"),
+        (["cosmo", "figure", "--k", "-1", "--c", "1", "--grid", "1:1e300:3",
+          "--delta-grid", "0.5:1:2"], "--grid"),
+    ])
+    def test_names_lattice_flags(self, capsys, argv, flags):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err == f"error: {flags}: x = 1e+300 is too large: the Bessel argument q x^r overflows\n"
+
+    @pytest.mark.parametrize("argv, x", [
+        # x^r = 1e300 is finite here, q x^r is not
+        (["riccati", "eval", "--a", "1e100", "--b", "1e100", "--grid", "1:1e240:3"], "1e+240"),
+        # both ends of the pole scan overflow
+        (["riccati", "poles", "--a", "1", "--b", "-1", "--grid", "1e250:1e260:3"], "1e+260"),
+    ])
+    def test_names_largest_x(self, capsys, argv, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, argv + ["--delta", "0.5"])
+        assert rc == 2 and out == ""
+        assert err == f"error: --grid: x = {x} is too large: the Bessel argument q x^r overflows\n"
+
+
 class TestOutputContract:
     def test_determinism_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -163,7 +163,8 @@ class TestBesselValues:
                     sf.bessel_scaled(kind, 0.4, x)
 
     def test_integer_order_limiting_formula(self):
-        # integer nu must use the log-series, not a reflection blowup
+        # integer nu must use the log-series (Y) or the quadrature (K), not a
+        # reflection blowup
         for n in (0, 1, 2, 5, 10):
             for x in (0.1, 0.9, 1.9, 5.0, 11.0):
                 assert sf.bessel_y(float(n), x) == pytest.approx(sp.yn(n, x), rel=1e-10)
@@ -176,6 +177,35 @@ class TestBesselValues:
             base = sf.bessel_y(2.0 + 1e-7, x)
             step = sf.bessel_y(2.0 + 2e-7, x)
             assert base == pytest.approx(step, rel=1e-5)
+
+    @given(
+        k=st.integers(-10, 10),
+        offset=st.one_of(
+            st.builds(lambda s, j: s * 10.0**-j, st.sampled_from([-1.0, 1.0]), st.integers(1, 15)),
+            st.sampled_from([-0.25, 0.25]),
+        ),
+        log_x=st.floats(-3.0, 2.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_k_near_integer_orders(self, k, offset, log_x):
+        # no sin(pi nu) divisor near integers: the quadrature serves orders
+        # within 1/4 of one below x = 2, the reflection formula the rest
+        nu, x = k + offset, 10.0**log_x
+        assert sf.bessel_k(nu, x) == pytest.approx(sp.kv(nu, x), rel=1e-10)
+
+    def test_k_tiny_argument(self):
+        # small-x limits, exact in double precision here: K_3(x) = 8/x^3 and
+        # K_0(x) = -log(x/2) - Euler's gamma; the tail nodes of K_3 lie past
+        # cosh's overflow.  The array path runs its kernels from
+        # sf._ARRAY_MIN_SIZE elements on.
+        for nu, x, want in [
+            (3.0, 1e-100, 8e300),
+            (-3.0, 1e-100, 8e300),
+            (0.0, 1e-300, -math.log(0.5e-300) - 0.5772156649015329),
+        ]:
+            assert sf.bessel_k(nu, x) == pytest.approx(want, rel=1e-13)
+            n = sf._ARRAY_MIN_SIZE
+            assert sf.bessel("K", np.full(n, nu), x).tolist() == [sf.bessel_k(nu, x)] * n
 
 
 class TestBesselDerivative:
