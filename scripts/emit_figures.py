@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Emit the (eta, delta, H) surface grids behind the closed- and open-universe
-Hubble figures into out/ as CSV tables, via the CLI row builders.
+Hubble figures into out/ as CSV tables, via `fracriccati cosmo figure`.
 
 The tracked out/*.csv are golden files: tests/test_golden.py regenerates both
 surfaces from FIGURES and compares their bytes.

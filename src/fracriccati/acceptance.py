@@ -197,7 +197,7 @@ def criterion_classical_limits():
 def criterion_figure_grids():
     """Figure surfaces are complete; the open one is finite and positive; the
     closed one's pole rows coincide with located poles at grid resolution."""
-    from .cli import figure_rows
+    from .cli import figure_rows, pole_search_bounds, pole_window
 
     eta_grid = GridSpec(0.1, 3.0, 60)
     delta_grid = GridSpec(0.1, 1.0, 10)
@@ -212,9 +212,7 @@ def criterion_figure_grids():
     rows_closed = figure_rows(1, 1.0, eta_grid, delta_grid, branch=1)
     if len(rows_closed) != 600:
         return False, f"closed surface has {len(rows_closed)} rows, expected 600"
-    from .cli import pole_search_bounds
-
-    step = eta_grid.step
+    half = pole_window(eta_grid)
     z_lo, z_hi = pole_search_bounds(eta_grid)
     n_flagged = 0
     for d in delta_grid.points():
@@ -224,12 +222,10 @@ def criterion_figure_grids():
         flagged = [r[0] for r in rows_closed if r[1] == d and r[3]]
         n_flagged += len(flagged)
         for eta in flagged:
-            if not zeros or min(abs(eta - z) for z in zeros) > 0.5 * step * (1.0 + 1e-9):
+            if not zeros or min(abs(eta - z) for z in zeros) > half:
                 return False, f"pole row at eta={eta}, delta={d} has no nearby zero"
         for z in zeros:
-            if not flagged or min(abs(z - eta) for eta in flagged) > 0.5 * step * (
-                1.0 + 1e-9
-            ):
+            if not flagged or min(abs(z - eta) for eta in flagged) > half:
                 return False, f"zero at eta={z}, delta={d} has no pole row"
     if n_flagged == 0:
         return False, "closed surface flagged no pole rows at all"

@@ -6,13 +6,14 @@ separators, 17-significant-digit decimals (bit-faithful round trip), newline
 endings.  Lattice points nearest a solution pole (within half a grid step)
 are emitted as pole rows: 'nan' in the value column and pole=1.
 Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
---x1 or --eta-ref, a pole-search span over the scan budget, or a point
-whose Bessel argument underflows to 0 or overflows among them) or an
-unwritable --out, 3 numeric non-convergence, overflow or a non-finite verification value,
-4 pole inside a verification/scale interval, 5 cosmology with c = 0.
+coefficient product a*b, --x1 or --eta-ref, a pole-search span over the
+scan budget, or a point whose Bessel argument underflows to 0 or overflows
+among them) or an unwritable --out, 3 numeric non-convergence, overflow or
+a non-finite verification value, 4 pole inside a verification/scale
+interval, 5 cosmology with c = 0.
 
-Each table is evaluated as arrays: its parameters are mapped once and the
-whole lattice goes through one array call of the Bessel kernels.
+`riccati eval`, `cosmo hubble` and `cosmo figure` share one row builder,
+_table_rows, which evaluates parameter sets x grid points in one array call.
 """
 
 from __future__ import annotations
@@ -88,13 +89,19 @@ def _err(msg: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# row builders (shared with the acceptance suite)
+# table rows: one builder (the acceptance suite shares the pole window)
 # ---------------------------------------------------------------------------
+
+
+def pole_window(grid: GridSpec) -> float:
+    """Half a grid step, widened by 1e-9 relative: a denominator zero flags
+    every lattice point within this distance (both neighbours when midway)."""
+    return 0.5 * grid.step * (1.0 + 1e-9)
 
 
 def pole_search_bounds(grid: GridSpec) -> tuple[float, float]:
     """Zero-search window matching the half-step flag rule on the grid."""
-    half = 0.5 * grid.step * (1.0 + 1e-9)
+    half = pole_window(grid)
     return max(grid.start - half, 1e-12), grid.stop + half
 
 
@@ -108,7 +115,7 @@ def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec) -> lis
     zero included.
     """
     pts = grid.points()
-    half = 0.5 * grid.step * (1.0 + 1e-9)
+    half = pole_window(grid)
 
     def near(x: float) -> list[int]:
         i = round((x - grid.start) / grid.step)
@@ -122,37 +129,24 @@ def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec) -> lis
     return [i for x in riccati.find_poles(rp, lo, hi, branch, settled) for i in near(x)]
 
 
-def _branch_columns(rps: list[riccati.RiccatiParams], branch: int, grid: GridSpec):
-    """x, value and pole lists of the branch on rps x grid, value nan on
-    pole rows (a small denominator or a zero within half a step)."""
+def _table_rows(params: list, branch: int, grid: GridSpec) -> list[list[tuple]]:
+    """(x, value, pole) rows of each parameter set on the grid, from one
+    riccati.branch_table call: the Riccati branch of RiccatiParams, or the
+    Hubble branch of CosmoParams of one k and c (a = c, b = -k c; the flat
+    k = 0 is H = 1/(c eta) without poles).  Pole rows (a small denominator,
+    or a zero within pole_window) have value nan."""
     xs = grid.points()
-    value, pole = riccati.branch_table(rps, branch, xs)
-    for row, rp in enumerate(rps):
+    if isinstance(params[0], cosmo.CosmoParams):
+        if params[0].k == 0:
+            h = cosmo.hubble_flat(params[0], xs).H.tolist()
+            return [list(zip(xs.tolist(), h, [0] * grid.count))] * len(params)
+        params = [cp.riccati_params() for cp in params]
+    value, pole = riccati.branch_table(params, branch, xs)
+    for row, rp in enumerate(params):
         pole[row, _pole_indices(rp, branch, grid)] = True
     value[pole] = math.nan
-    return xs.tolist(), value.tolist(), pole.astype(int).tolist()
-
-
-def riccati_rows(rp: riccati.RiccatiParams, branch: int, grid: GridSpec):
-    """(x, u, pole) rows of the chosen closed-form branch on the grid."""
-    xs, value, pole = _branch_columns([rp], branch, grid)
-    return list(zip(xs, value[0], pole[0]))
-
-
-def _hubble_columns(cps: list[cosmo.CosmoParams], branch: int, grid: GridSpec):
-    """eta, H and pole lists of the Hubble branch of each of cps (one k and
-    c) on the grid; the flat case has no poles by construction.
-    For k = +-1, H is the Riccati branch with a = c, b = -k c."""
-    if cps[0].k == 0:
-        flat = cosmo.hubble_flat(cps[0], grid.points())
-        return flat.eta.tolist(), [flat.H.tolist()] * len(cps), [[0] * grid.count] * len(cps)
-    return _branch_columns([cp.riccati_params() for cp in cps], branch, grid)
-
-
-def hubble_rows(cp: cosmo.CosmoParams, branch: int, grid: GridSpec):
-    """(eta, H, pole) rows of the chosen Hubble branch on the grid."""
-    etas, h, pole = _hubble_columns([cp], branch, grid)
-    return list(zip(etas, h[0], pole[0]))
+    xs = xs.tolist()
+    return [list(zip(xs, v, p)) for v, p in zip(value.tolist(), pole.astype(int).tolist())]
 
 
 def figure_rows(k: int, c: float, eta_grid: GridSpec, delta_grid: GridSpec, branch: int = 1):
@@ -160,11 +154,10 @@ def figure_rows(k: int, c: float, eta_grid: GridSpec, delta_grid: GridSpec, bran
     which is evaluated in one array pass."""
     deltas = delta_grid.points().tolist()
     cps = [cosmo.CosmoParams(k=k, delta=d, c=c) for d in deltas]
-    etas, h, pole = _hubble_columns(cps, branch, eta_grid)
     return [
-        (eta, d, hv, p)
-        for d, h_row, p_row in zip(deltas, h, pole)
-        for eta, hv, p in zip(etas, h_row, p_row)
+        (eta, d, h, p)
+        for d, rows in zip(deltas, _table_rows(cps, branch, eta_grid))
+        for eta, h, p in rows
     ]
 
 
@@ -227,23 +220,17 @@ def _cmd_fracderiv(args) -> int:
     return _emit(args.out, header, rows)
 
 
-def _make_riccati_params(args):
+def _cmd_riccati(args) -> int:
     if args.a == 0.0:
         _err("--a must be nonzero")
-        return None
+        return EXIT_FLAGS
     if args.b == 0.0:
         _err("--b = 0 is degenerate; the flat-case solution lives under 'cosmo --k 0'")
-        return None
+        return EXIT_FLAGS
     try:
-        return riccati.RiccatiParams(args.a, args.b, args.delta)
+        rp = riccati.RiccatiParams(args.a, args.b, args.delta)
     except ValueError as exc:
         _err(str(exc))
-        return None
-
-
-def _cmd_riccati(args) -> int:
-    rp = _make_riccati_params(args)
-    if rp is None:
         return EXIT_FLAGS
     if args.branch not in (1, 2):
         _err(f"--branch must be 1 or 2, got {args.branch}")
@@ -256,7 +243,7 @@ def _cmd_riccati(args) -> int:
         if args.grid.start <= 0.0:
             _err("evaluation grid must start above 0")
             return EXIT_FLAGS
-        return _emit(args.out, ["x", "u", "pole"], riccati_rows(rp, args.branch, args.grid))
+        return _emit(args.out, ["x", "u", "pole"], _table_rows([rp], args.branch, args.grid)[0])
 
     if args.action == "poles":
         poles = riccati.find_poles(rp, args.grid.start, args.grid.stop, args.branch)
@@ -328,7 +315,7 @@ def _cmd_cosmo(args) -> int:
         return EXIT_FLAGS
 
     if args.action == "hubble":
-        return _emit(args.out, ["eta", "H", "pole"], hubble_rows(cp, args.branch, grid))
+        return _emit(args.out, ["eta", "H", "pole"], _table_rows([cp], args.branch, grid)[0])
 
     if args.action == "scale":
         eta_ref = args.eta_ref if args.eta_ref is not None else grid.start
@@ -340,12 +327,10 @@ def _cmd_cosmo(args) -> int:
         return _emit(args.out, ["eta", "R_ratio"], list(zip(etas.tolist(), ratios.tolist())))
 
     # figure
-    delta_grid = args.delta_grid
-    dpts = delta_grid.points()
-    if dpts[0] <= 0.0 or dpts[-1] > 1.0:
+    if not (0.0 < args.delta_grid.start and args.delta_grid.stop <= 1.0):
         _err("delta grid values must lie in (0, 1]")
         return EXIT_FLAGS
-    rows = figure_rows(args.k, c, grid, delta_grid, args.branch)
+    rows = figure_rows(args.k, c, grid, args.delta_grid, args.branch)
     return _emit(args.out, ["eta", "delta", "H", "pole"], rows)
 
 

@@ -64,6 +64,11 @@ class CosmoParams:
             raise ValueError(
                 "c = 0 rejected: the Riccati coefficient a = c would vanish"
             )
+        if self.k != 0 and not 0.0 < self.c * self.c < math.inf:
+            raise ValueError(
+                f"c = {self.c!r}: the product a*b = -k c^2 of the Riccati "
+                "coefficients is not a finite nonzero float"
+            )
 
     def riccati_params(self) -> riccati.RiccatiParams:
         if self.k == 0:

@@ -65,6 +65,12 @@ class RiccatiParams:
     def __post_init__(self):
         if self.a == 0.0:
             raise ValueError("Riccati coefficient a must be nonzero")
+        ab = self.a * self.b
+        if self.b != 0.0 and not 0.0 < abs(ab) < math.inf:
+            raise ValueError(
+                f"coefficients a = {self.a!r}, b = {self.b!r}: the product "
+                f"a*b = {ab!r} is not a finite nonzero float"
+            )
         object.__setattr__(self, "delta", _delta_value(self.delta))
 
 
@@ -128,6 +134,8 @@ def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
     The parameter sets must share one regime (a figure surface varies delta
     only).
     """
+    if branch not in (1, 2):
+        raise ValueError(f"branch must be 1 or 2, got {branch}")
     xs = np.asarray(xs, dtype=float)
     if not np.all(xs > 0.0):
         raise ValueError(f"Riccati branch evaluation requires x > 0, got {xs.min()}")
@@ -202,8 +210,6 @@ def eval_y_branch(rp: RiccatiParams, branch: int, x: float) -> tuple[float, floa
     where y leaves the float range.  On the K branch past z of about 708,
     y and y' are subnormal and lose relative precision; the split
     y = s exp(e) of y_branch_table keeps full precision there."""
-    if branch not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {branch}")
     x = float(x)
     _, factor, s, e = _lattice([rp], branch, np.array([x]))
     growth = math.exp(float(e[0, 0, 0]))

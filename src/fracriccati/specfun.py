@@ -18,8 +18,12 @@ to ~e^(-2x).
 exponential factor split off, so ratios over the order need no exp(+-x).
 
 Accuracy target: >= 10 significant digits for 0 < x <= 100, |nu| <= 10.
-Known caveat: Y loses digits as non-integer nu approaches an integer (the
-reflection formula divides by sin(pi*nu)); exact integers are fine.
+Known caveat: Y of non-integer nu near an integer can be wrong in every
+digit (the reflection formula divides by sin(pi*nu)); exact integers are
+fine.  Against scipy: bessel_y(3.0000000000000004, 11.0) is -61.12 (scipy
+-0.09148), bessel_y(7.000000000000001, 11.5) is 6.297 (scipy 0.2491), and
+bessel_y(1e-15, 5.0) is -0.32689 (scipy -0.30852).  The Riccati orders stay
+at least 1/3 from an integer, so no table is affected.
 """
 
 from __future__ import annotations

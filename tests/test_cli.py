@@ -326,6 +326,20 @@ class TestNonFiniteFlags:
          "--gamma: must be finite"),
         (["fracderiv", "--beta", "0.5", "--power", "inf", "--grid", "0.2:3:5"],
          "--power: must be finite"),
+        # a*b overflows or underflows to 0: the coefficients are at fault,
+        # whatever the grid (-0.0 would read as the modified regime)
+        (["riccati", "eval", "--a", "1e200", "--b", "1e200", "--delta", "0.5", "--grid", "1:2:3"],
+         "error: coefficients a = 1e+200, b = 1e+200: the product a*b = inf"),
+        (["riccati", "eval", "--a", "1e-200", "--b", "1e-200", "--delta", "0.5", "--grid", "1:2:3"],
+         "error: coefficients a = 1e-200, b = 1e-200: the product a*b = 0.0"),
+        (["riccati", "eval", "--a", "1e-200", "--b=-1e-200", "--delta", "0.5", "--grid", "1:2:3"],
+         "error: coefficients a = 1e-200, b = -1e-200: the product a*b = -0.0"),
+        (["riccati", "verify", "--a", "1e200", "--b", "1e200", "--delta", "0.5",
+          "--x0", "1", "--x1", "2"], "error: coefficients a = 1e+200, b = 1e+200"),
+        (["cosmo", "hubble", "--k", "1", "--c", "1e200", "--grid", "1:2:3"],
+         "error: c = 1e+200: the product a*b = -k c^2"),
+        (["cosmo", "scale", "--k", "-1", "--c", "1e-200", "--grid", "1:2:3"],
+         "error: c = 1e-200: the product a*b = -k c^2"),
     ])
     def test_rejected_as_flag_error(self, capsys, argv, reason):
         with warnings.catch_warnings():

@@ -56,6 +56,15 @@ class TestCosmoParams:
         with pytest.raises(ValueError):
             co.CosmoParams(k=1, delta=1.0)
 
+    @pytest.mark.parametrize("k, c", [(1, 1e200), (-1, 1e200), (1, 1e-200), (-1, -1e-200)])
+    def test_curved_needs_c_squared_in_float_range(self, k, c):
+        with pytest.raises(ValueError, match=r"c\^2"):
+            co.CosmoParams(k=k, delta=0.5, c=c)
+
+    def test_flat_takes_any_nonzero_c(self):
+        for c in (1e200, 1e-200):
+            assert co.CosmoParams(k=0, delta=0.5, c=c).c == c
+
 
 class TestHubble:
     def test_closed_classical(self):

@@ -23,6 +23,13 @@ class TestParams:
         with pytest.raises(ValueError):
             rc.RiccatiParams(1.0, 1.0, 0.0)
 
+    # a*b overflowing, or underflowing to 0 (-0.0 would read as a*b > 0)
+    @pytest.mark.parametrize("a, b", [(1e200, 1e200), (1e200, -1e200), (1e-200, 1e-200),
+                                      (1e-200, -1e-200)])
+    def test_product_must_be_finite_and_nonzero(self, a, b):
+        with pytest.raises(ValueError, match=r"a\*b"):
+            rc.RiccatiParams(a, b, 0.5)
+
 
 class TestMapParams:
     def test_classical_oscillatory(self):
@@ -224,6 +231,15 @@ class TestYBranch:
         rp = rc.RiccatiParams(1.0, -1.0, 0.5)
         with pytest.raises(ValueError):
             rc.eval_y_branch(rp, 3, 1.0)
+
+    @pytest.mark.parametrize("branch", [0, 3])
+    def test_tables_reject_other_branches(self, branch):
+        xs = np.array([1.0, 2.0])
+        for rp in (rc.RiccatiParams(1.0, -1.0, 0.5), rc.RiccatiParams(1.0, 1.0, 0.5)):
+            with pytest.raises(ValueError, match="branch must be 1 or 2"):
+                rc.branch_table([rp], branch, xs)
+            with pytest.raises(ValueError, match="branch must be 1 or 2"):
+                rc.y_branch_table(rp, branch, xs)
 
 
 class TestResidual:
