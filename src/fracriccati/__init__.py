@@ -7,7 +7,6 @@ from .errors import (
     BranchZeroError,
     ConvergenceError,
     DegenerateRegimeError,
-    FlatCaseError,
     GammaPoleError,
     IndeterminateFormError,
     MaxStepsError,
@@ -23,7 +22,6 @@ __all__ = [
     "BranchZeroError",
     "ConvergenceError",
     "DegenerateRegimeError",
-    "FlatCaseError",
     "GammaPoleError",
     "IndeterminateFormError",
     "MaxStepsError",

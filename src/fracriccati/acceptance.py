@@ -179,15 +179,14 @@ def criterion_cross_oracle():
 
 def criterion_classical_limits():
     """H(eta; delta=1) equals cot(c eta) for k=1 and coth(c eta) for k=-1 to
-    1e-8, computed through the general real-order Bessel path: one table per
-    (k, c), H being the Riccati branch with a = c, b = -k c."""
+    1e-8, computed through the general real-order Bessel path: one
+    cosmo.hubble table per (k, c)."""
     worst = 0.0
     for c in (0.5, 1.0, 2.0):
         closed = (1, np.linspace(0.05, math.pi / (2.0 * c), 102)[1:-1], math.cos, math.sin)
         open_ = (-1, np.linspace(0.05, 5.0, 100), math.cosh, math.sinh)
         for k, etas, num, den in (closed, open_):
-            rp = cosmo.CosmoParams(k=k, delta=1.0, c=c).riccati_params()
-            h, _ = riccati.branch_table([rp], 1, etas)
+            h, _ = cosmo.hubble([cosmo.CosmoParams(k=k, delta=1.0, c=c)], 1, etas)
             for eta, got in zip(etas.tolist(), h[0].tolist()):
                 want = num(c * eta) / den(c * eta)
                 worst = max(worst, abs(got - want) / (1.0 + abs(want)))

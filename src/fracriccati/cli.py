@@ -13,7 +13,8 @@ a non-finite verification value, 4 pole inside a verification/scale
 interval, 5 cosmology with c = 0.
 
 `riccati eval`, `cosmo hubble` and `cosmo figure` share one row builder,
-_table_rows, which evaluates parameter sets x grid points in one array call.
+_table_rows, which evaluates parameter sets x grid points in one call of
+riccati.branch_table or, for every curvature, cosmo.hubble.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ def pole_window(grid: GridSpec) -> float:
 
 
 def pole_search_bounds(grid: GridSpec) -> tuple[float, float]:
-    """Zero-search window matching the half-step flag rule on the grid."""
+    """Zero-search window of the half-step flag rule, cut off below at min(1e-12, start/2)."""
     half = pole_window(grid)
-    return max(grid.start - half, 1e-12), grid.stop + half
+    return max(grid.start - half, min(1e-12, 0.5 * grid.start)), grid.stop + half
 
 
 def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec) -> list[int]:
@@ -131,17 +132,16 @@ def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec) -> lis
 
 def _table_rows(params: list, branch: int, grid: GridSpec) -> list[list[tuple]]:
     """(x, value, pole) rows of each parameter set on the grid, from one
-    riccati.branch_table call: the Riccati branch of RiccatiParams, or the
-    Hubble branch of CosmoParams of one k and c (a = c, b = -k c; the flat
-    k = 0 is H = 1/(c eta) without poles).  Pole rows (a small denominator,
-    or a zero within pole_window) have value nan."""
+    array call: riccati.branch_table for RiccatiParams, cosmo.hubble for
+    CosmoParams of one k and c.  The zero brackets of each Riccati branch
+    (a = c, b = -k c for k != 0) add the pole flags within pole_window to
+    the small-denominator ones; pole rows have value nan."""
     xs = grid.points()
     if isinstance(params[0], cosmo.CosmoParams):
-        if params[0].k == 0:
-            h = cosmo.hubble_flat(params[0], xs).H.tolist()
-            return [list(zip(xs.tolist(), h, [0] * grid.count))] * len(params)
-        params = [cp.riccati_params() for cp in params]
-    value, pole = riccati.branch_table(params, branch, xs)
+        value, pole = cosmo.hubble(params, branch, xs)
+        params = [cp.riccati_params() for cp in params if cp.k != 0]
+    else:
+        value, pole = riccati.branch_table(params, branch, xs)
     for row, rp in enumerate(params):
         pole[row, _pole_indices(rp, branch, grid)] = True
     value[pole] = math.nan

@@ -4,6 +4,7 @@ fractional scheme turns into the modified equation with free term
 -k c eta^(1-delta)/Gamma(2-delta).  Closed and open universes (k = +-1) map
 onto the Riccati branches with a = c, b = -k c; the flat case k = 0 is
 untouched by the scheme and keeps its classical solution H = 1/(c eta).
+hubble evaluates H for every k, scale_factor the ratio R(eta)/R(eta_ref).
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchZeroError, FlatCaseError
+from .errors import BranchZeroError
 from .fracops import _delta_value
 from . import riccati
 
 __all__ = [
     "CosmoParams",
-    "HubbleEval",
     "c_of_gamma",
     "hubble",
-    "hubble_flat",
     "scale_factor",
 ]
 
@@ -71,79 +70,51 @@ class CosmoParams:
             )
 
     def riccati_params(self) -> riccati.RiccatiParams:
-        if self.k == 0:
-            raise FlatCaseError("k = 0 has no delta-modified Riccati map")
+        """a = c, b = -k c: the degenerate b = 0 for k = 0, which has no branch."""
         return riccati.RiccatiParams(a=self.c, b=-self.k * self.c, delta=self.delta)
 
 
-@dataclass(frozen=True)
-class HubbleEval:
-    """Hubble parameter sample; delta_applied is False on the flat branch."""
+def hubble(
+    cps: list[CosmoParams], branch: int, etas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hubble parameter on the lattice cps x etas as (H, pole_flag) arrays
+    of shape (len(cps), len(etas)); the parameter sets share one k and c.
 
-    eta: float
-    H: float
-    branch: int
-    pole_flag: bool
-    delta_applied: bool = True
-
-
-def hubble(cp: CosmoParams, eta: float, branch: int = 1) -> HubbleEval:
-    """delta-modified Hubble parameter for k = +-1.
-
-    Branch 1 is the first-kind ratio (J for k = 1, I for k = -1; the
-    nondivergent-data branch), branch 2 the second-kind one.  With a = c and
-    b = -k c the 1/a prefactor cancels, so H equals the Riccati branch value.
-    At delta = 1 branch 1 collapses to cot(c eta) and coth(c eta).
+    k = +-1 gives the Riccati branch of a = c, b = -k c (the 1/a prefactor
+    cancels): branch 1 the first-kind ratio (J for k = 1, I for k = -1; the
+    nondivergent-data branch), which is cot(c eta) and coth(c eta) at
+    delta = 1, branch 2 the second-kind one.  The flat k = 0 is H = 1/(c eta)
+    for every delta, without poles; one outside the float range raises
+    OverflowError naming its eta.
     """
-    eta = float(eta)
-    if not eta > 0.0:
-        raise ValueError(f"conformal time must be positive, got {eta}")
-    if cp.k == 0:
-        raise FlatCaseError("k = 0 is outside the modified family; use hubble_flat")
+    if cps[0].k != 0:
+        return riccati.branch_table([cp.riccati_params() for cp in cps], branch, etas)
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
-    rp = cp.riccati_params()
-    ev = riccati.eval_u1(rp, eta) if branch == 1 else riccati.eval_u2(rp, eta)
-    return HubbleEval(eta, ev.value, branch, ev.pole_flag)
-
-
-def hubble_flat(cp: CosmoParams, eta: float | np.ndarray) -> HubbleEval:
-    """Classical flat-universe solution H = 1/(c eta) of dH/deta + c H^2 = 0,
-    integration constant fixed so H diverges as eta -> 0+ like the curved
-    branch-1 solutions; tagged as untouched by delta.
-
-    An ndarray eta gives eta and H as arrays of the same shape."""
-    eta = eta if isinstance(eta, np.ndarray) else float(eta)
-    if not np.all(eta > 0.0):
-        raise ValueError(f"conformal time must be positive, got {eta}")
-    if cp.k != 0:
-        raise ValueError(f"hubble_flat needs k = 0, got k = {cp.k}")
-    return HubbleEval(eta, 1.0 / (cp.c * eta), 1, False, delta_applied=False)
+    if not np.all(etas > 0.0):
+        raise ValueError(f"conformal time must be positive, got {etas.min()}")
+    with np.errstate(over="ignore", divide="ignore"):
+        h = 1.0 / (cps[0].c * etas)
+    bad = etas[np.isinf(h)]
+    if bad.size:
+        raise OverflowError(f"H = 1/(c eta) at eta = {float(bad[0])!r} leaves the float range")
+    return np.tile(h, (len(cps), 1)), np.zeros((len(cps), etas.size), dtype=bool)
 
 
 def scale_factor(
-    cp: CosmoParams, eta: float | np.ndarray, eta_ref: float, branch: int = 1
-) -> float | np.ndarray:
-    """Scale-factor ratio R(eta)/R(eta_ref) recovered from H = (dR/deta)/R.
+    cp: CosmoParams, eta: np.ndarray, eta_ref: float, branch: int = 1
+) -> np.ndarray:
+    """Scale-factor ratios R(eta)/R(eta_ref) at every time of eta, recovered
+    from H = (dR/deta)/R in one array pass.
 
     Through u = y'/(a y) the ratio is (y(eta)/y(eta_ref))^(1/c) with y the
-    chosen linear branch; both times must sit in one pole-free interval on
-    which y keeps its sign.  The flat case integrates H = 1/(c eta) directly
-    to (eta/eta_ref)^(1/c).
-
-    An ndarray eta gives the ratios at all its times from one array pass,
-    with one pole check over the span of eta and eta_ref.  A ratio outside
-    the float range raises OverflowError naming its eta.
+    chosen linear branch; all times must sit in one pole-free interval on
+    which y keeps its sign, which one pole check over the span of eta and
+    eta_ref ensures.  The flat case integrates H = 1/(c eta) directly to
+    (eta/eta_ref)^(1/c).  A ratio outside the float range raises
+    OverflowError naming its eta.
     """
-    if isinstance(eta, np.ndarray):
-        return _scale_factors(cp, eta, float(eta_ref), branch)
-    return float(_scale_factors(cp, np.array([float(eta)]), float(eta_ref), branch)[0])
-
-
-def _scale_factors(
-    cp: CosmoParams, eta: np.ndarray, eta_ref: float, branch: int
-) -> np.ndarray:
-    """scale_factor at every element of eta."""
+    eta_ref = float(eta_ref)
     if not (np.all(eta > 0.0) and eta_ref > 0.0):
         raise ValueError("both times must be positive")
     if cp.k == 0:
@@ -172,18 +143,22 @@ def _scale_factors(
     inv_c = 1.0 / cp.c
 
     def ratio_at(t: float, q: float, d: float) -> float:
+        # q**inv_c is inf without an OverflowError where q or 1/c is (a flat
+        # c below 1/max), and 0**inv_c divides by zero for c < 0
         try:
-            return q**inv_c if d == 0.0 else math.exp((math.log(q) + d) / cp.c)
-        except OverflowError:
-            raise OverflowError(
-                f"the scale-factor ratio at eta = {t!r} leaves the float range"
-            ) from None
+            ratio = q**inv_c if d == 0.0 else math.exp((math.log(q) + d) / cp.c)
+            if ratio < math.inf:
+                return ratio
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise OverflowError(f"the scale-factor ratio at eta = {t!r} leaves the float range")
 
     ratio = np.ones_like(s)
-    ratio[moving] = [
-        ratio_at(t, q, d)
-        for t, q, d in zip(
-            eta[moving].tolist(), (s[moving] / s_ref).tolist(), (e[moving] - e_ref).tolist()
-        )
-    ]
+    with np.errstate(over="ignore"):
+        ratio[moving] = [
+            ratio_at(t, q, d)
+            for t, q, d in zip(
+                eta[moving].tolist(), (s[moving] / s_ref).tolist(), (e[moving] - e_ref).tolist()
+            )
+        ]
     return ratio

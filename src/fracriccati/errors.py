@@ -25,10 +25,6 @@ class DegenerateRegimeError(ValueError):
     """Closed-form Riccati branch requested with b = 0."""
 
 
-class FlatCaseError(ValueError):
-    """Curved-space Hubble evaluation requested with k = 0."""
-
-
 class BranchZeroError(ValueError):
     """Scale-factor ratio across a zero of the chosen linear branch."""
 

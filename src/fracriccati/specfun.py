@@ -342,6 +342,15 @@ def _bessel_y_series_int(n: int, x: float) -> float:
     return (2.0 * jn * lg - finite - (half**n) * total) / math.pi
 
 
+def _x_cosh(x, t: float, less: float = 0.0):
+    """x (cosh t - less) for a float t (x may be an ndarray); past cosh's
+    overflow, where less is lost beside cosh t, as 2 (x cosh(t/2)) cosh(t/2)."""
+    if t <= _COSH_MAX:
+        return x * (math.cosh(t) - less)
+    c = math.cosh(0.5 * t)
+    return 2.0 * (x * c) * c
+
+
 def _bessel_k_quad(nu: float, x: float) -> float:
     """K_nu by trapezoidal quadrature of int_0^inf exp(-x cosh t) cosh(nu t) dt
     (DLMF 10.32.9), for nu >= 0.
@@ -353,26 +362,32 @@ def _bessel_k_quad(nu: float, x: float) -> float:
     shrinks as 1/sqrt(x) past x = 8 and as 1/sqrt(nu) past nu = 10, with
     the width of the integrand's peak.  Tail nodes where cosh(nu t) would
     overflow (tiny x and orders >= 1, where K itself is finite) take
-    exp(nu t - x cosh t) / 2 instead.  ndarray nu and x run every element's
-    own nodes side by side.
+    exp(nu t - x cosh t) / 2 instead; _x_cosh forms x cosh t where cosh t
+    overflows (x below about 4e-307).  Nodes are summed divided by 8 (exact)
+    so the sum stays in range where K = h * sum does (h >= 1/8 to order 20).
+    ndarray nu and x run every element's own nodes side by side.
     """
     if isinstance(x, np.ndarray):
         return _k_quad_array(nu, x)
     h = 0.18 / math.sqrt(max(1.0, x / 8.0, nu / 10.0))
     # truncation point: integrand down by e^-46 relative to the t=0 value
     t_max = 1.0
-    while x * (math.cosh(t_max) - 1.0) - abs(nu) * t_max < 46.0:
+    while _x_cosh(x, t_max, 1.0) - abs(nu) * t_max < 46.0:
         t_max += 0.5
     n = int(t_max / h) + 1
-    acc = 0.5 * math.exp(-x)
+    acc = 0.0625 * math.exp(-x)
     for j in range(1, n + 1):
         t = j * h
         nu_t = nu * t
+        x_cosh = x * math.cosh(t) if t <= _COSH_MAX else _x_cosh(x, t)  # hot path inline
         if nu_t <= _COSH_MAX:
-            acc += math.exp(-x * math.cosh(t)) * math.cosh(nu_t)
+            acc += math.exp(-x_cosh) * math.cosh(nu_t) * 0.125
         else:
-            acc += 0.5 * math.exp(nu_t - x * math.cosh(t))
-    return h * acc
+            acc += 0.0625 * math.exp(nu_t - x_cosh)
+    k = 8.0 * h * acc
+    if k == math.inf:
+        raise OverflowError(f"bessel_k overflows for x = {x}")
+    return k
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -519,24 +534,28 @@ def _k_quad_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     h = 0.18 / np.sqrt(np.maximum(np.maximum(1.0, x / 8.0), nu / 10.0))
     t_max = np.ones_like(x)
     t = 1.0
-    grow = x * (math.cosh(t) - 1.0) - np.abs(nu) * t < 46.0
+    grow = _x_cosh(x, t, 1.0) - np.abs(nu) * t < 46.0
     while grow.any():
         t += 0.5
         t_max[grow] = t
-        grow &= x * (math.cosh(t) - 1.0) - np.abs(nu) * t < 46.0
+        grow &= _x_cosh(x, t, 1.0) - np.abs(nu) * t < 46.0
     n = (t_max / h).astype(int) + 1
-    acc = 0.5 * _each(math.exp, -x)
+    acc = 0.0625 * _each(math.exp, -x)
     for j in range(1, int(n.max()) + 1):
         a = np.flatnonzero(n >= j)
         t_j = j * h[a]
         nu_t = nu[a] * t_j
         tail = nu_t > _COSH_MAX
-        x_cosh = x[a] * _each(math.cosh, t_j)
-        node = _each(math.exp, -x_cosh) * _each(math.cosh, np.where(tail, 0.0, nu_t))
+        fast = t_j.max() <= _COSH_MAX  # _x_cosh costs a Python call per element
+        x_cosh = x[a] * _each(math.cosh, t_j) if fast else _each(_x_cosh, x[a], t_j)
+        node = _each(math.exp, -x_cosh) * _each(math.cosh, np.where(tail, 0.0, nu_t)) * 0.125
         if tail.any():
-            node[tail] = 0.5 * _each(math.exp, nu_t[tail] - x_cosh[tail])
+            node[tail] = 0.0625 * _each(math.exp, nu_t[tail] - x_cosh[tail])
         acc[a] += node
-    return h * acc
+    k = 8.0 * h * acc
+    if (k == math.inf).any():
+        raise OverflowError(f"bessel_k overflows for x = {x[k == math.inf][0]}")
+    return k
 
 
 def _negative_integers(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -271,6 +271,21 @@ class TestCosmoCommand:
         assert err.count("\n") == 1 and err.startswith("error: numeric overflow")
         assert f"eta = {eta} " in err
 
+    @pytest.mark.parametrize("argv, eta", [
+        # H = 1/(c eta) and the ratio (eta/eta_ref)^(1/c) overflow; a check on
+        # c alone would miss the second, where c eta is 1e-310 as well
+        (["hubble", "--c", "1e-310", "--grid", "1:2:3"], "1.0"),
+        (["hubble", "--c", "1e-300", "--grid", "1e-10:2e-10:3"], "1e-10"),
+        (["scale", "--c", "1e-310", "--grid", "1:2:3"], "1.5"),
+    ])
+    def test_flat_overflow_names_eta(self, capsys, argv, eta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, ["cosmo", argv[0], "--k", "0", *argv[1:]])
+        assert rc == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: numeric overflow")
+        assert f"eta = {eta} " in err
+
     def test_scale_pole_exits_4(self, capsys):
         rc, _, _ = run(capsys, ["cosmo", "scale", "--k", "1", "--c", "1",
                                 "--delta", "1", "--grid", "0.5:3.5:5"])
@@ -421,6 +436,28 @@ class TestBesselArgumentOverflow:
             rc, out, err = run(capsys, argv + ["--delta", "0.5"])
         assert rc == 2 and out == ""
         assert err == f"error: --grid: x = {x} is too large: the Bessel argument q x^r overflows\n"
+
+
+class TestGridBelowSearchFloor:
+    # the pole-search window starts below the grid, not at 1e-12 above it;
+    # at delta = 1 the modified branch 1 is coth x, 1/x to double precision
+    @pytest.mark.parametrize("argv", [
+        ["riccati", "eval", "--a", "1", "--b", "1", "--delta", "1"],
+        ["cosmo", "hubble", "--k", "-1", "--c", "1"],
+    ])
+    def test_modified_table(self, capsys, argv):
+        rc, out, err = run(capsys, argv + ["--grid", "1e-30:1e-29:3"])
+        assert rc == 0 and err == ""
+        _, rows = parse_table(out)
+        assert [float(r[0]) for r in rows] == [1e-30, 5.5e-30, 1e-29]
+        for x, u, pole in rows:
+            assert pole == "0" and float(u) == pytest.approx(1.0 / float(x), rel=1e-12)
+
+    def test_figure(self, capsys):
+        rc, out, err = run(capsys, ["cosmo", "figure", "--k", "1", "--c", "1",
+                                    "--grid", "1e-20:1e-19:3", "--delta-grid", "0.5:1:2"])
+        assert rc == 0 and err == ""
+        assert len(parse_table(out)[1]) == 6
 
 
 class TestOutputContract:

@@ -1,6 +1,7 @@
 """The tracked figure surfaces in out/ are golden: regenerating them with the
 argv of scripts/emit_figures.py must give the same bytes.  So are the tables
-in tests/golden/ of `riccati eval` and `cosmo hubble`."""
+in tests/golden/ of `riccati eval`, `cosmo hubble`, `cosmo scale` and the
+flat `cosmo figure`."""
 
 import importlib.util
 import pathlib
@@ -32,8 +33,10 @@ def test_figure_surfaces_match_golden(tmp_path, capsys):
 
 
 # oscillatory tables with pole rows, modified-regime tables across the K
-# cutover at z = 20 and the scaled-I cutover at z = 30, and Hubble tables of
-# every curvature (the k = -1 one runs to z of about 80)
+# cutover at z = 20 and the scaled-I cutover at z = 30, Hubble tables of
+# every curvature (the k = -1 one runs to z of about 80), scale-factor tables
+# of every curvature (the k = -1 one crosses the K cutover) and the flat
+# figure surface
 TABLES = (
     ("eval_oscillatory_branch1.csv",
      "riccati eval --a 1 --b -1 --delta 0.5 --branch 1 --grid 0.5:12:24"),
@@ -46,6 +49,10 @@ TABLES = (
     ("hubble_k+1.csv", "cosmo hubble --k 1 --c 1.5 --delta 0.6 --grid 0.2:9:23"),
     ("hubble_k0.csv", "cosmo hubble --k 0 --c 2 --grid 0.5:4:8"),
     ("hubble_k-1.csv", "cosmo hubble --k -1 --c 0.8 --delta 0.4 --branch 2 --grid 0.1:40:21"),
+    ("scale_k+1.csv", "cosmo scale --k 1 --c 1 --delta 0.5 --grid 0.2:2.5:12"),
+    ("scale_k-1.csv", "cosmo scale --k -1 --c 0.7 --delta 0.35 --branch 2 --grid 0.5:40:15"),
+    ("scale_k0.csv", "cosmo scale --k 0 --c 1.3 --grid 0.5:4:8 --eta-ref 1"),
+    ("figure_k0.csv", "cosmo figure --k 0 --c 1 --grid 0.1:3:10 --delta-grid 0.5:1:3"),
 )
 
 

@@ -194,14 +194,19 @@ class TestBesselValues:
         assert sf.bessel_k(nu, x) == pytest.approx(sp.kv(nu, x), rel=1e-10)
 
     def test_k_tiny_argument(self):
-        # small-x limits, exact in double precision here: K_3(x) = 8/x^3 and
-        # K_0(x) = -log(x/2) - Euler's gamma; the tail nodes of K_3 lie past
-        # cosh's overflow.  The array path runs its kernels from
-        # sf._ARRAY_MIN_SIZE elements on.
+        # small-x limits, exact in double precision here: K_nu(x) =
+        # Gamma(nu)/2 (2/x)^nu and K_0(x) = -log(x/2) - Euler's gamma; the
+        # tail nodes of K_3 lie past cosh(nu t)'s overflow, and below x of
+        # about 4e-307 the truncation point lies past cosh(t)'s, with
+        # K_1(1e-308) = 1e308 near the float maximum.  The array path runs
+        # its kernels from sf._ARRAY_MIN_SIZE elements on.
         for nu, x, want in [
             (3.0, 1e-100, 8e300),
             (-3.0, 1e-100, 8e300),
             (0.0, 1e-300, -math.log(0.5e-300) - 0.5772156649015329),
+            (0.0, 3e-307, -math.log(1.5e-307) - 0.5772156649015329),
+            (0.9, 1e-310, math.gamma(0.9) / 2.0 * 0.5e-310**-0.9),
+            (1.0, 1e-308, 1e308),
         ]:
             assert sf.bessel_k(nu, x) == pytest.approx(want, rel=1e-13)
             n = sf._ARRAY_MIN_SIZE
