@@ -216,15 +216,24 @@ def integrate_linear(rp: RiccatiParams, ivp: IvpSpec) -> tuple[float, float]:
     return float(y), float(yp)
 
 
-# relative step of fd_derivative
+# relative step of fd_derivative, and its cap relative to x
 _FD_REL = 1e-6
+_FD_CAP = 1e-3
+
+
+def _fd_h(x: float) -> float:
+    """Step of fd_derivative: max(1e-6, |x|*1e-6), capped at 1e-3 |x| for
+    x != 0, so that near 0 the stencil neither reaches x <= 0 nor spans the
+    function's own scale.  Below |x| = 1e-3 the cap is the step."""
+    h = _fd_step(x, _FD_REL)
+    return min(h, _FD_CAP * abs(x)) if x else h
 
 
 def fd_stencil(x: float) -> tuple[float, ...]:
     """The points at which fd_derivative(f, x) evaluates f, in call order."""
-    return _d1_stencil(x, _fd_step(x, _FD_REL))
+    return _d1_stencil(x, _fd_h(x))
 
 
 def fd_derivative(f: Callable[[float], float], x: float) -> float:
-    """Central difference with one Richardson step, h = max(1e-6, |x|*1e-6)."""
-    return _richardson_d1(f, x, _fd_step(x, _FD_REL))
+    """Central difference with one Richardson step of the _fd_h step."""
+    return _richardson_d1(f, x, _fd_h(x))

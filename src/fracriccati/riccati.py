@@ -49,6 +49,10 @@ Regime = str
 # pole threshold (oscillatory regime): |B_n| below this relative scale marks
 # a solution pole
 _POLE_RTOL = 1e-12
+# no J_n or Y_n of a Riccati order, 1/3 < n <= 1/2, has a zero below this
+# Bessel argument (the lowest zero, of Y_n near n = 1/3, lies at 1.35); below
+# it J_n(z) ~ z^n is small against J_(n-1)(z) ~ z^(n-1) with no zero near
+_POLE_Z_MIN = 1.0
 # most sign-scan cells one find_poles call may allocate: a Bessel-argument
 # span of about 39 000, far past the 10-digit domain (argument <= ~100)
 _MAX_SCAN_CELLS = 100_000
@@ -130,7 +134,7 @@ def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
     sign q r x^(r-1) of y'/y (shape (len(rps), len(xs))), and takes
     B_(n+k)(z) for each k of orders (by default B_(n-1) and B_n) of the
     branch's Bessel kind from one specfun.bessel_scaled call.  Returns
-    (regime, signed factor, s, e) with B = s exp(e), stacked over orders.
+    (regime, z, signed factor, s, e) with B = s exp(e), stacked over orders.
     The parameter sets must share one regime (a figure surface varies delta
     only).
     """
@@ -160,7 +164,7 @@ def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
     if not np.all(z < math.inf):
         raise ValueError(_overflow_message(xs.max()))
     s, e = specfun.bessel_scaled(kind, np.stack([n + k for k in orders]), z)
-    return bms[0].regime, sign * q * r * specfun.power(x, r - 1.0), s, e
+    return bms[0].regime, z, sign * q * r * specfun.power(x, r - 1.0), s, e
 
 
 def branch_table(
@@ -173,11 +177,16 @@ def branch_table(
     The parameter sets must share one regime.  The Bessel ratio is the ratio
     of the s values of specfun.bessel_scaled, so a modified-regime ratio
     neither overflows nor underflows, and, I_n and K_n being positive, is
-    never flagged as a pole.
+    never flagged as a pole.  Nor is a row whose Bessel argument lies below
+    _POLE_Z_MIN, where no B_n of a Riccati order has a zero.
     """
-    regime, factor, s, _ = _lattice(rps, branch, xs)
+    regime, z, factor, s, _ = _lattice(rps, branch, xs)
     num, den = s
-    pole = (regime == OSCILLATORY) & (np.abs(den) < _POLE_RTOL * (np.abs(num) + 1.0))
+    pole = (
+        (regime == OSCILLATORY)
+        & (z >= _POLE_Z_MIN)
+        & (np.abs(den) < _POLE_RTOL * (np.abs(num) + 1.0))
+    )
     a = np.array([rp.a for rp in rps], dtype=float)[:, None]
     value = np.full(pole.shape, math.nan)
     np.divide(factor / a * num, den, out=value, where=~pole)
@@ -211,7 +220,7 @@ def eval_y_branch(rp: RiccatiParams, branch: int, x: float) -> tuple[float, floa
     y and y' are subnormal and lose relative precision; the split
     y = s exp(e) of y_branch_table keeps full precision there."""
     x = float(x)
-    _, factor, s, e = _lattice([rp], branch, np.array([x]))
+    _, _, factor, s, e = _lattice([rp], branch, np.array([x]))
     growth = math.exp(float(e[0, 0, 0]))
     b_lo, b_n = (float(v) * growth for v in s[:, 0, 0])
     root = math.sqrt(x)
@@ -224,7 +233,7 @@ def y_branch_table(
     """y = sqrt(x) B_n(q x^r) of the chosen linear branch at every x in one
     array pass, split as y = s * exp(e) by specfun.bessel_scaled; returns
     (s, e).  Where e = 0, s is the y that eval_y_branch returns, bit for bit."""
-    _, _, s, e = _lattice([rp], branch, xs, orders=(0.0,))
+    _, _, _, s, e = _lattice([rp], branch, xs, orders=(0.0,))
     return np.sqrt(xs) * s[0, 0], e[0, 0]
 
 

@@ -351,6 +351,16 @@ def _x_cosh(x, t: float, less: float = 0.0):
     return 2.0 * (x * c) * c
 
 
+def _tail_node(a: float) -> float:
+    """exp(a) / 16, also where exp(a) alone overflows but the quotient does
+    not: there as (exp(a/2) / 16) exp(a/2)."""
+    try:
+        return 0.0625 * math.exp(a)
+    except OverflowError:
+        e = math.exp(0.5 * a)
+        return 0.0625 * e * e
+
+
 def _bessel_k_quad(nu: float, x: float) -> float:
     """K_nu by trapezoidal quadrature of int_0^inf exp(-x cosh t) cosh(nu t) dt
     (DLMF 10.32.9), for nu >= 0.
@@ -362,9 +372,10 @@ def _bessel_k_quad(nu: float, x: float) -> float:
     shrinks as 1/sqrt(x) past x = 8 and as 1/sqrt(nu) past nu = 10, with
     the width of the integrand's peak.  Tail nodes where cosh(nu t) would
     overflow (tiny x and orders >= 1, where K itself is finite) take
-    exp(nu t - x cosh t) / 2 instead; _x_cosh forms x cosh t where cosh t
-    overflows (x below about 4e-307).  Nodes are summed divided by 8 (exact)
-    so the sum stays in range where K = h * sum does (h >= 1/8 to order 20).
+    exp(nu t - x cosh t) / 2 instead, through _tail_node where the exp alone
+    overflows; _x_cosh forms x cosh t where cosh t overflows (x below about
+    4e-307).  Nodes are summed divided by 8 (exact) so the sum stays in
+    range where K = h * sum does (h >= 1/8 to order 20).
     ndarray nu and x run every element's own nodes side by side.
     """
     if isinstance(x, np.ndarray):
@@ -383,7 +394,7 @@ def _bessel_k_quad(nu: float, x: float) -> float:
         if nu_t <= _COSH_MAX:
             acc += math.exp(-x_cosh) * math.cosh(nu_t) * 0.125
         else:
-            acc += 0.0625 * math.exp(nu_t - x_cosh)
+            acc += _tail_node(nu_t - x_cosh)
     k = 8.0 * h * acc
     if k == math.inf:
         raise OverflowError(f"bessel_k overflows for x = {x}")
@@ -550,7 +561,7 @@ def _k_quad_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         x_cosh = x[a] * _each(math.cosh, t_j) if fast else _each(_x_cosh, x[a], t_j)
         node = _each(math.exp, -x_cosh) * _each(math.cosh, np.where(tail, 0.0, nu_t)) * 0.125
         if tail.any():
-            node[tail] = 0.0625 * _each(math.exp, nu_t[tail] - x_cosh[tail])
+            node[tail] = _each(_tail_node, nu_t[tail] - x_cosh[tail])
         acc[a] += node
     k = 8.0 * h * acc
     if (k == math.inf).any():

@@ -1,5 +1,8 @@
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -514,11 +517,12 @@ class TestVerifyPinned:
         ("riccati verify --a -1.5 --b 0.7 --delta 0.8 --x0 0.4 --x1 2.5 --branch 1", 0,
          "-1.5,0.69999999999999996,0.80000000000000004,1,0.40000000000000002,2.5,"
          "1.0535133876388159e-09,5.0480730706681243e-11"),
-        # the difference step (1e-6) is as large as x0, hence the residual
+        # below x = 1e-3 the difference step is 1e-3 x; u' and a u^2 are
+        # about 1/x0^2 (2.5e11 and 4e12), so these residuals are round-off
         ("riccati verify --a 1 --b -1 --delta 0.5 --x0 2e-6 --x1 1 --branch 1", 0,
-         "1,-1,0.5,1,1.9999999999999999e-06,1,5555555555.5559778,3.2995544074765348e-09"),
-        # a difference stencil reaches x <= 0
-        ("riccati verify --a 1 --b -1 --delta 0.5 --x0 5e-7 --x1 1 --branch 1", 2, None),
+         "1,-1,0.5,1,1.9999999999999999e-06,1,0.030221257402855729,3.2995544074765348e-09"),
+        ("riccati verify --a 1 --b -1 --delta 0.5 --x0 5e-7 --x1 1 --branch 1", 0,
+         "1,-1,0.5,1,4.9999999999999998e-07,1,1.1716963220608028,3.2634517310725641e-09"),
         # the integrator runs out of steps on the way to 1e300; the oscillatory
         # scan is over budget
         ("riccati verify --a 1 --b 1 --delta 1 --x0 0.1 --x1 1e300", 3, None),
@@ -532,6 +536,46 @@ class TestVerifyPinned:
             assert out == ""
         else:
             assert out == "# a,b,delta,branch,x0,x1,max_residual,max_deviation\n" + stdout + "\n"
+
+
+def test_fracderiv_bits_do_not_depend_on_blas_threads():
+    # a BLAS-threaded dot product sums in an order that depends on the thread
+    # count; the operator tables must not
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys; from fracriccati.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = "fracderiv --beta 1.3 --builtin exp --grid 0.25:2:4".split()
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, timeout=120, check=True)
+        outs.append(proc.stdout)
+    assert outs[0].count(b"\n") == 5
+    assert outs[0] == outs[1]
+
+
+class TestNoPoleNearZero:
+    # J_n(z) ~ z^n is small against J_(n-1)(z) ~ z^(n-1) near z = 0, where no
+    # zero lies: those rows are values, not poles
+    def test_cot_rows(self, capsys):
+        argv = "riccati eval --a 1 --b -1 --delta 1 --grid 1e-12:1e-11:3".split()
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert len(rows) == 3
+        for x, u, pole in rows:
+            assert pole == "0"
+            assert float(u) == pytest.approx(1.0 / math.tan(float(x)), rel=1e-13)
+
+    def test_closed_figure_rows(self, capsys):
+        argv = "cosmo figure --k 1 --c 1 --grid 1e-20:1e-19:3 --delta-grid 0.5:1:2".split()
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert len(rows) == 6
+        for eta, _, h, pole in rows:
+            assert pole == "0"
+            assert float(h) == pytest.approx(1.0 / float(eta), rel=1e-13)
 
 
 class TestParser:

@@ -198,8 +198,11 @@ class TestBesselValues:
         # Gamma(nu)/2 (2/x)^nu and K_0(x) = -log(x/2) - Euler's gamma; the
         # tail nodes of K_3 lie past cosh(nu t)'s overflow, and below x of
         # about 4e-307 the truncation point lies past cosh(t)'s, with
-        # K_1(1e-308) = 1e308 near the float maximum.  The array path runs
-        # its kernels from sf._ARRAY_MIN_SIZE elements on.
+        # K_1(1e-308) = 1e308 near the float maximum.  Near the float
+        # maximum at orders 10 and 12, a tail node's exp(nu t - x cosh t)
+        # alone overflows; past it K raises.  The array path runs its
+        # kernels from sf._ARRAY_MIN_SIZE elements on.
+        n = sf._ARRAY_MIN_SIZE
         for nu, x, want in [
             (3.0, 1e-100, 8e300),
             (-3.0, 1e-100, 8e300),
@@ -207,10 +210,16 @@ class TestBesselValues:
             (0.0, 3e-307, -math.log(1.5e-307) - 0.5772156649015329),
             (0.9, 1e-310, math.gamma(0.9) / 2.0 * 0.5e-310**-0.9),
             (1.0, 1e-308, 1e308),
+            (10.0, 1.07e-30, math.gamma(10.0) / 2.0 * (2.0 / 1.07e-30) ** 10),
+            (-10.0, 1.2e-30, math.gamma(10.0) / 2.0 * (2.0 / 1.2e-30) ** 10),
+            (12.0, 2e-25, math.gamma(12.0) / 2.0 * 1e300),
         ]:
             assert sf.bessel_k(nu, x) == pytest.approx(want, rel=1e-13)
-            n = sf._ARRAY_MIN_SIZE
             assert sf.bessel("K", np.full(n, nu), x).tolist() == [sf.bessel_k(nu, x)] * n
+        with pytest.raises(OverflowError):
+            sf.bessel_k(10.0, 1e-31)
+        with pytest.raises(OverflowError):
+            sf.bessel("K", np.full(n, 10.0), 1e-31)
 
 
 class TestBesselDerivative:
