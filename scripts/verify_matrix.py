@@ -16,11 +16,11 @@ def main() -> int:
             for delta in (0.25, 0.5, 0.75, 1.0):
                 rp = riccati.RiccatiParams(a, b, delta)
                 x0, x1 = _verification_interval(rp)
-                u0 = riccati.eval_u1(rp, x0).value
+                u0 = riccati.eval_u1(rp, x0)
                 got = odeverify.integrate_riccati(
                     rp, odeverify.IvpSpec(x0, u0, x1)
                 )
-                want = riccati.eval_u1(rp, x1).value
+                want = riccati.eval_u1(rp, x1)
                 dev = abs(got - want) / (1.0 + abs(want))
                 worst = max(worst, dev)
                 print(f"{a:>5.1f} {b:>5.1f} {delta:>6.2f} {x0:>7.3f} {x1:>7.3f} {dev:>12.3e}")

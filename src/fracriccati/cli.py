@@ -3,8 +3,9 @@ cosmology tables, figure-grid emission, and the acceptance selftest.
 
 Output tables are plain text: one '#' header line naming the columns, comma
 separators, 17-significant-digit decimals (bit-faithful round trip), newline
-endings.  Lattice points nearest a solution pole (within half a grid step)
-are emitted as pole rows: 'nan' in the value column and pole=1.
+endings.  Pole rows ('nan' in the value column and pole=1) come only from
+the zero brackets of riccati.find_poles: a lattice point within half a grid
+step of a denominator zero is a pole row.
 Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
 coefficient product a*b, --x1 or --eta-ref, a pole-search span over the
 scan budget, or a point whose Bessel argument underflows to 0 or overflows
@@ -133,15 +134,16 @@ def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec) -> lis
 def _table_rows(params: list, branch: int, grid: GridSpec) -> list[list[tuple]]:
     """(x, value, pole) rows of each parameter set on the grid, from one
     array call: riccati.branch_table for RiccatiParams, cosmo.hubble for
-    CosmoParams of one k and c.  The zero brackets of each Riccati branch
-    (a = c, b = -k c for k != 0) add the pole flags within pole_window to
-    the small-denominator ones; pole rows have value nan."""
+    CosmoParams of one k and c.  The pole flags come only from the zero
+    brackets of each Riccati branch (a = c, b = -k c for k != 0), within
+    pole_window (_pole_indices); pole rows have value nan."""
     xs = grid.points()
     if isinstance(params[0], cosmo.CosmoParams):
-        value, pole = cosmo.hubble(params, branch, xs)
+        value = cosmo.hubble(params, branch, xs)
         params = [cp.riccati_params() for cp in params if cp.k != 0]
     else:
-        value, pole = riccati.branch_table(params, branch, xs)
+        value = riccati.branch_table(params, branch, xs)
+    pole = np.zeros(value.shape, dtype=bool)
     for row, rp in enumerate(params):
         pole[row, _pole_indices(rp, branch, grid)] = True
     value[pole] = math.nan
@@ -261,8 +263,7 @@ def _cmd_riccati(args) -> int:
         return EXIT_POLE
 
     def closed_form(xs: list[float]) -> list[float]:
-        value, _ = riccati.branch_table([rp], args.branch, np.array(xs))
-        return value[0].tolist()
+        return riccati.branch_table([rp], args.branch, np.array(xs))[0].tolist()
 
     def checked(what: str, x: float, v: float) -> float:
         # max() would keep its other argument over a nan

@@ -74,18 +74,17 @@ class CosmoParams:
         return riccati.RiccatiParams(a=self.c, b=-self.k * self.c, delta=self.delta)
 
 
-def hubble(
-    cps: list[CosmoParams], branch: int, etas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hubble parameter on the lattice cps x etas as (H, pole_flag) arrays
-    of shape (len(cps), len(etas)); the parameter sets share one k and c.
+def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray) -> np.ndarray:
+    """Hubble parameter on the lattice cps x etas as an array of shape
+    (len(cps), len(etas)); the parameter sets share one k and c.
 
     k = +-1 gives the Riccati branch of a = c, b = -k c (the 1/a prefactor
     cancels): branch 1 the first-kind ratio (J for k = 1, I for k = -1; the
     nondivergent-data branch), which is cot(c eta) and coth(c eta) at
-    delta = 1, branch 2 the second-kind one.  The flat k = 0 is H = 1/(c eta)
-    for every delta, without poles; one outside the float range raises
-    OverflowError naming its eta.
+    delta = 1, branch 2 the second-kind one; their poles are located by
+    riccati.find_poles.  The flat k = 0 is H = 1/(c eta) for every delta,
+    without poles; one outside the float range raises OverflowError naming
+    its eta.
     """
     if cps[0].k != 0:
         return riccati.branch_table([cp.riccati_params() for cp in cps], branch, etas)
@@ -98,7 +97,7 @@ def hubble(
     bad = etas[np.isinf(h)]
     if bad.size:
         raise OverflowError(f"H = 1/(c eta) at eta = {float(bad[0])!r} leaves the float range")
-    return np.tile(h, (len(cps), 1)), np.zeros((len(cps), etas.size), dtype=bool)
+    return np.tile(h, (len(cps), 1))
 
 
 def scale_factor(

@@ -30,7 +30,6 @@ __all__ = [
     "Regime",
     "RiccatiParams",
     "BesselMap",
-    "SolutionEval",
     "map_params",
     "eval_u1",
     "eval_u2",
@@ -46,13 +45,6 @@ MODIFIED = "modified"
 DEGENERATE = "degenerate"
 Regime = str
 
-# pole threshold (oscillatory regime): |B_n| below this relative scale marks
-# a solution pole
-_POLE_RTOL = 1e-12
-# no J_n or Y_n of a Riccati order, 1/3 < n <= 1/2, has a zero below this
-# Bessel argument (the lowest zero, of Y_n near n = 1/3, lies at 1.35); below
-# it J_n(z) ~ z^n is small against J_(n-1)(z) ~ z^(n-1) with no zero near
-_POLE_Z_MIN = 1.0
 # most sign-scan cells one find_poles call may allocate: a Bessel-argument
 # span of about 39 000, far past the 10-digit domain (argument <= ~100)
 _MAX_SCAN_CELLS = 100_000
@@ -104,14 +96,6 @@ def map_params(rp: RiccatiParams) -> BesselMap:
     return BesselMap(q_mag, r, n, regime)
 
 
-@dataclass(frozen=True)
-class SolutionEval:
-    """One closed-form branch value; value is nan when pole_flag is set."""
-
-    value: float
-    pole_flag: bool
-
-
 def _kind(bm: BesselMap, branch: int) -> tuple[str, float]:
     """(Bessel kind, sign entering y'/y) of the branch; K alone flips it."""
     if bm.regime == OSCILLATORY:
@@ -134,7 +118,7 @@ def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
     sign q r x^(r-1) of y'/y (shape (len(rps), len(xs))), and takes
     B_(n+k)(z) for each k of orders (by default B_(n-1) and B_n) of the
     branch's Bessel kind from one specfun.bessel_scaled call.  Returns
-    (regime, z, signed factor, s, e) with B = s exp(e), stacked over orders.
+    (signed factor, s, e) with B = s exp(e), stacked over orders.
     The parameter sets must share one regime (a figure surface varies delta
     only).
     """
@@ -164,51 +148,46 @@ def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
     if not np.all(z < math.inf):
         raise ValueError(_overflow_message(xs.max()))
     s, e = specfun.bessel_scaled(kind, np.stack([n + k for k in orders]), z)
-    return bms[0].regime, z, sign * q * r * specfun.power(x, r - 1.0), s, e
+    return sign * q * r * specfun.power(x, r - 1.0), s, e
 
 
-def branch_table(
-    rps: list[RiccatiParams], branch: int, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray) -> np.ndarray:
     """The chosen branch u = (1/a) sign q r x^(r-1) B_(n-1)(q x^r)/B_n(q x^r)
-    on the lattice rps x xs, as (value, pole_flag) arrays of shape
-    (len(rps), len(xs)).
+    on the lattice rps x xs, as an array of shape (len(rps), len(xs)).
 
     The parameter sets must share one regime.  The Bessel ratio is the ratio
     of the s values of specfun.bessel_scaled, so a modified-regime ratio
-    neither overflows nor underflows, and, I_n and K_n being positive, is
-    never flagged as a pole.  Nor is a row whose Bessel argument lies below
-    _POLE_Z_MIN, where no B_n of a Riccati order has a zero.
+    neither overflows nor underflows.  The value is nan only where the
+    denominator is exactly 0.  Within round-off of a denominator zero it is
+    dominated by round-off (eval_u1 at the float pi of a = 1, b = -1,
+    delta = 1 is about 9e15): callers locate poles with find_poles.
     """
-    regime, z, factor, s, _ = _lattice(rps, branch, xs)
+    factor, s, _ = _lattice(rps, branch, xs)
     num, den = s
-    pole = (
-        (regime == OSCILLATORY)
-        & (z >= _POLE_Z_MIN)
-        & (np.abs(den) < _POLE_RTOL * (np.abs(num) + 1.0))
-    )
     a = np.array([rp.a for rp in rps], dtype=float)[:, None]
-    value = np.full(pole.shape, math.nan)
-    np.divide(factor / a * num, den, out=value, where=~pole)
-    return value, pole
+    value = np.full(den.shape, math.nan)
+    np.divide(factor / a * num, den, out=value, where=den != 0.0)
+    return value
 
 
-def _point(rp: RiccatiParams, branch: int, x: float) -> SolutionEval:
-    value, pole = branch_table([rp], branch, np.array([float(x)]))
-    return SolutionEval(float(value[0, 0]), bool(pole[0, 0]))
+def _point(rp: RiccatiParams, branch: int, x: float) -> float:
+    return float(branch_table([rp], branch, np.array([float(x)]))[0, 0])
 
 
-def eval_u1(rp: RiccatiParams, x: float) -> SolutionEval:
+def eval_u1(rp: RiccatiParams, x: float) -> float:
     """Branch-1 solution u1 = (1/a) q r x^(r-1) B_(n-1)(q x^r)/B_n(q x^r),
     B = J in the oscillatory regime and I in the modified one; a
-    one-element branch_table."""
+    one-element branch_table.  Near a zero of J_n the value is dominated by
+    round-off (about 9e15 at the float pi of cot x); find_poles locates
+    the poles."""
     return _point(rp, 1, x)
 
 
-def eval_u2(rp: RiccatiParams, x: float) -> SolutionEval:
+def eval_u2(rp: RiccatiParams, x: float) -> float:
     """Branch-2 solution built from the second-kind functions: Y in the
     oscillatory regime, K (with the sign flipped by K' = -K_(n-1) - (n/z)K_n)
-    in the modified one; a one-element branch_table."""
+    in the modified one; a one-element branch_table.  Near a zero of Y_n the
+    value is dominated by round-off; find_poles locates the poles."""
     return _point(rp, 2, x)
 
 
@@ -220,7 +199,7 @@ def eval_y_branch(rp: RiccatiParams, branch: int, x: float) -> tuple[float, floa
     y and y' are subnormal and lose relative precision; the split
     y = s exp(e) of y_branch_table keeps full precision there."""
     x = float(x)
-    _, _, factor, s, e = _lattice([rp], branch, np.array([x]))
+    factor, s, e = _lattice([rp], branch, np.array([x]))
     growth = math.exp(float(e[0, 0, 0]))
     b_lo, b_n = (float(v) * growth for v in s[:, 0, 0])
     root = math.sqrt(x)
@@ -233,7 +212,7 @@ def y_branch_table(
     """y = sqrt(x) B_n(q x^r) of the chosen linear branch at every x in one
     array pass, split as y = s * exp(e) by specfun.bessel_scaled; returns
     (s, e).  Where e = 0, s is the y that eval_y_branch returns, bit for bit."""
-    _, _, _, s, e = _lattice([rp], branch, xs, orders=(0.0,))
+    _, s, e = _lattice([rp], branch, xs, orders=(0.0,))
     return np.sqrt(xs) * s[0, 0], e[0, 0]
 
 

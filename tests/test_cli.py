@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import shlex
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import special as sp
+from scipy.optimize import brentq
 
 from fracriccati import cli, odeverify, riccati
 from fracriccati.errors import MaxStepsError, StepUnderflowError
@@ -107,6 +111,19 @@ class TestRiccatiCommand:
         assert flagged[0][1] == "nan"
         assert abs(float(flagged[0][0]) - math.pi / 2.0) <= 0.5 * (2.8 / 19) * 1.001
 
+    @pytest.mark.parametrize("branch, grid, x_pole", [
+        # J_(1/2)(x) = 0 at x = pi; Y_(1/2)(x) = 0 at x = pi/2
+        ("1", "1.5707963267948966:4.71238898038469:3", math.pi),
+        ("2", "0.5:2.641592653589793:3", math.pi / 2.0),
+    ], ids=["u1", "u2"])
+    def test_pole_flag_at_denominator_zero(self, capsys, branch, grid, x_pole):
+        rc, out, _ = run(capsys, ["riccati", "eval", "--a", "1", "--b", "-1", "--delta", "1",
+                                  "--branch", branch, "--grid", grid])
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert float(rows[1][0]) == x_pole
+        assert [row[2] for row in rows] == ["0", "1", "0"] and rows[1][1] == "nan"
+
     def test_poles_output(self, capsys):
         rc, out, _ = run(capsys, ["riccati", "poles", "--a", "1", "--b", "-1",
                                   "--delta", "1", "--branch", "1", "--grid", "0.5:7:2"])
@@ -154,8 +171,7 @@ class TestRiccatiCommand:
 
         def table(rps, branch, xs):
             xs = np.asarray(xs)
-            value = np.where(xs >= pts[first_bad], math.nan, -1.0)[None, :]
-            return value, np.zeros(value.shape, dtype=bool)
+            return np.where(xs >= pts[first_bad], math.nan, -1.0)[None, :]
 
         monkeypatch.setattr(riccati, "branch_table", table)
         rc, out, err = run(capsys, ["riccati", "verify", "--a", "1", "--b", "1",
@@ -555,8 +571,8 @@ def test_fracderiv_bits_do_not_depend_on_blas_threads():
 
 
 class TestNoPoleNearZero:
-    # J_n(z) ~ z^n is small against J_(n-1)(z) ~ z^(n-1) near z = 0, where no
-    # zero lies: those rows are values, not poles
+    # no J_n or Y_n of a Riccati order has a zero below z = 1.35, so no zero
+    # bracket flags these rows, though J_n(z) ~ z^n is small there
     def test_cot_rows(self, capsys):
         argv = "riccati eval --a 1 --b -1 --delta 1 --grid 1e-12:1e-11:3".split()
         rc, out, _ = run(capsys, argv)
@@ -576,6 +592,59 @@ class TestNoPoleNearZero:
         for eta, _, h, pole in rows:
             assert pole == "0"
             assert float(h) == pytest.approx(1.0 / float(eta), rel=1e-13)
+
+
+class TestPoleRowsAtBesselZeros:
+    """The pole column of riccati eval is the set of grid indices within
+    pole_window of a zero of B_n(q x^r), with the zeros taken from scipy."""
+
+    @staticmethod
+    def scipy_zeros(f, n, z_lo, z_hi):
+        """Zeros of f(n, z) in [z_lo, z_hi]: a sign scan in steps of at most
+        pi/16, each bracket refined by brentq."""
+        zs = np.linspace(z_lo, z_hi, int((z_hi - z_lo) / (math.pi / 16.0)) + 2)
+        fs = f(n, zs)
+        return [
+            brentq(lambda z: f(n, z), lo, hi, xtol=1e-13)
+            for lo, hi, f_lo, f_hi in zip(zs[:-1], zs[1:], fs[:-1], fs[1:])
+            if f_lo * f_hi < 0.0
+        ]
+
+    @given(
+        a=st.floats(0.2, 3.0),
+        b=st.floats(0.2, 3.0),
+        negative=st.booleans(),
+        delta=st.floats(0.05, 1.0),
+        branch=st.sampled_from([1, 2]),
+        z_stop=st.floats(2.0, 60.0),
+        start_frac=st.floats(1e-3, 0.9),
+        count=st.integers(2, 120),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pole_column_is_the_scipy_zero_set(
+        self, a, b, negative, delta, branch, z_stop, start_frac, count
+    ):
+        # oscillatory a*b < 0; q, r and n of the Bessel template from scipy's gamma
+        a, b = (-a, b) if negative else (a, -b)
+        r, n = 0.5 * (3.0 - delta), 1.0 / (3.0 - delta)
+        q = 2.0 / (3.0 - delta) * math.sqrt(abs(a * b) / sp.gamma(2.0 - delta))
+        stop = (z_stop / q) ** (1.0 / r)
+        start = start_frac * stop
+        grid = cli._parse_grid(f"{start!r}:{stop!r}:{count}")
+        xs = grid.points().tolist()
+        half = cli.pole_window(grid)
+        f = sp.jv if branch == 1 else sp.yv
+        zeros = [(z / q) ** (1.0 / r) for z in self.scipy_zeros(f, n, 1e-3, q * (stop + half) ** r)]
+        assume(all(abs(abs(x - x0) - half) > 1e-9 * x0 for x0 in zeros for x in xs))
+        want = sorted({i for x0 in zeros for i, x in enumerate(xs) if abs(x - x0) <= half})
+
+        argv = ["riccati", "eval", "--a", repr(a), "--b", repr(b), "--delta", repr(delta),
+                "--branch", str(branch), "--grid", f"{start!r}:{stop!r}:{count}"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        _, rows = parse_table(out.getvalue())
+        assert [i for i, row in enumerate(rows) if row[2] == "1"] == want
 
 
 class TestParser:

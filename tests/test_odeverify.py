@@ -31,14 +31,14 @@ class TestIntegrateRiccati:
 
     def test_cross_oracle_fractional(self):
         rp = rc.RiccatiParams(1.0, -1.0, 0.5)
-        u0 = rc.eval_u1(rp, 0.5).value
+        u0 = rc.eval_u1(rp, 0.5)
         got = ov.integrate_riccati(rp, ov.IvpSpec(0.5, u0, 1.2))
-        want = rc.eval_u1(rp, 1.2).value
+        want = rc.eval_u1(rp, 1.2)
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
     def test_underflow_through_pole(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)  # cot: pole at pi
-        u0 = rc.eval_u1(rp, 2.0).value
+        u0 = rc.eval_u1(rp, 2.0)
         with pytest.raises(StepUnderflowError):
             ov.integrate_riccati(rp, ov.IvpSpec(2.0, u0, 4.0))
 
@@ -81,7 +81,7 @@ class TestIntegrateLinear:
         y0, yp0 = rc.eval_y_branch(rp, 1, x0)
         y1, yp1 = ov.integrate_linear(rp, ov.IvpSpec(x0, (y0, yp0), x1))
         u_lin = yp1 / (rp.a * y1)
-        u0 = rc.eval_u1(rp, x0).value
+        u0 = rc.eval_u1(rp, x0)
         u_ric = ov.integrate_riccati(rp, ov.IvpSpec(x0, u0, x1))
         assert abs(u_lin - u_ric) <= 1e-7 * (1.0 + abs(u_ric))
 

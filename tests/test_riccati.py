@@ -79,39 +79,28 @@ class TestMapParams:
 class TestBranchValues:
     def test_u1_is_cot(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)
-        got = rc.eval_u1(rp, math.pi / 4.0)
-        assert not got.pole_flag
-        assert got.value == pytest.approx(1.0, rel=1e-12)
+        assert rc.eval_u1(rp, math.pi / 4.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_u1_is_coth(self):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
-        got = rc.eval_u1(rp, 1.0)
-        assert got.value == pytest.approx(1.3130352854993313, rel=1e-12)
+        assert rc.eval_u1(rp, 1.0) == pytest.approx(1.3130352854993313, rel=1e-12)
 
     def test_u1_small_x_asymptote(self):
         # u1 ~ 1/(a x) as x -> 0+, any regime
         for a, b in ((1.0, -1.0), (2.0, 1.0)):
             rp = rc.RiccatiParams(a, b, 1.0)
             for x in (1e-4, 1e-6):
-                assert rc.eval_u1(rp, x).value * x == pytest.approx(1.0 / a, rel=1e-6)
+                assert rc.eval_u1(rp, x) * x == pytest.approx(1.0 / a, rel=1e-6)
 
     def test_u2_is_minus_tan(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)
-        got = rc.eval_u2(rp, math.pi / 4.0)
-        assert got.value == pytest.approx(-1.0, rel=1e-12)
+        assert rc.eval_u2(rp, math.pi / 4.0) == pytest.approx(-1.0, rel=1e-12)
 
     def test_u2_modified_is_constant_equilibrium(self):
         # K_(1/2) = K_(-1/2) makes u2 = -sqrt(b/a) for every x at delta = 1
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
         for x in (0.3, 1.0, 2.5, 7.0):
-            assert rc.eval_u2(rp, x).value == pytest.approx(-1.0, rel=1e-11)
-
-    def test_pole_flag_at_denominator_zero(self):
-        rp = rc.RiccatiParams(1.0, -1.0, 1.0)
-        # J_(1/2)(x) = 0 at x = pi; Y_(1/2)(x) = 0 at x = pi/2
-        assert rc.eval_u1(rp, math.pi).pole_flag
-        assert math.isnan(rc.eval_u1(rp, math.pi).value)
-        assert rc.eval_u2(rp, math.pi / 2.0).pole_flag
+            assert rc.eval_u2(rp, x) == pytest.approx(-1.0, rel=1e-11)
 
     def test_degenerate_refused(self):
         rp = rc.RiccatiParams(1.0, 0.0, 0.5)
@@ -126,8 +115,8 @@ class TestBranchValues:
             rp = rc.RiccatiParams(1.5, -2.0, d)
             rn = rc.RiccatiParams(-1.5, 2.0, d)
             for x in (0.3, 0.9, 1.4):
-                assert rc.eval_u1(rn, x).value == pytest.approx(
-                    -rc.eval_u1(rp, x).value, rel=1e-12
+                assert rc.eval_u1(rn, x) == pytest.approx(
+                    -rc.eval_u1(rp, x), rel=1e-12
                 )
 
     def test_delta_one_reductions_through_general_path(self):
@@ -136,7 +125,7 @@ class TestBranchValues:
             for x in np.linspace(0.1, math.pi / (2.0 * c), 25)[:-1]:
                 x = float(x)
                 want = math.cos(c * x) / math.sin(c * x)
-                got = rc.eval_u1(rp, x).value
+                got = rc.eval_u1(rp, x)
                 assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
 
@@ -158,8 +147,10 @@ class TestModifiedRegime:
         rp = rc.RiccatiParams(-a if negative else a, -b if negative else b, delta)
         bm = rc.map_params(rp)
         xs = np.array([(10.0**lz / bm.q_mag) ** (1.0 / bm.r) for lz in log_z])
-        value, pole = rc.branch_table([rp], branch, xs)
-        assert not pole.any()
+        value = rc.branch_table([rp], branch, xs)
+        lo, hi = ((10.0**e / bm.q_mag) ** (1.0 / bm.r) for e in (-3.0, 4.0))
+        assert rc.find_poles(rp, lo, hi, branch) == []
+        assert np.all(np.isfinite(value))
         z = np.array([bm.q_mag * x**bm.r for x in xs.tolist()])
         ratio = sp.ive(bm.n - 1.0, z) / sp.ive(bm.n, z) if branch == 1 else (
             -sp.kve(bm.n - 1.0, z) / sp.kve(bm.n, z)
@@ -174,15 +165,17 @@ class TestModifiedRegime:
         rp = rc.RiccatiParams(a, b, 1.0)
         w = math.sqrt(a * b)
         xs = np.geomspace(1e-3, 1e4, 200) / w
-        u1, pole1 = rc.branch_table([rp], 1, xs)
-        u2, pole2 = rc.branch_table([rp], 2, xs)
-        assert not (pole1.any() or pole2.any())
+        u1 = rc.branch_table([rp], 1, xs)
+        u2 = rc.branch_table([rp], 2, xs)
+        for branch in (1, 2):
+            assert rc.find_poles(rp, float(xs[0]), float(xs[-1]), branch) == []
+        assert np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))
         want1 = w / a / np.tanh(w * xs)
         assert np.all(np.abs(u1[0] - want1) <= 1e-12 * np.abs(want1))
         assert np.all(np.abs(u2[0] + w / a) <= 1e-12 * (w / abs(a)))
         for x in (0.5, 25.0, 800.0, 5e3):
-            assert rc.eval_u2(rp, x / w).value == pytest.approx(-w / a, rel=1e-12)
-            assert not rc.eval_u1(rp, x / w).pole_flag
+            assert rc.eval_u2(rp, x / w) == pytest.approx(-w / a, rel=1e-12)
+            assert math.isfinite(rc.eval_u1(rp, x / w))
 
 
 class TestYBranch:
@@ -225,7 +218,7 @@ class TestYBranch:
         rp = rc.RiccatiParams(2.0, -1.0, 0.45)
         for x in (0.5, 1.2):
             y, yp = rc.eval_y_branch(rp, 1, x)
-            assert rc.eval_u1(rp, x).value == pytest.approx(yp / (rp.a * y), rel=1e-10)
+            assert rc.eval_u1(rp, x) == pytest.approx(yp / (rp.a * y), rel=1e-10)
 
     def test_branch_validation(self):
         rp = rc.RiccatiParams(1.0, -1.0, 0.5)
@@ -255,7 +248,7 @@ class TestResidual:
         rp = rc.RiccatiParams(2.0, -1.0, 0.5)
 
         def u_of(t):
-            return rc.eval_u1(rp, t).value
+            return rc.eval_u1(rp, t)
 
         for x in np.linspace(0.3, 2.2, 20):
             x = float(x)
@@ -275,9 +268,8 @@ class TestResidual:
         poles = rc.find_poles(rp, 0.2, 2.3, 1)
         if any(abs(x - p) < 0.08 for p in poles):
             return
-        s = rc.eval_u1(rp, x)
-        up = ov.fd_derivative(lambda t: rc.eval_u1(rp, t).value, x)
-        r = rc.residual(rp, x, s.value, up)
+        up = ov.fd_derivative(lambda t: rc.eval_u1(rp, t), x)
+        r = rc.residual(rp, x, rc.eval_u1(rp, x), up)
         assert abs(r) <= 1e-6 * (1.0 + abs(frac_const(b, delta, x)))
 
 
