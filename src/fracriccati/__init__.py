@@ -8,7 +8,6 @@ from .errors import (
     ConvergenceError,
     DegenerateRegimeError,
     GammaPoleError,
-    IndeterminateFormError,
     MaxStepsError,
     StepUnderflowError,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateRegimeError",
     "GammaPoleError",
-    "IndeterminateFormError",
     "MaxStepsError",
     "StepUnderflowError",
 ]

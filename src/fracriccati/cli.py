@@ -168,6 +168,9 @@ def figure_rows(k: int, c: float, eta_grid: GridSpec, delta_grid: GridSpec, bran
 # ---------------------------------------------------------------------------
 
 
+_SIN_DERIVS = (np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t))
+
+
 def _cmd_fracderiv(args) -> int:
     if not 0.0 <= args.beta < 2.0:
         _err(f"--beta must lie in [0, 2), got {args.beta}")
@@ -189,9 +192,9 @@ def _cmd_fracderiv(args) -> int:
     else:
         name = args.builtin
         if name == "sin":
-            f = fo.RealFunction(np.sin)
+            f = fo.RealFunction(np.sin, lambda k: _SIN_DERIVS[k % 4], label=name)
         elif name == "exp":
-            f = fo.RealFunction(np.exp)
+            f = fo.RealFunction(np.exp, lambda k: np.exp, label=name)
         elif name.startswith("poly:"):
             try:
                 coeffs = [float(cstr) for cstr in name[5:].split(",")]

@@ -5,10 +5,6 @@ class GammaPoleError(ValueError):
     """Gamma evaluated at a non-positive integer."""
 
 
-class IndeterminateFormError(ValueError):
-    """Generalized binomial with coinciding numerator/denominator poles."""
-
-
 class ConvergenceError(RuntimeError):
     """A quadrature or series refinement budget was exhausted."""
 

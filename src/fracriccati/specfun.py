@@ -1,5 +1,5 @@
-"""Self-contained special functions: gamma, generalized binomial, and Bessel
-functions of arbitrary real order.
+"""Self-contained special functions: gamma and Bessel functions of arbitrary
+real order.
 
 Everything here is pure.  The kernels are scalar float-in/float-out;
 ``bessel`` also takes ndarray orders and arguments and then runs the array
@@ -35,12 +35,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import GammaPoleError, IndeterminateFormError
+from .errors import GammaPoleError
 
 __all__ = [
     "gamma",
     "recip_gamma",
-    "gen_binomial",
     "bessel",
     "bessel_j",
     "bessel_y",
@@ -128,27 +127,6 @@ def recip_gamma(x: float) -> float:
     if _is_nonpositive_integer(x):
         return 0.0
     return 1.0 / gamma(x)
-
-
-def gen_binomial(beta: float, k: int) -> float:
-    """Generalized binomial coefficient Gamma(1+beta) / (k! Gamma(1-k+beta)).
-
-    When Gamma in the denominator has a pole and the numerator is finite the
-    limiting value 0 is returned.  Coinciding numerator/denominator poles
-    (beta a negative integer) raise IndeterminateFormError.
-    """
-    if k != int(k) or k < 0:
-        raise ValueError(f"gen_binomial: k must be a non-negative integer, got {k}")
-    k = int(k)
-    beta = float(beta)
-    if _is_nonpositive_integer(1.0 + beta):
-        # then 1 - k + beta is a non-positive integer too: 0/0 form
-        raise IndeterminateFormError(
-            f"gen_binomial({beta}, {k}): numerator and denominator poles coincide"
-        )
-    if _is_nonpositive_integer(1.0 - k + beta):
-        return 0.0
-    return gamma(1.0 + beta) * recip_gamma(1.0 - k + beta) / float(math.factorial(k))
 
 
 def _digamma_int(m: int) -> float:

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -76,6 +77,36 @@ class TestFracderiv:
         assert rc == 0
         _, rows = parse_table(out)
         assert all(float(row[3]) < 1e-6 for row in rows)
+
+    @pytest.mark.parametrize("builtin", ["exp", "sin"])
+    @pytest.mark.parametrize("beta", ["1.3", "1.7", "1.95"])
+    def test_builtin_against_series(self, capsys, builtin, beta):
+        # the Taylor series differentiated term by term, D^beta t^j / j! =
+        # t^(j-beta) / Gamma(j+1-beta)
+        rc, out, _ = run(capsys, ["fracderiv", "--beta", beta, "--builtin", builtin,
+                                  "--grid", "0.25:2:4"])
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert len(rows) == 4
+        b = mpmath.mpf(beta)
+        for xs, numeric in rows:
+            x = mpmath.mpf(xs)
+            if builtin == "exp":
+                terms = (x ** (j - b) * mpmath.rgamma(j + 1 - b) for j in range(60))
+            else:
+                terms = ((-1) ** (j // 2) * x ** (j - b) * mpmath.rgamma(j + 1 - b)
+                         for j in range(1, 60, 2))
+            assert float(numeric) == pytest.approx(float(mpmath.fsum(terms)), rel=1e-9)
+
+    def test_sqrt_rows_within_relative_target(self, capsys):
+        # t^0.5 is not smooth at 0; each row must still hold 1e-6 relative
+        rc, out, _ = run(capsys, ["fracderiv", "--beta", "1.46", "--power", "0.5",
+                                  "--grid", "0.92:1.6:5"])
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert len(rows) == 5
+        for row in rows:
+            assert float(row[3]) <= 1e-6 * abs(float(row[2])), row
 
     def test_poly_oracle(self, capsys):
         rc, out, _ = run(capsys, ["fracderiv", "--beta", "0.5",

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fracriccati import fracops as fo
 from fracriccati.errors import ConvergenceError, GammaPoleError
 from fracriccati.grids import GridSpec
+from frac_series import SeriesSpec, frac_chain, frac_leibniz
 
 SQRT_PI = math.sqrt(math.pi)
 FAST_Q = fo.QuadratureSpec(n_base=1024, tol=1e-8, max_doublings=5)
@@ -111,6 +112,15 @@ class TestRlDerivative:
         with pytest.raises(ValueError):
             fo.rl_derivative(fo.RealFunction(np.sin), 2.0, 1.0)
 
+    @given(st.integers(1, 4), st.floats(1.0, 2.0, exclude_min=True, exclude_max=True),
+           st.floats(0.05, 4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_power_rule_between_one_and_two(self, k, beta, x):
+        # one RL integral of alpha(alpha-1) f + 2 alpha t f' + t^2 f'', so no
+        # second difference loses digits to round-off
+        got = fo.rl_derivative(fo.RealFunction.power(float(k)), beta, x)
+        assert got == pytest.approx(fo.power_rule(float(k), beta, x), rel=1e-10)
+
     def test_agreement_matrix(self):
         for a in (1.0, 2.0, 2.5):
             f = fo.RealFunction.power(a)
@@ -163,20 +173,20 @@ class TestFracConst:
 class TestLeibniz:
     def test_constant_left_factor_collapses(self):
         g = fo.RealFunction(np.sin)
-        r = fo.frac_leibniz(fo.RealFunction.constant(1.0), g, 0.5, 1.0, fo.SeriesSpec(3), FAST_Q)
+        r = frac_leibniz(fo.RealFunction.constant(1.0), g, 0.5, 1.0, SeriesSpec(3), FAST_Q)
         assert r.value == pytest.approx(fo.rl_derivative(g, 0.5, 1.0, FAST_Q), rel=1e-12)
 
     def test_linear_times_one(self):
-        r = fo.frac_leibniz(
+        r = frac_leibniz(
             fo.RealFunction.power(1.0), fo.RealFunction.constant(1.0), 0.5, 1.0,
-            fo.SeriesSpec(2), FAST_Q,
+            SeriesSpec(2), FAST_Q,
         )
         assert r.value == pytest.approx(2.0 / SQRT_PI, rel=1e-9)
 
     def test_linear_times_linear(self):
-        r = fo.frac_leibniz(
+        r = frac_leibniz(
             fo.RealFunction.power(1.0), fo.RealFunction.power(1.0), 0.5, 1.0,
-            fo.SeriesSpec(2), FAST_Q,
+            SeriesSpec(2), FAST_Q,
         )
         assert r.value == pytest.approx(1.5045055561273501, rel=1e-9)
         assert r.last_term == 0.0  # series truncates exactly on polynomials
@@ -184,22 +194,22 @@ class TestLeibniz:
 
 class TestChain:
     def test_constant_composite(self):
-        r = fo.frac_chain(fo.RealFunction.constant(1.0), 0.5, 1.0, fo.SeriesSpec(3))
+        r = frac_chain(fo.RealFunction.constant(1.0), 0.5, 1.0, SeriesSpec(3))
         assert r.value == pytest.approx(0.5641895835477563, rel=1e-13)
 
     def test_identity_composite(self):
-        r = fo.frac_chain(fo.RealFunction.power(1.0), 0.5, 1.0, fo.SeriesSpec(3))
+        r = frac_chain(fo.RealFunction.power(1.0), 0.5, 1.0, SeriesSpec(3))
         assert r.value == pytest.approx(2.0 / SQRT_PI, rel=1e-13)
 
     def test_square_composite(self):
-        r = fo.frac_chain(fo.RealFunction.power(2.0), 0.5, 1.0, fo.SeriesSpec(3))
+        r = frac_chain(fo.RealFunction.power(2.0), 0.5, 1.0, SeriesSpec(3))
         assert r.value == pytest.approx(1.5045055561273501, rel=1e-13)
 
     def test_exact_truncation_on_polynomials(self):
         # once the truncation order passes the degree, the value is frozen
         p = fo.RealFunction.polynomial([1.0, -2.0, 0.5, 3.0])
-        v3 = fo.frac_chain(p, 0.7, 1.4, fo.SeriesSpec(3)).value
-        v9 = fo.frac_chain(p, 0.7, 1.4, fo.SeriesSpec(9)).value
+        v3 = frac_chain(p, 0.7, 1.4, SeriesSpec(3)).value
+        v9 = frac_chain(p, 0.7, 1.4, SeriesSpec(9)).value
         assert v3 == pytest.approx(v9, rel=1e-14)
         # and equals the power-rule combination
         want = sum(
@@ -223,17 +233,17 @@ class TestTruncationWarning:
 
     def test_growing_last_term_warns_at_the_caller(self):
         with pytest.warns(UserWarning, match="frac_chain: terms not decaying") as rec:
-            fo.frac_chain(self.EXP, 0.5, 10.0, fo.SeriesSpec(3))
+            frac_chain(self.EXP, 0.5, 10.0, SeriesSpec(3))
         assert rec[0].filename == __file__
         one = fo.RealFunction.constant(1.0)
         with pytest.warns(UserWarning, match="frac_leibniz: terms not decaying") as rec:
-            fo.frac_leibniz(self.EXP, one, 0.5, 10.0, fo.SeriesSpec(3), FAST_Q)
+            frac_leibniz(self.EXP, one, 0.5, 10.0, SeriesSpec(3), FAST_Q)
         assert rec[0].filename == __file__
 
     def test_decaying_terms_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fo.frac_chain(self.EXP, 0.5, 0.1, fo.SeriesSpec(3))
+            frac_chain(self.EXP, 0.5, 0.1, SeriesSpec(3))
 
 
 class TestSolveLinear:
@@ -335,4 +345,4 @@ class TestQuadratureSpecValidation:
 
     def test_bad_series(self):
         with pytest.raises(ValueError):
-            fo.SeriesSpec(-1)
+            SeriesSpec(-1)
