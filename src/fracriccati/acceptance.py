@@ -14,7 +14,7 @@ from . import cosmo, odeverify, riccati, specfun
 from . import fracops as fo
 from .grids import GridSpec
 
-__all__ = ["CRITERIA", "run_all"]
+__all__ = ["CRITERIA", "run_all", "riccati_route_rows"]
 
 
 def _max_rel(pairs):
@@ -119,21 +119,11 @@ def _pole_free_grid(rp, branch, lo=0.2, hi=3.2, count=50, margin=0.08):
 
 
 def criterion_closed_form_residual():
-    """Both branches satisfy the modified equation to 1e-6 scaled, with the
-    derivative estimated by finite differences, poles excluded by margin.
-    Each branch's points and difference stencils are one table."""
-    worst = 0.0
-    for rp in _MATRIX:
-        for branch in (1, 2):
-            xs = _pole_free_grid(rp, branch).tolist()
-            pts = xs + [t for x in xs for t in odeverify.fd_stencil(x)]
-            value = riccati.branch_table([rp], branch, np.array(pts))
-            u_of = dict(zip(pts, value[0].tolist())).__getitem__
-            for x in xs:
-                up = odeverify.fd_derivative(u_of, x)
-                r = riccati.residual(rp, x, u_of(x), up)
-                scale = 1.0 + abs(fo.frac_const(rp.b, rp.delta, x))
-                worst = max(worst, abs(r) / scale)
+    """Both branches satisfy the modified equation to 1e-6, the residual
+    scaled by |u'| + |a u^2| + |rhs| with u' from finite differences
+    (odeverify.residuals), poles excluded by margin."""
+    worst = max(float(odeverify.residuals(rp, br, _pole_free_grid(rp, br)).max())
+                for rp in _MATRIX for br in (1, 2))
     return worst <= 1e-6, f"max scaled residual {worst:.3e} (tol 1e-6)"
 
 
@@ -152,21 +142,26 @@ def _verification_interval(rp, branch=1, lo=0.4, hi=3.0, margin=0.15):
     return best
 
 
-def criterion_cross_oracle():
-    """Adaptive integration from a closed-form start reproduces the closed
-    form to 1e-6; the linear route via u = y'/(a y) agrees to 1e-7."""
-    worst_ric = 0.0
-    worst_lin = 0.0
+def riccati_route_rows():
+    """(rp, x0, x1, u(x1), deviation) per matrix entry: DP5 from u1(x0) across
+    the _verification_interval against u(x1) = u1(x1), scaled by 1 + |u(x1)|."""
     for rp in _MATRIX:
         x0, x1 = _verification_interval(rp)
         u0 = riccati.eval_u1(rp, x0)
         got = odeverify.integrate_riccati(rp, odeverify.IvpSpec(x0, u0, x1))
         want = riccati.eval_u1(rp, x1)
-        worst_ric = max(worst_ric, abs(got - want) / (1.0 + abs(want)))
+        yield rp, x0, x1, want, abs(got - want) / (1.0 + abs(want))
+
+
+def criterion_cross_oracle():
+    """Adaptive integration from a closed-form start reproduces the closed
+    form to 1e-6; the linear route via u = y'/(a y) agrees to 1e-7."""
+    worst_ric = 0.0
+    worst_lin = 0.0
+    for rp, x0, x1, want, dev in riccati_route_rows():
+        worst_ric = max(worst_ric, dev)
         y0, yp0 = riccati.eval_y_branch(rp, 1, x0)
-        y1, yp1 = odeverify.integrate_linear(
-            rp, odeverify.IvpSpec(x0, (y0, yp0), x1)
-        )
+        y1, yp1 = odeverify.integrate_linear(rp, odeverify.IvpSpec(x0, (y0, yp0), x1))
         u_lin = yp1 / (rp.a * y1)
         worst_lin = max(worst_lin, abs(u_lin - want) / (1.0 + abs(want)))
     ok = worst_ric <= 1e-6 and worst_lin <= 1e-7

@@ -265,31 +265,26 @@ def _cmd_riccati(args) -> int:
         _err(f"verification interval [{args.x0}, {args.x1}] contains a pole")
         return EXIT_POLE
 
-    def closed_form(xs: list[float]) -> list[float]:
-        return riccati.branch_table([rp], args.branch, np.array(xs))[0].tolist()
-
     def checked(what: str, x: float, v: float) -> float:
         # max() would keep its other argument over a nan
         if not math.isfinite(v):
             raise NonFiniteError(f"{what} is {v} at x = {x!r}")
         return v
 
-    # the difference stencils are evaluated after the integration, so an
-    # integrator failure (exit 3) comes before a stencil that reaches
-    # x <= 0 (exit 2)
-    pts = np.linspace(args.x0, args.x1, 33).tolist()
-    u_pts = [checked("closed-form value", x, u) for x, u in zip(pts, closed_form(pts))]
-    max_res = 0.0
+    # the residual stencils are evaluated after the integration, so an
+    # integrator failure (exit 3) comes before a stencil point whose Bessel
+    # argument leaves the float range (exit 2)
+    xs = np.linspace(args.x0, args.x1, 33)
+    pts = xs.tolist()
+    u_pts = riccati.branch_table([rp], args.branch, xs)[0].tolist()
+    u_pts = [checked("closed-form value", x, u) for x, u in zip(pts, u_pts)]
     max_dev = 0.0
     u_num = u_pts[0]
     for x_prev, x_cur, u_cur in zip(pts[:-1], pts[1:], u_pts[1:]):
         u_num = odeverify.integrate_riccati(rp, odeverify.IvpSpec(x_prev, u_num, x_cur))
         max_dev = max(max_dev, checked("deviation", x_cur, abs(u_num - u_cur)))
-    stencils = [t for x in pts for t in odeverify.fd_stencil(x)]
-    u_of = dict(zip(stencils + pts, closed_form(stencils) + u_pts)).__getitem__
-    for x in pts:
-        up = odeverify.fd_derivative(u_of, x)
-        max_res = max(max_res, checked("residual", x, abs(riccati.residual(rp, x, u_of(x), up))))
+    res = odeverify.residuals(rp, args.branch, xs).tolist()
+    max_res = max(checked("residual", x, r) for x, r in zip(pts, res))
     return _emit(
         args.out,
         ["a", "b", "delta", "branch", "x0", "x1", "max_residual", "max_deviation"],

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError, GammaPoleError
 from .grids import GridSpec
-from .specfun import gamma
+from .specfun import gamma, power
 
 __all__ = [
     "QuadratureSpec",
@@ -79,8 +79,8 @@ class _NaturalCubicSpline:
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or xs.size < 4:
-            raise ValueError("spline needs at least 4 sample points")
+        if xs.ndim != 1 or xs.size < 2:
+            raise ValueError("spline needs at least 2 sample points")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("sample abscissae must be strictly increasing")
         n = xs.size
@@ -130,8 +130,9 @@ class RealFunction:
 
     ``deriv_factory(k)`` returns the k-th derivative as a callable, or None
     when no closed form is available; missing derivatives of order <= 2 fall
-    back to Richardson-extrapolated central differences.  ``eval_array(xs,
-    k)`` evaluates f^(k) on a whole array, point by point if it must.
+    back to Richardson-extrapolated central differences on the _fd_step
+    stencil, which take whole arrays.  ``eval_array(xs, k)`` evaluates f^(k)
+    on a whole array, calling f point by point only if it takes no arrays.
     """
 
     def __init__(
@@ -156,7 +157,7 @@ class RealFunction:
                 return out
         except (TypeError, ValueError):
             pass
-        return np.array([float(fk(float(t))) for t in xs])
+        return np.array([float(fk(float(t))) for t in xs.ravel()]).reshape(xs.shape)
 
     def derivative(self, k: int) -> Callable[[float], float]:
         if k == 0:
@@ -165,11 +166,10 @@ class RealFunction:
             d = self._deriv_factory(k)
             if d is not None:
                 return d
-        f = self._func
         if k == 1:
-            return lambda x: _richardson_d1(f, x, _fd_step(x, 1e-6))
+            return lambda x: _richardson_d1(*_fd_values(self.eval_array, x, 1e-6))
         if k == 2:
-            return lambda x: _richardson_d2(f, x, _fd_step(x, 1e-4))
+            return lambda x: _richardson_d2(*_fd_values(self.eval_array, x, 1e-4))
         raise ValueError(
             f"{self.label}: no derivative supplier for order {k} "
             "(finite-difference fallback stops at order 2)"
@@ -335,29 +335,38 @@ def rl_integral(f, alpha: float, x: float, q: QuadratureSpec = QuadratureSpec())
     )
 
 
-def _fd_step(x: float, rel: float) -> float:
-    """Step of the fixed-step central differences: max(rel, |x| rel)."""
-    return max(rel, abs(x) * rel)
+# offsets of the central-difference stencil, in units of the step h
+_STENCIL = np.array([0.0, 1.0, -1.0, 0.5, -0.5])
 
 
-def _d1_stencil(x: float, h: float) -> tuple[float, float, float, float]:
-    """The points _richardson_d1 evaluates F at, in call order."""
-    return x + h, x - h, x + 0.5 * h, x - 0.5 * h
+def _fd_step(x, rel: float):
+    """Step h of the central differences at x, a float or an ndarray:
+    max(rel, |x| rel), capped at sqrt(rel) |x| where x != 0, so that the
+    stencil x + _STENCIL h stays on the side of 0 that x is on."""
+    ax = np.abs(x)
+    h = np.maximum(rel, ax * rel)
+    return np.where(ax > 0.0, np.minimum(h, math.sqrt(rel) * ax), h)
 
 
-def _richardson_d1(F: Callable[[float], float], x: float, h: float) -> float:
-    fp, fm, fhp, fhm = map(F, _d1_stencil(x, h))
-    a = (fp - fm) / (2.0 * h)
-    b = (fhp - fhm) / h
-    return (4.0 * b - a) / 3.0
+def _fd_values(F, x, rel: float):
+    """F on the stencil at x, as one call of F on an array of shape
+    (5,) + shape(x), and the step h = _fd_step(x, rel)."""
+    h = _fd_step(x, rel)
+    return F(x + np.multiply.outer(_STENCIL, h)), h
 
 
-def _richardson_d2(F: Callable[[float], float], x: float, h: float) -> float:
-    f0 = F(x)
-    a = (F(x + h) - 2.0 * f0 + F(x - h)) / (h * h)
+def _richardson_d1(fv, h):
+    """First derivative from the stencil values fv: central differences of
+    steps h and h/2 and one Richardson step."""
+    _, fp, fm, fhp, fhm = fv
+    return (4.0 * ((fhp - fhm) / h) - (fp - fm) / (2.0 * h)) / 3.0
+
+
+def _richardson_d2(fv, h):
+    """Second derivative from the stencil values fv, likewise."""
+    f0, fp, fm, fhp, fhm = fv
     hh = 0.5 * h
-    b = (F(x + hh) - 2.0 * f0 + F(x - hh)) / (hh * hh)
-    return (4.0 * b - a) / 3.0
+    return (4.0 * ((fhp - 2.0 * f0 + fhm) / (hh * hh)) - (fp - 2.0 * f0 + fm) / (h * h)) / 3.0
 
 
 def rl_derivative(f, beta: float, x: float, q: QuadratureSpec = QuadratureSpec()) -> float:
@@ -371,8 +380,9 @@ def rl_derivative(f, beta: float, x: float, q: QuadratureSpec = QuadratureSpec()
         1 < beta < 2:  I^alpha[alpha(alpha-1) f + 2 alpha t f' + t^2 f''](x) / x^2,
     each t^k f^(k) term taking its limit 0 at t = 0; integer orders give
     f^(n)(x).  A bare callable has no closed-form f', f'' and takes the
-    scalar finite-difference fallback, slower and less accurate (D^1.95 exp
-    at x = 1 is 1e-7 off that way, 2e-11 with the closed form).
+    finite-difference fallback on the whole mesh, never reaching t <= 0, and
+    is less accurate: D^1.95 exp at x = 1 is 9.5e-8 relative off that way,
+    2.3e-11 with the closed form.
     """
     beta = float(beta)
     x = float(x)
@@ -419,16 +429,17 @@ def power_rule(a_exp: float, beta: float, x: float) -> float:
     return gamma(a_exp + 1.0) / gamma(den) * x ** (a_exp - beta)
 
 
-def frac_const(b: float, delta, x: float) -> float:
-    """Order-(1-delta) fractional integral of the constant b:
-    b x^(1-delta) / Gamma(2-delta).  Exactly b when delta = 1."""
+def frac_const(b: float, delta, x):
+    """Order-(1-delta) fractional integral of the constant b at x > 0, a float
+    or an ndarray: b x^(1-delta) / Gamma(2-delta), exactly b when delta = 1;
+    specfun.power gives each element the bits of the float call."""
     d = _delta_value(delta)
-    x = float(x)
-    if not x > 0.0:
+    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
+    if not np.all(x > 0.0):
         raise ValueError(f"frac_const requires x > 0, got {x}")
     if d == 1.0:
         return float(b)
-    return float(b) * x ** (1.0 - d) / gamma(2.0 - d)
+    return float(b) * power(x, 1.0 - d) / gamma(2.0 - d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Independent verification backend: an embedded Dormand-Prince 5(4) pair
 with PI step-size control, used to integrate the modified Riccati equation
-and its associated linear equation as a cross-check on the closed forms.
+and its associated linear equation as a cross-check on the closed forms;
+the other cross-check, residuals, puts the closed forms into the equation
+with a finite-difference derivative.
 
 Pole avoidance is the caller's duty (locate poles first); the integrator
 reports step underflow rather than attempting to continue through one.
@@ -16,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MaxStepsError, StepUnderflowError
-from .fracops import _d1_stencil, _fd_step, _richardson_d1
-from .riccati import RiccatiParams
+from .fracops import RealFunction, _fd_values, _richardson_d1, frac_const
+from .riccati import RiccatiParams, branch_table, residual
 from .specfun import gamma
 
 __all__ = [
@@ -25,8 +27,8 @@ __all__ = [
     "integrate",
     "integrate_riccati",
     "integrate_linear",
-    "fd_stencil",
     "fd_derivative",
+    "residuals",
 ]
 
 
@@ -216,24 +218,22 @@ def integrate_linear(rp: RiccatiParams, ivp: IvpSpec) -> tuple[float, float]:
     return float(y), float(yp)
 
 
-# relative step of fd_derivative, and its cap relative to x
-_FD_REL = 1e-6
-_FD_CAP = 1e-3
+def fd_derivative(f: Callable[[float], float], x):
+    """f'(x) at a float or elementwise at an ndarray x by the difference rule
+    of a bare RealFunction: one call of f on the whole stencil, or point by
+    point if f takes no arrays."""
+    return RealFunction(f).derivative(1)(x)
 
 
-def _fd_h(x: float) -> float:
-    """Step of fd_derivative: max(1e-6, |x|*1e-6), capped at 1e-3 |x| for
-    x != 0, so that near 0 the stencil neither reaches x <= 0 nor spans the
-    function's own scale.  Below |x| = 1e-3 the cap is the step."""
-    h = _fd_step(x, _FD_REL)
-    return min(h, _FD_CAP * abs(x)) if x else h
-
-
-def fd_stencil(x: float) -> tuple[float, ...]:
-    """The points at which fd_derivative(f, x) evaluates f, in call order."""
-    return _d1_stencil(x, _fd_h(x))
-
-
-def fd_derivative(f: Callable[[float], float], x: float) -> float:
-    """Central difference with one Richardson step of the _fd_h step."""
-    return _richardson_d1(f, x, _fd_h(x))
+def residuals(rp: RiccatiParams, branch: int, xs) -> np.ndarray:
+    """|u' + a u^2 - rhs| / (|u'| + |a u^2| + |rhs|) of the closed-form
+    branch at the points xs > 0 (an ndarray), rhs = b x^(1-delta) /
+    Gamma(2-delta), with u' by fd_derivative's rule and u at xs and their
+    stencils from one branch_table call.  The scale is never 0 for b != 0;
+    near 0, where u' and a u^2 grow like 1/x^2, it keeps their round-off
+    from reading as a defect."""
+    u, h = _fd_values(
+        lambda pts: branch_table([rp], branch, pts.ravel())[0].reshape(pts.shape), xs, 1e-6)
+    up = _richardson_d1(u, h)
+    scale = np.abs(up) + np.abs(rp.a * u[0] * u[0]) + np.abs(frac_const(rp.b, rp.delta, xs))
+    return np.abs(residual(rp, xs, u[0], up)) / scale

@@ -216,11 +216,9 @@ def y_branch_table(
     return np.sqrt(xs) * s[0, 0], e[0, 0]
 
 
-def residual(rp: RiccatiParams, x: float, u: float, u_prime: float) -> float:
-    """Defect u' + a u^2 - b x^(1-delta)/Gamma(2-delta) of a candidate value."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"residual requires x > 0, got {x}")
+def residual(rp: RiccatiParams, x, u, u_prime):
+    """Defect u' + a u^2 - b x^(1-delta)/Gamma(2-delta) of candidate values
+    at x > 0: floats, or ndarrays elementwise."""
     return u_prime + rp.a * u * u - frac_const(rp.b, rp.delta, x)
 
 

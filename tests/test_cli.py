@@ -554,22 +554,22 @@ class TestVerifyPinned:
     # which the table evaluation must repeat
     @pytest.mark.parametrize("argv, code, stdout", [
         ("riccati verify --a 1 --b 1 --delta 0.5 --x0 0.5 --x1 1.5 --branch 1", 0,
-         "1,1,0.5,1,0.5,1.5,1.6805057345692376e-09,1.2014167438678669e-11"),
+         "1,1,0.5,1,0.5,1.5,3.2249755154586834e-10,1.2014167438678669e-11"),
         ("riccati verify --a 2 --b 0.5 --delta 0.3 --x0 0.2 --x1 3 --branch 1", 0,
          "2,0.5,0.29999999999999999,1,0.20000000000000001,3,"
-         "6.3794403093453411e-10,4.5229375800204252e-11"),
+         "4.5149523929063212e-10,4.5229375800204252e-11"),
         ("riccati verify --a 1 --b -1 --delta 0.7 --x0 0.3 --x1 1.2 --branch 2", 0,
          "1,-1,0.69999999999999996,2,0.29999999999999999,1.2,"
-         "4.4145209709967048e-09,3.4422686923107904e-11"),
+         "4.348652304484016e-10,3.4422686923107904e-11"),
         ("riccati verify --a -1.5 --b 0.7 --delta 0.8 --x0 0.4 --x1 2.5 --branch 1", 0,
          "-1.5,0.69999999999999996,0.80000000000000004,1,0.40000000000000002,2.5,"
-         "1.0535133876388159e-09,5.0480730706681243e-11"),
+         "2.5771258552710137e-10,5.0480730706681243e-11"),
         # below x = 1e-3 the difference step is 1e-3 x; u' and a u^2 are
-        # about 1/x0^2 (2.5e11 and 4e12), so these residuals are round-off
+        # about 1/x0^2 (2.5e11 and 4e12), and the residual is scaled by them
         ("riccati verify --a 1 --b -1 --delta 0.5 --x0 2e-6 --x1 1 --branch 1", 0,
-         "1,-1,0.5,1,1.9999999999999999e-06,1,0.030221257402855729,3.2995544074765348e-09"),
+         "1,-1,0.5,1,1.9999999999999999e-06,1,2.0021534062232414e-10,3.2995544074765348e-09"),
         ("riccati verify --a 1 --b -1 --delta 0.5 --x0 5e-7 --x1 1 --branch 1", 0,
-         "1,-1,0.5,1,4.9999999999999998e-07,1,1.1716963220608028,3.2634517310725641e-09"),
+         "1,-1,0.5,1,4.9999999999999998e-07,1,3.3467242437788195e-10,3.2634517310725641e-09"),
         # the integrator runs out of steps on the way to 1e300; the oscillatory
         # scan is over budget
         ("riccati verify --a 1 --b 1 --delta 1 --x0 0.1 --x1 1e300", 3, None),
@@ -583,6 +583,16 @@ class TestVerifyPinned:
             assert out == ""
         else:
             assert out == "# a,b,delta,branch,x0,x1,max_residual,max_deviation\n" + stdout + "\n"
+
+    def test_residual_near_zero_is_scaled(self, capsys):
+        # u' and a u^2 are about 1e18 at x0 = 1e-9, where an absolute residual
+        # read 1.4e5 of round-off
+        argv = "riccati verify --a 1 --b -1 --delta 0.5 --x0 1e-9 --x1 1 --branch 1"
+        rc, out, _ = run(capsys, argv.split())
+        assert rc == 0
+        header, rows = parse_table(out)
+        vals = dict(zip(header, rows[0]))
+        assert float(vals["max_residual"]) <= 1e-9
 
 
 def test_fracderiv_bits_do_not_depend_on_blas_threads():

@@ -121,6 +121,26 @@ class TestRlDerivative:
         got = fo.rl_derivative(fo.RealFunction.power(float(k)), beta, x)
         assert got == pytest.approx(fo.power_rule(float(k), beta, x), rel=1e-10)
 
+    @pytest.mark.parametrize("x", [1e-3, 1e-6])
+    @pytest.mark.parametrize("func", [np.sqrt, lambda t: math.sqrt(t)], ids=["np", "math"])
+    def test_bare_sqrt(self, func, x):
+        # the difference fallback for f' takes the whole mesh at once (a
+        # scalar-only callable point by point) and never steps past t = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fo.rl_derivative(fo.RealFunction(func), 0.5, x)
+        want = fo.power_rule(0.5, 0.5, x)
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-5 * abs(want)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.3, 1.5, 1.95])
+    def test_bare_sin_against_series(self, beta):
+        # D^beta sin = sum_k (-1)^k x^(2k+1-beta) / Gamma(2k+2-beta)
+        for x in (1e-3, 0.05, 0.25, 1.0):
+            want = math.fsum((-1) ** k * x ** (2 * k + 1 - beta) / math.gamma(2 * k + 2 - beta)
+                             for k in range(12))
+            assert abs(fo.rl_derivative(np.sin, beta, x) - want) <= 1e-6, x
+
     def test_agreement_matrix(self):
         for a in (1.0, 2.0, 2.5):
             f = fo.RealFunction.power(a)
@@ -284,6 +304,17 @@ class TestSolveLinear:
         c_val = (u(x0) - 1.0) / math.exp(-(x0**2) / 2.0)
         for x in u.xs:
             want = 1.0 + c_val * math.exp(-(x**2) / 2.0)
+            assert u(float(x)) == pytest.approx(want, rel=1e-7)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_two_and_three_point_grids(self, count):
+        u = fo.solve_linear_fractional(
+            fo.RealFunction.constant(0.0), fo.RealFunction.constant(2.0),
+            0.5, GridSpec(0.5, 2.0, count), 0.0, FAST_Q,
+        )
+        assert u.xs.size == count
+        for x in u.xs:
+            want = 2.0 * x**1.5 / (1.5 * math.gamma(1.5))
             assert u(float(x)) == pytest.approx(want, rel=1e-7)
 
     def test_grid_must_start_positive(self):

@@ -137,6 +137,39 @@ class TestFdDerivative:
     def test_exp(self):
         assert ov.fd_derivative(math.exp, 1.0) == pytest.approx(math.e, abs=1e-8)
 
+    @pytest.mark.parametrize("f", [np.sin, np.sqrt, np.exp, lambda t: t**3 - 2.0 * t],
+                             ids=["sin", "sqrt", "exp", "cubic"])
+    def test_array_equals_points(self, f):
+        xs = np.geomspace(1e-9, 10.0, 200)
+        lowest = []
+
+        def spy(t):
+            lowest.append(np.min(t))
+            return f(t)
+
+        got = ov.fd_derivative(spy, xs)
+        assert got.shape == xs.shape
+        assert min(lowest) > 0.0
+        assert np.array_equal(got, [ov.fd_derivative(f, float(x)) for x in xs])
+
+
+class TestResiduals:
+    def test_scaled_by_the_terms(self):
+        # u' and a u^2 grow like 1/x^2 towards 0; their round-off is not a defect
+        rp = rc.RiccatiParams(1.0, -1.0, 0.5)
+        xs = np.geomspace(1e-9, 1.0, 40)
+        assert np.all(ov.residuals(rp, 1, xs) <= 1e-9)
+
+    def test_defect_is_seen(self, monkeypatch):
+        # a closed form off by 1e-4 x reads as a defect of about that size
+        rp = rc.RiccatiParams(1.0, -1.0, 0.5)
+        xs = np.linspace(0.5, 1.5, 5)
+        assert np.all(ov.residuals(rp, 1, xs) <= 1e-9)
+        table = rc.branch_table
+        monkeypatch.setattr(ov, "branch_table",
+                            lambda rps, branch, pts: table(rps, branch, pts) + 1e-4 * pts)
+        assert np.all(ov.residuals(rp, 1, xs) > 1e-6)
+
 
 # (a, b, delta), IvpSpec arguments and the repr of the result of a DP5 that
 # carried its state in numpy arrays; the float state must repeat them
