@@ -4,8 +4,8 @@ cosmology tables, figure-grid emission, and the acceptance selftest.
 Output tables are plain text: one '#' header line naming the columns, comma
 separators, 17-significant-digit decimals (bit-faithful round trip), newline
 endings.  Pole rows ('nan' in the value column and pole=1) come only from
-the zero brackets of riccati.find_poles: a lattice point within half a grid
-step of a denominator zero is a pole row.
+the sign changes of the table's own denominator row (riccati.sign_scan): a
+lattice point within half a grid step of a denominator zero is a pole row.
 Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
 coefficient product a*b, --x1 or --eta-ref, a pole-search span over the
 scan budget, or a point whose Bessel argument underflows to 0 or overflows
@@ -15,7 +15,7 @@ interval, 5 cosmology with c = 0.
 
 `riccati eval`, `cosmo hubble` and `cosmo figure` share one row builder,
 _table_rows, which evaluates parameter sets x grid points in one call of
-riccati.branch_table or, for every curvature, cosmo.hubble.
+riccati.branch_and_denominator or, for the flat k = 0, cosmo.hubble.
 """
 
 from __future__ import annotations
@@ -107,14 +107,16 @@ def pole_search_bounds(grid: GridSpec) -> tuple[float, float]:
     return max(grid.start - half, min(1e-12, 0.5 * grid.start)), grid.stop + half
 
 
-def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec) -> list[int]:
+def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec, den) -> list[int]:
     """Lattice indices whose nearest denominator zero lies within half a step.
 
-    A zero flags index i when |x_i - zero| <= half; the candidates are the
-    indices next to round((zero - start) / step).  Each bracket is bisected
-    only until it is narrower than one step and both of its ends flag the
-    same indices: every point inside it then flags those indices, the 1e-12
-    zero included.
+    den is the denominator row of the table's lattice call.  A zero flags
+    index i when |x_i - zero| <= half; the candidates are the indices next
+    to round((zero - start) / step).  riccati.sign_scan brackets the zeros
+    over the grid points and the window ends.  Each bracket is cut at the
+    cell edges x_j +- half inside it (at most two; one array call for all):
+    every point of the piece holding the sign change, the zero included,
+    flags the same indices.
     """
     pts = grid.points()
     half = pole_window(grid)
@@ -124,28 +126,43 @@ def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec) -> lis
         candidates = range(max(i - 1, 0), min(i + 2, grid.count))
         return [j for j in candidates if abs(float(pts[j]) - x) <= half]
 
-    def settled(lo: float, hi: float) -> bool:
-        return hi - lo < grid.step and near(lo) == near(hi)
-
     lo, hi = pole_search_bounds(grid)
-    return [i for x in riccati.find_poles(rp, lo, hi, branch, settled) for i in near(x)]
+    known = np.concatenate(([math.nan], den, [math.nan]))  # unknown at the window ends
+    brackets, den_at = riccati.sign_scan(rp, branch, np.concatenate(([lo], pts, [hi])), known, 1)
+    if not brackets:
+        return []
+    lower, upper = pts - half, pts + half
+
+    def inside(edges: np.ndarray, a: float, b: float) -> list[float]:
+        return edges[np.searchsorted(edges, a, "right"):np.searchsorted(edges, b, "left")].tolist()
+
+    cuts = [sorted(inside(lower, a, b) + inside(upper, a, b)) for a, b, _, _ in brackets]
+    cut_values = iter(den_at(np.concatenate(cuts)).tolist())
+    flags = []
+    for (a, b, f_a, f_b), cut in zip(brackets, cuts):
+        xs = [a, *cut, b]
+        fs = [f_a, *(next(cut_values) for _ in cut), f_b]
+        k = next(k for k, f in enumerate(fs) if f == 0.0 or f * fs[k + 1] < 0.0)
+        flags += near(xs[k] if fs[k] == 0.0 else 0.5 * (xs[k] + xs[k + 1]))
+    return flags
 
 
 def _table_rows(params: list, branch: int, grid: GridSpec) -> list[list[tuple]]:
     """(x, value, pole) rows of each parameter set on the grid, from one
-    array call: riccati.branch_table for RiccatiParams, cosmo.hubble for
-    CosmoParams of one k and c.  The pole flags come only from the zero
-    brackets of each Riccati branch (a = c, b = -k c for k != 0), within
-    pole_window (_pole_indices); pole rows have value nan."""
+    array call: riccati.branch_and_denominator for RiccatiParams and the
+    Riccati branches of CosmoParams with k != 0 (a = c, b = -k c),
+    cosmo.hubble for the flat k = 0.  The pole flags come only from the
+    denominator rows of that call, within pole_window of a zero
+    (_pole_indices); pole rows have value nan."""
     xs = grid.points()
-    if isinstance(params[0], cosmo.CosmoParams):
-        value = cosmo.hubble(params, branch, xs)
-        params = [cp.riccati_params() for cp in params if cp.k != 0]
+    if isinstance(params[0], cosmo.CosmoParams) and params[0].k == 0:
+        value, params = cosmo.hubble(params, branch, xs), []
     else:
-        value = riccati.branch_table(params, branch, xs)
+        params = [p.riccati_params() if isinstance(p, cosmo.CosmoParams) else p for p in params]
+        value, den = riccati.branch_and_denominator(params, branch, xs)
     pole = np.zeros(value.shape, dtype=bool)
     for row, rp in enumerate(params):
-        pole[row, _pole_indices(rp, branch, grid)] = True
+        pole[row, _pole_indices(rp, branch, grid, den[row])] = True
     value[pole] = math.nan
     xs = xs.tolist()
     return [list(zip(xs, v, p)) for v, p in zip(value.tolist(), pole.astype(int).tolist())]

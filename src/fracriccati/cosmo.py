@@ -81,10 +81,10 @@ def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray) -> np.ndarray:
     k = +-1 gives the Riccati branch of a = c, b = -k c (the 1/a prefactor
     cancels): branch 1 the first-kind ratio (J for k = 1, I for k = -1; the
     nondivergent-data branch), which is cot(c eta) and coth(c eta) at
-    delta = 1, branch 2 the second-kind one; their poles are located by
-    riccati.find_poles.  The flat k = 0 is H = 1/(c eta) for every delta,
-    without poles; one outside the float range raises OverflowError naming
-    its eta.
+    delta = 1, branch 2 the second-kind one; their poles are the zeros of
+    the denominator (riccati.find_poles).  The flat k = 0 is H = 1/(c eta)
+    for every delta, without poles; one outside the float range raises
+    OverflowError naming its eta.
     """
     if cps[0].k != 0:
         return riccati.branch_table([cp.riccati_params() for cp in cps], branch, etas)

@@ -128,6 +128,8 @@ def _initial_step(rhs, x0, y0, x1, rel_tol, abs_tol):
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, x1 - x0)
+    if not (h0 > 0.0 and all(map(math.isfinite, f0))):
+        return 0.0  # f0 overflowed: integrate reports a step underflow at x0
     y1 = [v + h0 * f for v, f in zip(y0, f0)]
     f1 = rhs(x0 + h0, y1)
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0

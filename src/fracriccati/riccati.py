@@ -12,7 +12,8 @@ for a*b > 0; b = 0 degenerates and is refused here.
 Every closed-form value comes from one lattice evaluation (_lattice): a
 table is a lattice of parameter sets times points, and a single point is a
 one-element table.  Only specfun keeps scalar kernels; here they serve the
-pole bisection of find_poles.
+pole bisection of find_poles.  One sign scan (sign_scan) brackets the
+denominator zeros for find_poles and for the pole rows of a table.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ __all__ = [
     "eval_u1",
     "eval_u2",
     "branch_table",
+    "branch_and_denominator",
     "eval_y_branch",
     "y_branch_table",
     "residual",
+    "sign_scan",
     "find_poles",
 ]
 
@@ -45,8 +48,12 @@ MODIFIED = "modified"
 DEGENERATE = "degenerate"
 Regime = str
 
-# most sign-scan cells one find_poles call may allocate: a Bessel-argument
-# span of about 39 000, far past the 10-digit domain (argument <= ~100)
+# the sign scan's node spacing in the Bessel argument: zeros of J_n and Y_n
+# of the Riccati orders 1/3 < n <= 1/2 lie at least 3.11 apart (tending to
+# pi, DLMF 10.21), so no gap of the scan holds two
+_SCAN_STEP = math.pi / 8.0
+# most sign-scan cells one pole search may allocate: a Bessel-argument span
+# of about 39 000, far past the 10-digit domain (argument <= ~100)
 _MAX_SCAN_CELLS = 100_000
 
 
@@ -151,23 +158,27 @@ def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
     return sign * q * r * specfun.power(x, r - 1.0), s, e
 
 
-def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray) -> np.ndarray:
+def branch_and_denominator(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     """The chosen branch u = (1/a) sign q r x^(r-1) B_(n-1)(q x^r)/B_n(q x^r)
-    on the lattice rps x xs, as an array of shape (len(rps), len(xs)).
-
-    The parameter sets must share one regime.  The Bessel ratio is the ratio
-    of the s values of specfun.bessel_scaled, so a modified-regime ratio
-    neither overflows nor underflows.  The value is nan only where the
-    denominator is exactly 0.  Within round-off of a denominator zero it is
-    dominated by round-off (eval_u1 at the float pi of a = 1, b = -1,
-    delta = 1 is about 9e15): callers locate poles with find_poles.
+    on the lattice rps x xs, shape (len(rps), len(xs)), and its denominator:
+    the s of specfun.bessel_scaled for B_n, with the sign of B_n (for J and
+    Y the bits of B_n).  The parameter sets must share one regime.  A ratio
+    of s values neither overflows nor underflows.  The value is nan only
+    where the denominator is exactly 0; within round-off of a zero it is
+    round-off (eval_u1 at the float pi of a = 1, b = -1, delta = 1 is about
+    9e15): callers locate poles with find_poles or sign_scan.
     """
     factor, s, _ = _lattice(rps, branch, xs)
     num, den = s
     a = np.array([rp.a for rp in rps], dtype=float)[:, None]
     value = np.full(den.shape, math.nan)
     np.divide(factor / a * num, den, out=value, where=den != 0.0)
-    return value
+    return value, den
+
+
+def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray) -> np.ndarray:
+    """The branch values of branch_and_denominator."""
+    return branch_and_denominator(rps, branch, xs)[0]
 
 
 def _point(rp: RiccatiParams, branch: int, x: float) -> float:
@@ -222,25 +233,62 @@ def residual(rp: RiccatiParams, x, u, u_prime):
     return u_prime + rp.a * u * u - frac_const(rp.b, rp.delta, x)
 
 
-def find_poles(
-    rp: RiccatiParams,
-    x_lo: float,
-    x_hi: float,
-    branch: int = 1,
-    settled=None,
-) -> list[float]:
+def sign_scan(rp: RiccatiParams, branch: int, xs: np.ndarray, fs: np.ndarray, min_steps: int):
+    """Brackets of the zeros of the branch's denominator B_n(q x^r) on
+    [xs[0], xs[-1]] from its signs at the ascending nodes xs (known values
+    fs, nan where unknown), each gap cut into max(min_steps, int(cells) + 1)
+    steps uniform in z = q x^r, cells being its width in z over _SCAN_STEP;
+    unknown and new nodes take one array call.  Returns ([(lo, hi, f_lo,
+    f_hi)], den), lo = hi at an exact zero, den the denominator as a
+    function of x; ([], None) in the modified regime (I_n, K_n > 0).  A
+    window end whose z leaves the float range (ValueError) or a window over
+    _MAX_SCAN_CELLS cells (ScanBudgetError) raises before any evaluation.
+    """
+    bm = map_params(rp)
+    if bm.regime != OSCILLATORY:
+        return [], None
+    kind = _kind(bm, branch)[0]
+
+    def den(x):
+        return specfun.bessel(kind, bm.n, bm.q_mag * specfun.power(x, bm.r))
+
+    x_lo, x_hi = float(xs[0]), float(xs[-1])
+    try:
+        z_lo, z_hi = bm.q_mag * x_lo**bm.r, bm.q_mag * x_hi**bm.r
+    except OverflowError:
+        raise ValueError(_overflow_message(x_hi)) from None
+    if not z_lo > 0.0:
+        raise ValueError(_underflow_message(x_lo))
+    cells = (z_hi - z_lo) / _SCAN_STEP
+    if not cells <= _MAX_SCAN_CELLS:
+        raise ScanBudgetError(
+            f"pole search of [{x_lo}, {x_hi}] needs {cells:.4g} scan cells, "
+            f"over the budget of {_MAX_SCAN_CELLS}"
+        )
+    # inner nodes' z only places the new nodes: numpy's power serves there
+    z = np.concatenate(([z_lo], bm.q_mag * np.power(xs[1:-1], bm.r), [z_hi]))
+    steps = np.maximum(min_steps, ((z[1:] - z[:-1]) / _SCAN_STEP).astype(int) + 1)
+    # node i of xs goes to place[i]; the steps - 1 new nodes of gap i follow it
+    place = np.append(0, np.cumsum(steps))
+    nodes, values = np.full((2, place[-1] + 1), math.nan)
+    nodes[place], values[place] = xs, fs
+    new = np.flatnonzero(np.isnan(nodes))
+    gap = np.repeat(np.arange(steps.size), steps - 1)
+    z_new = z[gap] + (z[gap + 1] - z[gap]) * (new - place[gap]) / steps[gap]
+    nodes[new] = specfun.power(z_new / bm.q_mag, 1.0 / bm.r)
+    todo = np.isnan(values)
+    values[todo] = den(nodes[todo])
+    starts = np.flatnonzero((values == 0.0) | np.append(values[:-1] * values[1:] < 0.0, False))
+    ends = starts + (values[starts] != 0.0)  # an exact zero is its own bracket
+    cols = [v.tolist() for v in (nodes[starts], nodes[ends], values[starts], values[ends])]
+    return list(zip(*cols)), den
+
+
+def find_poles(rp: RiccatiParams, x_lo: float, x_hi: float, branch: int = 1) -> list[float]:
     """All poles of the chosen branch in [x_lo, x_hi], in ascending order:
-    zeros of the denominator Bessel function, bracketed by a sign scan in
-    the (monotone) Bessel argument and bisected to 1e-12 relative.
-
-    The sign scan evaluates the denominator on its whole lattice in one array
-    call; each sign change is then bisected with scalar calls.  settled(lo,
-    hi), when given, stops a bisection early and the bracket midpoint is
-    returned; the bisection steps do not depend on it, so the 1e-12 zero
-    lies inside every bracket that settled sees.
-
-    The modified regime has none (I_n, K_n > 0 on x > 0): empty list.
-    A span that needs more than _MAX_SCAN_CELLS scan cells raises
+    zeros of the denominator Bessel function, bracketed by sign_scan in at
+    least 8 steps and bisected with scalar calls to 1e-12 relative.  None in
+    the modified regime; a span over _MAX_SCAN_CELLS scan cells raises
     ScanBudgetError before anything is evaluated.
     """
     x_lo = float(x_lo)
@@ -249,41 +297,10 @@ def find_poles(
         raise ValueError(f"need 0 < x_lo < x_hi, got [{x_lo}, {x_hi}]")
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
-    bm = map_params(rp)
-    if bm.regime != OSCILLATORY:
-        return []
-    kind = _kind(bm, branch)[0]
-
-    def den(x):
-        return specfun.bessel(kind, bm.n, bm.q_mag * specfun.power(x, bm.r))
-
-    # zeros of B_n(z) are simple and at least ~pi apart asymptotically; an
-    # eighth-of-pi scan in z cannot skip a pair
-    try:
-        z_lo = bm.q_mag * x_lo**bm.r
-        z_hi = bm.q_mag * x_hi**bm.r
-    except OverflowError:
-        raise ValueError(_overflow_message(x_hi)) from None
-    if not z_lo > 0.0:
-        raise ValueError(_underflow_message(x_lo))
-    cells = (z_hi - z_lo) / (math.pi / 8.0)
-    if not cells <= _MAX_SCAN_CELLS:
-        raise ScanBudgetError(
-            f"pole search of [{x_lo}, {x_hi}] needs {cells:.4g} scan cells, "
-            f"over the budget of {_MAX_SCAN_CELLS}"
-        )
-    n_steps = max(8, int(cells) + 1)
-    z = z_lo + (z_hi - z_lo) * np.arange(1, n_steps + 1) / n_steps
-    xs = np.concatenate(([x_lo], specfun.power(z / bm.q_mag, 1.0 / bm.r)))
-    xs[-1] = x_hi
-    fs = den(xs)
-    starts = np.flatnonzero((fs == 0.0) | np.append(fs[:-1] * fs[1:] < 0.0, False))
-    xs, fs = xs.tolist(), fs.tolist()
+    brackets, den = sign_scan(rp, branch, np.array([x_lo, x_hi]), np.full(2, math.nan), 8)
     poles = []
-    for i in starts.tolist():
-        lo, flo = xs[i], fs[i]
-        hi = lo if flo == 0.0 else xs[i + 1]
-        while hi - lo > 1e-12 * hi and not (settled and settled(lo, hi)):
+    for lo, hi, flo, _ in brackets:
+        while hi - lo > 1e-12 * hi:
             mid = 0.5 * (lo + hi)
             fmid = den(mid)
             if fmid == 0.0:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracriccati import cli, riccati
+from fracriccati import cli, cosmo, riccati
 from fracriccati import fracops as fo
 from fracriccati import specfun as sf
 from fracriccati.grids import GridSpec
@@ -120,11 +120,123 @@ def oscillatory_grids(draw):
     return rp, draw(st.sampled_from([1, 2])), grid
 
 
+def table_flags(rp, branch, grid):
+    """cli._pole_indices on the denominator row of the table's lattice."""
+    den = riccati.branch_and_denominator([rp], branch, grid.points())[1][0]
+    return cli._pole_indices(rp, branch, grid, den)
+
+
 @given(case=oscillatory_grids())
 @settings(max_examples=80, deadline=None)
 def test_bracket_flags_match_all_pairs_rule(case):
     rp, branch, grid = case
-    assert set(cli._pole_indices(rp, branch, grid)) == old_pole_indices(rp, branch, grid)
+    assert set(table_flags(rp, branch, grid)) == old_pole_indices(rp, branch, grid)
+
+
+@given(
+    c=st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+    branch=st.sampled_from([1, 2]),
+    start=st.floats(0.01, 3.0),
+    width=st.floats(0.5, 30.0),
+    count=st.integers(2, 200),
+    delta_stop=DELTAS,
+    delta_count=st.integers(2, 5),
+)
+@settings(max_examples=25, deadline=None)
+def test_closed_figure_flags_match_all_pairs_rule(
+    c, branch, start, width, count, delta_stop, delta_count
+):
+    eta_grid = GridSpec(start, start + width, count)
+    delta_grid = GridSpec(0.5 * delta_stop, delta_stop, delta_count)
+    rows = cli.figure_rows(1, c, eta_grid, delta_grid, branch)
+    for d in delta_grid.points().tolist():
+        got = {i for i, row in enumerate(r for r in rows if r[1] == d) if row[3]}
+        rp = cosmo.CosmoParams(k=1, delta=d, c=c).riccati_params()
+        assert got == old_pole_indices(rp, branch, eta_grid), d
+
+
+def zero_grid(step, count, j, x_j):
+    """A grid of count points and the given step whose point j is x_j."""
+    return GridSpec(x_j - j * step, x_j + (count - 1 - j) * step, count)
+
+
+@pytest.mark.parametrize("branch", [1, 2])
+@pytest.mark.parametrize("step", [0.05, 1.0])  # below and above pi/8 in z
+@pytest.mark.parametrize("end", ["start", "stop"])
+def test_zero_in_window_beyond_grid_end_flags_the_end(branch, step, end):
+    rp = riccati.RiccatiParams(1.0, -1.0, 0.5)
+    zero = next(z for z in riccati.find_poles(rp, 2.0, 60.0, branch) if z > 12.0 * step + 1.0)
+    # the end point is 0.4 step inside the zero: the zero lies in the
+    # search window but beyond the grid
+    count = 11
+    j, x_j = (0, zero + 0.4 * step) if end == "start" else (count - 1, zero - 0.4 * step)
+    grid = zero_grid(step, count, j, x_j)
+    assert not grid.start <= zero <= grid.stop
+    flags = table_flags(rp, branch, grid)
+    assert j in flags
+    assert set(flags) == old_pole_indices(rp, branch, grid)
+
+
+@pytest.mark.parametrize("branch", [1, 2])
+@pytest.mark.parametrize("step", [0.05, 1.0])
+@pytest.mark.parametrize("edge, side, want", [
+    # the zero 1e-6 step inside or outside the upper cell edge x_j + half of
+    # point j, or the lower cell edge x_(j+1) - half of point j + 1
+    ("upper", -1.0, [10]),
+    ("upper", 1.0, [11]),
+    ("lower", 1.0, [11]),
+    ("lower", -1.0, [10]),
+])
+def test_zero_near_a_cell_edge(branch, step, edge, side, want):
+    rp = riccati.RiccatiParams(1.0, -1.0, 0.5)
+    zero = next(z for z in riccati.find_poles(rp, 2.0, 60.0, branch) if z > 12.0 * step + 1.0)
+    half = 0.5 * step * (1.0 + 1e-9)
+    offset = 1e-6 * step * side
+    # place the grid so that zero = edge + offset
+    x_j = zero - half - offset if edge == "upper" else zero + half - step - offset
+    grid = zero_grid(step, 21, 10, x_j)
+    flags = table_flags(rp, branch, grid)
+    assert [i for i in flags if i in (10, 11)] == want
+    assert set(flags) == old_pole_indices(rp, branch, grid)
+
+
+@pytest.mark.parametrize("branch", [1, 2])
+def test_one_wide_gap_brackets_every_zero_in_it(branch):
+    # a single grid gap spans many zeros: only the nodes the scan adds in it
+    # can bracket them, and each zero flags the nearer end
+    rp = riccati.RiccatiParams(1.0, -1.0, 0.5)
+    grid = GridSpec(1.0, 30.0, 2)
+    zeros = riccati.find_poles(rp, *cli.pole_search_bounds(grid), branch)
+    flags = table_flags(rp, branch, grid)
+    assert len(zeros) > 10
+    assert flags == [0 if z < 15.5 else 1 for z in zeros]
+
+
+@pytest.mark.parametrize("branch", [1, 2])
+def test_dense_table_evaluates_only_cuts_and_window_ends(monkeypatch, branch):
+    # z-step below pi/8: no node is added, the grid's own denominator row
+    # is used, and each zero costs at most its two cell edges
+    rp = riccati.RiccatiParams(1.0, -1.0, 0.5)
+    grid = GridSpec(0.5, 30.0, 600)
+    pts = grid.points()
+    den = riccati.branch_and_denominator([rp], branch, pts)[1][0]
+    bm = riccati.map_params(rp)
+    grid_z = set((bm.q_mag * sf.power(pts, bm.r)).tolist())
+    seen = []
+    bessel = sf.bessel
+
+    def counting(kind, nu, z):
+        seen.extend(np.atleast_1d(z).tolist())
+        return bessel(kind, nu, z)
+
+    monkeypatch.setattr(sf, "bessel", counting)
+    flags = cli._pole_indices(rp, branch, grid, den)
+    monkeypatch.undo()
+    zeros = riccati.find_poles(rp, *cli.pole_search_bounds(grid), branch)
+    assert len(zeros) >= 15
+    assert 2 <= len(seen) <= 2 * len(zeros) + 2
+    assert not grid_z & set(seen)
+    assert set(flags) == old_pole_indices(rp, branch, grid)
 
 
 @given(

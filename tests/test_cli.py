@@ -225,6 +225,15 @@ class TestRiccatiCommand:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "gave up" in err
 
+    @pytest.mark.parametrize("x0", ["1e-100", "1e-160", "1e-200"])
+    def test_huge_initial_value_is_a_step_underflow(self, capsys, x0):
+        # u(x0) is about 1/x0; past 1e-154 the first slope a u^2 overflows
+        rc, out, err = run(capsys, ["riccati", "verify", "--a", "1", "--b", "-1", "--delta",
+                                    "0.5", "--x0", x0, "--x1", "1", "--branch", "1"])
+        assert rc == 3 and out == ""
+        assert err == (f"error: numeric non-convergence: step size underflow at x={float(x0)}; "
+                       "likely a pole or stiffness\n")
+
     def test_degenerate_b_exits_2(self, capsys):
         rc, _, err = run(capsys, ["riccati", "eval", "--a", "1", "--b", "0",
                                   "--delta", "1", "--grid", "1:2:4"])

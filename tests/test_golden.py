@@ -32,7 +32,9 @@ def test_figure_surfaces_match_golden(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (ROOT / "out" / name).read_bytes(), name
 
 
-# oscillatory tables with pole rows, modified-regime tables across the K
+# oscillatory tables with pole rows (one on a grid whose step is below the
+# pole search's pi/8 scan step), the 1e-12 pole lists of both branches to
+# x = 60, modified-regime tables across the K
 # cutover at z = 20 and the scaled-I cutover at z = 30, Hubble tables of
 # every curvature (the k = -1 one runs to z of about 80), scale-factor tables
 # of every curvature (the k = -1 one crosses the K cutover) and the flat
@@ -42,6 +44,10 @@ TABLES = (
      "riccati eval --a 1 --b -1 --delta 0.5 --branch 1 --grid 0.5:12:24"),
     ("eval_oscillatory_branch2.csv",
      "riccati eval --a 1 --b -1 --delta 0.5 --branch 2 --grid 0.5:12:24"),
+    ("eval_oscillatory_dense_branch2.csv",
+     "riccati eval --a 1 --b -1 --delta 0.5 --branch 2 --grid 0.5:30:600"),
+    ("poles_branch1.csv", "riccati poles --a 1 --b -1 --delta 0.5 --branch 1 --grid 0.5:60:2"),
+    ("poles_branch2.csv", "riccati poles --a 1 --b -1 --delta 0.5 --branch 2 --grid 0.5:60:2"),
     ("eval_modified_branch1.csv",
      "riccati eval --a 1.5 --b 0.8 --delta 0.7 --branch 1 --grid 10:23:27"),
     ("eval_modified_branch2.csv",
