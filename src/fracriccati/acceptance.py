@@ -179,7 +179,7 @@ def criterion_classical_limits():
         closed = (1, np.linspace(0.05, math.pi / (2.0 * c), 102)[1:-1], math.cos, math.sin)
         open_ = (-1, np.linspace(0.05, 5.0, 100), math.cosh, math.sinh)
         for k, etas, num, den in (closed, open_):
-            h = cosmo.hubble([cosmo.CosmoParams(k=k, delta=1.0, c=c)], 1, etas)
+            h = cosmo.hubble([cosmo.CosmoParams(k=k, delta=1.0, c=c)], 1, etas)[0]
             for eta, got in zip(etas.tolist(), h[0].tolist()):
                 want = num(c * eta) / den(c * eta)
                 worst = max(worst, abs(got - want) / (1.0 + abs(want)))

@@ -15,7 +15,7 @@ interval, 5 cosmology with c = 0.
 
 `riccati eval`, `cosmo hubble` and `cosmo figure` share one row builder,
 _table_rows, which evaluates parameter sets x grid points in one call of
-riccati.branch_and_denominator or, for the flat k = 0, cosmo.hubble.
+riccati.branch_table or, for every curvature, cosmo.hubble.
 """
 
 from __future__ import annotations
@@ -110,13 +110,12 @@ def pole_search_bounds(grid: GridSpec) -> tuple[float, float]:
 def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec, den) -> list[int]:
     """Lattice indices whose nearest denominator zero lies within half a step.
 
-    den is the denominator row of the table's lattice call.  A zero flags
-    index i when |x_i - zero| <= half; the candidates are the indices next
-    to round((zero - start) / step).  riccati.sign_scan brackets the zeros
-    over the grid points and the window ends.  Each bracket is cut at the
-    cell edges x_j +- half inside it (at most two; one array call for all):
-    every point of the piece holding the sign change, the zero included,
-    flags the same indices.
+    den is the table's denominator row.  A zero flags index i when
+    |x_i - zero| <= half (candidates: the indices next to round((zero -
+    start) / step)).  riccati.sign_scan brackets the zeros over the grid
+    points and the window ends; each bracket is cut at the cell edges
+    x_j +- half inside it (at most two, one array call for all), and every
+    point of the piece holding the sign change, the zero too, flags alike.
     """
     pts = grid.points()
     half = pole_window(grid)
@@ -131,12 +130,9 @@ def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec, den) -
     brackets, den_at = riccati.sign_scan(rp, branch, np.concatenate(([lo], pts, [hi])), known, 1)
     if not brackets:
         return []
-    lower, upper = pts - half, pts + half
-
-    def inside(edges: np.ndarray, a: float, b: float) -> list[float]:
-        return edges[np.searchsorted(edges, a, "right"):np.searchsorted(edges, b, "left")].tolist()
-
-    cuts = [sorted(inside(lower, a, b) + inside(upper, a, b)) for a, b, _, _ in brackets]
+    edges = np.sort(np.concatenate((pts - half, pts + half)))
+    cuts = [edges[np.searchsorted(edges, a, "right"):np.searchsorted(edges, b, "left")].tolist()
+            for a, b, _, _ in brackets]
     cut_values = iter(den_at(np.concatenate(cuts)).tolist())
     flags = []
     for (a, b, f_a, f_b), cut in zip(brackets, cuts):
@@ -149,17 +145,17 @@ def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec, den) -
 
 def _table_rows(params: list, branch: int, grid: GridSpec) -> list[list[tuple]]:
     """(x, value, pole) rows of each parameter set on the grid, from one
-    array call: riccati.branch_and_denominator for RiccatiParams and the
-    Riccati branches of CosmoParams with k != 0 (a = c, b = -k c),
-    cosmo.hubble for the flat k = 0.  The pole flags come only from the
-    denominator rows of that call, within pole_window of a zero
-    (_pole_indices); pole rows have value nan."""
+    array call: riccati.branch_table for RiccatiParams, cosmo.hubble for
+    CosmoParams of one k and c.  The pole flags come only from the
+    denominator rows that call returns for each Riccati branch (a = c,
+    b = -k c for k != 0), within pole_window of a zero (_pole_indices);
+    pole rows have value nan."""
     xs = grid.points()
-    if isinstance(params[0], cosmo.CosmoParams) and params[0].k == 0:
-        value, params = cosmo.hubble(params, branch, xs), []
+    if isinstance(params[0], cosmo.CosmoParams):
+        value, den = cosmo.hubble(params, branch, xs)
+        params = [cp.riccati_params() for cp in params if cp.k != 0]
     else:
-        params = [p.riccati_params() if isinstance(p, cosmo.CosmoParams) else p for p in params]
-        value, den = riccati.branch_and_denominator(params, branch, xs)
+        value, den = riccati.branch_table(params, branch, xs)
     pole = np.zeros(value.shape, dtype=bool)
     for row, rp in enumerate(params):
         pole[row, _pole_indices(rp, branch, grid, den[row])] = True
@@ -293,7 +289,7 @@ def _cmd_riccati(args) -> int:
     # argument leaves the float range (exit 2)
     xs = np.linspace(args.x0, args.x1, 33)
     pts = xs.tolist()
-    u_pts = riccati.branch_table([rp], args.branch, xs)[0].tolist()
+    u_pts = riccati.branch_table([rp], args.branch, xs)[0][0].tolist()
     u_pts = [checked("closed-form value", x, u) for x, u in zip(pts, u_pts)]
     max_dev = 0.0
     u_num = u_pts[0]

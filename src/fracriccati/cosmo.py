@@ -74,17 +74,17 @@ class CosmoParams:
         return riccati.RiccatiParams(a=self.c, b=-self.k * self.c, delta=self.delta)
 
 
-def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray) -> np.ndarray:
-    """Hubble parameter on the lattice cps x etas as an array of shape
-    (len(cps), len(etas)); the parameter sets share one k and c.
+def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray):
+    """Hubble parameter on the lattice cps x etas, shape (len(cps),
+    len(etas)), and the denominator rows of riccati.branch_table (None for
+    k = 0, which has no poles); the parameter sets share one k and c.
 
     k = +-1 gives the Riccati branch of a = c, b = -k c (the 1/a prefactor
     cancels): branch 1 the first-kind ratio (J for k = 1, I for k = -1; the
     nondivergent-data branch), which is cot(c eta) and coth(c eta) at
-    delta = 1, branch 2 the second-kind one; their poles are the zeros of
-    the denominator (riccati.find_poles).  The flat k = 0 is H = 1/(c eta)
-    for every delta, without poles; one outside the float range raises
-    OverflowError naming its eta.
+    delta = 1, branch 2 the second-kind one, with poles at the zeros of the
+    denominator.  The flat k = 0 is H = 1/(c eta) for every delta; one
+    outside the float range raises OverflowError naming its eta.
     """
     if cps[0].k != 0:
         return riccati.branch_table([cp.riccati_params() for cp in cps], branch, etas)
@@ -97,7 +97,7 @@ def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray) -> np.ndarray:
     bad = etas[np.isinf(h)]
     if bad.size:
         raise OverflowError(f"H = 1/(c eta) at eta = {float(bad[0])!r} leaves the float range")
-    return np.tile(h, (len(cps), 1))
+    return np.tile(h, (len(cps), 1)), None
 
 
 def scale_factor(

@@ -235,7 +235,7 @@ def residuals(rp: RiccatiParams, branch: int, xs) -> np.ndarray:
     near 0, where u' and a u^2 grow like 1/x^2, it keeps their round-off
     from reading as a defect."""
     u, h = _fd_values(
-        lambda pts: branch_table([rp], branch, pts.ravel())[0].reshape(pts.shape), xs, 1e-6)
+        lambda pts: branch_table([rp], branch, pts.ravel())[0][0].reshape(pts.shape), xs, 1e-6)
     up = _richardson_d1(u, h)
     scale = np.abs(up) + np.abs(rp.a * u[0] * u[0]) + np.abs(frac_const(rp.b, rp.delta, xs))
     return np.abs(residual(rp, xs, u[0], up)) / scale

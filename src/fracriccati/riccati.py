@@ -12,8 +12,7 @@ for a*b > 0; b = 0 degenerates and is refused here.
 Every closed-form value comes from one lattice evaluation (_lattice): a
 table is a lattice of parameter sets times points, and a single point is a
 one-element table.  Only specfun keeps scalar kernels; here they serve the
-pole bisection of find_poles.  One sign scan (sign_scan) brackets the
-denominator zeros for find_poles and for the pole rows of a table.
+pole bisection of find_poles after sign_scan, which also brackets table poles.
 """
 
 from __future__ import annotations
@@ -35,11 +34,9 @@ __all__ = [
     "eval_u1",
     "eval_u2",
     "branch_table",
-    "branch_and_denominator",
     "eval_y_branch",
     "y_branch_table",
     "residual",
-    "sign_scan",
     "find_poles",
 ]
 
@@ -48,9 +45,8 @@ MODIFIED = "modified"
 DEGENERATE = "degenerate"
 Regime = str
 
-# the sign scan's node spacing in the Bessel argument: zeros of J_n and Y_n
-# of the Riccati orders 1/3 < n <= 1/2 lie at least 3.11 apart (tending to
-# pi, DLMF 10.21), so no gap of the scan holds two
+# sign-scan node spacing in z = q x^r: zeros of J_n and Y_n, 1/3 < n <= 1/2,
+# lie at least 3.11 apart (tending to pi, DLMF 10.21), so no gap holds two
 _SCAN_STEP = math.pi / 8.0
 # most sign-scan cells one pole search may allocate: a Bessel-argument span
 # of about 39 000, far past the 10-digit domain (argument <= ~100)
@@ -158,7 +154,7 @@ def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
     return sign * q * r * specfun.power(x, r - 1.0), s, e
 
 
-def branch_and_denominator(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
+def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     """The chosen branch u = (1/a) sign q r x^(r-1) B_(n-1)(q x^r)/B_n(q x^r)
     on the lattice rps x xs, shape (len(rps), len(xs)), and its denominator:
     the s of specfun.bessel_scaled for B_n, with the sign of B_n (for J and
@@ -176,13 +172,8 @@ def branch_and_denominator(rps: list[RiccatiParams], branch: int, xs: np.ndarray
     return value, den
 
 
-def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray) -> np.ndarray:
-    """The branch values of branch_and_denominator."""
-    return branch_and_denominator(rps, branch, xs)[0]
-
-
 def _point(rp: RiccatiParams, branch: int, x: float) -> float:
-    return float(branch_table([rp], branch, np.array([float(x)]))[0, 0])
+    return float(branch_table([rp], branch, np.array([float(x)]))[0][0, 0])
 
 
 def eval_u1(rp: RiccatiParams, x: float) -> float:
@@ -234,15 +225,14 @@ def residual(rp: RiccatiParams, x, u, u_prime):
 
 
 def sign_scan(rp: RiccatiParams, branch: int, xs: np.ndarray, fs: np.ndarray, min_steps: int):
-    """Brackets of the zeros of the branch's denominator B_n(q x^r) on
-    [xs[0], xs[-1]] from its signs at the ascending nodes xs (known values
-    fs, nan where unknown), each gap cut into max(min_steps, int(cells) + 1)
-    steps uniform in z = q x^r, cells being its width in z over _SCAN_STEP;
+    """Brackets of the zeros of the denominator B_n(q x^r) from its signs at
+    the ascending nodes xs (values fs, nan where unknown), each gap cut into
+    max(min_steps, int(width in z / _SCAN_STEP) + 1) steps uniform in z; the
     unknown and new nodes take one array call.  Returns ([(lo, hi, f_lo,
-    f_hi)], den), lo = hi at an exact zero, den the denominator as a
-    function of x; ([], None) in the modified regime (I_n, K_n > 0).  A
-    window end whose z leaves the float range (ValueError) or a window over
-    _MAX_SCAN_CELLS cells (ScanBudgetError) raises before any evaluation.
+    f_hi)], den), lo = hi at an exact zero, den the denominator of x;
+    ([], None) in the modified regime (I_n, K_n > 0).  An end whose z leaves
+    the float range (ValueError) or a span over _MAX_SCAN_CELLS cells
+    (ScanBudgetError) raises before any evaluation.
     """
     bm = map_params(rp)
     if bm.regime != OSCILLATORY:
@@ -291,8 +281,7 @@ def find_poles(rp: RiccatiParams, x_lo: float, x_hi: float, branch: int = 1) -> 
     the modified regime; a span over _MAX_SCAN_CELLS scan cells raises
     ScanBudgetError before anything is evaluated.
     """
-    x_lo = float(x_lo)
-    x_hi = float(x_hi)
+    x_lo, x_hi = float(x_lo), float(x_hi)
     if not 0.0 < x_lo < x_hi:
         raise ValueError(f"need 0 < x_lo < x_hi, got [{x_lo}, {x_hi}]")
     if branch not in (1, 2):

@@ -471,8 +471,6 @@ def power(x, p):
     an ndarray, so every element has the bits (and errors) of x**p."""
     if not isinstance(x, np.ndarray) and not isinstance(p, np.ndarray):
         return x**p
-    if not isinstance(p, np.ndarray):
-        return _each(operator.pow, x.ravel(), float(p)).reshape(x.shape)
     x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
     return _each(operator.pow, x.ravel(), p.ravel()).reshape(x.shape)
 

@@ -122,7 +122,7 @@ def oscillatory_grids(draw):
 
 def table_flags(rp, branch, grid):
     """cli._pole_indices on the denominator row of the table's lattice."""
-    den = riccati.branch_and_denominator([rp], branch, grid.points())[1][0]
+    den = riccati.branch_table([rp], branch, grid.points())[1][0]
     return cli._pole_indices(rp, branch, grid, den)
 
 
@@ -219,7 +219,7 @@ def test_dense_table_evaluates_only_cuts_and_window_ends(monkeypatch, branch):
     rp = riccati.RiccatiParams(1.0, -1.0, 0.5)
     grid = GridSpec(0.5, 30.0, 600)
     pts = grid.points()
-    den = riccati.branch_and_denominator([rp], branch, pts)[1][0]
+    den = riccati.branch_table([rp], branch, pts)[1][0]
     bm = riccati.map_params(rp)
     grid_z = set((bm.q_mag * sf.power(pts, bm.r)).tolist())
     seen = []
@@ -253,7 +253,7 @@ def test_branch_table_matches_scalar_eval(a, b, delta, branch, unit):
     ev = riccati.eval_u1 if branch == 1 else riccati.eval_u2
     want = [ev(rp, x) for x in xs.tolist()]
     with mock.patch.object(sf, "_ARRAY_MIN_SIZE", 1):
-        value = riccati.branch_table([rp], branch, xs)
+        value = riccati.branch_table([rp], branch, xs)[0]
     assert value[0].tobytes() == np.array(want).tobytes()
 
 

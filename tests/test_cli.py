@@ -202,7 +202,7 @@ class TestRiccatiCommand:
 
         def table(rps, branch, xs):
             xs = np.asarray(xs)
-            return np.where(xs >= pts[first_bad], math.nan, -1.0)[None, :]
+            return np.where(xs >= pts[first_bad], math.nan, -1.0)[None, :], None
 
         monkeypatch.setattr(riccati, "branch_table", table)
         rc, out, err = run(capsys, ["riccati", "verify", "--a", "1", "--b", "1",

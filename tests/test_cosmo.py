@@ -13,7 +13,7 @@ from fracriccati.fracops import adaptive_simpson, frac_const
 
 def h_at(cp, eta: float, branch: int = 1) -> float:
     """H at one conformal time: a one-element cosmo.hubble table."""
-    return float(co.hubble([cp], branch, np.array([float(eta)]))[0, 0])
+    return float(co.hubble([cp], branch, np.array([float(eta)]))[0][0, 0])
 
 
 def ratio_at(cp, eta: float, eta_ref: float, branch: int = 1) -> float:
@@ -77,7 +77,7 @@ class TestCosmoParams:
 class TestHubble:
     def test_closed_classical(self):
         cp = co.CosmoParams(k=1, delta=1.0, c=1.0)
-        h = co.hubble([cp], 1, np.array([math.pi / 4.0]))
+        h = co.hubble([cp], 1, np.array([math.pi / 4.0]))[0]
         assert h.shape == (1, 1) and h[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_open_classical(self):
@@ -88,13 +88,13 @@ class TestHubble:
         for c in (0.5, 1.0, 2.0):
             cp = co.CosmoParams(k=1, delta=1.0, c=c)
             etas = np.linspace(0.05, math.pi / (2.0 * c), 40, endpoint=False)[1:]
-            h = co.hubble([cp], 1, etas)
+            h = co.hubble([cp], 1, etas)[0]
             for eta, got in zip(etas.tolist(), h[0].tolist()):
                 want = math.cos(c * eta) / math.sin(c * eta)
                 assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
             cp = co.CosmoParams(k=-1, delta=1.0, c=c)
             etas = np.linspace(0.05, 5.0, 40)
-            h = co.hubble([cp], 1, etas)
+            h = co.hubble([cp], 1, etas)[0]
             for eta, got in zip(etas.tolist(), h[0].tolist()):
                 want = math.cosh(c * eta) / math.sinh(c * eta)
                 assert abs(got - want) <= 1e-8 * (1.0 + want)
@@ -121,7 +121,7 @@ class TestHubble:
 
     def test_open_branch1_positive(self):
         cp = co.CosmoParams(k=-1, delta=0.3, c=1.5)
-        h = co.hubble([cp], 1, np.geomspace(0.01, 8.0, 60))
+        h = co.hubble([cp], 1, np.geomspace(0.01, 8.0, 60))[0]
         assert (h > 0.0).all()
 
     def test_second_branch(self):
@@ -138,7 +138,7 @@ class TestHubbleFlat:
     def test_values(self):
         # H = 1/(c eta) whatever delta
         cps = [co.CosmoParams(k=0, delta=d, c=2.0) for d in (0.4, 1.0)]
-        h = co.hubble(cps, 1, np.array([1.0, 0.25]))
+        h = co.hubble(cps, 1, np.array([1.0, 0.25]))[0]
         assert h.tolist() == [[0.5, 2.0], [0.5, 2.0]]
         assert h_at(co.CosmoParams(k=0, delta=1.0, c=1.0), 2.0) == 0.5
 

@@ -167,7 +167,7 @@ class TestResiduals:
         assert np.all(ov.residuals(rp, 1, xs) <= 1e-9)
         table = rc.branch_table
         monkeypatch.setattr(ov, "branch_table",
-                            lambda rps, branch, pts: table(rps, branch, pts) + 1e-4 * pts)
+                            lambda rps, branch, pts: (table(rps, branch, pts)[0] + 1e-4 * pts, None))
         assert np.all(ov.residuals(rp, 1, xs) > 1e-6)
 
 

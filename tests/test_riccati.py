@@ -147,7 +147,7 @@ class TestModifiedRegime:
         rp = rc.RiccatiParams(-a if negative else a, -b if negative else b, delta)
         bm = rc.map_params(rp)
         xs = np.array([(10.0**lz / bm.q_mag) ** (1.0 / bm.r) for lz in log_z])
-        value = rc.branch_table([rp], branch, xs)
+        value = rc.branch_table([rp], branch, xs)[0]
         lo, hi = ((10.0**e / bm.q_mag) ** (1.0 / bm.r) for e in (-3.0, 4.0))
         assert rc.find_poles(rp, lo, hi, branch) == []
         assert np.all(np.isfinite(value))
@@ -165,8 +165,8 @@ class TestModifiedRegime:
         rp = rc.RiccatiParams(a, b, 1.0)
         w = math.sqrt(a * b)
         xs = np.geomspace(1e-3, 1e4, 200) / w
-        u1 = rc.branch_table([rp], 1, xs)
-        u2 = rc.branch_table([rp], 2, xs)
+        u1 = rc.branch_table([rp], 1, xs)[0]
+        u2 = rc.branch_table([rp], 2, xs)[0]
         for branch in (1, 2):
             assert rc.find_poles(rp, float(xs[0]), float(xs[-1]), branch) == []
         assert np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))
