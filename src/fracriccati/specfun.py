@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -354,7 +353,8 @@ def _bessel_k_quad(nu: float, x: float) -> float:
     overflows; _x_cosh forms x cosh t where cosh t overflows (x below about
     4e-307).  Nodes are summed divided by 8 (exact) so the sum stays in
     range where K = h * sum does (h >= 1/8 to order 20).
-    ndarray nu and x run every element's own nodes side by side.
+    ndarray nu and x go to _k_quad_array, which forms the factors of a node
+    that several elements share once and keeps each element's own nodes.
     """
     if isinstance(x, np.ndarray):
         return _k_quad_array(nu, x)
@@ -448,16 +448,17 @@ def bessel_k(nu: float, x: float) -> float:
 # ``math`` and pow through Python's float power (``operator.pow``), because
 # numpy's versions differ from libm's in the last place for a few percent of
 # arguments; numpy's arithmetic, sqrt, sin and cos are used as they are.
-# Sub-paths that would not pay to vectorise (Y of integer order below the
-# cutover, arrays under _ARRAY_MIN_SIZE elements) loop the scalar kernels.
+# A factor that elements share is computed once per distinct argument, as
+# the same call on the same float gives the same bits: gamma and sin(pi nu)
+# per order, and in the K quadrature cosh t_j per node spacing h,
+# exp(-x cosh t_j) per (x, h) and cosh(nu t_j) per (nu, h).  Sub-paths
+# that would not pay to vectorise (Y of integer order below the cutover,
+# arrays under _ARRAY_MIN_SIZE elements) loop the scalar kernels.
 
 
 def _each(func, *args):
-    """func over equal-length 1-D arrays element by element (a float argument
-    is repeated)."""
-    n = next(a.size for a in args if isinstance(a, np.ndarray))
-    cols = [a.tolist() if isinstance(a, np.ndarray) else repeat(a) for a in args]
-    return np.fromiter(map(func, *cols), float, n)
+    """func over equal-length 1-D arrays element by element."""
+    return np.fromiter(map(func, *[a.tolist() for a in args]), float, args[0].size)
 
 
 def _per_value(func, v: np.ndarray) -> np.ndarray:
@@ -517,9 +518,28 @@ def _asymptotic_terms_array(nu, x: np.ndarray):
         np.copyto(prev, mag, where=live)
 
 
+def _classes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index of the first element of each distinct key, class of every
+    element), the classes numbered in order of first appearance."""
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.argsort(first)
+    label = np.empty_like(rank)
+    label[rank] = np.arange(rank.size)
+    return first[rank], label[inv]
+
+
+def _live_counts(n: np.ndarray) -> list[int]:
+    """[number of entries of the descending n that are >= j for j = 1 .. n[0]]"""
+    return np.searchsorted(-n, np.arange(-1, -n[0] - 1, -1), side="right").tolist()
+
+
 def _k_quad_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_bessel_k_quad per element: node j of every element whose own node
-    count reaches j is added in one step."""
+    """_bessel_k_quad per element.  Node j forms cosh t_j once per distinct
+    node spacing h, exp(-x cosh t_j) once per distinct (x, h) and
+    cosh(nu t_j) once per distinct (nu, h), then adds its term to every
+    element whose own node count reaches j.  Elements and classes run in
+    order of descending node count, so the ones that have a node j are a
+    prefix of each."""
     h = 0.18 / np.sqrt(np.maximum(np.maximum(1.0, x / 8.0), nu / 10.0))
     t_max = np.ones_like(x)
     t = 1.0
@@ -529,19 +549,40 @@ def _k_quad_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         t_max[grow] = t
         grow &= _x_cosh(x, t, 1.0) - np.abs(nu) * t < 46.0
     n = (t_max / h).astype(int) + 1
-    acc = 0.0625 * _each(math.exp, -x)
-    for j in range(1, int(n.max()) + 1):
-        a = np.flatnonzero(n >= j)
-        t_j = j * h[a]
-        nu_t = nu[a] * t_j
-        tail = nu_t > _COSH_MAX
-        fast = t_j.max() <= _COSH_MAX  # _x_cosh costs a Python call per element
-        x_cosh = x[a] * _each(math.cosh, t_j) if fast else _each(_x_cosh, x[a], t_j)
-        node = _each(math.exp, -x_cosh) * _each(math.cosh, np.where(tail, 0.0, nu_t)) * 0.125
-        if tail.any():
-            node[tail] = _each(_tail_node, nu_t[tail] - x_cosh[tail])
-        acc[a] += node
-    k = 8.0 * h * acc
+    order = np.argsort(-n, kind="stable")
+    nu_s, x_s, h_s, n_s = nu[order], x[order], h[order], n[order]
+    h_first, h_of = _classes(h_s)
+    # a pair (v, h) as the complex number v + ih, which np.unique compares as a pair
+    x_first, x_of = _classes(x_s + 1j * h_s)
+    nu_first, nu_of = _classes(nu_s + 1j * h_s)
+    # per class: its x, order or h, and the h-class of each x-class
+    h_c, x_c, x_in_h = h_s[h_first], x_s[x_first], h_of[x_first]
+    nu_c, nuh_c = nu_s[nu_first], h_s[nu_first]
+    h_top, nuh_top = float(h_c.max()), float((nu_c * nuh_c).max())
+    minus_x = -x_c
+    acc = 0.0625 * _each(math.exp, minus_x)[x_of]
+    live = zip(_live_counts(n_s), _live_counts(n_s[h_first]),
+               _live_counts(n_s[x_first]), _live_counts(n_s[nu_first]))
+    for j, (ke, kh, kx, knu) in enumerate(live, 1):
+        # -(x cosh t_j), which is (-x) cosh t_j to the bit
+        if j * h_top <= _COSH_MAX:  # so is every t_j; _x_cosh costs a Python call
+            e_arg = minus_x[:kx] * _each(math.cosh, j * h_c[:kh])[x_in_h[:kx]]
+        else:
+            e_arg = _each(_x_cosh, minus_x[:kx], j * h_c[x_in_h[:kx]])
+        nu_t = nu_c[:knu] * (j * nuh_c[:knu])
+        xe, nue = x_of[:ke], nu_of[:ke]
+        # nu (j h) is within a few ulps of j (nu h) <= j nuh_top, so while
+        # that stays below _COSH_MAX / 2 no node is a tail node
+        tail = nu_t > _COSH_MAX if j * nuh_top > 0.5 * _COSH_MAX else None
+        node = (_each(math.exp, e_arg)[xe]
+                * _each(math.cosh, nu_t if tail is None else np.where(tail, 0.0, nu_t))[nue]
+                * 0.125)
+        if tail is not None and tail.any():
+            e = np.flatnonzero(tail[nue])
+            node[e] = _each(_tail_node, nu_t[nue[e]] + e_arg[xe[e]])
+        acc[:ke] += node
+    k = np.empty_like(acc)
+    k[order] = 8.0 * h_s * acc
     if (k == math.inf).any():
         raise OverflowError(f"bessel_k overflows for x = {x[k == math.inf][0]}")
     return k
@@ -618,8 +659,15 @@ _ARRAY_MIN_SIZE = 128
 
 
 def _broadcast(nu, x) -> tuple[np.ndarray, np.ndarray]:
-    """nu and x as broadcast float ndarrays; x must lie in (0, inf)."""
-    nu, x = np.broadcast_arrays(np.asarray(nu, dtype=float), np.asarray(x, dtype=float))
+    """nu and x as float ndarrays of their broadcast shape; x must lie in
+    (0, inf)."""
+    nu, x = np.asarray(nu, dtype=float), np.asarray(x, dtype=float)
+    shape = np.broadcast(nu, x).shape
+    # np.full copies exactly, in a fraction of np.broadcast_arrays' time
+    if nu.shape != shape:
+        nu = np.full(shape, nu)
+    if x.shape != shape:
+        x = np.full(shape, x)
     bad = ~((x > 0.0) & (x < math.inf))
     if bad.any():
         raise ValueError(f"Bessel argument must satisfy 0 < x < inf, got {x[bad][0]}")
@@ -630,10 +678,10 @@ def _bessel_array(kind: str, nu, x) -> np.ndarray:
     nu, x = _broadcast(nu, x)
     shape = x.shape
     nu, x = nu.ravel(), x.ravel()
+    if x.size < _ARRAY_MIN_SIZE:  # float kernels: no numpy state to set
+        return _each(_BESSEL_FUNCS[kind], nu, x).reshape(shape)
     with np.errstate(all="ignore"):
-        if x.size < _ARRAY_MIN_SIZE:
-            out = _each(_BESSEL_FUNCS[kind], nu, x)
-        elif kind == "I":
+        if kind == "I":
             out = _i_array(nu, x)
         elif kind == "K":
             out = _k_array(nu, x)

@@ -97,6 +97,57 @@ def test_bessel_scaled_array_matches_scalar_bits(array_min_size, kind, nu, log_x
     assert e.tobytes() == np.array([w[1] for w in want]).tobytes()
 
 
+# orders of the K quadrature: past 10 its node spacing shrinks with the
+# order, and below x = 2 it serves the orders within 1/4 of an integer
+K_ORDERS = st.one_of(
+    ORDERS,
+    st.floats(10.0, 25.0),
+    st.builds(lambda k, d: k + d, st.integers(0, 25).map(float), st.floats(-0.24, 0.24)),
+)
+K_ARGS = st.one_of(
+    # both node spacings: fixed below x = 8, shrinking from 8 to 20
+    st.floats(2.0, 20.0, exclude_max=True),
+    # tiny x: nodes past cosh's overflow, tail nodes and K itself overflowing
+    st.floats(-320.0, 0.3).map(lambda e: 10.0**e),
+)
+
+
+@pytest.mark.parametrize("array_min_size", [1, sf._ARRAY_MIN_SIZE])
+@pytest.mark.parametrize("scaled", [False, True])
+@given(
+    nus=st.lists(K_ORDERS, min_size=1, max_size=6),
+    pool=st.lists(K_ARGS, min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 7), min_size=1, max_size=40),
+)
+@example(nus=[0.96, 0.955, 0.0], pool=[1e-320, 5.0, 9.5], picks=[0, 1, 1, 2, 0] * 9)  # past cosh
+@example(nus=[10.0, 9.75, 10.25, 3.0], pool=[1.6e-29, 2.5, 12.0], picks=[0, 1, 2] * 11)  # tail
+@example(nus=[20.0, 12.5, 19.8], pool=[2e-14, 7.9, 8.1, 19.9], picks=[0, 1, 2, 3] * 11)
+@example(nus=[0.5], pool=[3.0, 9.0, 15.0], picks=[0, 1, 2, 1, 0] * 30)  # one order
+@example(nus=[5.0, 0.5], pool=[1e-100, 3.0], picks=[0, 1] * 70)  # K overflows
+@settings(max_examples=60, deadline=None)
+def test_k_quadrature_stacked_orders_match_scalar_bits(array_min_size, scaled, nus, pool, picks):
+    # every order at every argument, the arguments repeated, as the Riccati
+    # lattice asks for B_(n-1) and B_n at each z
+    xs = [pool[i % len(pool)] for i in picks]
+    nu, x = np.array(nus)[:, None], np.array(xs)[None, :]
+    func = sf.bessel_scaled if scaled else sf.bessel
+    try:
+        want = [[func("K", n, v) for v in xs] for n in nus]
+    except OverflowError:
+        want = None
+    with mock.patch.object(sf, "_ARRAY_MIN_SIZE", array_min_size):
+        if want is None:
+            with pytest.raises(OverflowError):
+                func("K", nu, x)
+            return
+        got = func("K", nu, x)
+    if scaled:
+        got, e = got
+        assert e.tobytes() == np.array([[w[1] for w in row] for row in want]).tobytes()
+        want = [[w[0] for w in row] for row in want]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def old_pole_indices(rp, branch, grid):
     """The rule the bracket flagging replaced: every located zero against
     every grid point."""

@@ -1,7 +1,7 @@
 """The tracked figure surfaces in out/ are golden: regenerating them with the
 argv of scripts/emit_figures.py must give the same bytes.  So are the tables
-in tests/golden/ of `riccati eval`, `cosmo hubble`, `cosmo scale` and the
-flat `cosmo figure`."""
+in tests/golden/ of `riccati eval`, `cosmo hubble`, `cosmo scale` and
+`cosmo figure`."""
 
 import importlib.util
 import pathlib
@@ -38,7 +38,10 @@ def test_figure_surfaces_match_golden(tmp_path, capsys):
 # cutover at z = 20 and the scaled-I cutover at z = 30, Hubble tables of
 # every curvature (the k = -1 one runs to z of about 80), scale-factor tables
 # of every curvature (the k = -1 one crosses the K cutover) and the flat
-# figure surface
+# figure surface; then two tables large enough for the vectorised K
+# quadrature: a modified-regime table with K arguments on both sides of the
+# quadrature's node-spacing change at z = 8 and a k = -1 figure surface with
+# nine orders
 TABLES = (
     ("eval_oscillatory_branch1.csv",
      "riccati eval --a 1 --b -1 --delta 0.5 --branch 1 --grid 0.5:12:24"),
@@ -59,6 +62,10 @@ TABLES = (
     ("scale_k-1.csv", "cosmo scale --k -1 --c 0.7 --delta 0.35 --branch 2 --grid 0.5:40:15"),
     ("scale_k0.csv", "cosmo scale --k 0 --c 1.3 --grid 0.5:4:8 --eta-ref 1"),
     ("figure_k0.csv", "cosmo figure --k 0 --c 1 --grid 0.1:3:10 --delta-grid 0.5:1:3"),
+    ("eval_modified_dense_branch2.csv",
+     "riccati eval --a 1.5 --b 0.8 --delta 0.7 --branch 2 --grid 1:20:400"),
+    ("figure_k-1.csv",
+     "cosmo figure --k -1 --c 1 --branch 2 --grid 0.5:12:60 --delta-grid 0.2:1:5"),
 )
 
 
