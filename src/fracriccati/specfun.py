@@ -1,21 +1,21 @@
 """Self-contained special functions: gamma and Bessel functions of arbitrary
 real order.
 
-Everything here is pure.  The kernels are scalar float-in/float-out;
-``bessel`` also takes ndarray orders and arguments and then runs the array
-path, which repeats the scalar kernels' floating-point operations element by
-element and so returns the same bits.  Bessel evaluation is
-split by argument size: ascending power series for small x, Hankel-type
-asymptotic expansions (truncated at the smallest term) for large x.  Y of
-non-integer order goes through the reflection formula; exact integer orders
-use the limiting log-series instead (no epsilon-offset tricks).  K below
-x = 20 has two kernels: trapezoidal quadrature of its cosh-kernel integral
-representation, which converges for every order and has no sin(pi*nu)
-divisor, and, for x < 2 and orders at least 1/4 from an integer, the faster
-reflection formula through I; from x = 20 on the asymptotic series is good
-to ~e^(-2x).
-``bessel_scaled`` returns I and K past their series/quadrature ranges with the
-exponential factor split off, so ratios over the order need no exp(+-x).
+Everything here is pure.  ``bessel_scaled`` is the one Bessel entry and
+returns each value split as s * exp(e); ``bessel`` multiplies it back.  Floats
+take the scalar kernels, ndarrays the array path, which repeats their
+floating-point operations element by element and so returns the same bits.
+Bessel evaluation is split by argument size: ascending power series for
+small x, Hankel-type asymptotic expansions (truncated at the smallest term)
+for large x.  Y of non-integer order goes through the reflection formula;
+exact integer orders use the limiting log-series instead (no epsilon-offset
+tricks).  K below x = 20 has two kernels: trapezoidal quadrature of its
+cosh-kernel integral representation, which converges for every order and has
+no sin(pi*nu) divisor, and, for x < 2 and orders at least 1/4 from an
+integer, the faster reflection formula through I; from x = 20 on the
+asymptotic series is good to ~e^(-2x).  The I and K kernels return e = x past
+x = 30 and e = -x from x = 20 on, so ratios over the order need no exp(+-x);
+elsewhere e = 0.
 
 Accuracy target: >= 10 significant digits for 0 < x <= 100, |nu| <= 10.
 Known caveat: Y of non-integer nu near an integer can be wrong in every
@@ -161,16 +161,22 @@ def _jy_cutover(nu):
     return max(12.0, 1.6 * abs(nu))
 
 
-def _check_x(x: float) -> float:
+def _check(nu: float, x: float) -> tuple[float, float]:
+    """(nu, x) as floats; 0 < x < inf and nu finite, else ValueError."""
     x = float(x)
     if not (x > 0.0) or math.isinf(x):
         raise ValueError(f"Bessel argument must satisfy 0 < x < inf, got {x}")
-    return x
+    nu = float(nu)
+    if not math.isfinite(nu):
+        raise ValueError(f"Bessel order must be finite, got {nu}")
+    return nu, x
 
 
 def _series(nu: float, x: float, sign: float) -> float:
     """sum_k sign^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)): the ascending series
-    of J (sign -1) or I (sign +1); nu not a negative integer."""
+    of J (sign -1) or I (sign +1); nu not a negative integer.  For nu just
+    above -m the terms k < m carry a factor of order nu + m, so the sum
+    stops at a term below 1e-17 of the peak only once k > -nu."""
     half = 0.5 * x
     term = half**nu * recip_gamma(nu + 1.0)
     total = term
@@ -182,7 +188,7 @@ def _series(nu: float, x: float, sign: float) -> float:
         mag = abs(term)
         if mag > peak:
             peak = mag
-        elif k > 2 and mag <= 1e-17 * peak:
+        elif k > 2 and mag <= 1e-17 * peak and k > -nu:
             break
     return total
 
@@ -381,8 +387,7 @@ def _bessel_k_quad(nu: float, x: float) -> float:
 
 def bessel_j(nu: float, x: float) -> float:
     """Bessel function of the first kind, real order."""
-    x = _check_x(x)
-    nu = float(nu)
+    nu, x = _check(nu, x)
     if nu < 0.0 and nu == math.floor(nu):
         n = int(-nu)
         val = bessel_j(float(n), x)
@@ -394,8 +399,7 @@ def bessel_j(nu: float, x: float) -> float:
 
 def bessel_y(nu: float, x: float) -> float:
     """Bessel function of the second kind, real order."""
-    x = _check_x(x)
-    nu = float(nu)
+    nu, x = _check(nu, x)
     if nu < 0.0 and nu == math.floor(nu):
         n = int(-nu)
         val = bessel_y(float(n), x)
@@ -409,32 +413,41 @@ def bessel_y(nu: float, x: float) -> float:
     return (_series(nu, x, -1.0) * _cospi(nu) - _series(-nu, x, -1.0)) / s
 
 
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind, real order."""
-    x = _check_x(x)
-    nu = float(nu)
+def _i_split(nu: float, x: float) -> tuple[float, float]:
+    """I_nu(x) = s exp(e) as (s, e): the ascending series with e = 0 up to
+    x = 30, e^-x I from the large-argument expansion with e = x past it."""
+    nu, x = _check(nu, x)
     if nu < 0.0 and nu == math.floor(nu):
-        return bessel_i(-nu, x)
+        nu = -nu
     if x <= _I_SERIES_MAX:
-        return _series(nu, x, 1.0)
-    if x > 700.0:
-        raise OverflowError(f"bessel_i overflows for x = {x}")
-    return math.exp(x) * _i_asymptotic(nu, x)
+        return _series(nu, x, 1.0), 0.0
+    return _i_asymptotic(nu, x), x
+
+
+def _k_split(nu: float, x: float) -> tuple[float, float]:
+    """K_nu(x) = s exp(e) as (s, e): e^x K from the asymptotic series with
+    e = -x from x = 20 on; below, e = 0 and the quadrature, except that
+    orders at least 1/4 from an integer take the faster reflection formula
+    through I below x = 2."""
+    nu, x = _check(nu, x)
+    nu = abs(nu)  # K is even in its order
+    if x >= _K_ASYMPTOTIC_MIN:
+        return _k_scaled(nu, x), -x
+    if x >= 2.0 or abs(nu - round(nu)) < _K_REFLECT_MIN_GAP:
+        return _bessel_k_quad(nu, x), 0.0
+    s = _sinpi(nu)
+    return 0.5 * math.pi * (_series(-nu, x, 1.0) - _series(nu, x, 1.0)) / s, 0.0
+
+
+def bessel_i(nu: float, x: float) -> float:
+    """Modified Bessel function of the first kind, real order; raises
+    OverflowError past x = 700."""
+    return bessel("I", nu, x)
 
 
 def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind, real order: the
-    asymptotic series from x = 20 on, the quadrature below, except that
-    orders at least 1/4 from an integer take the faster reflection formula
-    through I below x = 2."""
-    x = _check_x(x)
-    nu = abs(float(nu))  # K is even in its order
-    if x >= _K_ASYMPTOTIC_MIN:
-        return math.exp(-x) * _k_scaled(nu, x)
-    if x >= 2.0 or abs(nu - round(nu)) < _K_REFLECT_MIN_GAP:
-        return _bessel_k_quad(nu, x)
-    s = _sinpi(nu)
-    return 0.5 * math.pi * (_series(-nu, x, 1.0) - _series(nu, x, 1.0)) / s
+    """Modified Bessel function of the second kind, real order."""
+    return bessel("K", nu, x)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +497,7 @@ def _series_array(nu: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
     peak = np.abs(term)
     q = sign * half * half
     live = np.ones(x.size, dtype=bool)
+    k_dip = float(-nu.min())  # an order just above -m runs to k > -nu (see _series)
     for k in range(1, _SERIES_MAX_TERMS):
         np.multiply(term, q / (k * (k + nu)), out=term, where=live)
         np.add(total, term, out=total, where=live)
@@ -491,7 +505,10 @@ def _series_array(nu: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
         grow = live & (mag > peak)
         np.copyto(peak, mag, where=grow)
         if k > 2:
-            live &= grow | ~(mag <= 1e-17 * peak)
+            stop = mag <= 1e-17 * peak
+            if k <= k_dip:
+                stop &= k > -nu
+            live &= grow | ~stop
             if not live.any():
                 break
     return total
@@ -618,38 +635,34 @@ def _jy_array(kind: str, nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _i_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _i_array(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nu = _negative_integers(nu)[0]
-    out = np.empty_like(x)
+    s = np.empty_like(x)
     series = x <= _I_SERIES_MAX
     if series.any():
-        out[series] = _series_array(nu[series], x[series], 1.0)
+        s[series] = _series_array(nu[series], x[series], 1.0)
     asym = ~series
     if asym.any():
-        if (x > 700.0).any():
-            raise OverflowError(f"bessel_i overflows for x = {x[x > 700.0][0]}")
-        t = x[asym]
-        out[asym] = _each(math.exp, t) * _i_asymptotic(nu[asym], t)
-    return out
+        s[asym] = _i_asymptotic(nu[asym], x[asym])
+    return s, np.where(asym, x, 0.0)
 
 
-def _k_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _k_array(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nu = np.abs(nu)
-    out = np.empty_like(x)
+    s = np.empty_like(x)
     asym = x >= _K_ASYMPTOTIC_MIN
     reflect = (x < 2.0) & (np.abs(nu - np.round(nu)) >= _K_REFLECT_MIN_GAP)
     quad = ~(asym | reflect)
     if asym.any():
-        t = x[asym]
-        out[asym] = _each(math.exp, -t) * _k_scaled(nu[asym], t)
+        s[asym] = _k_scaled(nu[asym], x[asym])
     if quad.any():
-        out[quad] = _bessel_k_quad(nu[quad], x[quad])
+        s[quad] = _bessel_k_quad(nu[quad], x[quad])
     if reflect.any():
         v, t = nu[reflect], x[reflect]
-        out[reflect] = (
+        s[reflect] = (
             0.5 * math.pi * (_series_array(-v, t, 1.0) - _series_array(v, t, 1.0))
         ) / _per_value(_sinpi, v)
-    return out
+    return s, np.where(asym, -x, 0.0)
 
 
 # Below this many elements the array path loops the scalar kernels: a term
@@ -658,9 +671,9 @@ def _k_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
 _ARRAY_MIN_SIZE = 128
 
 
-def _broadcast(nu, x) -> tuple[np.ndarray, np.ndarray]:
-    """nu and x as float ndarrays of their broadcast shape; x must lie in
-    (0, inf)."""
+def _broadcast(nu, x) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """nu and x as flat float ndarrays of their broadcast size, and the
+    broadcast shape."""
     nu, x = np.asarray(nu, dtype=float), np.asarray(x, dtype=float)
     shape = np.broadcast(nu, x).shape
     # np.full copies exactly, in a fraction of np.broadcast_arrays' time
@@ -668,79 +681,63 @@ def _broadcast(nu, x) -> tuple[np.ndarray, np.ndarray]:
         nu = np.full(shape, nu)
     if x.shape != shape:
         x = np.full(shape, x)
-    bad = ~((x > 0.0) & (x < math.inf))
-    if bad.any():
-        raise ValueError(f"Bessel argument must satisfy 0 < x < inf, got {x[bad][0]}")
-    return nu, x
-
-
-def _bessel_array(kind: str, nu, x) -> np.ndarray:
-    nu, x = _broadcast(nu, x)
-    shape = x.shape
-    nu, x = nu.ravel(), x.ravel()
-    if x.size < _ARRAY_MIN_SIZE:  # float kernels: no numpy state to set
-        return _each(_BESSEL_FUNCS[kind], nu, x).reshape(shape)
-    with np.errstate(all="ignore"):
-        if kind == "I":
-            out = _i_array(nu, x)
-        elif kind == "K":
-            out = _k_array(nu, x)
-        else:
-            out = _jy_array(kind, nu, x)
-    return out.reshape(shape)
-
-
-_BESSEL_FUNCS = {"J": bessel_j, "Y": bessel_y, "I": bessel_i, "K": bessel_k}
-
-
-def bessel(kind: str, nu, x):
-    """Dispatch to J, Y, I or K by the one-letter kind.
-
-    Floats take the scalar kernels.  If nu or x is an ndarray the two are
-    broadcast and the array path returns an ndarray with the same bits as a
-    scalar call per element.
-    """
-    try:
-        func = _BESSEL_FUNCS[kind.upper()]
-    except (KeyError, AttributeError):
-        raise ValueError(f"unknown Bessel kind {kind!r}, expected one of {BESSEL_KINDS}")
-    if isinstance(x, np.ndarray) or isinstance(nu, np.ndarray):
-        return _bessel_array(kind.upper(), nu, x)
-    return func(nu, x)
+    return nu.ravel(), x.ravel(), shape
 
 
 def bessel_scaled(kind: str, nu, x):
-    """The Bessel function split as B_nu(x) = s * exp(e); returns (s, e).
+    """The Bessel function of the one-letter kind as (s, e), B_nu(x) = s * exp(e).
 
     e = x for I past its series range (x > 30) and e = -x for K from x = 20
     on, where s = e^-x I or e^x K is summed from the large-argument
     expansion: it neither overflows nor underflows, and I has no upper
-    limit on x.  Elsewhere, and for J and Y, e = 0 and s is bessel(kind,
-    nu, x) itself.  At one x, e does not depend on the order, so a ratio
-    over the order is the ratio of the s values.  Floats and ndarrays as in
-    bessel, with the same bits on both paths.
+    limit on x.  Elsewhere, and for J and Y, e = 0 and s is the value
+    itself.  At one x, e does not depend on the order, so a ratio over the
+    order is the ratio of the s values.  Floats take the scalar kernels; if
+    nu or x is an ndarray, the two are broadcast and the array path returns
+    ndarrays with the same bits as a scalar call per element.
     """
-    arrays = isinstance(x, np.ndarray) or isinstance(nu, np.ndarray)
-    t = np.asarray(x, dtype=float) if arrays else _check_x(x)
-    big = False  # J, Y and unknown kinds, which bessel rejects
-    letter = kind.upper() if isinstance(kind, str) else kind
-    if letter == "I":
-        big, sign, kernel = t > _I_SERIES_MAX, 1.0, _i_asymptotic
-    elif letter == "K":
-        big, sign, kernel = t >= _K_ASYMPTOTIC_MIN, -1.0, _k_scaled
-    if not arrays:
-        return (kernel(float(nu), t), sign * t) if big else (bessel(kind, nu, t), 0.0)
-    if not np.any(big):
-        s = bessel(kind, nu, x)
-        return s, np.zeros(s.shape)
-    nu, x = _broadcast(nu, x)
-    big = np.broadcast_to(big, x.shape)
-    s = np.empty(x.shape)
-    s[~big] = bessel(kind, nu[~big], x[~big])
-    v, t = nu[big], x[big]
-    with np.errstate(all="ignore"):
-        s[big] = _each(kernel, v, t) if t.size < _ARRAY_MIN_SIZE else kernel(v, t)
-    return s, np.where(big, sign * x, 0.0)
+    letter = kind.upper() if isinstance(kind, str) else None
+    if letter not in BESSEL_KINDS:
+        raise ValueError(f"unknown Bessel kind {kind!r}, expected one of {BESSEL_KINDS}")
+    if not (isinstance(x, np.ndarray) or isinstance(nu, np.ndarray)):
+        if letter == "I":
+            return _i_split(nu, x)
+        if letter == "K":
+            return _k_split(nu, x)
+        return (bessel_j if letter == "J" else bessel_y)(nu, x), 0.0
+    nu, x, shape = _broadcast(nu, x)
+    if x.size < _ARRAY_MIN_SIZE:  # float kernels: they check each element, set no numpy state
+        pairs = [bessel_scaled(letter, v, t) for v, t in zip(nu.tolist(), x.tolist())]
+        s, e = np.array(pairs, dtype=float).reshape(-1, 2).T
+    else:
+        bad = ~((x > 0.0) & (x < math.inf) & np.isfinite(nu))
+        if bad.any():  # the first bad element raises the scalar kernels' ValueError
+            _check(nu[bad][0], x[bad][0])
+        with np.errstate(all="ignore"):
+            if letter == "I":
+                s, e = _i_array(nu, x)
+            elif letter == "K":
+                s, e = _k_array(nu, x)
+            else:
+                s, e = _jy_array(letter, nu, x), np.zeros(x.size)
+    return s.reshape(shape), e.reshape(shape)
+
+
+def bessel(kind: str, nu, x):
+    """J, Y, I or K by the one-letter kind: s * exp(e) of bessel_scaled,
+    for floats and ndarrays alike.  I raises OverflowError past x = 700."""
+    s, e = bessel_scaled(kind, nu, x)
+    # only I has e > 0: e = x past its series range
+    if not isinstance(e, np.ndarray):
+        if e > 700.0:
+            raise OverflowError(f"bessel_i overflows for x = {e}")
+        return s * math.exp(e) if e else s
+    if e.any():  # exp(0) = 1 leaves the unsplit elements as they are
+        over = e > 700.0
+        if over.any():
+            raise OverflowError(f"bessel_i overflows for x = {e[over][0]}")
+        s *= _each(math.exp, e.ravel()).reshape(e.shape)
+    return s
 
 
 def bessel_derivative(kind: str, nu: float, x: float) -> float:
@@ -751,8 +748,7 @@ def bessel_derivative(kind: str, nu: float, x: float) -> float:
     standard consistency check on the order recurrence.
     """
     kind = kind.upper()
-    x = _check_x(x)
-    nu = float(nu)
+    nu, x = _check(nu, x)
     b = bessel(kind, nu, x)
     lo = bessel(kind, nu - 1.0, x)
     hi = bessel(kind, nu + 1.0, x)

@@ -97,6 +97,22 @@ def test_bessel_scaled_array_matches_scalar_bits(array_min_size, kind, nu, log_x
     assert e.tobytes() == np.array([w[1] for w in want]).tobytes()
 
 
+@pytest.mark.parametrize("array_min_size", [1, sf._ARRAY_MIN_SIZE])
+def test_i_past_700_raises_the_scalar_error_and_scaled_stays_finite(array_min_size):
+    # bessel forms s exp(e) from bessel_scaled and raises for the first
+    # element past 700; the split itself has no upper limit
+    xs = np.array([5.0, 35.0, 699.0, 750.0, 1000.0])
+    with pytest.raises(OverflowError) as scalar:
+        sf.bessel("I", 0.4, 750.0)
+    with mock.patch.object(sf, "_ARRAY_MIN_SIZE", array_min_size):
+        with pytest.raises(OverflowError) as array:
+            sf.bessel("I", 0.4, xs)
+        s, e = sf.bessel_scaled("I", 0.4, xs)
+    assert str(array.value) == str(scalar.value) == "bessel_i overflows for x = 750.0"
+    assert np.isfinite(s).all()
+    assert e[3:].tolist() == [750.0, 1000.0]
+
+
 # orders of the K quadrature: past 10 its node spacing shrinks with the
 # order, and below x = 2 it serves the orders within 1/4 of an integer
 K_ORDERS = st.one_of(

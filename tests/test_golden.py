@@ -41,7 +41,9 @@ def test_figure_surfaces_match_golden(tmp_path, capsys):
 # figure surface; then two tables large enough for the vectorised K
 # quadrature: a modified-regime table with K arguments on both sides of the
 # quadrature's node-spacing change at z = 8 and a k = -1 figure surface with
-# nine orders
+# nine orders; last, modified-regime tables far enough out (z from about 15
+# to 1520) that the vectorised I and K cross their cutovers at z = 30 and 20
+# and I's argument passes the 700 past which bessel_i raises
 TABLES = (
     ("eval_oscillatory_branch1.csv",
      "riccati eval --a 1 --b -1 --delta 0.5 --branch 1 --grid 0.5:12:24"),
@@ -66,6 +68,10 @@ TABLES = (
      "riccati eval --a 1.5 --b 0.8 --delta 0.7 --branch 2 --grid 1:20:400"),
     ("figure_k-1.csv",
      "cosmo figure --k -1 --c 1 --branch 2 --grid 0.5:12:60 --delta-grid 0.2:1:5"),
+    ("eval_modified_far_branch1.csv",
+     "riccati eval --a 1 --b 1 --delta 0.5 --branch 1 --grid 10:400:200"),
+    ("eval_modified_far_branch2.csv",
+     "riccati eval --a 1 --b 1 --delta 0.5 --branch 2 --grid 10:400:200"),
 )
 
 

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special as sp
 
 from fracriccati import specfun as sf
@@ -109,6 +111,41 @@ class TestBesselValues:
         for bad in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
                 sf.bessel("J", 0.3, bad)
+
+    @pytest.mark.parametrize("array_min_size", [1, sf._ARRAY_MIN_SIZE])
+    def test_nonfinite_order_raises_value_error(self, array_min_size):
+        # every kind and entry, floats and arrays on both array paths
+        xs = np.linspace(2.0, 19.0, 200)
+        kernels = {"J": sf.bessel_j, "Y": sf.bessel_y, "I": sf.bessel_i, "K": sf.bessel_k}
+        for nu in (math.inf, -math.inf, math.nan):
+            for kind, kernel in kernels.items():
+                calls = [
+                    (kernel, (nu, 5.0)),
+                    (sf.bessel, (kind, nu, 5.0)),
+                    (sf.bessel, (kind, nu, xs)),
+                    (sf.bessel, (kind, np.array([0.5, nu]), 5.0)),
+                    (sf.bessel_scaled, (kind, nu, 5.0)),
+                    (sf.bessel_scaled, (kind, nu, xs)),
+                    (sf.bessel_derivative, (kind, nu, 5.0)),
+                ]
+                with mock.patch.object(sf, "_ARRAY_MIN_SIZE", array_min_size):
+                    for func, args in calls:
+                        with pytest.raises(ValueError, match="order must be finite"):
+                            func(*args)
+
+    @given(
+        nu=st.builds(lambda m, s, j: -m + s * 10.0**-j, st.integers(1, 10),
+                     st.sampled_from([-1.0, 1.0]), st.floats(1.0, 15.0)),
+        x=st.floats(-3.0, math.log10(12.0)).map(lambda e: 10.0**e),
+    )
+    @example(nu=-6.99999999999999, x=0.2)
+    @settings(max_examples=200, deadline=None)
+    def test_i_near_negative_integer_orders(self, nu, x):
+        # the terms k < -nu carry a factor of order |nu + m|, so the series
+        # dips near zero before its regular terms and must not stop there
+        with mpmath.workdps(40):
+            want = float(mpmath.besseli(mpmath.mpf(nu), mpmath.mpf(x)))
+        assert abs(sf.bessel("I", nu, x) - want) <= 1e-10 * abs(want)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
