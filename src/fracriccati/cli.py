@@ -274,7 +274,13 @@ def _cmd_riccati(args) -> int:
     if not 0.0 < args.x0 < args.x1 < math.inf:
         _err(f"need 0 < x0 < x1 < inf, got {args.x0}, {args.x1}")
         return EXIT_FLAGS
-    if riccati.find_poles(rp, args.x0, args.x1, args.branch):
+    # the pole check reads the 33 points' own denominator row; the residual
+    # stencils are evaluated after the integration, so an integrator failure
+    # (exit 3) comes before a stencil point whose Bessel argument leaves the
+    # float range (exit 2)
+    xs = np.linspace(args.x0, args.x1, 33)
+    u, den = riccati.branch_table([rp], args.branch, xs)
+    if riccati.sign_scan(rp, args.branch, xs, den[0], 1)[0]:
         _err(f"verification interval [{args.x0}, {args.x1}] contains a pole")
         return EXIT_POLE
 
@@ -284,13 +290,8 @@ def _cmd_riccati(args) -> int:
             raise NonFiniteError(f"{what} is {v} at x = {x!r}")
         return v
 
-    # the residual stencils are evaluated after the integration, so an
-    # integrator failure (exit 3) comes before a stencil point whose Bessel
-    # argument leaves the float range (exit 2)
-    xs = np.linspace(args.x0, args.x1, 33)
     pts = xs.tolist()
-    u_pts = riccati.branch_table([rp], args.branch, xs)[0][0].tolist()
-    u_pts = [checked("closed-form value", x, u) for x, u in zip(pts, u_pts)]
+    u_pts = [checked("closed-form value", x, v) for x, v in zip(pts, u[0].tolist())]
     max_dev = 0.0
     u_num = u_pts[0]
     for x_prev, x_cur, u_cur in zip(pts[:-1], pts[1:], u_pts[1:]):

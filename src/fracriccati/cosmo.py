@@ -108,37 +108,33 @@ def scale_factor(
 
     Through u = y'/(a y) the ratio is (y(eta)/y(eta_ref))^(1/c) with y the
     chosen linear branch; all times must sit in one pole-free interval on
-    which y keeps its sign, which one pole check over the span of eta and
-    eta_ref ensures.  The flat case integrates H = 1/(c eta) directly to
-    (eta/eta_ref)^(1/c).  A ratio outside the float range raises
-    OverflowError naming its eta.
+    which y keeps its sign, which riccati.sign_scan over the y values of
+    eta and eta_ref ensures.  The flat case integrates H = 1/(c eta)
+    directly to (eta/eta_ref)^(1/c).  A ratio outside the float range
+    raises OverflowError naming its eta.
     """
     eta_ref = float(eta_ref)
     if not (np.all(eta > 0.0) and eta_ref > 0.0):
         raise ValueError("both times must be positive")
+    ts = np.append(eta, eta_ref)
     if cp.k == 0:
-        s, e = np.append(eta, eta_ref), np.zeros(eta.size + 1)
+        s, e = ts, np.zeros(ts.size)
     else:
         rp = cp.riccati_params()
-        lo, hi = min(float(eta.min()), eta_ref), max(float(eta.max()), eta_ref)
-        if lo < hi and riccati.find_poles(rp, lo, hi, branch):
+        s, e = riccati.y_branch_table(rp, branch, ts)
+        order = np.argsort(ts)
+        if riccati.sign_scan(rp, branch, ts[order], s[order], 1)[0]:
+            lo, hi = ts[order[[0, -1]]].tolist()
             raise BranchZeroError(
                 f"branch-{branch} linear solution crosses zero inside [{lo}, {hi}]"
             )
-        s, e = riccati.y_branch_table(rp, branch, np.append(eta, eta_ref))
     # y = s exp(e) with s free of the exponential growth or decay (the flat
-    # case takes y = eta, e = 0): the signs are those of s.  Where e = e_ref
-    # the ratio is (s/s_ref)^(1/c), bit for bit the unscaled one; elsewhere
-    # it is exp((log(s/s_ref) + e - e_ref)/c), one exponential of the whole
-    # log ratio, so a factor alone never leaves the float range.
+    # case takes y = eta, e = 0).  Where e = e_ref the ratio is
+    # (s/s_ref)^(1/c), bit for bit the unscaled one, and exactly 1 at
+    # eta = eta_ref; elsewhere it is exp((log(s/s_ref) + e - e_ref)/c), one
+    # exponential of the whole log ratio, so a factor alone never leaves the
+    # float range.
     s, s_ref, e, e_ref = s[:-1], s[-1], e[:-1], e[-1]
-    moving = eta != eta_ref
-    flips = moving & ((s == 0.0) | (s_ref == 0.0) | ((s > 0.0) != (s_ref > 0.0)))
-    if flips.any():
-        raise BranchZeroError(
-            f"branch-{branch} linear solution changes sign between "
-            f"{eta_ref} and {eta[flips][0]}"
-        )
     inv_c = 1.0 / cp.c
 
     def ratio_at(t: float, q: float, d: float) -> float:
@@ -152,12 +148,8 @@ def scale_factor(
             pass
         raise OverflowError(f"the scale-factor ratio at eta = {t!r} leaves the float range")
 
-    ratio = np.ones_like(s)
     with np.errstate(over="ignore"):
-        ratio[moving] = [
+        return np.array([
             ratio_at(t, q, d)
-            for t, q, d in zip(
-                eta[moving].tolist(), (s[moving] / s_ref).tolist(), (e[moving] - e_ref).tolist()
-            )
-        ]
-    return ratio
+            for t, q, d in zip(eta.tolist(), (s / s_ref).tolist(), (e - e_ref).tolist())
+        ])

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MaxStepsError, StepUnderflowError
-from .fracops import RealFunction, _fd_values, _richardson_d1, frac_const
+from .fracops import _fd_values, _richardson_d1, frac_const
 from .riccati import RiccatiParams, branch_table, residual
 from .specfun import gamma
 
@@ -27,7 +27,6 @@ __all__ = [
     "integrate",
     "integrate_riccati",
     "integrate_linear",
-    "fd_derivative",
     "residuals",
 ]
 
@@ -220,17 +219,10 @@ def integrate_linear(rp: RiccatiParams, ivp: IvpSpec) -> tuple[float, float]:
     return float(y), float(yp)
 
 
-def fd_derivative(f: Callable[[float], float], x):
-    """f'(x) at a float or elementwise at an ndarray x by the difference rule
-    of a bare RealFunction: one call of f on the whole stencil, or point by
-    point if f takes no arrays."""
-    return RealFunction(f).derivative(1)(x)
-
-
 def residuals(rp: RiccatiParams, branch: int, xs) -> np.ndarray:
     """|u' + a u^2 - rhs| / (|u'| + |a u^2| + |rhs|) of the closed-form
     branch at the points xs > 0 (an ndarray), rhs = b x^(1-delta) /
-    Gamma(2-delta), with u' by fd_derivative's rule and u at xs and their
+    Gamma(2-delta), with u' by fracops' difference rule and u at xs and their
     stencils from one branch_table call.  The scale is never 0 for b != 0;
     near 0, where u' and a u^2 grow like 1/x^2, it keeps their round-off
     from reading as a defect."""

@@ -11,8 +11,10 @@ for a*b > 0; b = 0 degenerates and is refused here.
 
 Every closed-form value comes from one lattice evaluation (_lattice): a
 table is a lattice of parameter sets times points, and a single point is a
-one-element table.  Only specfun keeps scalar kernels; here they serve the
-pole bisection of find_poles after sign_scan, which also brackets table poles.
+one-element table.  Every yes/no pole question is one sign_scan over the
+denominator values that the caller's own lattice already holds (tables,
+riccati verify, cosmo.scale_factor); find_poles, for callers that need the
+zero positions, bisects its brackets with specfun's scalar kernels.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     of s values neither overflows nor underflows.  The value is nan only
     where the denominator is exactly 0; within round-off of a zero it is
     round-off (eval_u1 at the float pi of a = 1, b = -1, delta = 1 is about
-    9e15): callers locate poles with find_poles or sign_scan.
+    9e15): callers pass the denominator to sign_scan to find poles.
     """
     factor, s, _ = _lattice(rps, branch, xs)
     num, den = s
@@ -233,6 +235,11 @@ def sign_scan(rp: RiccatiParams, branch: int, xs: np.ndarray, fs: np.ndarray, mi
     ([], None) in the modified regime (I_n, K_n > 0).  An end whose z leaves
     the float range (ValueError) or a span over _MAX_SCAN_CELLS cells
     (ScanBudgetError) raises before any evaluation.
+
+    The one pole rule: fs may be any values of the denominator's sign (a
+    table's or riccati verify's denominator row, cosmo.scale_factor's
+    y = sqrt(x) B_n), and every sign change or exact zero among the nodes
+    is a bracket.
     """
     bm = map_params(rp)
     if bm.regime != OSCILLATORY:
@@ -279,7 +286,9 @@ def find_poles(rp: RiccatiParams, x_lo: float, x_hi: float, branch: int = 1) -> 
     zeros of the denominator Bessel function, bracketed by sign_scan in at
     least 8 steps and bisected with scalar calls to 1e-12 relative.  None in
     the modified regime; a span over _MAX_SCAN_CELLS scan cells raises
-    ScanBudgetError before anything is evaluated.
+    ScanBudgetError before anything is evaluated.  For the zero positions
+    (riccati poles, the acceptance suite); whether a span holds a pole is
+    sign_scan's answer on the caller's own values.
     """
     x_lo, x_hi = float(x_lo), float(x_hi)
     if not 0.0 < x_lo < x_hi:

@@ -230,16 +230,13 @@ def _hankel_pq(nu: float, x: float) -> tuple[float, float]:
             acc = q_arr if k % 2 == 1 else p_arr
             np.add(acc, term if (k // 2) % 2 == 0 else -term, out=acc, where=live)
         return p_arr, q_arr
-    terms = _asymptotic_terms(nu, x)
-    # Q sums the odd k with signs + - + ..., P the even k with signs - + - ...
-    q_sum, negate = 0.0, False
-    for term in terms[0::2]:
-        q_sum += -term if negate else term
-        negate = not negate
-    p_sum, negate = 1.0, True
-    for term in terms[1::2]:
-        p_sum += -term if negate else term
-        negate = not negate
+    p_sum, q_sum = 1.0, 0.0
+    for k, term in enumerate(_asymptotic_terms(nu, x), 1):
+        term = term if (k // 2) % 2 == 0 else -term
+        if k % 2 == 1:
+            q_sum += term
+        else:
+            p_sum += term
     return p_sum, q_sum
 
 

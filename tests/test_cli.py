@@ -202,7 +202,7 @@ class TestRiccatiCommand:
 
         def table(rps, branch, xs):
             xs = np.asarray(xs)
-            return np.where(xs >= pts[first_bad], math.nan, -1.0)[None, :], None
+            return np.where(xs >= pts[first_bad], math.nan, -1.0)[None, :], np.ones((1, xs.size))
 
         monkeypatch.setattr(riccati, "branch_table", table)
         rc, out, err = run(capsys, ["riccati", "verify", "--a", "1", "--b", "1",
@@ -488,13 +488,56 @@ class TestBesselArgumentOverflow:
         (["riccati", "eval", "--a", "1e100", "--b", "1e100", "--grid", "1:1e240:3"], "1e+240"),
         # both ends of the pole scan overflow
         (["riccati", "poles", "--a", "1", "--b", "-1", "--grid", "1e250:1e260:3"], "1e+260"),
+        # oscillatory verify and scale evaluate their lattice before the pole scan
+        (["riccati", "verify", "--a", "1e100", "--b=-1e100", "--x0", "1", "--x1", "1e240"],
+         "1e+240"),
+        (["cosmo", "scale", "--k", "1", "--c", "1e150", "--grid", "1:1e200:3"], "1e+200"),
     ])
     def test_names_largest_x(self, capsys, argv, x):
+        flags = {"verify": "--x0/--x1", "scale": "--grid/--eta-ref"}.get(argv[1], "--grid")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc, out, err = run(capsys, argv + ["--delta", "0.5"])
         assert rc == 2 and out == ""
-        assert err == f"error: --grid: x = {x} is too large: the Bessel argument q x^r overflows\n"
+        assert err == f"error: {flags}: x = {x} is too large: the Bessel argument q x^r overflows\n"
+
+
+class TestPoleChecksCallNoFindPoles:
+    # riccati verify and cosmo scale ask sign_scan whether their own lattice
+    # holds a pole; only the zero positions need find_poles' bisection
+    @pytest.fixture(autouse=True)
+    def no_find_poles(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("find_poles called")
+
+        monkeypatch.setattr(riccati, "find_poles", fail)
+
+    def test_verify_pole_free(self, capsys):
+        rc, out, err = run(capsys, "riccati verify --a 1 --b -1 --delta 0.7 --x0 0.3 --x1 1.2 "
+                                   "--branch 2".split())
+        assert rc == 0 and err == ""
+        assert out.splitlines()[1] == ("1,-1,0.69999999999999996,2,0.29999999999999999,1.2,"
+                                       "4.348652304484016e-10,3.4422686923107904e-11")
+
+    def test_verify_pole_exits_4(self, capsys):
+        rc, out, err = run(capsys, "riccati verify --a 1 --b -1 --delta 1 --x0 2.5 --x1 4.0".split())
+        assert rc == 4 and out == ""
+        assert err == "error: verification interval [2.5, 4.0] contains a pole\n"
+
+    @pytest.mark.parametrize("name, argv", [
+        ("scale_k+1.csv", "cosmo scale --k 1 --c 1 --delta 0.5 --grid 0.2:2.5:12"),
+        ("scale_k-1.csv", "cosmo scale --k -1 --c 0.7 --delta 0.35 --branch 2 --grid 0.5:40:15"),
+        ("scale_k0.csv", "cosmo scale --k 0 --c 1.3 --grid 0.5:4:8 --eta-ref 1"),
+    ])
+    def test_scale_matches_golden(self, capsys, name, argv):
+        rc, out, err = run(capsys, argv.split())
+        assert rc == 0 and err == ""
+        assert out == (Path(__file__).parent / "golden" / name).read_text()
+
+    def test_scale_pole_exits_4(self, capsys):
+        rc, out, err = run(capsys, "cosmo scale --k 1 --c 1 --delta 1 --grid 0.5:3.5:5".split())
+        assert rc == 4 and out == ""
+        assert err == "error: branch-1 linear solution crosses zero inside [0.5, 3.5]\n"
 
 
 class TestGridBelowSearchFloor:

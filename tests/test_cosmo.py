@@ -8,7 +8,7 @@ from fracriccati import cosmo as co
 from fracriccati import odeverify as ov
 from fracriccati import riccati as rc
 from fracriccati.errors import BranchZeroError
-from fracriccati.fracops import adaptive_simpson, frac_const
+from fracriccati.fracops import RealFunction, adaptive_simpson, frac_const
 
 
 def h_at(cp, eta: float, branch: int = 1) -> float:
@@ -30,6 +30,20 @@ def scale_factor_by_quadrature(
         poles = rc.find_poles(cp.riccati_params(), eta_ref, eta, branch)
         assert not poles, f"Hubble pole at eta = {poles[0]}"
     return math.exp(adaptive_simpson(lambda t: h_at(cp, t, branch), eta_ref, eta, tol))
+
+
+def two_test_rule_refuses(cp, eta: np.ndarray, eta_ref: float, branch: int) -> bool:
+    """The earlier refusal rule of scale_factor, kept as the oracle: a
+    find_poles zero over the span of eta and eta_ref, or a y at some eta
+    other than eta_ref that is 0 or differs in sign from y(eta_ref)."""
+    rp = cp.riccati_params()
+    lo, hi = min(float(eta.min()), eta_ref), max(float(eta.max()), eta_ref)
+    if lo < hi and rc.find_poles(rp, lo, hi, branch):
+        return True
+    s = rc.y_branch_table(rp, branch, np.append(eta, eta_ref))[0]
+    s, s_ref = s[:-1], s[-1]
+    flips = (s == 0.0) | (s_ref == 0.0) | ((s > 0.0) != (s_ref > 0.0))
+    return bool((flips & (eta != eta_ref)).any())
 
 
 class TestCOfGamma:
@@ -114,7 +128,7 @@ class TestHubble:
                 cp = co.CosmoParams(k=k, delta=d, c=1.0)
                 for eta in np.linspace(0.2, 1.4, 12):
                     eta = float(eta)
-                    hp = ov.fd_derivative(lambda t: h_at(cp, t), eta)
+                    hp = RealFunction(lambda t: h_at(cp, t)).derivative(1)(eta)
                     h = h_at(cp, eta)
                     r = hp + cp.c * h * h - frac_const(-k * cp.c, d, eta)
                     assert abs(r) <= 1e-6 * (1.0 + abs(frac_const(-k * cp.c, d, eta)))
@@ -145,7 +159,7 @@ class TestHubbleFlat:
     def test_flat_residual_is_zero(self):
         cp = co.CosmoParams(k=0, delta=1.0, c=1.3)
         for eta in (0.5, 1.0, 3.0):
-            hp = ov.fd_derivative(lambda t: h_at(cp, t), eta)
+            hp = RealFunction(lambda t: h_at(cp, t)).derivative(1)(eta)
             h = h_at(cp, eta)
             assert abs(hp + cp.c * h * h) < 1e-10
 
@@ -199,6 +213,34 @@ class TestScaleFactor:
         cp = co.CosmoParams(k=1, delta=1.0, c=1.0)  # y = sin has a zero at pi
         with pytest.raises(BranchZeroError):
             ratio_at(cp, 3.5, 0.5)
+
+    @given(
+        c=st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
+        delta=st.floats(0.05, 1.0),
+        branch=st.sampled_from([1, 2]),
+        start=st.floats(0.05, 6.0),
+        width=st.floats(0.0, 2.0),
+        count=st.integers(1, 12),
+        ref_at=st.floats(-0.5, 1.5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_refusal_matches_two_test_rule(self, c, delta, branch, start, width, count, ref_at):
+        # one sign_scan over the y values of eta and eta_ref refuses exactly
+        # where a zero search over the span or a sign test against y(eta_ref)
+        # did; about half of these draws hold a zero
+        cp = co.CosmoParams(k=1, delta=delta, c=c)
+        eta = np.linspace(start, start + width, count)
+        eta_ref = max(0.05, start + ref_at * width)
+        try:
+            co.scale_factor(cp, eta, eta_ref, branch)
+            refused = False
+        except BranchZeroError as exc:
+            lo, hi = min(start, eta_ref), max(float(eta[-1]), eta_ref)
+            assert str(exc) == f"branch-{branch} linear solution crosses zero inside [{lo}, {hi}]"
+            refused = True
+        except OverflowError:  # a ratio past the float range is not a refusal
+            refused = False
+        assert refused == two_test_rule_refuses(cp, eta, eta_ref, branch)
 
     @given(st.floats(0.2, 2.8), st.floats(0.2, 2.8))
     @settings(max_examples=40, deadline=None)

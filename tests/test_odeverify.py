@@ -6,6 +6,7 @@ import pytest
 from fracriccati import odeverify as ov
 from fracriccati import riccati as rc
 from fracriccati.errors import MaxStepsError, StepUnderflowError
+from fracriccati.fracops import RealFunction
 
 
 class TestIvpSpec:
@@ -129,13 +130,13 @@ class TestStepControl:
 
 class TestFdDerivative:
     def test_square(self):
-        assert ov.fd_derivative(lambda t: t * t, 3.0) == pytest.approx(6.0, abs=1e-8)
+        assert RealFunction(lambda t: t * t).derivative(1)(3.0) == pytest.approx(6.0, abs=1e-8)
 
     def test_sin_at_zero(self):
-        assert ov.fd_derivative(math.sin, 0.0) == pytest.approx(1.0, abs=1e-10)
+        assert RealFunction(math.sin).derivative(1)(0.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_exp(self):
-        assert ov.fd_derivative(math.exp, 1.0) == pytest.approx(math.e, abs=1e-8)
+        assert RealFunction(math.exp).derivative(1)(1.0) == pytest.approx(math.e, abs=1e-8)
 
     @pytest.mark.parametrize("f", [np.sin, np.sqrt, np.exp, lambda t: t**3 - 2.0 * t],
                              ids=["sin", "sqrt", "exp", "cubic"])
@@ -147,10 +148,10 @@ class TestFdDerivative:
             lowest.append(np.min(t))
             return f(t)
 
-        got = ov.fd_derivative(spy, xs)
+        got = RealFunction(spy).derivative(1)(xs)
         assert got.shape == xs.shape
         assert min(lowest) > 0.0
-        assert np.array_equal(got, [ov.fd_derivative(f, float(x)) for x in xs])
+        assert np.array_equal(got, [RealFunction(f).derivative(1)(float(x)) for x in xs])
 
 
 class TestResiduals:

@@ -6,9 +6,8 @@ from scipy import special as sp
 from hypothesis import given, settings, strategies as st
 
 from fracriccati import riccati as rc
-from fracriccati import odeverify as ov
 from fracriccati.errors import DegenerateRegimeError
-from fracriccati.fracops import frac_const
+from fracriccati.fracops import RealFunction, frac_const
 from fracriccati.specfun import bessel, gamma
 
 
@@ -252,7 +251,7 @@ class TestResidual:
 
         for x in np.linspace(0.3, 2.2, 20):
             x = float(x)
-            up = ov.fd_derivative(u_of, x)
+            up = RealFunction(u_of).derivative(1)(x)
             r = rc.residual(rp, x, u_of(x), up)
             assert abs(r) <= 1e-6 * (1.0 + abs(frac_const(rp.b, rp.delta, x)))
 
@@ -268,7 +267,7 @@ class TestResidual:
         poles = rc.find_poles(rp, 0.2, 2.3, 1)
         if any(abs(x - p) < 0.08 for p in poles):
             return
-        up = ov.fd_derivative(lambda t: rc.eval_u1(rp, t), x)
+        up = RealFunction(lambda t: rc.eval_u1(rp, t)).derivative(1)(x)
         r = rc.residual(rp, x, rc.eval_u1(rp, x), up)
         assert abs(r) <= 1e-6 * (1.0 + abs(frac_const(b, delta, x)))
 

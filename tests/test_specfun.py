@@ -27,6 +27,12 @@ def series_bessel_j(nu, x, terms=200):
     return total
 
 
+def snap_to_integer(nu: float) -> float:
+    """An order within 1e-15 of an integer snapped onto it: mpmath's K of
+    such an order (1e-273, say) takes seconds."""
+    return nu if abs(nu - round(nu)) >= 1e-15 else float(round(nu))
+
+
 class TestGamma:
     def test_half_integer(self):
         assert sf.gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-14)
@@ -230,6 +236,36 @@ class TestBesselValues:
         # within 1/4 of one below x = 2, the reflection formula the rest
         nu, x = k + offset, 10.0**log_x
         assert sf.bessel_k(nu, x) == pytest.approx(sp.kv(nu, x), rel=1e-10)
+
+    @given(
+        nu=st.one_of(
+            st.floats(-10.0, 10.0).map(snap_to_integer),
+            st.floats(-10.0, 10.0).map(snap_to_integer),
+            st.builds(lambda m, s, j: m + s * 10.0**-j, st.integers(-10, 10),
+                      st.sampled_from([-1.0, 1.0]), st.floats(1.0, 15.0)),
+        ).filter(lambda nu: abs(nu) <= 10.0),
+        x=st.floats(-5.0, 2.0).map(lambda e: 10.0**e),
+    )
+    @example(nu=-6.99999999999999, x=0.2)
+    @example(nu=-9.999999999999966, x=0.888)
+    @settings(max_examples=150, deadline=None)
+    def test_whole_domain_sweep(self, nu, x):
+        # the 10-digit contract over |nu| <= 10 and 0 < x <= 100, a third of
+        # the orders near an integer: I and K relative to their value, J
+        # relative to the envelope sqrt(J^2 + Y^2) that its zeros sit under
+        with mpmath.workdps(30):
+            x_m = mpmath.mpf(x)
+            # J_-n = (-1)^n J_n, Y alike, I_-n = I_n and K_-nu = K_nu: mpmath's
+            # limit at a negative integer order takes seconds
+            sign, order = ((-1) ** round(nu), -nu) if nu == round(nu) < 0 else (1, nu)
+            order = mpmath.mpf(order)
+            j, y = sign * mpmath.besselj(order, x_m), sign * mpmath.bessely(order, x_m)
+            envelope = float(mpmath.sqrt(j * j + y * y))
+            want = {"J": float(j), "I": float(mpmath.besseli(order, x_m)),
+                    "K": float(mpmath.besselk(abs(order), x_m))}
+        for kind, value in want.items():
+            scale = envelope if kind == "J" else abs(value)
+            assert abs(sf.bessel(kind, nu, x) - value) <= 1e-10 * scale, kind
 
     def test_k_tiny_argument(self):
         # small-x limits, exact in double precision here: K_nu(x) =
