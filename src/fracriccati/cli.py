@@ -64,6 +64,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every '-' token float() reads (-1e-3,
+    -inf) for a negative number, not an option; add_subparsers makes the
+    subcommand parsers of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self  # argparse asks its match()
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text[1:])
+        except ValueError:
+            return False
+        return text[:1] == "-" and text[1:2] not in "+-"
+
+
 def _emit(out_path: str | None, header: list[str], rows) -> int:
     """Write the table; exit code EXIT_FLAGS if --out cannot be written.
 
@@ -210,8 +228,8 @@ def _cmd_fracderiv(args) -> int:
             f = fo.RealFunction(np.exp, lambda k: np.exp, label=name)
         elif name.startswith("poly:"):
             try:
-                coeffs = [float(cstr) for cstr in name[5:].split(",")]
-            except ValueError:
+                coeffs = [_finite_float(cstr) for cstr in name[5:].split(",")]
+            except argparse.ArgumentTypeError:
                 _err(f"bad poly coefficients in {name!r}")
                 return EXIT_FLAGS
             f = fo.RealFunction.polynomial(coeffs)
@@ -357,7 +375,7 @@ def _cmd_selftest(args) -> int:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call; parsing only reads it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracriccati",
         description=(
             "Riemann-Liouville operators, Bessel-ratio solutions of the "

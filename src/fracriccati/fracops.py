@@ -447,17 +447,14 @@ def frac_const(b: float, delta, x):
 # ---------------------------------------------------------------------------
 
 
+_SIMPSON_MAX_DEPTH = 30
+
+
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
     return width * (fa + 4.0 * fm + fb) / 6.0
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    max_depth: int = 30,
-) -> float:
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Classic adaptive Simpson quadrature of a callable on [a, b]."""
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
@@ -473,9 +470,9 @@ def adaptive_simpson(
         err = left + right - whole
         if abs(err) <= 15.0 * tol or (b - a) < 1e-14 * (1.0 + abs(a)):
             return left + right + err / 15.0
-        if depth >= max_depth:
+        if depth >= _SIMPSON_MAX_DEPTH:
             raise ConvergenceError(
-                f"adaptive_simpson: depth limit {max_depth} reached on [{a}, {b}]"
+                f"adaptive_simpson: depth limit {_SIMPSON_MAX_DEPTH} reached on [{a}, {b}]"
             )
         return recurse(a, lm, m, fa, flm, fm, left, 0.5 * tol, depth + 1) + recurse(
             m, rm, b, fm, frm, fb, right, 0.5 * tol, depth + 1

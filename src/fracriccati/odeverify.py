@@ -79,6 +79,7 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _EPS = sys.float_info.epsilon
+_MAX_STEPS = 100000
 
 
 def _step(rhs, x, y, h):
@@ -139,7 +140,7 @@ def _initial_step(rhs, x0, y0, x1, rel_tol, abs_tol):
     return min(100.0 * h0, h1, x1 - x0)
 
 
-def integrate(rhs, spec: IvpSpec, max_steps: int = 100000) -> np.ndarray:
+def integrate(rhs, spec: IvpSpec) -> np.ndarray:
     """The state at spec.x1, integrated with the embedded 5(4) pair and PI
     step control.
 
@@ -150,7 +151,7 @@ def integrate(rhs, spec: IvpSpec, max_steps: int = 100000) -> np.ndarray:
     x = spec.x0
     h = _initial_step(rhs, x, y, spec.x1, spec.rel_tol, spec.abs_tol)
     prev_err = 1.0
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if x >= spec.x1:
             return np.array(y)
         h = min(h, spec.x1 - x)
@@ -168,7 +169,7 @@ def integrate(rhs, spec: IvpSpec, max_steps: int = 100000) -> np.ndarray:
         else:
             factor = max(_MIN_FACTOR, _SAFETY * norm**(-_PI_ALPHA))
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-    raise MaxStepsError(f"integration exceeded {max_steps} steps")
+    raise MaxStepsError(f"integration exceeded {_MAX_STEPS} steps")
 
 
 def riccati_rhs(rp: RiccatiParams) -> Callable[[float, Sequence[float]], tuple[float]]:

@@ -7,7 +7,8 @@ take the scalar kernels, ndarrays the array path, which repeats their
 floating-point operations element by element and so returns the same bits.
 Bessel evaluation is split by argument size: ascending power series for
 small x, Hankel-type asymptotic expansions (truncated at the smallest term)
-for large x.  Y of non-integer order goes through the reflection formula;
+for large x, whose terms one loop, _asymptotic_sums, builds and sums for
+all four kinds.  Y of non-integer order goes through the reflection formula;
 exact integer orders use the limiting log-series instead (no epsilon-offset
 tricks).  K below x = 20 has two kernels: trapezoidal quadrature of its
 cosh-kernel integral representation, which converges for every order and has
@@ -193,18 +194,43 @@ def _series(nu: float, x: float, sign: float) -> float:
     return total
 
 
-def _asymptotic_terms(nu: float, x: float) -> list[float]:
-    """[a_1(nu)/x, a_2(nu)/x^2, ...]: the terms k >= 1 of the large-argument
-    expansions of J, Y, I and K (DLMF 10.17.1, 10.40.1-2), truncated at the
+def _asymptotic_sums(kind: str, nu, x):
+    """The sums of the terms t_k = a_k(nu)/x^k, k >= 1, of the large-argument
+    expansions (DLMF 10.17.1, 10.40.1-2), truncated at the smallest term:
+    (P, Q) of J and Y, (1 + sum (-1)^k t_k, 1 + sum t_k) for I and
+    (1, 1 + sum t_k) for K.  An ndarray x truncates each element at its own
     smallest term.
 
     For large orders the terms grow before they decay, so divergence is only
-    declared once a term grows after the decaying phase has started.
+    declared once a term grows after the decaying phase has started.  J and Y
+    add term k to Q for odd k and to P for even k, negated when k % 4 >= 2.
     """
+    jy, alt = kind in "JY", kind == "I"
     mu = 4.0 * nu * nu
-    terms = []
-    term = 1.0  # a_0
-    prev = 1.0
+    if isinstance(x, np.ndarray):
+        first, second = np.ones_like(x), (np.zeros_like(x) if jy else np.ones_like(x))
+        term, prev = np.ones_like(x), np.ones_like(x)
+        decaying, live = np.zeros(x.size, dtype=bool), np.ones(x.size, dtype=bool)
+        for k in range(1, 200):
+            np.multiply(term, (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x), out=term, where=live)
+            mag = np.abs(term)
+            smaller = mag < prev
+            live &= smaller | ~decaying  # smallest term passed: stop before it
+            if not live.any():
+                break
+            decaying |= smaller
+            if jy:
+                acc = second if k % 2 else first
+                (np.add if k % 4 < 2 else np.subtract)(acc, term, out=acc, where=live)
+            else:
+                if alt:
+                    (np.subtract if k % 2 else np.add)(first, term, out=first, where=live)
+                np.add(second, term, out=second, where=live)
+            live &= ~(mag < 1e-18)
+            np.copyto(prev, mag, where=live)
+        return first, second
+    first, second = 1.0, (0.0 if jy else 1.0)
+    term = prev = 1.0
     decaying = False
     for k in range(1, 200):
         term *= (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
@@ -213,69 +239,24 @@ def _asymptotic_terms(nu: float, x: float) -> list[float]:
             decaying = True
         elif decaying:  # smallest term passed; stop before divergence
             break
-        terms.append(term)
+        if jy:
+            signed = term if k % 4 < 2 else -term
+            if k % 2:
+                second += signed
+            else:
+                first += signed
+        else:
+            if alt:
+                first += -term if k % 2 else term
+            second += term
         if mag < 1e-18:
             break
         prev = mag
-    return terms
-
-
-def _hankel_pq(nu: float, x: float) -> tuple[float, float]:
-    """P, Q of the large-argument expansion of J and Y.  An ndarray x
-    truncates each element at its own smallest term."""
-    if isinstance(x, np.ndarray):
-        p_arr = np.ones_like(x)
-        q_arr = np.zeros_like(x)
-        for k, term, live in _asymptotic_terms_array(nu, x):
-            acc = q_arr if k % 2 == 1 else p_arr
-            np.add(acc, term if (k // 2) % 2 == 0 else -term, out=acc, where=live)
-        return p_arr, q_arr
-    p_sum, q_sum = 1.0, 0.0
-    for k, term in enumerate(_asymptotic_terms(nu, x), 1):
-        term = term if (k // 2) % 2 == 0 else -term
-        if k % 2 == 1:
-            q_sum += term
-        else:
-            p_sum += term
-    return p_sum, q_sum
-
-
-def _i_asymptotic(nu, x):
-    """e^-x I_nu(x) for x > _I_SERIES_MAX from the large-argument expansion:
-    the series of the growing exponential plus the reflected, exponentially
-    small correction (exact for half-integer orders); no upper limit on x."""
-    if isinstance(x, np.ndarray):
-        s_alt = np.ones_like(x)
-        s_pos = np.ones_like(x)
-        for k, term, live in _asymptotic_terms_array(nu, x):
-            np.add(s_alt, -term if k % 2 else term, out=s_alt, where=live)
-            np.add(s_pos, term, out=s_pos, where=live)
-        amp, sin = 1.0 / np.sqrt(2.0 * math.pi * x), _per_value(_sinpi, nu)
-        return amp * (s_alt - sin * _each(math.exp, -2.0 * x) * s_pos)
-    s_alt = s_pos = 1.0
-    for k, term in enumerate(_asymptotic_terms(nu, x), 1):
-        s_alt += -term if k % 2 else term
-        s_pos += term
-    amp = 1.0 / math.sqrt(2.0 * math.pi * x)
-    return amp * (s_alt - _sinpi(nu) * math.exp(-2.0 * x) * s_pos)
-
-
-def _k_scaled(nu, x):
-    """e^x K_nu(x) = sqrt(pi/(2x)) sum_k a_k(nu)/x^k for x >= _K_ASYMPTOTIC_MIN,
-    where the smallest term is ~e^(-2x) < 5e-18; even in nu, as K is."""
-    if isinstance(x, np.ndarray):
-        s_pos = np.ones_like(x)
-        for _, term, live in _asymptotic_terms_array(nu, x):
-            np.add(s_pos, term, out=s_pos, where=live)
-        return np.sqrt(math.pi / (2.0 * x)) * s_pos
-    s_pos = 1.0
-    for term in _asymptotic_terms(nu, x):
-        s_pos += term
-    return math.sqrt(math.pi / (2.0 * x)) * s_pos
+    return first, second
 
 
 def _jy_asymptotic(nu: float, x: float) -> tuple[float, float]:
-    p, q = _hankel_pq(nu, x)
+    p, q = _asymptotic_sums("J", nu, x)
     omega = x - (0.5 * nu + 0.25) * math.pi
     if isinstance(x, np.ndarray):
         c, s, amp = np.cos(omega), np.sin(omega), np.sqrt(2.0 / (math.pi * x))
@@ -412,24 +393,28 @@ def bessel_y(nu: float, x: float) -> float:
 
 def _i_split(nu: float, x: float) -> tuple[float, float]:
     """I_nu(x) = s exp(e) as (s, e): the ascending series with e = 0 up to
-    x = 30, e^-x I from the large-argument expansion with e = x past it."""
+    x = 30; past it e = x and e^-x I is the large-argument series of the
+    growing exponential plus the reflected, exponentially small correction
+    (exact for half-integer orders), with no upper limit on x."""
     nu, x = _check(nu, x)
     if nu < 0.0 and nu == math.floor(nu):
         nu = -nu
     if x <= _I_SERIES_MAX:
         return _series(nu, x, 1.0), 0.0
-    return _i_asymptotic(nu, x), x
+    s_alt, s_pos = _asymptotic_sums("I", nu, x)
+    amp = 1.0 / math.sqrt(2.0 * math.pi * x)
+    return amp * (s_alt - _sinpi(nu) * math.exp(-2.0 * x) * s_pos), x
 
 
 def _k_split(nu: float, x: float) -> tuple[float, float]:
-    """K_nu(x) = s exp(e) as (s, e): e^x K from the asymptotic series with
-    e = -x from x = 20 on; below, e = 0 and the quadrature, except that
-    orders at least 1/4 from an integer take the faster reflection formula
-    through I below x = 2."""
+    """K_nu(x) = s exp(e) as (s, e): e^x K = sqrt(pi/(2x)) sum_k a_k(nu)/x^k
+    with e = -x from x = 20 on, where the smallest term is ~e^(-2x) < 5e-18;
+    below, e = 0 and the quadrature, except that orders at least 1/4 from an
+    integer take the faster reflection formula through I below x = 2."""
     nu, x = _check(nu, x)
     nu = abs(nu)  # K is even in its order
     if x >= _K_ASYMPTOTIC_MIN:
-        return _k_scaled(nu, x), -x
+        return math.sqrt(math.pi / (2.0 * x)) * _asymptotic_sums("K", nu, x)[1], -x
     if x >= 2.0 or abs(nu - round(nu)) < _K_REFLECT_MIN_GAP:
         return _bessel_k_quad(nu, x), 0.0
     s = _sinpi(nu)
@@ -454,7 +439,10 @@ def bessel_k(nu: float, x: float) -> float:
 # Each array kernel repeats the floating-point operations of its scalar
 # kernel in the same order, element by element: a term loop runs until its
 # last element meets the scalar stopping rule, and each element stops adding
-# terms where the scalar kernel would have stopped.  exp and cosh go through
+# terms where the scalar kernel would have stopped.  _asymptotic_sums keeps
+# its ndarray loop beside its float loop; where the float loop adds a
+# negated term, the ndarray loop calls np.subtract, which gives the same
+# bits without the temporary.  exp and cosh go through
 # ``math`` and pow through Python's float power (``operator.pow``), because
 # numpy's versions differ from libm's in the last place for a few percent of
 # arguments; numpy's arithmetic, sqrt, sin and cos are used as they are.
@@ -509,27 +497,6 @@ def _series_array(nu: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
             if not live.any():
                 break
     return total
-
-
-def _asymptotic_terms_array(nu, x: np.ndarray):
-    """Yield (k, term, live), term k of _asymptotic_terms per element; live
-    marks the elements that still add it."""
-    mu = 4.0 * nu * nu
-    term = np.ones_like(x)
-    prev = np.ones_like(x)
-    decaying = np.zeros(x.size, dtype=bool)
-    live = np.ones(x.size, dtype=bool)
-    for k in range(1, 200):
-        np.multiply(term, (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x), out=term, where=live)
-        mag = np.abs(term)
-        smaller = mag < prev
-        live &= smaller | ~decaying  # smallest term passed: stop before it
-        if not live.any():
-            return
-        decaying |= smaller
-        yield k, term, live
-        live &= ~(mag < 1e-18)
-        np.copyto(prev, mag, where=live)
 
 
 def _classes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -640,7 +607,10 @@ def _i_array(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s[series] = _series_array(nu[series], x[series], 1.0)
     asym = ~series
     if asym.any():
-        s[asym] = _i_asymptotic(nu[asym], x[asym])
+        v, t = nu[asym], x[asym]
+        s_alt, s_pos = _asymptotic_sums("I", v, t)
+        amp = 1.0 / np.sqrt(2.0 * math.pi * t)
+        s[asym] = amp * (s_alt - _per_value(_sinpi, v) * _each(math.exp, -2.0 * t) * s_pos)
     return s, np.where(asym, x, 0.0)
 
 
@@ -651,7 +621,8 @@ def _k_array(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reflect = (x < 2.0) & (np.abs(nu - np.round(nu)) >= _K_REFLECT_MIN_GAP)
     quad = ~(asym | reflect)
     if asym.any():
-        s[asym] = _k_scaled(nu[asym], x[asym])
+        t = x[asym]
+        s[asym] = np.sqrt(math.pi / (2.0 * t)) * _asymptotic_sums("K", nu[asym], t)[1]
     if quad.any():
         s[quad] = _bessel_k_quad(nu[quad], x[quad])
     if reflect.any():

@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 
 from fracriccati import cli, odeverify, riccati
 from fracriccati.errors import MaxStepsError, StepUnderflowError
+from test_golden import TABLES as golden_tables
 
 
 def run(capsys, argv):
@@ -414,6 +415,19 @@ class TestNonFiniteFlags:
          "error: c = 1e+200: the product a*b = -k c^2"),
         (["cosmo", "scale", "--k", "-1", "--c", "1e-200", "--grid", "1:2:3"],
          "error: c = 1e-200: the product a*b = -k c^2"),
+        (["fracderiv", "--beta", "0.5", "--builtin", "poly:1,nan", "--grid", "1:2:2"],
+         "bad poly coefficients in 'poly:1,nan'"),
+        (["fracderiv", "--beta", "0.5", "--builtin", "poly:1,inf", "--grid", "1:2:2"],
+         "bad poly coefficients in 'poly:1,inf'"),
+        # negative values past argparse's -1 and -0.5 shapes reach the checks
+        (["riccati", "eval", "--a", "-inf", "--b", "1", "--delta", "1", "--grid", "0.2:3:5"],
+         "--a: must be finite"),
+        (["cosmo", "hubble", "--k", "1", "--c", "-nan", "--grid", "0.2:3:5"],
+         "--c: must be finite"),
+        (["cosmo", "scale", "--k", "0", "--c", "1.3", "--grid", "0.5:4:8", "--eta-ref", "-1e-3"],
+         "positive and finite"),
+        (["riccati", "verify", "--a", "1", "--b", "-1", "--delta", "0.5", "--x0", "-1e-3",
+          "--x1", "1"], "need 0 < x0 < x1 < inf, got -0.001, 1.0"),
     ])
     def test_rejected_as_flag_error(self, capsys, argv, reason):
         with warnings.catch_warnings():
@@ -524,11 +538,8 @@ class TestPoleChecksCallNoFindPoles:
         assert rc == 4 and out == ""
         assert err == "error: verification interval [2.5, 4.0] contains a pole\n"
 
-    @pytest.mark.parametrize("name, argv", [
-        ("scale_k+1.csv", "cosmo scale --k 1 --c 1 --delta 0.5 --grid 0.2:2.5:12"),
-        ("scale_k-1.csv", "cosmo scale --k -1 --c 0.7 --delta 0.35 --branch 2 --grid 0.5:40:15"),
-        ("scale_k0.csv", "cosmo scale --k 0 --c 1.3 --grid 0.5:4:8 --eta-ref 1"),
-    ])
+    @pytest.mark.parametrize(
+        "name, argv", [t for t in golden_tables if t[0].startswith("scale_")])
     def test_scale_matches_golden(self, capsys, name, argv):
         rc, out, err = run(capsys, argv.split())
         assert rc == 0 and err == ""
@@ -738,6 +749,20 @@ class TestPoleRowsAtBesselZeros:
             assert cli.main(argv) == 0
         _, rows = parse_table(out.getvalue())
         assert [i for i, row in enumerate(rows) if row[2] == "1"] == want
+
+
+class TestExponentNegatives:
+    # a negative flag value in exponent form is a value, not an option
+    @pytest.mark.parametrize("flag, value, argv", [
+        ("--b", "-1e-3", ["riccati", "eval", "--a", "1", "--delta", "0.5", "--grid", "1:2:2"]),
+        ("--a", "-2.5E+0", ["riccati", "eval", "--b", "1", "--delta", "0.5", "--grid", "1:2:2"]),
+        ("--b", "-1E0", ["riccati", "poles", "--a", "1", "--delta", "0.5", "--grid", "0.5:9:2"]),
+        ("--c", "-1e0", ["cosmo", "hubble", "--k", "1", "--delta", "0.5", "--grid", "1:2:3"]),
+    ])
+    def test_same_bytes_as_equals_form(self, capsys, flag, value, argv):
+        joined = run(capsys, argv + [f"{flag}={value}"])
+        assert joined[0] == 0
+        assert run(capsys, argv + [flag, value]) == joined
 
 
 class TestParser:

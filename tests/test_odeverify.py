@@ -43,12 +43,11 @@ class TestIntegrateRiccati:
         with pytest.raises(StepUnderflowError):
             ov.integrate_riccati(rp, ov.IvpSpec(2.0, u0, 4.0))
 
-    def test_max_steps(self):
+    def test_max_steps(self, monkeypatch):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
-        with pytest.raises(MaxStepsError):
-            ov.integrate(
-                ov.riccati_rhs(rp), ov.IvpSpec(0.5, 1.0, 100.0), max_steps=3
-            )
+        monkeypatch.setattr(ov, "_MAX_STEPS", 3)
+        with pytest.raises(MaxStepsError, match="exceeded 3 steps"):
+            ov.integrate(ov.riccati_rhs(rp), ov.IvpSpec(0.5, 1.0, 100.0))
 
 
 class TestIntegrateLinear:
