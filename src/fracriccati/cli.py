@@ -215,6 +215,11 @@ def _cmd_fracderiv(args) -> int:
         if args.power <= -1.0:
             _err(f"--power must exceed -1, got {args.power}")
             return EXIT_FLAGS
+        if args.power < 0.0 and args.beta not in (0.0, 1.0):
+            # the quadrature samples t^a at t = 0, where a negative power is infinite
+            _err(f"--power below 0 needs --beta 0 or 1, got --power {args.power} "
+                 f"with --beta {args.beta}")
+            return EXIT_FLAGS
         f = fo.RealFunction.power(args.power)
 
         def oracle(x, a=args.power, b=args.beta):
@@ -332,8 +337,12 @@ def _cmd_cosmo(args) -> int:
     if c == 0.0:
         _err("c = 0 (gamma = 2/3) leaves no Riccati coefficient; rejected")
         return EXIT_BAD_C
+    implied = c if args.gamma is None else cosmo.c_of_gamma(args.gamma)
+    if abs(c - implied) > 1e-12:  # --c and --gamma disagree
+        _err(f"inconsistent inputs: c={c} but gamma implies {implied}")
+        return EXIT_FLAGS
     try:
-        cp = cosmo.CosmoParams(k=args.k, delta=args.delta, c=c, gamma_index=args.gamma)
+        cp = cosmo.CosmoParams(k=args.k, delta=args.delta, c=c)
     except ValueError as exc:
         _err(str(exc))
         return EXIT_FLAGS

@@ -4,7 +4,9 @@ fractional scheme turns into the modified equation with free term
 -k c eta^(1-delta)/Gamma(2-delta).  Closed and open universes (k = +-1) map
 onto the Riccati branches with a = c, b = -k c; the flat case k = 0 is
 untouched by the scheme and keeps its classical solution H = 1/(c eta).
-hubble evaluates H for every k, scale_factor the ratio R(eta)/R(eta_ref).
+CosmoParams carries (k, delta, c); c_of_gamma gives c = (3/2) gamma - 1
+from the adiabatic index gamma.  hubble evaluates H for every k,
+scale_factor the ratio R(eta)/R(eta_ref).
 """
 
 from __future__ import annotations
@@ -37,28 +39,16 @@ def c_of_gamma(gamma_index: float) -> float:
 
 @dataclass(frozen=True)
 class CosmoParams:
-    """Curvature index k, scheme parameter delta, and the fluid parameter
-    given either as c directly or through the adiabatic index gamma."""
+    """Curvature index k, scheme parameter delta and fluid parameter c."""
 
     k: int
     delta: float
-    c: float | None = None
-    gamma_index: float | None = None
+    c: float
 
     def __post_init__(self):
         if self.k not in (-1, 0, 1):
             raise ValueError(f"curvature index must be -1, 0 or 1, got {self.k}")
         object.__setattr__(self, "delta", _delta_value(self.delta))
-        if self.c is None and self.gamma_index is None:
-            raise ValueError("provide c or gamma_index")
-        if self.c is None:
-            object.__setattr__(self, "c", c_of_gamma(self.gamma_index))
-        elif self.gamma_index is not None:
-            implied = c_of_gamma(self.gamma_index)
-            if abs(self.c - implied) > 1e-12:
-                raise ValueError(
-                    f"inconsistent inputs: c={self.c} but gamma implies {implied}"
-                )
         if self.c == 0.0:
             raise ValueError(
                 "c = 0 rejected: the Riccati coefficient a = c would vanish"

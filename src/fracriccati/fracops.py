@@ -1,6 +1,7 @@
 """Riemann-Liouville fractional integral and derivative on [0, x], the power
 rule as analytic oracle, the constant-term reduction, and the generalized
-first-order linear solver.
+first-order linear solver, whose solution is a SampledFunction: the natural
+cubic spline through its grid values, which is itself an operand.
 
 The lower limit of every operator is fixed at 0.  The fractional integral
 uses a product-trapezoid rule: the integrand f is replaced panel-by-panel by
@@ -71,57 +72,6 @@ class QuadratureSpec:
 # ---------------------------------------------------------------------------
 # Function carrier
 # ---------------------------------------------------------------------------
-
-
-class _NaturalCubicSpline:
-    """Natural cubic spline through strictly increasing knots (numpy only)."""
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or xs.size < 2:
-            raise ValueError("spline needs at least 2 sample points")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("sample abscissae must be strictly increasing")
-        n = xs.size
-        h = np.diff(xs)
-        # tridiagonal system for interior second derivatives, Thomas algorithm
-        m = np.zeros(n)
-        if n > 2:
-            a = h[:-1].copy()              # sub-diagonal
-            b = 2.0 * (h[:-1] + h[1:])     # diagonal
-            c = h[1:].copy()               # super-diagonal
-            d = 6.0 * (np.diff(ys[1:]) / h[1:] - np.diff(ys[:-1]) / h[:-1])
-            for i in range(1, n - 2):
-                wfac = a[i] / b[i - 1]
-                b[i] -= wfac * c[i - 1]
-                d[i] -= wfac * d[i - 1]
-            m[n - 2] = d[-1] / b[-1]
-            for i in range(n - 4, -1, -1):
-                m[i + 1] = (d[i] - c[i] * m[i + 2]) / b[i]
-        self.xs = xs
-        self.ys = ys
-        self.h = h
-        self.m = m
-
-    def eval(self, x, k: int = 0):
-        """The spline (k = 0) or its k-th derivative (k <= 3) at a float or
-        elementwise at an ndarray; edge panels extend beyond the knots."""
-        # panel = number of interior knots <= x, so 0 <= i <= n - 2
-        i = np.searchsorted(self.xs[1:-1], x, side="right")
-        t = x - self.xs[i]
-        h = self.h[i]
-        m0, m1 = self.m[i], self.m[i + 1]
-        c2 = 0.5 * m0
-        c3 = (m1 - m0) / (6.0 * h)
-        c1 = (self.ys[i + 1] - self.ys[i]) / h - h * (2.0 * m0 + m1) / 6.0
-        if k == 0:
-            return self.ys[i] + t * (c1 + t * (c2 + t * c3))
-        if k == 1:
-            return c1 + t * (2.0 * c2 + 3.0 * t * c3)
-        if k == 2:
-            return 2.0 * c2 + 6.0 * t * c3
-        return 6.0 * c3
 
 
 class RealFunction:
@@ -236,21 +186,58 @@ class RealFunction:
 
 
 class SampledFunction(RealFunction):
-    """Densely sampled function backed by a natural cubic spline."""
+    """Densely sampled function: the natural cubic spline through the
+    strictly increasing knots xs with values ys (numpy only); h holds the
+    knot gaps and m the second derivatives at the knots."""
 
     def __init__(self, xs, ys):
-        spline = _NaturalCubicSpline(xs, ys)
-        self.xs = spline.xs
-        self.ys = spline.ys
-        self._spline = spline
-        super().__init__(
-            spline.eval,
-            lambda k: (lambda t, k=k: spline.eval(t, k)) if k <= 3 else None,
-            label="sampled",
-        )
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.ndim != 1 or xs.size < 2:
+            raise ValueError("spline needs at least 2 sample points")
+        if np.any(np.diff(xs) <= 0):
+            raise ValueError("sample abscissae must be strictly increasing")
+        n = xs.size
+        h = np.diff(xs)
+        # tridiagonal system for interior second derivatives, Thomas algorithm
+        m = np.zeros(n)
+        if n > 2:
+            a = h[:-1].copy()              # sub-diagonal
+            b = 2.0 * (h[:-1] + h[1:])     # diagonal
+            c = h[1:].copy()               # super-diagonal
+            d = 6.0 * (np.diff(ys[1:]) / h[1:] - np.diff(ys[:-1]) / h[:-1])
+            for i in range(1, n - 2):
+                wfac = a[i] / b[i - 1]
+                b[i] -= wfac * c[i - 1]
+                d[i] -= wfac * d[i - 1]
+            m[n - 2] = d[-1] / b[-1]
+            for i in range(n - 4, -1, -1):
+                m[i + 1] = (d[i] - c[i] * m[i + 2]) / b[i]
+        self.xs, self.ys, self.h, self.m = xs, ys, h, m
+        super().__init__(self._eval, lambda k: (lambda t: self._eval(t, k)) if k <= 3 else None,
+                         label="sampled")
+
+    def _eval(self, x, k: int = 0):
+        """The spline (k = 0) or its k-th derivative (k <= 3) at a float or
+        elementwise at an ndarray; edge panels extend beyond the knots."""
+        # panel = number of interior knots <= x, so 0 <= i <= n - 2
+        i = np.searchsorted(self.xs[1:-1], x, side="right")
+        t = x - self.xs[i]
+        h = self.h[i]
+        m0, m1 = self.m[i], self.m[i + 1]
+        c2 = 0.5 * m0
+        c3 = (m1 - m0) / (6.0 * h)
+        c1 = (self.ys[i + 1] - self.ys[i]) / h - h * (2.0 * m0 + m1) / 6.0
+        if k == 0:
+            return self.ys[i] + t * (c1 + t * (c2 + t * c3))
+        if k == 1:
+            return c1 + t * (2.0 * c2 + 3.0 * t * c3)
+        if k == 2:
+            return 2.0 * c2 + 6.0 * t * c3
+        return 6.0 * c3
 
     def eval_array(self, xs: np.ndarray, k: int = 0) -> np.ndarray:
-        return self._spline.eval(np.asarray(xs, dtype=float), k)
+        return self._eval(np.asarray(xs, dtype=float), k)
 
 
 def _as_real_function(f) -> RealFunction:
@@ -536,7 +523,7 @@ def solve_linear_fractional(
             return g(sx)
     else:
         def v(sx: float) -> float:
-            return rl_integral(g, 1.0 - d, sx, q) if sx > 0.0 else 0.0
+            return rl_integral(g, 1.0 - d, sx, q)
 
     def integrand(sx: float) -> float:
         if sx <= 0.0:

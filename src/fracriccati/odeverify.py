@@ -1,8 +1,9 @@
 """Independent verification backend: an embedded Dormand-Prince 5(4) pair
-with PI step-size control, used to integrate the modified Riccati equation
-and its associated linear equation as a cross-check on the closed forms;
-the other cross-check, residuals, puts the closed forms into the equation
-with a finite-difference derivative.
+with PI step-size control at the fixed tolerances _REL_TOL and _ABS_TOL,
+used to integrate the modified Riccati equation and its associated linear
+equation as a cross-check on the closed forms; the other cross-check,
+residuals, puts the closed forms into the equation with a finite-difference
+derivative.
 
 Pole avoidance is the caller's duty (locate poles first); the integrator
 reports step underflow rather than attempting to continue through one.
@@ -38,16 +39,12 @@ class IvpSpec:
     x0: float
     u0: float | Sequence[float]
     x1: float
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.x0 > 0.0:
             raise ValueError(f"x0 must be positive, got {self.x0}")
         if not self.x1 > self.x0:
             raise ValueError(f"need x1 > x0, got x1={self.x1}, x0={self.x0}")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
 
 
 # Dormand-Prince 5(4) tableau
@@ -80,6 +77,8 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _EPS = sys.float_info.epsilon
 _MAX_STEPS = 100000
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
 
 
 def _step(rhs, x, y, h):
@@ -115,15 +114,15 @@ def _rms(values) -> float:
     return math.sqrt(total / len(values))
 
 
-def _error_norm(err, y, y_new, rel_tol, abs_tol):
+def _error_norm(err, y, y_new):
     return _rms([
-        e / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err, y, y_new)
+        e / (_ABS_TOL + _REL_TOL * max(abs(a), abs(b))) for e, a, b in zip(err, y, y_new)
     ])
 
 
-def _initial_step(rhs, x0, y0, x1, rel_tol, abs_tol):
+def _initial_step(rhs, x0, y0, x1):
     f0 = rhs(x0, y0)
-    scale = [abs_tol + rel_tol * abs(v) for v in y0]
+    scale = [_ABS_TOL + _REL_TOL * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -149,7 +148,7 @@ def integrate(rhs, spec: IvpSpec) -> np.ndarray:
     """
     y = np.atleast_1d(np.asarray(spec.u0, dtype=float)).tolist()
     x = spec.x0
-    h = _initial_step(rhs, x, y, spec.x1, spec.rel_tol, spec.abs_tol)
+    h = _initial_step(rhs, x, y, spec.x1)
     prev_err = 1.0
     for _ in range(_MAX_STEPS):
         if x >= spec.x1:
@@ -160,7 +159,7 @@ def integrate(rhs, spec: IvpSpec) -> np.ndarray:
                 f"step size underflow at x={x}; likely a pole or stiffness"
             )
         y_new, err = _step(rhs, x, y, h)
-        norm = _error_norm(err, y, y_new, spec.rel_tol, spec.abs_tol)
+        norm = _error_norm(err, y, y_new)
         if norm <= 1.0:
             x += h
             y = y_new

@@ -46,7 +46,6 @@ __all__ = [
     "bessel_i",
     "bessel_k",
     "bessel_scaled",
-    "bessel_derivative",
     "power",
     "BESSEL_KINDS",
 ]
@@ -706,28 +705,3 @@ def bessel(kind: str, nu, x):
             raise OverflowError(f"bessel_i overflows for x = {e[over][0]}")
         s *= _each(math.exp, e.ravel()).reshape(e.shape)
     return s
-
-
-def bessel_derivative(kind: str, nu: float, x: float) -> float:
-    """d/dx of the chosen Bessel function via its two recurrence forms.
-
-    Both the lower-order form (B' from B_{nu-1}) and the upper-order form
-    (B' from B_{nu+1}) are evaluated and their mean returned; the pair is the
-    standard consistency check on the order recurrence.
-    """
-    kind = kind.upper()
-    nu, x = _check(nu, x)
-    b = bessel(kind, nu, x)
-    lo = bessel(kind, nu - 1.0, x)
-    hi = bessel(kind, nu + 1.0, x)
-    r = nu / x
-    if kind in ("J", "Y"):
-        d1 = lo - r * b
-        d2 = r * b - hi
-    elif kind == "I":
-        d1 = lo - r * b
-        d2 = r * b + hi
-    else:  # K
-        d1 = -lo - r * b
-        d2 = r * b - hi
-    return 0.5 * (d1 + d2)

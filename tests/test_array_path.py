@@ -326,7 +326,8 @@ def test_branch_table_matches_scalar_eval(a, b, delta, branch, unit):
 
 def old_spline_eval(spline, x):
     """The point-by-point spline evaluation that SampledFunction.eval_array
-    replaced: int panel index, min/max clamp, Horner cubic."""
+    replaced: int panel index, min/max clamp, Horner cubic; spline is a
+    SampledFunction, read for its knots and second derivatives."""
     i = int(np.searchsorted(spline.xs, x, side="right")) - 1
     i = min(max(i, 0), spline.xs.size - 2)
     t = x - spline.xs[i]
@@ -352,9 +353,9 @@ def test_spline_eval_array_matches_point_by_point(start, gaps, ys, unit, pick):
     # points inside, beyond both ends, and on the knots themselves
     pts = xs[0] + (xs[-1] - xs[0]) * np.array(unit)
     pts = np.concatenate([pts, xs[[i % xs.size for i in pick]], xs[:1], xs[-1:]])
-    want = np.array([old_spline_eval(f._spline, float(t)) for t in pts.tolist()])
+    want = np.array([old_spline_eval(f, float(t)) for t in pts.tolist()])
     assert f.eval_array(pts).tobytes() == want.tobytes()
-    assert np.array([f._spline.eval(float(t)) for t in pts.tolist()]).tobytes() == want.tobytes()
+    assert np.array([f(float(t)) for t in pts.tolist()]).tobytes() == want.tobytes()
 
 
 def old_product_trapezoid(f, alpha, x, n):

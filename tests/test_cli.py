@@ -109,6 +109,25 @@ class TestFracderiv:
         for row in rows:
             assert float(row[3]) <= 1e-6 * abs(float(row[2])), row
 
+    @pytest.mark.parametrize("beta", ["0.5", "1.5", "1e-9"])
+    def test_negative_power_needs_integer_beta(self, capsys, beta):
+        # t^a at a fractional order samples t = 0, where a < 0 is infinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, ["fracderiv", "--beta", beta, "--power", "-0.3",
+                                        "--grid", "1:2:2"])
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "--power" in err and "--beta" in err
+
+    @pytest.mark.parametrize("beta", ["0", "1"])
+    def test_negative_power_at_integer_beta(self, capsys, beta):
+        rc, out, _ = run(capsys, ["fracderiv", "--beta", beta, "--power", "-0.3",
+                                  "--grid", "1:2:2"])
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert all(float(row[3]) <= 1e-15 for row in rows)
+
     def test_poly_oracle(self, capsys):
         rc, out, _ = run(capsys, ["fracderiv", "--beta", "0.5",
                                   "--builtin", "poly:0,1", "--grid", "1:1.5:3"])
@@ -375,6 +394,18 @@ class TestCosmoCommand:
     def test_needs_c_or_gamma(self, capsys):
         rc, _, _ = run(capsys, ["cosmo", "hubble", "--k", "1", "--grid", "1:2:3"])
         assert rc == 2
+
+    def test_gamma_consistent_with_c_changes_nothing(self, capsys):
+        argv = ["cosmo", "hubble", "--k", "1", "--c", "1", "--delta", "0.5", "--grid", "0.2:3:5"]
+        alone = run(capsys, argv)
+        assert alone[0] == 0
+        assert run(capsys, argv + ["--gamma", "1.3333333333333333"]) == alone
+
+    def test_gamma_inconsistent_with_c_exits_2(self, capsys):
+        rc, out, err = run(capsys, ["cosmo", "hubble", "--k", "1", "--c", "1.1",
+                                    "--gamma", "1.3333333333333333", "--grid", "0.2:3:5"])
+        assert rc == 2 and out == ""
+        assert err == "error: inconsistent inputs: c=1.1 but gamma implies 1.0\n"
 
 
 class TestNonFiniteFlags:
@@ -781,11 +812,15 @@ class TestParser:
 
 
 def test_readme_cli_commands_exit_0(monkeypatch, tmp_path):
+    # every warning is an error; selftest is tests/test_acceptance.py's
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(ln, comments=True) for ln in block.splitlines()]
-    commands = [argv[1:] for argv in commands if argv[:1] == ["fracriccati"]]
-    assert len(commands) >= 8
+    commands = [argv[1:] for argv in commands
+                if argv[:1] == ["fracriccati"] and argv[1:] != ["selftest"]]
+    assert len(commands) >= 7
     monkeypatch.chdir(tmp_path)  # the figure command writes open.csv
-    for argv in commands:
-        assert cli.main(argv) == 0, argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in commands:
+            assert cli.main(argv) == 0, argv

@@ -15,8 +15,6 @@ class TestIvpSpec:
             ov.IvpSpec(-1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             ov.IvpSpec(1.0, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            ov.IvpSpec(0.5, 0.0, 1.0, rel_tol=0.0)
 
 
 class TestIntegrateRiccati:
@@ -115,16 +113,16 @@ class TestStepControl:
         assert errs[0] / errs[1] >= 8.0
         assert errs[1] / errs[2] >= 8.0
 
-    def test_tightening_tolerance_reduces_error(self):
+    def test_tightening_tolerance_reduces_error(self, monkeypatch):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
         want = 1.0 / math.tanh(2.0)
-        loose = ov.integrate_riccati(
-            rp, ov.IvpSpec(0.5, 1.0 / math.tanh(0.5), 2.0, rel_tol=1e-5, abs_tol=1e-8)
-        )
-        tight = ov.integrate_riccati(
-            rp, ov.IvpSpec(0.5, 1.0 / math.tanh(0.5), 2.0, rel_tol=1e-11, abs_tol=1e-13)
-        )
-        assert abs(tight - want) < abs(loose - want)
+        ivp = ov.IvpSpec(0.5, 1.0 / math.tanh(0.5), 2.0)
+        errs = []
+        for rel_tol, abs_tol in ((1e-5, 1e-8), (1e-11, 1e-13)):
+            monkeypatch.setattr(ov, "_REL_TOL", rel_tol)
+            monkeypatch.setattr(ov, "_ABS_TOL", abs_tol)
+            errs.append(abs(ov.integrate_riccati(rp, ivp) - want))
+        assert errs[1] < errs[0]
 
 
 class TestFdDerivative:
@@ -171,8 +169,10 @@ class TestResiduals:
         assert np.all(ov.residuals(rp, 1, xs) > 1e-6)
 
 
-# (a, b, delta), IvpSpec arguments and the repr of the result of a DP5 that
-# carried its state in numpy arrays; the float state must repeat them
+# (a, b, delta), IvpSpec arguments (optionally followed by the relative and
+# absolute tolerance in place of the module's) and the repr of the result of
+# a DP5 that carried its state in numpy arrays; the float state must repeat
+# them
 PINNED_RICCATI = [
     ((1.0, 1.0, 1.0), (0.5, 1.0 / math.tanh(0.5), 2.0), "1.0373147207801316"),
     ((1.0, 1.0, 1.0), (0.5, 1.0, 5.0), "1.0"),
@@ -202,11 +202,21 @@ PINNED_LINEAR = [
 ]
 
 
+def pinned_spec(monkeypatch, ivp) -> ov.IvpSpec:
+    """The IvpSpec of a pinned case, with its tolerances, if any, set in ov."""
+    if len(ivp) > 3:
+        monkeypatch.setattr(ov, "_REL_TOL", ivp[3])
+        monkeypatch.setattr(ov, "_ABS_TOL", ivp[4])
+    return ov.IvpSpec(*ivp[:3])
+
+
 class TestPinnedBits:
     @pytest.mark.parametrize("params, ivp, want", PINNED_RICCATI)
-    def test_riccati(self, params, ivp, want):
-        assert repr(ov.integrate_riccati(rc.RiccatiParams(*params), ov.IvpSpec(*ivp))) == want
+    def test_riccati(self, monkeypatch, params, ivp, want):
+        spec = pinned_spec(monkeypatch, ivp)
+        assert repr(ov.integrate_riccati(rc.RiccatiParams(*params), spec)) == want
 
     @pytest.mark.parametrize("params, ivp, want", PINNED_LINEAR)
-    def test_linear(self, params, ivp, want):
-        assert repr(ov.integrate_linear(rc.RiccatiParams(*params), ov.IvpSpec(*ivp))) == want
+    def test_linear(self, monkeypatch, params, ivp, want):
+        spec = pinned_spec(monkeypatch, ivp)
+        assert repr(ov.integrate_linear(rc.RiccatiParams(*params), spec)) == want
