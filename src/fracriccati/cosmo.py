@@ -73,8 +73,9 @@ def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray):
     cancels): branch 1 the first-kind ratio (J for k = 1, I for k = -1; the
     nondivergent-data branch), which is cot(c eta) and coth(c eta) at
     delta = 1, branch 2 the second-kind one, with poles at the zeros of the
-    denominator.  The flat k = 0 is H = 1/(c eta) for every delta; one
-    outside the float range raises OverflowError naming its eta.
+    denominator.  The flat k = 0 is H = 1/(c eta) for every delta, taken as
+    (1/c)/eta where c eta overflows; one outside the float range raises
+    OverflowError naming its eta.
     """
     if cps[0].k != 0:
         return riccati.branch_table([cp.riccati_params() for cp in cps], branch, etas)
@@ -82,8 +83,13 @@ def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
     if not np.all(etas > 0.0):
         raise ValueError(f"conformal time must be positive, got {etas.min()}")
+    c = cps[0].c
     with np.errstate(over="ignore", divide="ignore"):
-        h = 1.0 / (cps[0].c * etas)
+        c_eta = c * etas
+        h = 1.0 / c_eta
+        # where c eta overflows, 1/(c eta) is subnormal, not 0
+        far = np.isinf(c_eta)
+        h[far] = (1.0 / c) / etas[far]
     bad = etas[np.isinf(h)]
     if bad.size:
         raise OverflowError(f"H = 1/(c eta) at eta = {float(bad[0])!r} leaves the float range")

@@ -14,7 +14,11 @@ table is a lattice of parameter sets times points, and a single point is a
 one-element table.  Every yes/no pole question is one sign_scan over the
 denominator values that the caller's own lattice already holds (tables,
 riccati verify, cosmo.scale_factor); find_poles, for callers that need the
-zero positions, bisects its brackets with specfun's scalar kernels.
+zero positions, locates each bracket's zero with a few Illinois
+regula-falsi calls of specfun's scalar kernels and replays the 1e-12
+bisection from it: only midpoints within _REPLAY_MARGIN of the located zero
+in z call the kernel, the rest take its side, so every printed zero keeps
+the bits of the plain bisection.
 """
 
 from __future__ import annotations
@@ -53,6 +57,12 @@ _SCAN_STEP = math.pi / 8.0
 # most sign-scan cells one pole search may allocate: a Bessel-argument span
 # of about 39 000, far past the 10-digit domain (argument <= ~100)
 _MAX_SCAN_CELLS = 100_000
+# find_poles' bisection midpoints farther than this from the located zero in
+# z take its side with no call: ten times the computed denominator's
+# round-off band, about 1e-10 in z at the 10-digit contract
+_REPLAY_MARGIN = 1e-9
+# most Illinois regula-falsi calls that locating one zero may take
+_LOCATE_CALLS = 16
 
 
 @dataclass(frozen=True)
@@ -284,11 +294,21 @@ def sign_scan(rp: RiccatiParams, branch: int, xs: np.ndarray, fs: np.ndarray, mi
 def find_poles(rp: RiccatiParams, x_lo: float, x_hi: float, branch: int = 1) -> list[float]:
     """All poles of the chosen branch in [x_lo, x_hi], in ascending order:
     zeros of the denominator Bessel function, bracketed by sign_scan in at
-    least 8 steps and bisected with scalar calls to 1e-12 relative.  None in
-    the modified regime; a span over _MAX_SCAN_CELLS scan cells raises
-    ScanBudgetError before anything is evaluated.  For the zero positions
-    (riccati poles, the acceptance suite); whether a span holds a pole is
-    sign_scan's answer on the caller's own values.
+    least 8 steps and bisected to 1e-12 relative.  None in the modified
+    regime; a span over _MAX_SCAN_CELLS scan cells raises ScanBudgetError
+    before anything is evaluated.  For the zero positions (riccati poles,
+    the acceptance suite); whether a span holds a pole is sign_scan's answer
+    on the caller's own values.
+
+    Each bracket's zero of the computed denominator is first located by
+    _locate_zero.  The bisection then runs as if alone, but a midpoint whose
+    z = q x^r lies farther than _REPLAY_MARGIN from the located zero's z
+    takes that zero's side with no scalar call; only midpoints inside the
+    margin call the denominator.  Wherever the computed denominator's sign
+    outside the margin matches the side, the midpoints, and so the printed
+    0.5 (lo + hi), are those of the plain bisection.  A bracket with no
+    located zero (an exact zero, lo = hi, or a regula falsi that left the
+    bracket or did not converge) calls the denominator at every midpoint.
     """
     x_lo, x_hi = float(x_lo), float(x_hi)
     if not 0.0 < x_lo < x_hi:
@@ -296,11 +316,23 @@ def find_poles(rp: RiccatiParams, x_lo: float, x_hi: float, branch: int = 1) -> 
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
     brackets, den = sign_scan(rp, branch, np.array([x_lo, x_hi]), np.full(2, math.nan), 8)
+    if not brackets:
+        return []
+    bm = map_params(rp)
+
+    def z_of(x):
+        return bm.q_mag * x**bm.r
+
     poles = []
-    for lo, hi, flo, _ in brackets:
+    for lo, hi, flo, fhi in brackets:
+        root = _locate_zero(den, z_of, lo, hi, flo, fhi) if lo < hi else None
+        z_root = None if root is None else z_of(root)
         while hi - lo > 1e-12 * hi:
             mid = 0.5 * (lo + hi)
-            fmid = den(mid)
+            if z_root is None or abs(z_of(mid) - z_root) <= _REPLAY_MARGIN:
+                fmid = den(mid)
+            else:
+                fmid = flo if mid < root else -flo
             if fmid == 0.0:
                 lo = hi = mid
             elif flo * fmid < 0.0:
@@ -309,3 +341,37 @@ def find_poles(rp: RiccatiParams, x_lo: float, x_hi: float, branch: int = 1) -> 
                 lo, flo = mid, fmid
         poles.append(0.5 * (lo + hi))
     return poles
+
+
+def _locate_zero(den, z_of, lo, hi, flo, fhi):
+    """x of the zero of den in the bracket (lo, hi) with f values of opposite
+    signs, by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the
+    secant point replaces the end of its sign, and an end kept twice in a
+    row has its value halved.  Done when the bracket is within a tenth of
+    _REPLAY_MARGIN in z, den is exactly 0, or the secant point rounds onto
+    an end; None when the point leaves the bracket (a non-finite value) or
+    after _LOCATE_CALLS calls.
+    """
+    kept = 0  # the end kept by the last step: -1 lo, +1 hi
+    for _ in range(_LOCATE_CALLS):
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if x == lo or x == hi:
+            return x
+        if not lo < x < hi:
+            return None
+        fx = den(x)
+        if fx == 0.0:
+            return x
+        if flo * fx < 0.0:
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+        else:
+            lo, flo = x, fx
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
+        if z_of(hi) - z_of(lo) <= 0.1 * _REPLAY_MARGIN:
+            return x
+    return None

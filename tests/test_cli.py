@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special as sp
 from scipy.optimize import brentq
 
-from fracriccati import cli, odeverify, riccati
+from fracriccati import cli, cosmo, odeverify, riccati
 from fracriccati.errors import MaxStepsError, StepUnderflowError
 from test_golden import TABLES as golden_tables
 
@@ -406,6 +407,18 @@ class TestCosmoCommand:
                                     "--gamma", "1.3333333333333333", "--grid", "0.2:3:5"])
         assert rc == 2 and out == ""
         assert err == "error: inconsistent inputs: c=1.1 but gamma implies 1.0\n"
+
+    # c eta overflows from eta = 2 (c = 1e308) and from eta = 1.25 (gamma =
+    # 1e308, c = 1.5e308); H = 1/(c eta) is subnormal there, not 0
+    @pytest.mark.parametrize("flag", [["--c", "1e308"], ["--gamma", "1e308"]])
+    def test_flat_hubble_where_c_eta_overflows(self, capsys, flag):
+        rc, out, _ = run(capsys, ["cosmo", "hubble", "--k", "0", *flag, "--grid", "1:2:3"])
+        assert rc == 0
+        c = Fraction(cosmo.c_of_gamma(1e308) if flag[0] == "--gamma" else 1e308)
+        _, rows = parse_table(out)
+        assert len(rows) == 3
+        for eta, h, _ in rows:
+            assert abs(Fraction(float(h)) - 1 / (c * Fraction(float(eta)))) <= Fraction(2) ** -1074
 
 
 class TestNonFiniteFlags:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import special as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fracriccati import riccati as rc
 from fracriccati.errors import DegenerateRegimeError
@@ -322,3 +322,77 @@ class TestFindPoles:
         for hi in (1e6, 1e300):
             with pytest.raises(ValueError, match=r"\[0\.1, .*scan cells"):
                 rc.find_poles(rp, 0.1, hi)
+
+
+def plain_bisection_poles(rp, x_lo, x_hi, branch):
+    """The oracle: find_poles' 1e-12 bisection with a denominator call at
+    every midpoint, on the same sign_scan brackets."""
+    brackets, den = rc.sign_scan(rp, branch, np.array([x_lo, x_hi]), np.full(2, math.nan), 8)
+    poles = []
+    for lo, hi, flo, _ in brackets:
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            fmid = den(mid)
+            if fmid == 0.0:
+                lo = hi = mid
+            elif flo * fmid < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        poles.append(0.5 * (lo + hi))
+    return poles
+
+
+def x_of(rp, z):
+    bm = rc.map_params(rp)
+    return (z / bm.q_mag) ** (1.0 / bm.r)
+
+
+class TestFindPolesReplay:
+    """find_poles replays the bisection from a regula-falsi zero; every zero
+    must keep the bits of the plain bisection."""
+
+    @given(
+        st.floats(1e-6, 1.0),
+        st.floats(1e-6, 1.0),
+        st.sampled_from([1.0, -1.0]),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([1, 2]),
+        st.lists(st.floats(1e-3, 100.0), min_size=2, max_size=2, unique=True),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_bits_as_plain_bisection(self, a, b, sign, delta, branch, z_ends):
+        rp = rc.RiccatiParams(sign * a, -sign * b, delta)
+        x_lo, x_hi = (x_of(rp, z) for z in sorted(z_ends))
+        assume(x_lo < x_hi)
+        assert rc.find_poles(rp, x_lo, x_hi, branch) == plain_bisection_poles(
+            rp, x_lo, x_hi, branch)
+
+    # the argv of tests/golden/poles_branch*.csv
+    @pytest.mark.parametrize("branch", [1, 2])
+    def test_fallback_without_located_zero(self, monkeypatch, branch):
+        args = rc.RiccatiParams(1.0, -1.0, 0.5), 0.5, 60.0, branch
+        located = rc.find_poles(*args)
+        brackets = []
+        monkeypatch.setattr(rc, "_locate_zero", lambda *bracket: brackets.append(bracket))
+        assert rc.find_poles(*args) == located
+        assert len(brackets) == len(located) > 0
+
+    @pytest.mark.parametrize("locate", [True, False])
+    def test_exact_zero_is_returned(self, monkeypatch, locate):
+        # a denominator that is exactly 0 at the scan's first node x = 2,
+        # and on a band of 1e-6 in z around z1, between two scan nodes
+        rp = rc.RiccatiParams(1.0, -1.0, 0.5)
+        bm = rc.map_params(rp)
+        z0 = bm.q_mag * 2.0**bm.r
+        z1 = z0 + 1.3
+
+        def den(kind, nu, z):
+            return np.where(abs(z - z1) <= 1e-6, 0.0, (z - z0) * (z1 - z))[()]
+
+        monkeypatch.setattr(rc.specfun, "bessel", den)
+        if not locate:
+            monkeypatch.setattr(rc, "_locate_zero", lambda *bracket: None)
+        poles = rc.find_poles(rp, 2.0, x_of(rp, z0 + 2.0))
+        assert len(poles) == 2 and poles[0] == 2.0
+        assert abs(bm.q_mag * poles[1] ** bm.r - z1) <= 1e-6
