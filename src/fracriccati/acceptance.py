@@ -90,8 +90,8 @@ def criterion_bessel_identities():
             h_err,
             abs(specfun.bessel_j(0.5, x) - amp * math.sin(x)) / amp,
             abs(specfun.bessel_j(-0.5, x) - amp * math.cos(x)) / amp,
-            abs(specfun.bessel_i(0.5, x) - amp * math.sinh(x)) / (amp * math.cosh(x)),
-            abs(specfun.bessel_i(-0.5, x) - amp * math.cosh(x)) / (amp * math.cosh(x)),
+            abs(specfun.bessel("I", 0.5, x) - amp * math.sinh(x)) / (amp * math.cosh(x)),
+            abs(specfun.bessel("I", -0.5, x) - amp * math.cosh(x)) / (amp * math.cosh(x)),
         )
     ok = w_err <= 1e-9 and r_err <= 1e-10 and d_err <= 1e-10 and h_err <= 1e-10
     return ok, (
@@ -144,14 +144,13 @@ def _verification_interval(rp, branch=1, lo=0.4, hi=3.0, margin=0.15):
 
 
 def riccati_route_rows():
-    """(rp, x0, x1, u(x1), deviation) per matrix entry: DP5 from u1(x0) across
-    the _verification_interval against u(x1) = u1(x1), scaled by 1 + |u(x1)|."""
+    """(rp, x0, x1, u(x0), u(x1), deviation) per matrix entry, u = branch 1: DP5
+    from u(x0) across the _verification_interval against u(x1), scaled by 1 + |u(x1)|."""
     for rp in _MATRIX:
         x0, x1 = _verification_interval(rp)
-        u0 = riccati.eval_u1(rp, x0)
+        u0, want = riccati.branch_table([rp], 1, np.array([x0, x1]))[0][0].tolist()
         got = odeverify.integrate_riccati(rp, odeverify.IvpSpec(x0, u0, x1))
-        want = riccati.eval_u1(rp, x1)
-        yield rp, x0, x1, want, abs(got - want) / (1.0 + abs(want))
+        yield rp, x0, x1, u0, want, abs(got - want) / (1.0 + abs(want))
 
 
 def criterion_cross_oracle():
@@ -159,10 +158,10 @@ def criterion_cross_oracle():
     form to 1e-6; the linear route via u = y'/(a y) agrees to 1e-7."""
     worst_ric = 0.0
     worst_lin = 0.0
-    for rp, x0, x1, want, dev in riccati_route_rows():
+    for rp, x0, x1, u0, want, dev in riccati_route_rows():
         worst_ric = max(worst_ric, dev)
-        y0, yp0 = riccati.eval_y_branch(rp, 1, x0)
-        y1, yp1 = odeverify.integrate_linear(rp, odeverify.IvpSpec(x0, (y0, yp0), x1))
+        y0 = float(riccati.y_branch_table(rp, 1, np.array([x0]))[0][0])  # y = s exp(e), e = 0 here
+        y1, yp1 = odeverify.integrate_linear(rp, odeverify.IvpSpec(x0, (y0, rp.a * u0 * y0), x1))
         u_lin = yp1 / (rp.a * y1)
         worst_lin = max(worst_lin, abs(u_lin - want) / (1.0 + abs(want)))
     ok = worst_ric <= 1e-6 and worst_lin <= 1e-7

@@ -8,10 +8,10 @@ the sign changes of the table's own denominator row (riccati.sign_scan): a
 lattice point within half a grid step of a denominator zero is a pole row.
 Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
 coefficient product a*b, --x1 or --eta-ref, a pole-search span over the
-scan budget, or a point whose Bessel argument underflows to 0 or overflows
-among them) or an unwritable --out, 3 numeric non-convergence, overflow or
-a non-finite verification value, 4 pole inside a verification/scale
-interval, 5 cosmology with c = 0.
+scan budget, or a point whose Bessel argument or fracderiv x^n underflows
+to 0 or whose Bessel argument overflows among them) or an unwritable --out,
+3 numeric non-convergence, overflow or a non-finite verification value,
+4 pole inside a verification/scale interval, 5 cosmology with c = 0.
 
 `riccati eval`, `cosmo hubble` and `cosmo figure` share one row builder,
 _table_rows, which evaluates parameter sets x grid points in one call of
@@ -86,12 +86,17 @@ def _emit(out_path: str | None, header: list[str], rows) -> int:
     """Write the table; exit code EXIT_FLAGS if --out cannot be written.
 
     Every row goes through one '%.17g' template, which prints the integer
-    columns (pole flag, branch) as plain integers.
+    columns (pole flag, branch) as plain integers.  A value of +-inf raises
+    OverflowError naming its row's x (or eta) before anything is written.
     """
     fmt = ",".join(["%.17g"] * len(header))
     lines = ["# " + ",".join(header)]
     lines.extend(fmt % row for row in rows)
     text = "\n".join(lines) + "\n"
+    if "inf" in text:  # '%.17g' spells no finite float, nan or header with it
+        row = next(ln for ln in lines if "inf" in ln).split(",")
+        col = next(i for i, f in enumerate(row) if "inf" in f)
+        raise OverflowError(f"{header[col]} is {row[col]} at {header[0]} = {float(row[0])!r}")
     if not out_path:
         sys.stdout.write(text)
         return EXIT_OK
@@ -228,9 +233,9 @@ def _cmd_fracderiv(args) -> int:
     else:
         name = args.builtin
         if name == "sin":
-            f = fo.RealFunction(np.sin, lambda k: _SIN_DERIVS[k % 4], label=name)
+            f = fo.RealFunction(np.sin, lambda k: _SIN_DERIVS[k % 4])
         elif name == "exp":
-            f = fo.RealFunction(np.exp, lambda k: np.exp, label=name)
+            f = fo.RealFunction(np.exp, lambda k: np.exp)
         elif name.startswith("poly:"):
             try:
                 coeffs = [_finite_float(cstr) for cstr in name[5:].split(",")]

@@ -89,11 +89,9 @@ class RealFunction:
         self,
         func: Callable[[float], float],
         deriv_factory: Callable[[int], Callable[[float], float] | None] | None = None,
-        label: str = "f",
     ):
         self._func = func
         self._deriv_factory = deriv_factory
-        self.label = label
 
     def __call__(self, x: float) -> float:
         return float(self._func(x))
@@ -121,7 +119,7 @@ class RealFunction:
         if k == 2:
             return lambda x: _richardson_d2(*_fd_values(self.eval_array, x, 1e-4))
         raise ValueError(
-            f"{self.label}: no derivative supplier for order {k} "
+            f"no derivative supplier for order {k} "
             "(finite-difference fallback stops at order 2)"
         )
 
@@ -136,7 +134,7 @@ class RealFunction:
                 return np.full(np.shape(t), c)
             return c
 
-        return cls(cf, lambda k: (lambda t: 0.0 * t), label=f"const({c})")
+        return cls(cf, lambda k: (lambda t: 0.0 * t))
 
     @classmethod
     def power(cls, a: float) -> "RealFunction":
@@ -155,7 +153,7 @@ class RealFunction:
 
             return dk
 
-        return cls(lambda t: t**a, factory, label=f"t^{a}")
+        return cls(lambda t: t**a, factory)
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "RealFunction":
@@ -178,7 +176,7 @@ class RealFunction:
 
             return dk
 
-        return cls(factory(0), factory, label="poly")
+        return cls(factory(0), factory)
 
     @classmethod
     def from_samples(cls, xs, ys) -> "SampledFunction":
@@ -214,8 +212,7 @@ class SampledFunction(RealFunction):
             for i in range(n - 4, -1, -1):
                 m[i + 1] = (d[i] - c[i] * m[i + 2]) / b[i]
         self.xs, self.ys, self.h, self.m = xs, ys, h, m
-        super().__init__(self._eval, lambda k: (lambda t: self._eval(t, k)) if k <= 3 else None,
-                         label="sampled")
+        super().__init__(self._eval, lambda k: (lambda t: self._eval(t, k)) if k <= 3 else None)
 
     def _eval(self, x, k: int = 0):
         """The spline (k = 0) or its k-th derivative (k <= 3) at a float or
@@ -382,6 +379,8 @@ def rl_derivative(f, beta: float, x: float, q: QuadratureSpec = QuadratureSpec()
     alpha = n - beta
     if alpha == 0.0:
         return float(f.derivative(n)(x))
+    if x**n == 0.0:  # the quotient below divides by it
+        raise ValueError(f"x = {x} is too close to 0: x^{n} underflows to 0")
     # coefficients of t^k f^(k) in the integrand, k = 0..n
     coef = (alpha, 1.0) if n == 1 else (alpha * (alpha - 1.0), 2.0 * alpha, 1.0)
 

@@ -9,16 +9,16 @@ first kind (J or I) for branch 1, second kind (Y or K) for branch 2.  The
 regime is fixed by sign(a*b): oscillatory (J/Y) for a*b < 0, modified (I/K)
 for a*b > 0; b = 0 degenerates and is refused here.
 
-Every closed-form value comes from one lattice evaluation (_lattice): a
-table is a lattice of parameter sets times points, and a single point is a
-one-element table.  Every yes/no pole question is one sign_scan over the
-denominator values that the caller's own lattice already holds (tables,
-riccati verify, cosmo.scale_factor); find_poles, for callers that need the
-zero positions, locates each bracket's zero with a few Illinois
-regula-falsi calls of specfun's scalar kernels and replays the 1e-12
-bisection from it: only midpoints within _REPLAY_MARGIN of the located zero
-in z call the kernel, the rest take its side, so every printed zero keeps
-the bits of the plain bisection.
+Every closed-form value comes from one lattice evaluation (_lattice) of
+parameter sets times points: u from branch_table and y from y_branch_table,
+one point being a one-point grid.  Every yes/no pole question is one
+sign_scan over the denominator values that the caller's own lattice already
+holds (tables, riccati verify, cosmo.scale_factor); find_poles, for callers
+that need the zero positions, locates each bracket's zero with a few
+Illinois regula-falsi calls of specfun's scalar kernels and replays the
+1e-12 bisection from it: only midpoints within _REPLAY_MARGIN of the located
+zero in z call the kernel, the rest take its side, so every printed zero
+keeps the bits of the plain bisection.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ __all__ = [
     "RiccatiParams",
     "BesselMap",
     "map_params",
-    "eval_u1",
-    "eval_u2",
     "branch_table",
-    "eval_y_branch",
     "y_branch_table",
     "residual",
     "find_poles",
@@ -118,6 +115,7 @@ def _kind(bm: BesselMap, branch: int) -> tuple[str, float]:
     return ("I", 1.0) if branch == 1 else ("K", -1.0)
 
 
+# z/2 must not round to 0 either: the series take (z/2)^nu at nu < 0 too
 def _underflow_message(x: float) -> str:
     return f"x = {x} is too close to 0: the Bessel argument q x^r underflows to 0"
 
@@ -158,7 +156,7 @@ def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
             z = q * specfun.power(x, r)
         except OverflowError:  # x^r itself leaves the float range
             z = np.array(math.inf)
-    if not np.all(z > 0.0):
+    if not np.all(0.5 * z > 0.0):
         raise ValueError(_underflow_message(xs.min()))
     if not np.all(z < math.inf):
         raise ValueError(_overflow_message(xs.max()))
@@ -173,51 +171,17 @@ def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     Y the bits of B_n).  The parameter sets must share one regime.  A ratio
     of s values neither overflows nor underflows.  The value is nan only
     where the denominator is exactly 0; within round-off of a zero it is
-    round-off (eval_u1 at the float pi of a = 1, b = -1, delta = 1 is about
-    9e15): callers pass the denominator to sign_scan to find poles.
+    round-off (branch 1 at the float pi of a = 1, b = -1, delta = 1 is about
+    9e15): callers pass the denominator to sign_scan to find poles.  A value
+    past the float range is +-inf, with no warning.
     """
     factor, s, _ = _lattice(rps, branch, xs)
     num, den = s
     a = np.array([rp.a for rp in rps], dtype=float)[:, None]
     value = np.full(den.shape, math.nan)
-    np.divide(factor / a * num, den, out=value, where=den != 0.0)
+    with np.errstate(over="ignore"):
+        np.divide(factor / a * num, den, out=value, where=den != 0.0)
     return value, den
-
-
-def _point(rp: RiccatiParams, branch: int, x: float) -> float:
-    return float(branch_table([rp], branch, np.array([float(x)]))[0][0, 0])
-
-
-def eval_u1(rp: RiccatiParams, x: float) -> float:
-    """Branch-1 solution u1 = (1/a) q r x^(r-1) B_(n-1)(q x^r)/B_n(q x^r),
-    B = J in the oscillatory regime and I in the modified one; a
-    one-element branch_table.  Near a zero of J_n the value is dominated by
-    round-off (about 9e15 at the float pi of cot x); find_poles locates
-    the poles."""
-    return _point(rp, 1, x)
-
-
-def eval_u2(rp: RiccatiParams, x: float) -> float:
-    """Branch-2 solution built from the second-kind functions: Y in the
-    oscillatory regime, K (with the sign flipped by K' = -K_(n-1) - (n/z)K_n)
-    in the modified one; a one-element branch_table.  Near a zero of Y_n the
-    value is dominated by round-off; find_poles locates the poles."""
-    return _point(rp, 2, x)
-
-
-def eval_y_branch(rp: RiccatiParams, branch: int, x: float) -> tuple[float, float]:
-    """Linear-equation branch y = sqrt(x) B_n(q x^r) and its derivative
-    y' = sign q r x^(r-1) sqrt(x) B_(n-1)(q x^r), the lower-order form in
-    which p - nr cancels; a one-element lattice.  Raises OverflowError
-    where y leaves the float range.  On the K branch past z of about 708,
-    y and y' are subnormal and lose relative precision; the split
-    y = s exp(e) of y_branch_table keeps full precision there."""
-    x = float(x)
-    factor, s, e = _lattice([rp], branch, np.array([x]))
-    growth = math.exp(float(e[0, 0, 0]))
-    b_lo, b_n = (float(v) * growth for v in s[:, 0, 0])
-    root = math.sqrt(x)
-    return root * b_n, float(factor[0, 0]) * root * b_lo
 
 
 def y_branch_table(
@@ -225,7 +189,7 @@ def y_branch_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """y = sqrt(x) B_n(q x^r) of the chosen linear branch at every x in one
     array pass, split as y = s * exp(e) by specfun.bessel_scaled; returns
-    (s, e).  Where e = 0, s is the y that eval_y_branch returns, bit for bit."""
+    (s, e).  Where e = 0, s is y itself."""
     _, s, e = _lattice([rp], branch, xs, orders=(0.0,))
     return np.sqrt(xs) * s[0, 0], e[0, 0]
 
@@ -264,7 +228,7 @@ def sign_scan(rp: RiccatiParams, branch: int, xs: np.ndarray, fs: np.ndarray, mi
         z_lo, z_hi = bm.q_mag * x_lo**bm.r, bm.q_mag * x_hi**bm.r
     except OverflowError:
         raise ValueError(_overflow_message(x_hi)) from None
-    if not z_lo > 0.0:
+    if not 0.5 * z_lo > 0.0:
         raise ValueError(_underflow_message(x_lo))
     cells = (z_hi - z_lo) / _SCAN_STEP
     if not cells <= _MAX_SCAN_CELLS:

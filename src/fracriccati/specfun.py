@@ -1,9 +1,10 @@
 """Self-contained special functions: gamma and Bessel functions of arbitrary
 real order.
 
-Everything here is pure.  ``bessel_scaled`` is the one Bessel entry and
-returns each value split as s * exp(e); ``bessel`` multiplies it back.  Floats
-take the scalar kernels, ndarrays the array path, which repeats their
+Everything here is pure.  ``bessel_scaled`` is the one Bessel entry, J, Y,
+I or K by its letter, and returns each value split as s * exp(e); ``bessel``
+multiplies it back.  Floats take the scalar kernels (``bessel_j`` and
+``bessel_y`` are J's and Y's), ndarrays the array path, which repeats their
 floating-point operations element by element and so returns the same bits.
 Bessel evaluation is split by argument size: ascending power series for
 small x, Hankel-type asymptotic expansions (truncated at the smallest term)
@@ -43,8 +44,6 @@ __all__ = [
     "bessel",
     "bessel_j",
     "bessel_y",
-    "bessel_i",
-    "bessel_k",
     "bessel_scaled",
     "power",
     "BESSEL_KINDS",
@@ -327,7 +326,7 @@ def _bessel_k_quad(nu: float, x: float) -> float:
 
     The rule converges exponentially in the node spacing for every order and
     every x > 0 (Trefethen & Weideman, SIAM Rev. 56, 2014), and nothing in it
-    divides by sin(pi nu); bessel_k uses it for every order at 2 <= x < 20
+    divides by sin(pi nu); K takes it for every order at 2 <= x < 20
     and for orders within 1/4 of an integer below x = 2.  The node spacing
     shrinks as 1/sqrt(x) past x = 8 and as 1/sqrt(nu) past nu = 10, with
     the width of the integrand's peak.  Tail nodes where cosh(nu t) would
@@ -358,7 +357,7 @@ def _bessel_k_quad(nu: float, x: float) -> float:
             acc += _tail_node(nu_t - x_cosh)
     k = 8.0 * h * acc
     if k == math.inf:
-        raise OverflowError(f"bessel_k overflows for x = {x}")
+        raise OverflowError(f"K overflows for x = {x}")
     return k
 
 
@@ -418,17 +417,6 @@ def _k_split(nu: float, x: float) -> tuple[float, float]:
         return _bessel_k_quad(nu, x), 0.0
     s = _sinpi(nu)
     return 0.5 * math.pi * (_series(-nu, x, 1.0) - _series(nu, x, 1.0)) / s, 0.0
-
-
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind, real order; raises
-    OverflowError past x = 700."""
-    return bessel("I", nu, x)
-
-
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind, real order."""
-    return bessel("K", nu, x)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +552,7 @@ def _k_quad_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     k = np.empty_like(acc)
     k[order] = 8.0 * h_s * acc
     if (k == math.inf).any():
-        raise OverflowError(f"bessel_k overflows for x = {x[k == math.inf][0]}")
+        raise OverflowError(f"K overflows for x = {x[k == math.inf][0]}")
     return k
 
 
@@ -697,11 +685,11 @@ def bessel(kind: str, nu, x):
     # only I has e > 0: e = x past its series range
     if not isinstance(e, np.ndarray):
         if e > 700.0:
-            raise OverflowError(f"bessel_i overflows for x = {e}")
+            raise OverflowError(f"I overflows for x = {e}")
         return s * math.exp(e) if e else s
     if e.any():  # exp(0) = 1 leaves the unsplit elements as they are
         over = e > 700.0
         if over.any():
-            raise OverflowError(f"bessel_i overflows for x = {e[over][0]}")
+            raise OverflowError(f"I overflows for x = {e[over][0]}")
         s *= _each(math.exp, e.ravel()).reshape(e.shape)
     return s

@@ -2,8 +2,6 @@
 plus the selftest-command behaviours (exit status, determinism, sensitivity
 to a perturbed gamma)."""
 
-import io
-
 import pytest
 
 from fracriccati import acceptance, cli
@@ -16,20 +14,15 @@ def test_criterion(name, criterion):
     assert passed, f"{name}: {detail}"
 
 
-def test_selftest_exit_zero_and_line_per_criterion(capsys):
-    rc = cli.main(["selftest"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    lines = [ln for ln in out.strip().split("\n")]
+def test_selftest_exit_zero_line_per_criterion_and_deterministic(capsys):
+    outs = []
+    for _ in range(2):
+        assert cli.main(["selftest"]) == 0
+        outs.append(capsys.readouterr().out)
+    lines = outs[0].strip().split("\n")
     assert len(lines) == len(acceptance.CRITERIA)
     assert all(ln.startswith("PASS") for ln in lines)
-
-
-def test_selftest_deterministic_output():
-    buf_a, buf_b = io.StringIO(), io.StringIO()
-    acceptance.run_all(lambda s: buf_a.write(s + "\n"))
-    acceptance.run_all(lambda s: buf_b.write(s + "\n"))
-    assert buf_a.getvalue() == buf_b.getvalue()
+    assert outs[0] == outs[1]
 
 
 def test_perturbed_gamma_is_caught(monkeypatch):

@@ -18,6 +18,7 @@ from fracriccati import cli, cosmo, riccati
 from fracriccati import fracops as fo
 from fracriccati import specfun as sf
 from fracriccati.grids import GridSpec
+from riccati_points import eval_u1, eval_u2
 
 DELTAS = st.floats(0.05, 1.0)
 INTEGERS = st.integers(-10, 10).map(float)
@@ -108,7 +109,7 @@ def test_i_past_700_raises_the_scalar_error_and_scaled_stays_finite(array_min_si
         with pytest.raises(OverflowError) as array:
             sf.bessel("I", 0.4, xs)
         s, e = sf.bessel_scaled("I", 0.4, xs)
-    assert str(array.value) == str(scalar.value) == "bessel_i overflows for x = 750.0"
+    assert str(array.value) == str(scalar.value) == "I overflows for x = 750.0"
     assert np.isfinite(s).all()
     assert e[3:].tolist() == [750.0, 1000.0]
 
@@ -317,7 +318,7 @@ def test_dense_table_evaluates_only_cuts_and_window_ends(monkeypatch, branch):
 def test_branch_table_matches_scalar_eval(a, b, delta, branch, unit):
     rp = riccati.RiccatiParams(a, b, delta)
     xs = 30.0 * np.array(unit)
-    ev = riccati.eval_u1 if branch == 1 else riccati.eval_u2
+    ev = eval_u1 if branch == 1 else eval_u2
     want = [ev(rp, x) for x in xs.tolist()]
     with mock.patch.object(sf, "_ARRAY_MIN_SIZE", 1):
         value = riccati.branch_table([rp], branch, xs)[0]

@@ -129,6 +129,13 @@ class TestFracderiv:
         _, rows = parse_table(out)
         assert all(float(row[3]) <= 1e-15 for row in rows)
 
+    def test_x_squared_underflow_is_refused(self, capsys):
+        # 1 < beta < 2 divides the integral by x^2, which is 0 at x = 1e-300
+        rc, out, err = run(capsys, ["fracderiv", "--beta", "1.0000001", "--builtin", "poly:1,2",
+                                    "--grid", "1e-300:3:3"])
+        assert rc == 2 and out == ""
+        assert err == "error: x = 1e-300 is too close to 0: x^2 underflows to 0\n"
+
     def test_poly_oracle(self, capsys):
         rc, out, _ = run(capsys, ["fracderiv", "--beta", "0.5",
                                   "--builtin", "poly:0,1", "--grid", "1:1.5:3"])
@@ -519,6 +526,42 @@ class TestBesselArgumentUnderflow:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: --grid: x = 1e-300 ")
         assert "underflows" in err
+
+
+    # q x^r is the smallest subnormal, whose half rounds to 0: the series
+    # would take (z/2)^nu at nu < 0, and J_n(z) reads as an exact zero
+    @pytest.mark.parametrize("argv, flags", [
+        (["cosmo", "hubble", "--k", "-1", "--gamma", "0.1", "--delta", "1", "--branch", "2",
+          "--grid", "5e-324:3:14"], "--grid"),
+        (["riccati", "verify", "--a", "3", "--b", "0.1", "--delta", "0.999999999",
+          "--x0", "5e-324", "--x1", "1.0000001"], "--x0/--x1"),
+        (["riccati", "poles", "--a", "3", "--b", "-0.1", "--delta", "1", "--branch", "1",
+          "--grid", "5e-324:3:3"], "--grid"),
+        (["cosmo", "scale", "--k", "1", "--gamma", "0.1", "--delta", "1",
+          "--grid", "5e-324:3:14"], "--grid/--eta-ref"),
+    ])
+    def test_half_of_argument_underflows(self, capsys, argv, flags):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err == (f"error: {flags}: x = 5e-324 is too close to 0: "
+                       "the Bessel argument q x^r underflows to 0\n")
+
+
+class TestInfiniteTableValue:
+    # one rule for every table: a value past the float range exits 3 naming
+    # its row's first column, and nothing is printed
+    @pytest.mark.parametrize("argv, err", [
+        (["riccati", "eval", "--a", "5e-324", "--b", "7", "--delta", "0.333",
+          "--grid", "0.05:3:3"], "u is inf at x = 0.05"),
+        (["fracderiv", "--beta", "0", "--builtin", "poly:1,2",
+          "--grid", "3:1.7976931348623157e308:3"], "numeric is inf at x = 1.7976931348623157e+308"),
+        (["cosmo", "hubble", "--k", "1", "--c", "1", "--delta", "1", "--grid", "1e-310:1:3"],
+         "H is inf at eta = 1e-310"),
+    ])
+    def test_exits_3_naming_x(self, capsys, argv, err):
+        rc, out, got = run(capsys, argv)
+        assert rc == 3 and out == ""
+        assert got == f"error: numeric overflow: {err}\n"
 
 
 class TestBesselArgumentOverflow:

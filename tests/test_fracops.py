@@ -249,7 +249,7 @@ class TestChain:
 
 class TestTruncationWarning:
     # e^x has undamped derivatives, so at x = 10 the k = 3 term outgrows the k = 2 one
-    EXP = fo.RealFunction(math.exp, lambda k: math.exp, label="exp")
+    EXP = fo.RealFunction(math.exp, lambda k: math.exp)
 
     def test_growing_last_term_warns_at_the_caller(self):
         with pytest.warns(UserWarning, match="frac_chain: terms not decaying") as rec:

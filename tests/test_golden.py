@@ -1,7 +1,7 @@
 """The tracked figure surfaces in out/ are golden: regenerating them with the
 argv of scripts/emit_figures.py must give the same bytes.  So are the tables
 in tests/golden/ of `riccati eval`, `cosmo hubble`, `cosmo scale` and
-`cosmo figure`."""
+`cosmo figure`, and the stdout of scripts/verify_matrix.py."""
 
 import importlib.util
 import pathlib
@@ -13,16 +13,14 @@ from fracriccati import cli
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _emit_figures():
-    spec = importlib.util.spec_from_file_location(
-        "emit_figures", ROOT / "scripts" / "emit_figures.py"
-    )
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-EMIT = _emit_figures()
+EMIT = _script("emit_figures")
 
 
 def test_figure_surfaces_match_golden(tmp_path, capsys):
@@ -44,3 +42,8 @@ TABLES = [
 def test_table_matches_golden(capsys, name, argv):
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out == (ROOT / "tests" / "golden" / name).read_text()
+
+
+def test_verify_matrix_matches_golden(capsys):
+    assert _script("verify_matrix").main() == 0
+    assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "verify_matrix.txt").read_text()

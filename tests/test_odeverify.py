@@ -7,6 +7,7 @@ from fracriccati import odeverify as ov
 from fracriccati import riccati as rc
 from fracriccati.errors import MaxStepsError, StepUnderflowError
 from fracriccati.fracops import RealFunction
+from riccati_points import eval_u1, eval_y_branch
 
 
 class TestIvpSpec:
@@ -30,14 +31,14 @@ class TestIntegrateRiccati:
 
     def test_cross_oracle_fractional(self):
         rp = rc.RiccatiParams(1.0, -1.0, 0.5)
-        u0 = rc.eval_u1(rp, 0.5)
+        u0 = eval_u1(rp, 0.5)
         got = ov.integrate_riccati(rp, ov.IvpSpec(0.5, u0, 1.2))
-        want = rc.eval_u1(rp, 1.2)
+        want = eval_u1(rp, 1.2)
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
     def test_underflow_through_pole(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)  # cot: pole at pi
-        u0 = rc.eval_u1(rp, 2.0)
+        u0 = eval_u1(rp, 2.0)
         with pytest.raises(StepUnderflowError):
             ov.integrate_riccati(rp, ov.IvpSpec(2.0, u0, 4.0))
 
@@ -67,19 +68,19 @@ class TestIntegrateLinear:
 
     def test_matches_closed_branch_generic_delta(self):
         rp = rc.RiccatiParams(1.0, -1.0, 0.6)
-        y0, yp0 = rc.eval_y_branch(rp, 1, 0.5)
+        y0, yp0 = eval_y_branch(rp, 1, 0.5)
         y1, yp1 = ov.integrate_linear(rp, ov.IvpSpec(0.5, (y0, yp0), 1.5))
-        yw, ypw = rc.eval_y_branch(rp, 1, 1.5)
+        yw, ypw = eval_y_branch(rp, 1, 1.5)
         assert y1 == pytest.approx(yw, rel=1e-7)
         assert yp1 == pytest.approx(ypw, rel=1e-7)
 
     def test_riccati_linear_consistency(self):
         rp = rc.RiccatiParams(1.5, -1.0, 0.45)
         x0, x1 = 0.4, 1.3
-        y0, yp0 = rc.eval_y_branch(rp, 1, x0)
+        y0, yp0 = eval_y_branch(rp, 1, x0)
         y1, yp1 = ov.integrate_linear(rp, ov.IvpSpec(x0, (y0, yp0), x1))
         u_lin = yp1 / (rp.a * y1)
-        u0 = rc.eval_u1(rp, x0)
+        u0 = eval_u1(rp, x0)
         u_ric = ov.integrate_riccati(rp, ov.IvpSpec(x0, u0, x1))
         assert abs(u_lin - u_ric) <= 1e-7 * (1.0 + abs(u_ric))
 

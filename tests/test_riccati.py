@@ -9,6 +9,7 @@ from fracriccati import riccati as rc
 from fracriccati.errors import DegenerateRegimeError
 from fracriccati.fracops import RealFunction, frac_const
 from fracriccati.specfun import bessel, gamma
+from riccati_points import eval_u1, eval_u2, eval_y_branch
 
 
 class TestParams:
@@ -78,35 +79,35 @@ class TestMapParams:
 class TestBranchValues:
     def test_u1_is_cot(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)
-        assert rc.eval_u1(rp, math.pi / 4.0) == pytest.approx(1.0, rel=1e-12)
+        assert eval_u1(rp, math.pi / 4.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_u1_is_coth(self):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
-        assert rc.eval_u1(rp, 1.0) == pytest.approx(1.3130352854993313, rel=1e-12)
+        assert eval_u1(rp, 1.0) == pytest.approx(1.3130352854993313, rel=1e-12)
 
     def test_u1_small_x_asymptote(self):
         # u1 ~ 1/(a x) as x -> 0+, any regime
         for a, b in ((1.0, -1.0), (2.0, 1.0)):
             rp = rc.RiccatiParams(a, b, 1.0)
             for x in (1e-4, 1e-6):
-                assert rc.eval_u1(rp, x) * x == pytest.approx(1.0 / a, rel=1e-6)
+                assert eval_u1(rp, x) * x == pytest.approx(1.0 / a, rel=1e-6)
 
     def test_u2_is_minus_tan(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)
-        assert rc.eval_u2(rp, math.pi / 4.0) == pytest.approx(-1.0, rel=1e-12)
+        assert eval_u2(rp, math.pi / 4.0) == pytest.approx(-1.0, rel=1e-12)
 
     def test_u2_modified_is_constant_equilibrium(self):
         # K_(1/2) = K_(-1/2) makes u2 = -sqrt(b/a) for every x at delta = 1
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
         for x in (0.3, 1.0, 2.5, 7.0):
-            assert rc.eval_u2(rp, x) == pytest.approx(-1.0, rel=1e-11)
+            assert eval_u2(rp, x) == pytest.approx(-1.0, rel=1e-11)
 
     def test_degenerate_refused(self):
         rp = rc.RiccatiParams(1.0, 0.0, 0.5)
         with pytest.raises(DegenerateRegimeError):
-            rc.eval_u1(rp, 1.0)
+            eval_u1(rp, 1.0)
         with pytest.raises(DegenerateRegimeError):
-            rc.eval_u2(rp, 1.0)
+            eval_u2(rp, 1.0)
 
     def test_sign_symmetry(self):
         # (a, b) -> (-a, -b) keeps the linear equation and flips 1/a
@@ -114,8 +115,8 @@ class TestBranchValues:
             rp = rc.RiccatiParams(1.5, -2.0, d)
             rn = rc.RiccatiParams(-1.5, 2.0, d)
             for x in (0.3, 0.9, 1.4):
-                assert rc.eval_u1(rn, x) == pytest.approx(
-                    -rc.eval_u1(rp, x), rel=1e-12
+                assert eval_u1(rn, x) == pytest.approx(
+                    -eval_u1(rp, x), rel=1e-12
                 )
 
     def test_delta_one_reductions_through_general_path(self):
@@ -124,7 +125,7 @@ class TestBranchValues:
             for x in np.linspace(0.1, math.pi / (2.0 * c), 25)[:-1]:
                 x = float(x)
                 want = math.cos(c * x) / math.sin(c * x)
-                got = rc.eval_u1(rp, x)
+                got = eval_u1(rp, x)
                 assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
 
 
@@ -173,15 +174,15 @@ class TestModifiedRegime:
         assert np.all(np.abs(u1[0] - want1) <= 1e-12 * np.abs(want1))
         assert np.all(np.abs(u2[0] + w / a) <= 1e-12 * (w / abs(a)))
         for x in (0.5, 25.0, 800.0, 5e3):
-            assert rc.eval_u2(rp, x / w) == pytest.approx(-w / a, rel=1e-12)
-            assert math.isfinite(rc.eval_u1(rp, x / w))
+            assert eval_u2(rp, x / w) == pytest.approx(-w / a, rel=1e-12)
+            assert math.isfinite(eval_u1(rp, x / w))
 
 
 class TestYBranch:
     def test_half_order_reduction_branch1(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)
         x = 1.3
-        y, yp = rc.eval_y_branch(rp, 1, x)
+        y, yp = eval_y_branch(rp, 1, x)
         amp = math.sqrt(2.0 / math.pi)
         assert y == pytest.approx(amp * math.sin(x), rel=1e-12)
         assert yp == pytest.approx(amp * math.cos(x), rel=1e-12)
@@ -189,13 +190,13 @@ class TestYBranch:
     def test_half_order_reduction_branch2(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)
         x = 1.3
-        y, yp = rc.eval_y_branch(rp, 2, x)
+        y, yp = eval_y_branch(rp, 2, x)
         amp = math.sqrt(2.0 / math.pi)
         assert y == pytest.approx(-amp * math.cos(x), rel=1e-12)
         assert yp == pytest.approx(amp * math.sin(x), rel=1e-12)
 
     def test_derivative_forms_agree_generic_delta(self):
-        # eval_y_branch returns y' in the lower-order form; the upper-order
+        # eval_y_branch returns y' = a u y, the lower-order form; the upper-order
         # form y' = y ((p + nr)/x + sign q r x^(r-1) B_(n+1)/B_n), p = 1/2,
         # with sign +1 for I and -1 for J, Y and K, is built here from the
         # Bessel functions themselves
@@ -205,7 +206,7 @@ class TestYBranch:
             for branch, kind in zip((1, 2), "JY" if a * b < 0.0 else "IK"):
                 sign = 1.0 if kind == "I" else -1.0
                 for x in (0.4, 1.1, 2.7):
-                    y, d_lo = rc.eval_y_branch(rp, branch, x)
+                    y, d_lo = eval_y_branch(rp, branch, x)
                     z = bm.q_mag * x**bm.r
                     ratio = bessel(kind, bm.n + 1.0, z) / bessel(kind, bm.n, z)
                     qrx = bm.q_mag * bm.r * x ** (bm.r - 1.0)
@@ -214,15 +215,18 @@ class TestYBranch:
                     assert abs(d_lo - d_hi) <= 1e-9 * scale
 
     def test_u_equals_yprime_over_ay(self):
+        # u of branch_table against y of y_branch_table, y' by central differences
         rp = rc.RiccatiParams(2.0, -1.0, 0.45)
+        h = 1e-5
         for x in (0.5, 1.2):
-            y, yp = rc.eval_y_branch(rp, 1, x)
-            assert rc.eval_u1(rp, x) == pytest.approx(yp / (rp.a * y), rel=1e-10)
+            y_lo, y, y_hi = (eval_y_branch(rp, 1, t)[0] for t in (x - h, x, x + h))
+            yp = (y_hi - y_lo) / (2.0 * h)
+            assert eval_u1(rp, x) == pytest.approx(yp / (rp.a * y), rel=1e-8)
 
     def test_branch_validation(self):
         rp = rc.RiccatiParams(1.0, -1.0, 0.5)
         with pytest.raises(ValueError):
-            rc.eval_y_branch(rp, 3, 1.0)
+            eval_y_branch(rp, 3, 1.0)
 
     @pytest.mark.parametrize("branch", [0, 3])
     def test_tables_reject_other_branches(self, branch):
@@ -247,7 +251,7 @@ class TestResidual:
         rp = rc.RiccatiParams(2.0, -1.0, 0.5)
 
         def u_of(t):
-            return rc.eval_u1(rp, t)
+            return eval_u1(rp, t)
 
         for x in np.linspace(0.3, 2.2, 20):
             x = float(x)
@@ -267,8 +271,8 @@ class TestResidual:
         poles = rc.find_poles(rp, 0.2, 2.3, 1)
         if any(abs(x - p) < 0.08 for p in poles):
             return
-        up = RealFunction(lambda t: rc.eval_u1(rp, t)).derivative(1)(x)
-        r = rc.residual(rp, x, rc.eval_u1(rp, x), up)
+        up = RealFunction(lambda t: eval_u1(rp, t)).derivative(1)(x)
+        r = rc.residual(rp, x, eval_u1(rp, x), up)
         assert abs(r) <= 1e-6 * (1.0 + abs(frac_const(b, delta, x)))
 
 
