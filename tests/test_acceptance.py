@@ -2,6 +2,9 @@
 plus the selftest-command behaviours (exit status, determinism, sensitivity
 to a perturbed gamma)."""
 
+import contextlib
+import io
+
 import pytest
 
 from fracriccati import acceptance, cli
@@ -14,15 +17,30 @@ def test_criterion(name, criterion):
     assert passed, f"{name}: {detail}"
 
 
-def test_selftest_exit_zero_line_per_criterion_and_deterministic(capsys):
-    outs = []
+@pytest.fixture(scope="module")
+def selftest_runs():
+    """Exit status and stdout of two `selftest` runs, shared by the tests below."""
+    runs = []
     for _ in range(2):
-        assert cli.main(["selftest"]) == 0
-        outs.append(capsys.readouterr().out)
-    lines = outs[0].strip().split("\n")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main(["selftest"])
+        runs.append((rc, buf.getvalue()))
+    return runs
+
+
+def test_selftest_exit_zero_and_line_per_criterion(selftest_runs):
+    rc, out = selftest_runs[0]
+    assert rc == 0
+    lines = out.strip().split("\n")
     assert len(lines) == len(acceptance.CRITERIA)
     assert all(ln.startswith("PASS") for ln in lines)
-    assert outs[0] == outs[1]
+
+
+def test_selftest_deterministic_output(selftest_runs):
+    (rc_a, out_a), (rc_b, out_b) = selftest_runs
+    assert rc_a == rc_b == 0
+    assert out_a == out_b
 
 
 def test_perturbed_gamma_is_caught(monkeypatch):
