@@ -4,8 +4,9 @@ cosmology tables, figure-grid emission, and the acceptance selftest.
 Output tables are plain text: one '#' header line naming the columns, comma
 separators, 17-significant-digit decimals (bit-faithful round trip), newline
 endings.  Pole rows ('nan' in the value column and pole=1) come only from
-the sign changes of the table's own denominator row (riccati.sign_scan): a
-lattice point within half a grid step of a denominator zero is a pole row.
+the sign changes of the table's own denominator row and scan nodes
+(riccati.scanned_table): a lattice point within half a grid step of a
+denominator zero is a pole row.
 Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
 coefficient product a*b, --x1 or --eta-ref, a pole-search span over the
 scan budget, or a point whose Bessel argument or fracderiv x^n underflows
@@ -14,8 +15,9 @@ to 0 or whose Bessel argument overflows among them) or an unwritable --out,
 4 pole inside a verification/scale interval, 5 cosmology with c = 0.
 
 `riccati eval`, `cosmo hubble` and `cosmo figure` share one row builder,
-_table_rows, which evaluates parameter sets x grid points in one call of
-riccati.branch_table or, for every curvature, cosmo.hubble.
+_table_rows, which evaluates parameter sets x grid points, with their pole
+scans, in one call of riccati.scanned_table or, for every curvature,
+cosmo.hubble.
 """
 
 from __future__ import annotations
@@ -130,15 +132,12 @@ def pole_search_bounds(grid: GridSpec) -> tuple[float, float]:
     return max(grid.start - half, min(1e-12, 0.5 * grid.start)), grid.stop + half
 
 
-def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec, den) -> list[int]:
-    """Lattice indices whose nearest denominator zero lies within half a step.
+def _pole_indices(grid: GridSpec, zeros: list[list[float]]) -> list[list[int]]:
+    """Each row's lattice indices within half a step of one of its zeros.
 
-    den is the table's denominator row.  A zero flags index i when
-    |x_i - zero| <= half (candidates: the indices next to round((zero -
-    start) / step)).  riccati.sign_scan brackets the zeros over the grid
-    points and the window ends; each bracket is cut at the cell edges
-    x_j +- half inside it (at most two, one array call for all), and every
-    point of the piece holding the sign change, the zero too, flags alike.
+    zeros holds every row's denominator zeros as riccati.scanned_table
+    locates them.  A zero flags index i when |x_i - zero| <= half
+    (candidates: the indices next to round((zero - start) / step)).
     """
     pts = grid.points()
     half = pole_window(grid)
@@ -148,40 +147,25 @@ def _pole_indices(rp: riccati.RiccatiParams, branch: int, grid: GridSpec, den) -
         candidates = range(max(i - 1, 0), min(i + 2, grid.count))
         return [j for j in candidates if abs(float(pts[j]) - x) <= half]
 
-    lo, hi = pole_search_bounds(grid)
-    known = np.concatenate(([math.nan], den, [math.nan]))  # unknown at the window ends
-    brackets, den_at = riccati.sign_scan(rp, branch, np.concatenate(([lo], pts, [hi])), known, 1)
-    if not brackets:
-        return []
-    edges = np.sort(np.concatenate((pts - half, pts + half)))
-    cuts = [edges[np.searchsorted(edges, a, "right"):np.searchsorted(edges, b, "left")].tolist()
-            for a, b, _, _ in brackets]
-    cut_values = iter(den_at(np.concatenate(cuts)).tolist())
-    flags = []
-    for (a, b, f_a, f_b), cut in zip(brackets, cuts):
-        xs = [a, *cut, b]
-        fs = [f_a, *(next(cut_values) for _ in cut), f_b]
-        k = next(k for k, f in enumerate(fs) if f == 0.0 or f * fs[k + 1] < 0.0)
-        flags += near(xs[k] if fs[k] == 0.0 else 0.5 * (xs[k] + xs[k + 1]))
-    return flags
+    return [[j for x in row for j in near(x)] for row in zeros]
 
 
 def _table_rows(params: list, branch: int, grid: GridSpec) -> list[list[tuple]]:
-    """(x, value, pole) rows of each parameter set on the grid, from one
-    array call: riccati.branch_table for RiccatiParams, cosmo.hubble for
-    CosmoParams of one k and c.  The pole flags come only from the
-    denominator rows that call returns for each Riccati branch (a = c,
-    b = -k c for k != 0), within pole_window of a zero (_pole_indices);
-    pole rows have value nan."""
+    """(x, value, pole) rows of each parameter set on the grid.  Every
+    table takes its values and each row's denominator zeros, scanned over
+    pole_search_bounds with cuts at the cell edges, from one call of
+    riccati.scanned_table, or of cosmo.hubble for CosmoParams of one k and
+    c; a row is a pole row within pole_window of a zero (_pole_indices),
+    and has value nan."""
     xs = grid.points()
+    scan = (*pole_search_bounds(grid), pole_window(grid))
     if isinstance(params[0], cosmo.CosmoParams):
-        value, den = cosmo.hubble(params, branch, xs)
-        params = [cp.riccati_params() for cp in params if cp.k != 0]
+        value, zeros = cosmo.hubble(params, branch, xs, scan)
     else:
-        value, den = riccati.branch_table(params, branch, xs)
+        value, zeros = riccati.scanned_table(params, branch, xs, *scan)
     pole = np.zeros(value.shape, dtype=bool)
-    for row, rp in enumerate(params):
-        pole[row, _pole_indices(rp, branch, grid, den[row])] = True
+    for row, indices in enumerate(_pole_indices(grid, zeros)):
+        pole[row, indices] = True
     value[pole] = math.nan
     xs = xs.tolist()
     return [list(zip(xs, v, p)) for v, p in zip(value.tolist(), pole.astype(int).tolist())]
@@ -254,14 +238,18 @@ def _cmd_fracderiv(args) -> int:
             _err(f"--builtin must be sin, exp or poly:c0,c1,..., got {name!r}")
             return EXIT_FLAGS
     rows = []
-    for x in grid.points():
-        x = float(x)
-        numeric = fo.rl_derivative(f, args.beta, x)
-        if oracle is not None:
-            want = oracle(x)
-            rows.append((x, numeric, want, abs(numeric - want)))
-        else:
-            rows.append((x, numeric))
+    # an x far out may overflow f or the quadrature's sums: the value then
+    # fails to converge (exit 3) or is inf, which _emit refuses, with no
+    # RuntimeWarning before the error line
+    with np.errstate(all="ignore"):
+        for x in grid.points():
+            x = float(x)
+            numeric = fo.rl_derivative(f, args.beta, x)
+            if oracle is not None:
+                want = oracle(x)
+                rows.append((x, numeric, want, abs(numeric - want)))
+            else:
+                rows.append((x, numeric))
     header = ["x", "numeric", "oracle", "abs_err"] if oracle else ["x", "numeric"]
     return _emit(args.out, header, rows)
 

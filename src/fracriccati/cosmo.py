@@ -64,10 +64,13 @@ class CosmoParams:
         return riccati.RiccatiParams(a=self.c, b=-self.k * self.c, delta=self.delta)
 
 
-def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray):
+def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray, scan=None):
     """Hubble parameter on the lattice cps x etas, shape (len(cps),
-    len(etas)), and the denominator rows of riccati.branch_table (None for
-    k = 0, which has no poles); the parameter sets share one k and c.
+    len(etas)), and each row's denominator zeros; the parameter sets share
+    one k and c.  With scan = (lo, hi, half) the zeros are those
+    riccati.scanned_table locates over the window [lo, hi] with cells of
+    half-width half (a table's pole scan), without it None; k = 0 has no
+    poles, and every row's list is empty.
 
     k = +-1 gives the Riccati branch of a = c, b = -k c (the 1/a prefactor
     cancels): branch 1 the first-kind ratio (J for k = 1, I for k = -1; the
@@ -78,7 +81,10 @@ def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray):
     OverflowError naming its eta.
     """
     if cps[0].k != 0:
-        return riccati.branch_table([cp.riccati_params() for cp in cps], branch, etas)
+        rps = [cp.riccati_params() for cp in cps]
+        if scan is None:
+            return riccati.branch_table(rps, branch, etas)[0], None
+        return riccati.scanned_table(rps, branch, etas, *scan)
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
     if not np.all(etas > 0.0):
@@ -93,7 +99,7 @@ def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray):
     bad = etas[np.isinf(h)]
     if bad.size:
         raise OverflowError(f"H = 1/(c eta) at eta = {float(bad[0])!r} leaves the float range")
-    return np.tile(h, (len(cps), 1)), None
+    return np.tile(h, (len(cps), 1)), [[] for _ in cps]
 
 
 def scale_factor(

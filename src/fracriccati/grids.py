@@ -27,7 +27,10 @@ class GridSpec:
             raise ValueError(f"grid count must be >= 2, got {self.count}")
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        # linspace's k * step may overflow at the last point of a grid that
+        # ends near the float maximum; that point is set to stop itself
+        with np.errstate(over="ignore"):
+            return np.linspace(self.start, self.stop, self.count)
 
     @property
     def step(self) -> float:

@@ -9,13 +9,16 @@ first kind (J or I) for branch 1, second kind (Y or K) for branch 2.  The
 regime is fixed by sign(a*b): oscillatory (J/Y) for a*b < 0, modified (I/K)
 for a*b > 0; b = 0 degenerates and is refused here.
 
-Every closed-form value comes from one lattice evaluation (_lattice) of
-parameter sets times points: u from branch_table and y from y_branch_table,
-one point being a one-point grid.  Every yes/no pole question is one
-sign_scan over the denominator values that the caller's own lattice already
-holds (tables, riccati verify, cosmo.scale_factor); find_poles, for callers
-that need the zero positions, locates each bracket's zero with a few
-Illinois regula-falsi calls of specfun's scalar kernels and replays the
+Every closed-form value comes from one checked lattice (_checked_lattice)
+of parameter sets times points: u from branch_table and y from
+y_branch_table, one point being a one-point grid.  Every yes/no pole
+question is one sign-scan rule (_scan_nodes places the nodes, _brackets
+reads the sign changes).  riccati verify and cosmo.scale_factor pass
+sign_scan the denominator values their own lattice already holds; a table
+takes its values, its scan and the cuts of its brackets in the node gaps
+of estimated zeros from one Bessel call (scanned_table).  find_poles, for
+callers that need the zero positions, locates each bracket's zero with a
+few Illinois regula-falsi calls of specfun's scalar kernels and replays the
 1e-12 bisection from it: only midpoints within _REPLAY_MARGIN of the located
 zero in z call the kernel, the rest take its side, so every printed zero
 keeps the bits of the plain bisection.
@@ -23,6 +26,7 @@ keeps the bits of the plain bisection.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -38,6 +42,7 @@ __all__ = [
     "BesselMap",
     "map_params",
     "branch_table",
+    "scanned_table",
     "y_branch_table",
     "residual",
     "find_poles",
@@ -51,6 +56,9 @@ Regime = str
 # sign-scan node spacing in z = q x^r: zeros of J_n and Y_n, 1/3 < n <= 1/2,
 # lie at least 3.11 apart (tending to pi, DLMF 10.21), so no gap holds two
 _SCAN_STEP = math.pi / 8.0
+# no zero of J_n or Y_n, 1/3 < n <= 1/2, lies below this z (the first zero
+# of Y_n tends to 1.3530 as n -> 1/3)
+_FIRST_ZERO_Z = 1.35
 # most sign-scan cells one pole search may allocate: a Bessel-argument span
 # of about 39 000, far past the 10-digit domain (argument <= ~100)
 _MAX_SCAN_CELLS = 100_000
@@ -124,20 +132,14 @@ def _overflow_message(x: float) -> str:
     return f"x = {x} is too large: the Bessel argument q x^r overflows"
 
 
-def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
-    """The one evaluation of the closed forms, on the lattice rps x xs.
-
-    Maps every parameter set once, forms z = q x^r and the signed factor
-    sign q r x^(r-1) of y'/y (shape (len(rps), len(xs))), and takes
-    B_(n+k)(z) for each k of orders (by default B_(n-1) and B_n) of the
-    branch's Bessel kind from one specfun.bessel_scaled call.  Returns
-    (signed factor, s, e) with B = s exp(e), stacked over orders.
-    The parameter sets must share one regime (a figure surface varies delta
-    only).
-    """
+def _checked_lattice(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
+    """The mapped, checked lattice rps x xs: maps every parameter set once
+    and forms z = q x^r (shape (len(rps), len(xs))), refusing a branch
+    other than 1 or 2, an x <= 0, the degenerate b = 0, mixed regimes and
+    a z whose half underflows or that overflows.  Returns (bms, kind, sign,
+    q, r, n, z), q, r and n as columns."""
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
-    xs = np.asarray(xs, dtype=float)
     if not np.all(xs > 0.0):
         raise ValueError(f"Riccati branch evaluation requires x > 0, got {xs.min()}")
     bms = [map_params(rp) for rp in rps]
@@ -150,18 +152,55 @@ def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
         raise ValueError("branch_table needs parameter sets of one regime")
     kind, sign = _kind(bms[0], branch)
     q, r, n = np.array([(bm.q_mag, bm.r, bm.n) for bm in bms]).T[:, :, None]
-    x = xs[None, :]
     with np.errstate(over="ignore"):
         try:
-            z = q * specfun.power(x, r)
+            z = q * specfun.power(xs[None, :], r)
         except OverflowError:  # x^r itself leaves the float range
             z = np.array(math.inf)
     if not np.all(0.5 * z > 0.0):
         raise ValueError(_underflow_message(xs.min()))
     if not np.all(z < math.inf):
         raise ValueError(_overflow_message(xs.max()))
+    return bms, kind, sign, q, r, n, z
+
+
+def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
+    """The one evaluation of the closed forms, on the lattice rps x xs.
+
+    Takes B_(n+k)(z) for each k of orders (by default B_(n-1) and B_n) of
+    the branch's Bessel kind on _checked_lattice's z from one
+    specfun.bessel_scaled call.  Returns (signed factor, s, e) with the
+    factor sign q r x^(r-1) of y'/y and B = s exp(e), stacked over orders.
+    The parameter sets must share one regime (a figure surface varies delta
+    only).
+    """
+    xs = np.asarray(xs, dtype=float)
+    _, kind, sign, q, r, n, z = _checked_lattice(rps, branch, xs)
     s, e = specfun.bessel_scaled(kind, np.stack([n + k for k in orders]), z)
-    return sign * q * r * specfun.power(x, r - 1.0), s, e
+    return _factor(sign, q, r, xs), s, e
+
+
+def _factor(sign, q, r, xs):
+    return sign * q * r * specfun.power(xs[None, :], r - 1.0)
+
+
+def _quotient(rps, factor, num, den):
+    """u = factor / a * num / den, nan where den is exactly 0."""
+    a = np.array([rp.a for rp in rps], dtype=float)[:, None]
+    value = np.full(den.shape, math.nan)
+    with np.errstate(over="ignore"):
+        np.divide(factor / a * num, den, out=value, where=den != 0.0)
+    return value
+
+
+def _bessel_blocks(kind: str, blocks):
+    """The s of specfun.bessel_scaled of kind at every broadcast (nu, z)
+    pair of blocks, from one call, split back into one array per block."""
+    pairs = [np.broadcast_arrays(np.asarray(v, dtype=float), z) for v, z in blocks]
+    s = specfun.bessel_scaled(
+        kind, *(np.concatenate([p[i].ravel() for p in pairs]) for i in (0, 1)))[0]
+    ends = np.cumsum([p[1].size for p in pairs])[:-1]
+    return [part.reshape(p[1].shape) for part, p in zip(np.split(s, ends), pairs)]
 
 
 def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
@@ -172,16 +211,106 @@ def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     of s values neither overflows nor underflows.  The value is nan only
     where the denominator is exactly 0; within round-off of a zero it is
     round-off (branch 1 at the float pi of a = 1, b = -1, delta = 1 is about
-    9e15): callers pass the denominator to sign_scan to find poles.  A value
-    past the float range is +-inf, with no warning.
+    9e15): callers pass the denominator to sign_scan to find poles, or take
+    the table from scanned_table.  A value past the float range is +-inf,
+    with no warning.
     """
     factor, s, _ = _lattice(rps, branch, xs)
     num, den = s
-    a = np.array([rp.a for rp in rps], dtype=float)[:, None]
-    value = np.full(den.shape, math.nan)
-    with np.errstate(over="ignore"):
-        np.divide(factor / a * num, den, out=value, where=den != 0.0)
-    return value, den
+    return _quotient(rps, factor, num, den), den
+
+
+def scanned_table(
+    rps: list[RiccatiParams], branch: int, xs: np.ndarray, lo: float, hi: float, half: float
+):
+    """branch_table's values on rps x xs, and each row's denominator zeros
+    as located for the grid's pole flags.  Returns (value, zeros): zeros
+    one list per row, one x for each sign_scan bracket of the denominator
+    over the nodes lo, xs, hi (min_steps 1), in ascending order.  Each
+    bracket is cut at the cell edges x_j +- half inside it, and its x is
+    the exact zero or the midpoint of the piece holding the sign change,
+    so it lies within half of every lattice point that the zero does.  In
+    the modified regime no row has a zero.
+
+    The lattice checks run first, then every row's node placement with its
+    end and budget checks, so a window over _MAX_SCAN_CELLS cells raises
+    ScanBudgetError before anything is evaluated.  Then one
+    specfun.bessel_scaled call takes B_(n-1) and B_n on the lattice and B_n
+    at each row's window ends and new nodes and at the cell edges in the
+    node gap of each estimated zero (_cut_candidates), with the bits of
+    sign_scan's own calls; the cuts that no estimate foresaw, of all rows,
+    take one more call.  A row drops lo where half its z underflows, so
+    that lo cannot be evaluated, and z at xs[0] is below _FIRST_ZERO_Z, so
+    that no zero lies below xs[0].
+    """
+    if map_params(rps[0]).regime != OSCILLATORY:  # or degenerate, which branch_table refuses
+        return branch_table(rps, branch, xs)[0], [[] for _ in rps]
+    xs = np.asarray(xs, dtype=float)
+    bms, kind, sign, q, r, n, z = _checked_lattice(rps, branch, xs)
+    edges = np.sort(np.concatenate((xs - half, xs + half)))
+    cells = edges.tolist()
+    scans = []  # (nodes, positions of xs among them, mask of the others, cut candidates)
+    for bm, z0 in zip(bms, z[:, 0].tolist()):
+        head = [] if z0 < _FIRST_ZERO_Z and not 0.5 * bm.q_mag * lo**bm.r > 0.0 else [lo]
+        nodes, place = _scan_nodes(bm, np.concatenate((head, xs, [hi])), 1)
+        at = place[len(head):-1]
+        other = np.ones(nodes.size, dtype=bool)
+        other[at] = False
+        scans.append((nodes, at, other, _cut_candidates(bm, kind, nodes, edges)))
+    (num, den), *ahead = _bessel_blocks(kind, [(np.stack([n - 1.0, n]), z)] + [
+        (bm.n, bm.q_mag * specfun.power(np.concatenate((nodes[other], cand)), bm.r))
+        for bm, (nodes, _, other, cand) in zip(bms, scans)
+    ])
+    rows, missing = [], []  # (brackets, cuts, known cut values); cuts not among them
+    for (nodes, at, other, cand), den_row, f in zip(scans, den, ahead):
+        split = f.size - cand.size
+        values = np.empty(nodes.size)
+        values[at], values[other] = den_row, f[:split]
+        brackets = _brackets(nodes, values)
+        cuts = [cells[bisect.bisect_right(cells, a):bisect.bisect_left(cells, b)]
+                for a, b, _, _ in brackets]
+        known = dict(zip(cand.tolist(), f[split:].tolist()))
+        rows.append((brackets, cuts, known))
+        missing.append(np.array([c for cut in cuts for c in cut if c not in known]))
+    if any(m.size for m in missing):
+        late = _bessel_blocks(kind, [(bm.n, bm.q_mag * specfun.power(m, bm.r))
+                                     for bm, m in zip(bms, missing)])
+        for (_, _, known), m, f in zip(rows, missing, late):
+            known.update(zip(m.tolist(), f.tolist()))
+    zeros = [
+        [_sign_change([a, *cut, b], [f_a, *(known[c] for c in cut), f_b])
+         for (a, b, f_a, f_b), cut in zip(brackets, cuts)]
+        for brackets, cuts, known in rows
+    ]
+    return _quotient(rps, _factor(sign, q, r, xs), num, den), zeros
+
+
+def _cut_candidates(bm: BesselMap, kind: str, nodes: np.ndarray, edges: np.ndarray):
+    """The cell edges a table evaluates ahead for its row with scan nodes
+    nodes: those inside the node gap that holds each McMahon estimate
+    beta - (mu - 1)/(8 beta), mu = 4n^2, of a zero of J_n (beta = (k + n/2
+    - 1/4) pi) or Y_n (beta = (k + n/2 - 3/4) pi), k >= 1 (DLMF 10.21.19).
+    Where the zero lies in the same gap, these are its bracket's cuts; its
+    error over 1/3 < n <= 1/2 is at most 0.009 in z (the first zero of
+    Y_n as n -> 1/3), so a miss is rare and costs its cuts one more call."""
+    z_lo, z_hi = bm.q_mag * np.power(nodes[[0, -1]], bm.r)
+    shift = 0.5 * bm.n - (0.25 if kind == "J" else 0.75)
+    k = np.arange(max(1, math.floor(z_lo / math.pi - shift)), math.ceil(z_hi / math.pi - shift) + 1)
+    beta = (k + shift) * math.pi
+    est = beta - (4.0 * bm.n * bm.n - 1.0) / (8.0 * beta)
+    gap = np.searchsorted(nodes, np.power(est[(est > z_lo) & (est < z_hi)] / bm.q_mag,
+                                          1.0 / bm.r))
+    gap = gap[(gap > 0) & (gap < nodes.size)]
+    first = np.searchsorted(edges, nodes[gap - 1], "right").tolist()
+    last = np.searchsorted(edges, nodes[gap], "left").tolist()
+    return np.concatenate([edges[:0]] + [edges[a:b] for a, b in zip(first, last)])
+
+
+def _sign_change(xs: list, fs: list) -> float:
+    """The x of the first exact zero among the values fs at xs, or else the
+    midpoint of the first piece whose ends' values change sign."""
+    k = next(k for k, f in enumerate(fs) if f == 0.0 or f * fs[k + 1] < 0.0)
+    return xs[k] if fs[k] == 0.0 else 0.5 * (xs[k] + xs[k + 1])
 
 
 def y_branch_table(
@@ -202,18 +331,16 @@ def residual(rp: RiccatiParams, x, u, u_prime):
 
 def sign_scan(rp: RiccatiParams, branch: int, xs: np.ndarray, fs: np.ndarray, min_steps: int):
     """Brackets of the zeros of the denominator B_n(q x^r) from its signs at
-    the ascending nodes xs (values fs, nan where unknown), each gap cut into
-    max(min_steps, int(width in z / _SCAN_STEP) + 1) steps uniform in z; the
-    unknown and new nodes take one array call.  Returns ([(lo, hi, f_lo,
-    f_hi)], den), lo = hi at an exact zero, den the denominator of x;
-    ([], None) in the modified regime (I_n, K_n > 0).  An end whose z leaves
-    the float range (ValueError) or a span over _MAX_SCAN_CELLS cells
-    (ScanBudgetError) raises before any evaluation.
+    the ascending nodes xs (values fs, nan where unknown), placed by
+    _scan_nodes; the unknown and new nodes take one array call.  Returns
+    ([(lo, hi, f_lo, f_hi)], den), lo = hi at an exact zero, den the
+    denominator of x; ([], None) in the modified regime (I_n, K_n > 0).
 
     The one pole rule: fs may be any values of the denominator's sign (a
     table's or riccati verify's denominator row, cosmo.scale_factor's
     y = sqrt(x) B_n), and every sign change or exact zero among the nodes
-    is a bracket.
+    is a bracket.  Tables take the same nodes and brackets from
+    scanned_table, whose first call also evaluates the table.
     """
     bm = map_params(rp)
     if bm.regime != OSCILLATORY:
@@ -223,6 +350,22 @@ def sign_scan(rp: RiccatiParams, branch: int, xs: np.ndarray, fs: np.ndarray, mi
     def den(x):
         return specfun.bessel(kind, bm.n, bm.q_mag * specfun.power(x, bm.r))
 
+    nodes, place = _scan_nodes(bm, xs, min_steps)
+    values = np.full(nodes.size, math.nan)
+    values[place] = fs
+    todo = np.isnan(values)
+    values[todo] = den(nodes[todo])
+    return _brackets(nodes, values), den
+
+
+def _scan_nodes(bm: BesselMap, xs: np.ndarray, min_steps: int):
+    """sign_scan's nodes over the ascending xs: each gap cut into
+    max(min_steps, int(width in z / _SCAN_STEP) + 1) steps uniform in z.
+    Returns (nodes, place), xs[i] being nodes[place[i]] and the steps - 1
+    new nodes of gap i following it.  An end whose z leaves the float range
+    or whose half underflows (ValueError) or a span over _MAX_SCAN_CELLS
+    cells (ScanBudgetError) raises before anything is allocated.
+    """
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     try:
         z_lo, z_hi = bm.q_mag * x_lo**bm.r, bm.q_mag * x_hi**bm.r
@@ -239,20 +382,26 @@ def sign_scan(rp: RiccatiParams, branch: int, xs: np.ndarray, fs: np.ndarray, mi
     # inner nodes' z only places the new nodes: numpy's power serves there
     z = np.concatenate(([z_lo], bm.q_mag * np.power(xs[1:-1], bm.r), [z_hi]))
     steps = np.maximum(min_steps, ((z[1:] - z[:-1]) / _SCAN_STEP).astype(int) + 1)
-    # node i of xs goes to place[i]; the steps - 1 new nodes of gap i follow it
     place = np.append(0, np.cumsum(steps))
-    nodes, values = np.full((2, place[-1] + 1), math.nan)
-    nodes[place], values[place] = xs, fs
+    nodes = np.full(place[-1] + 1, math.nan)
+    nodes[place] = xs
     new = np.flatnonzero(np.isnan(nodes))
     gap = np.repeat(np.arange(steps.size), steps - 1)
     z_new = z[gap] + (z[gap + 1] - z[gap]) * (new - place[gap]) / steps[gap]
     nodes[new] = specfun.power(z_new / bm.q_mag, 1.0 / bm.r)
-    todo = np.isnan(values)
-    values[todo] = den(nodes[todo])
-    starts = np.flatnonzero((values == 0.0) | np.append(values[:-1] * values[1:] < 0.0, False))
+    return nodes, place
+
+
+def _brackets(nodes: np.ndarray, values: np.ndarray) -> list[tuple]:
+    """(lo, hi, f_lo, f_hi) of every sign change or exact zero among the
+    node values; lo = hi at an exact zero.  A product of two values may
+    overflow (Y_n near z = 0) and keeps its sign."""
+    with np.errstate(over="ignore"):
+        change = values[:-1] * values[1:] < 0.0
+    starts = np.flatnonzero((values == 0.0) | np.append(change, False))
     ends = starts + (values[starts] != 0.0)  # an exact zero is its own bracket
     cols = [v.tolist() for v in (nodes[starts], nodes[ends], values[starts], values[ends])]
-    return list(zip(*cols)), den
+    return list(zip(*cols))
 
 
 def find_poles(rp: RiccatiParams, x_lo: float, x_hi: float, branch: int = 1) -> list[float]:

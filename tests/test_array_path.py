@@ -2,9 +2,10 @@
 
 specfun.bessel with ndarray arguments must equal a scalar call per element
 exactly, and the CLI's bracket-based grid pole flags must equal the old rule
-that compares every located zero with every grid point.  The spline and the
-product-trapezoid mesh are held to their earlier point-by-point and two-pow
-forms, kept here as oracles.
+that compares every located zero with every grid point and, list for list,
+the per-row flagging that scanned_table's fused calls replaced.  The spline
+and the product-trapezoid mesh are held to their earlier point-by-point and
+two-pow forms, kept here as oracles.
 """
 
 import math
@@ -189,9 +190,104 @@ def oscillatory_grids(draw):
 
 
 def table_flags(rp, branch, grid):
-    """cli._pole_indices on the denominator row of the table's lattice."""
-    den = riccati.branch_table([rp], branch, grid.points())[1][0]
-    return cli._pole_indices(rp, branch, grid, den)
+    """cli._pole_indices of the one-row table's scanned_table zeros."""
+    _, zeros = riccati.scanned_table(
+        [rp], branch, grid.points(), *cli.pole_search_bounds(grid), cli.pole_window(grid))
+    return cli._pole_indices(grid, zeros)[0]
+
+
+def two_call_pole_indices(rp, branch, grid, den):
+    """The table flagging that scanned_table replaced, kept as its oracle: sign_scan over the table's denominator row den and the window
+    ends (one call), then the cuts at the cell edges (one more call)."""
+    pts = grid.points()
+    half = cli.pole_window(grid)
+
+    def near(x):
+        i = round((x - grid.start) / grid.step)
+        candidates = range(max(i - 1, 0), min(i + 2, grid.count))
+        return [j for j in candidates if abs(float(pts[j]) - x) <= half]
+
+    lo, hi = cli.pole_search_bounds(grid)
+    known = np.concatenate(([math.nan], den, [math.nan]))  # unknown at the window ends
+    brackets, den_at = riccati.sign_scan(rp, branch, np.concatenate(([lo], pts, [hi])), known, 1)
+    if not brackets:
+        return []
+    edges = np.sort(np.concatenate((pts - half, pts + half)))
+    cuts = [edges[np.searchsorted(edges, a, "right"):np.searchsorted(edges, b, "left")].tolist()
+            for a, b, _, _ in brackets]
+    cut_values = iter(den_at(np.concatenate(cuts)).tolist())
+    flags = []
+    for (a, b, f_a, f_b), cut in zip(brackets, cuts):
+        xs = [a, *cut, b]
+        fs = [f_a, *(next(cut_values) for _ in cut), f_b]
+        k = next(k for k, f in enumerate(fs) if f == 0.0 or f * fs[k + 1] < 0.0)
+        flags += near(xs[k] if fs[k] == 0.0 else 0.5 * (xs[k] + xs[k + 1]))
+    return flags
+
+
+def z_steps(rp, grid):
+    """The z = q x^r widths of the grid's cells."""
+    bm = riccati.map_params(rp)
+    return np.diff(bm.q_mag * np.power(grid.points(), bm.r))
+
+
+@st.composite
+def flagged_tables(draw):
+    """(parameter sets, Riccati parameter sets, branch, grid): one
+    oscillatory Riccati table, or a k = +1 figure surface of 2 to 5 rows,
+    on a grid whose every cell is wider, or narrower, than pi/8 in z."""
+    branch = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        a = draw(SIGNS) * draw(st.floats(0.5, 2.0))
+        params = [riccati.RiccatiParams(a, -math.copysign(draw(st.floats(0.5, 2.0)), a),
+                                        draw(DELTAS))]
+        rps = params
+    else:
+        c = draw(SIGNS) * draw(st.floats(0.5, 2.0))
+        deltas = GridSpec(0.5 * draw(DELTAS), 1.0, draw(st.integers(2, 5))).points().tolist()
+        params = [cosmo.CosmoParams(k=1, delta=d, c=c) for d in deltas]
+        rps = [cp.riccati_params() for cp in params]
+    start = draw(st.floats(0.3, 5.0))
+    width = draw(st.floats(2.0, 30.0))
+    # dz/dx = q r x^(r-1) grows with x (r >= 1): the first cells are the
+    # narrowest and the last the widest
+    bms = [riccati.map_params(rp) for rp in rps]
+    slope_lo = min(bm.q_mag * bm.r * start ** (bm.r - 1.0) for bm in bms)
+    slope_hi = max(bm.q_mag * bm.r * (start + width) ** (bm.r - 1.0) for bm in bms)
+    factor = draw(st.floats(1.2, 8.0))
+    if draw(st.booleans()):
+        cells = max(1, int(width * slope_lo / (factor * riccati._SCAN_STEP)))
+    else:
+        cells = int(factor * width * slope_hi / riccati._SCAN_STEP) + 1
+    return params, rps, branch, GridSpec(start, start + width, cells + 1)
+
+
+NARROW_TABLE = ([riccati.RiccatiParams(1.0, -1.0, 0.5)],) * 2 + (2, GridSpec(0.5, 30.0, 600))
+WIDE_FIGURE = [cosmo.CosmoParams(k=1, delta=d, c=1.0) for d in (0.5, 0.75, 1.0)]
+WIDE_FIGURE = (WIDE_FIGURE, [cp.riccati_params() for cp in WIDE_FIGURE], 1,
+               GridSpec(0.5, 30.0, 20))
+
+
+@given(case=flagged_tables())
+@example(case=NARROW_TABLE)
+@example(case=WIDE_FIGURE)
+@settings(max_examples=60, deadline=None)
+def test_fused_flags_match_two_call_oracle(case):
+    params, rps, branch, grid = case
+    steps = np.concatenate([z_steps(rp, grid) for rp in rps])
+    assert steps.min() > riccati._SCAN_STEP or steps.max() < riccati._SCAN_STEP
+    pts = grid.points()
+    _, zeros = riccati.scanned_table(
+        rps, branch, pts, *cli.pole_search_bounds(grid), cli.pole_window(grid))
+    flags = cli._pole_indices(grid, zeros)
+    rows = cli._table_rows(params, branch, grid)
+    value, den = riccati.branch_table(rps, branch, pts)
+    for rp, row_flags, row, v, d in zip(rps, flags, rows, value, den):
+        assert row_flags == two_call_pole_indices(rp, branch, grid, d)
+        pole = np.zeros(grid.count, dtype=bool)
+        pole[row_flags] = True
+        assert [r[2] for r in row] == pole.astype(int).tolist()
+        assert np.array([r[1] for r in row])[~pole].tobytes() == v[~pole].tobytes()
 
 
 @given(case=oscillatory_grids())
@@ -221,6 +317,27 @@ def test_closed_figure_flags_match_all_pairs_rule(
         got = {i for i, row in enumerate(r for r in rows if r[1] == d) if row[3]}
         rp = cosmo.CosmoParams(k=1, delta=d, c=c).riccati_params()
         assert got == old_pole_indices(rp, branch, eta_grid), d
+
+
+@given(case=flagged_tables(), every_other=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_cuts_no_estimate_foresaw_take_one_more_call(case, every_other):
+    # with none, or every other one, of the cell edges evaluated ahead, the
+    # other cuts come from the second call, and the flags stay the oracle's
+    params, rps, branch, grid = case
+    pts = grid.points()
+    ahead = riccati._cut_candidates
+
+    def fewer(*args):
+        cand = ahead(*args)
+        return cand[::2] if every_other else cand[:0]
+
+    with mock.patch.object(riccati, "_cut_candidates", fewer):
+        _, zeros = riccati.scanned_table(
+            rps, branch, pts, *cli.pole_search_bounds(grid), cli.pole_window(grid))
+    dens = riccati.branch_table(rps, branch, pts)[1]
+    assert cli._pole_indices(grid, zeros) == [
+        two_call_pole_indices(rp, branch, grid, d) for rp, d in zip(rps, dens)]
 
 
 def zero_grid(step, count, j, x_j):
@@ -287,23 +404,26 @@ def test_dense_table_evaluates_only_cuts_and_window_ends(monkeypatch, branch):
     rp = riccati.RiccatiParams(1.0, -1.0, 0.5)
     grid = GridSpec(0.5, 30.0, 600)
     pts = grid.points()
-    den = riccati.branch_table([rp], branch, pts)[1][0]
     bm = riccati.map_params(rp)
-    grid_z = set((bm.q_mag * sf.power(pts, bm.r)).tolist())
-    seen = []
-    bessel = sf.bessel
+    grid_z = (bm.q_mag * sf.power(pts, bm.r)).tolist()
+    calls = []
+    scaled = sf.bessel_scaled
 
     def counting(kind, nu, z):
-        seen.extend(np.atleast_1d(z).tolist())
-        return bessel(kind, nu, z)
+        if isinstance(z, np.ndarray):  # not the scalar calls a small array loops
+            calls.append(z.ravel().tolist())
+        return scaled(kind, nu, z)
 
-    monkeypatch.setattr(sf, "bessel", counting)
-    flags = cli._pole_indices(rp, branch, grid, den)
+    monkeypatch.setattr(sf, "bessel_scaled", counting)
+    flags = table_flags(rp, branch, grid)
     monkeypatch.undo()
     zeros = riccati.find_poles(rp, *cli.pole_search_bounds(grid), branch)
     assert len(zeros) >= 15
-    assert 2 <= len(seen) <= 2 * len(zeros) + 2
-    assert not grid_z & set(seen)
+    table, *late = calls
+    assert table[:2 * pts.size] == 2 * grid_z
+    extra = table[2 * pts.size:] + [z for call in late for z in call]
+    assert 2 <= len(extra) <= 2 * len(zeros) + 2
+    assert not set(grid_z) & set(extra)
     assert set(flags) == old_pole_indices(rp, branch, grid)
 
 

@@ -16,8 +16,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special as sp
 from scipy.optimize import brentq
 
-from fracriccati import cli, cosmo, odeverify, riccati
+from fracriccati import cli, cosmo, odeverify, riccati, specfun
 from fracriccati.errors import MaxStepsError, StepUnderflowError
+from fracriccati.grids import GridSpec
 from test_golden import TABLES as golden_tables
 
 
@@ -49,6 +50,23 @@ class TestGridParsing:
         rc, _, err = run(capsys, ["fracderiv", "--beta", "2.5", "--power", "1",
                                   "--grid", "1:2:4"])
         assert rc == 2 and "beta" in err
+
+
+    def test_grid_to_float_max_warns_nothing(self, capsys):
+        # linspace's k * step overflows at the last point, which is stop itself
+        argv = ["riccati", "eval", "--a", "-0.5", "--b", "-0.5", "--delta", "0.333",
+                "--branch", "2", "--grid", "0.05:1.7976931348623157e308:13"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, argv)
+            pts = GridSpec(0.05, 1.7976931348623157e308, 13).points()
+        assert rc == 2 and out == ""
+        assert err == ("error: --grid: x = 1.7976931348623157e+308 is too large: "
+                       "the Bessel argument q x^r overflows\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = np.linspace(0.05, 1.7976931348623157e308, 13)
+        assert pts.tobytes() == want.tobytes()
 
 
 class TestFracderiv:
@@ -135,6 +153,15 @@ class TestFracderiv:
                                     "--grid", "1e-300:3:3"])
         assert rc == 2 and out == ""
         assert err == "error: x = 1e-300 is too close to 0: x^2 underflows to 0\n"
+
+    def test_overflowing_integrand_prints_only_the_error_line(self, capsys):
+        # exp(1e5) overflows, and so do the quadrature's sums
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, ["fracderiv", "--beta", "1.0000001", "--builtin", "exp",
+                                        "--grid", "7:1e5:2"])
+        assert rc == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: numeric non-convergence: ")
 
     def test_poly_oracle(self, capsys):
         rc, out, _ = run(capsys, ["fracderiv", "--beta", "0.5",
@@ -389,8 +416,6 @@ class TestCosmoCommand:
         assert all(float(row[2]) > 0.0 for row in rows)
 
     def test_figure_accepts_second_axis_grid(self):
-        from fracriccati.grids import GridSpec
-
         rows = cli.figure_rows(-1, 1.0, GridSpec(0.1, 2.0, 8), GridSpec(0.3, 1.0, 4))
         assert len(rows) == 32
 
@@ -509,6 +534,21 @@ class TestPoleScanBudget:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith(f"error: {flag} too wide")
         assert "scan cells" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["riccati", "eval", "--a", "1", "--b", "-1", "--delta", "1", "--grid", "0.1:1e300:3"],
+        ["cosmo", "figure", "--k", "1", "--c", "1", "--grid", "0.1:1e300:3",
+         "--delta-grid", "0.98:1:3"],
+    ])
+    def test_over_budget_table_evaluates_nothing(self, capsys, monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("a Bessel function was evaluated")
+
+        monkeypatch.setattr(specfun, "bessel_scaled", fail)
+        monkeypatch.setattr(specfun, "bessel", fail)
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: --grid too wide") and "scan cells" in err
 
 
 class TestBesselArgumentUnderflow:
@@ -658,6 +698,26 @@ class TestGridBelowSearchFloor:
                                     "--grid", "1e-20:1e-19:3", "--delta-grid", "0.5:1:2"])
         assert rc == 0 and err == ""
         assert len(parse_table(out)[1]) == 6
+
+    def test_window_end_below_the_smallest_argument(self, capsys):
+        # the window's lower end 5e-324 has a Bessel argument whose half
+        # underflows; below z = 1.35 there is no zero, so the scan starts at
+        # the grid's first point and evaluates no such end
+        rc, out, err = run(capsys, ["riccati", "eval", "--a", "1e300", "--b", "-1e-300",
+                                    "--delta", "1", "--grid", "1e-323:3:3"])
+        assert rc == 0 and err == ""
+        _, rows = parse_table(out)
+        assert [(float(r[0]), r[2]) for r in rows] == [(1e-323, "0"), (1.5, "0"), (3.0, "1")]
+
+    def test_denominator_product_overflow_warns_nothing(self, capsys):
+        # Y_n(z) near z = 1e-323 is about -1e161: two neighbours' product
+        # overflows, and the sign scan still reads it as no sign change
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, ["riccati", "eval", "--a", "1e300", "--b", "-1e-300",
+                                        "--delta", "1", "--branch", "2", "--grid", "2e-323:5:7"])
+        assert rc == 0 and err == ""
+        assert [r[2] for r in parse_table(out)[1]] == ["0", "0", "1", "0", "0", "0", "1"]
 
 
 class TestOutputContract:
