@@ -189,7 +189,7 @@ def criterion_classical_limits():
 def criterion_figure_grids():
     """Figure surfaces are complete; the open one is finite and positive; the
     closed one's pole rows coincide with located poles at grid resolution."""
-    from .cli import figure_rows, pole_search_bounds, pole_window
+    from .cli import figure_rows
 
     eta_grid = GridSpec(0.1, 3.0, 60)
     delta_grid = GridSpec(0.1, 1.0, 10)
@@ -204,8 +204,7 @@ def criterion_figure_grids():
     rows_closed = figure_rows(1, 1.0, eta_grid, delta_grid, branch=1)
     if len(rows_closed) != 600:
         return False, f"closed surface has {len(rows_closed)} rows, expected 600"
-    half = pole_window(eta_grid)
-    z_lo, z_hi = pole_search_bounds(eta_grid)
+    z_lo, z_hi, half = riccati.pole_window(eta_grid.points())
     n_flagged = 0
     for d in delta_grid.points():
         d = float(d)

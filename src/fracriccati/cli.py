@@ -3,21 +3,21 @@ cosmology tables, figure-grid emission, and the acceptance selftest.
 
 Output tables are plain text: one '#' header line naming the columns, comma
 separators, 17-significant-digit decimals (bit-faithful round trip), newline
-endings.  Pole rows ('nan' in the value column and pole=1) come only from
-the sign changes of the table's own denominator row and scan nodes
-(riccati.scanned_table): a lattice point within half a grid step of a
-denominator zero is a pole row.
+endings.  Pole rows ('nan' in the value column and pole=1) are the mask that
+riccati.scanned_table returns with the values: a lattice point within half a
+grid step of a denominator zero is a pole row.
 Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
-coefficient product a*b, --x1 or --eta-ref, a pole-search span over the
-scan budget, or a point whose Bessel argument or fracderiv x^n underflows
-to 0 or whose Bessel argument overflows among them) or an unwritable --out,
-3 numeric non-convergence, overflow or a non-finite verification value,
-4 pole inside a verification/scale interval, 5 cosmology with c = 0.
+coefficient product a*b, --x1 or --eta-ref, a grid count too large to
+allocate, a pole-search span over the scan budget, or a point whose Bessel
+argument or fracderiv x^n underflows to 0 or whose Bessel argument
+overflows among them) or an unwritable --out, 3 numeric non-convergence,
+overflow or a non-finite verification value, 4 pole inside a
+verification/scale interval, 5 cosmology with c = 0.
 
 `riccati eval`, `cosmo hubble` and `cosmo figure` share one row builder,
-_table_rows, which evaluates parameter sets x grid points, with their pole
-scans, in one call of riccati.scanned_table or, for every curvature,
-cosmo.hubble.
+_table_rows, which takes the values and pole rows of parameter sets x grid
+points from one call of riccati.scanned_table or, for every curvature,
+cosmo.hubble, and only formats the rows.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from . import fracops as fo
 from .errors import (
     BranchZeroError,
     ConvergenceError,
+    GridSizeError,
     NonFiniteError,
     ScanBudgetError,
 )
@@ -116,57 +117,19 @@ def _err(msg: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# table rows: one builder (the acceptance suite shares the pole window)
+# table rows: one builder
 # ---------------------------------------------------------------------------
 
 
-def pole_window(grid: GridSpec) -> float:
-    """Half a grid step, widened by 1e-9 relative: a denominator zero flags
-    every lattice point within this distance (both neighbours when midway)."""
-    return 0.5 * grid.step * (1.0 + 1e-9)
-
-
-def pole_search_bounds(grid: GridSpec) -> tuple[float, float]:
-    """Zero-search window of the half-step flag rule, cut off below at min(1e-12, start/2)."""
-    half = pole_window(grid)
-    return max(grid.start - half, min(1e-12, 0.5 * grid.start)), grid.stop + half
-
-
-def _pole_indices(grid: GridSpec, zeros: list[list[float]]) -> list[list[int]]:
-    """Each row's lattice indices within half a step of one of its zeros.
-
-    zeros holds every row's denominator zeros as riccati.scanned_table
-    locates them.  A zero flags index i when |x_i - zero| <= half
-    (candidates: the indices next to round((zero - start) / step)).
-    """
-    pts = grid.points()
-    half = pole_window(grid)
-
-    def near(x: float) -> list[int]:
-        i = round((x - grid.start) / grid.step)
-        candidates = range(max(i - 1, 0), min(i + 2, grid.count))
-        return [j for j in candidates if abs(float(pts[j]) - x) <= half]
-
-    return [[j for x in row for j in near(x)] for row in zeros]
-
-
 def _table_rows(params: list, branch: int, grid: GridSpec) -> list[list[tuple]]:
-    """(x, value, pole) rows of each parameter set on the grid.  Every
-    table takes its values and each row's denominator zeros, scanned over
-    pole_search_bounds with cuts at the cell edges, from one call of
-    riccati.scanned_table, or of cosmo.hubble for CosmoParams of one k and
-    c; a row is a pole row within pole_window of a zero (_pole_indices),
-    and has value nan."""
+    """(x, value, pole) rows of each parameter set on the grid, values and
+    pole rows from one call of riccati.scanned_table, or of cosmo.hubble
+    for CosmoParams of one k and c."""
     xs = grid.points()
-    scan = (*pole_search_bounds(grid), pole_window(grid))
     if isinstance(params[0], cosmo.CosmoParams):
-        value, zeros = cosmo.hubble(params, branch, xs, scan)
+        value, pole = cosmo.hubble(params, branch, xs, scan=True)
     else:
-        value, zeros = riccati.scanned_table(params, branch, xs, *scan)
-    pole = np.zeros(value.shape, dtype=bool)
-    for row, indices in enumerate(_pole_indices(grid, zeros)):
-        pole[row, indices] = True
-    value[pole] = math.nan
+        value, pole = riccati.scanned_table(params, branch, xs)
     xs = xs.tolist()
     return [list(zip(xs, v, p)) for v, p in zip(value.tolist(), pole.astype(int).tolist())]
 
@@ -453,6 +416,10 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         _err(str(exc))
         return EXIT_NONCONVERGENT
+    except GridSizeError as exc:
+        flag = next(name for name, value in vars(args).items() if value is exc.grid)
+        _err(f"--{flag.replace('_', '-')}: {exc}")
+        return EXIT_FLAGS
     except ScanBudgetError as exc:
         _err(f"{_lattice_flags(args)} too wide: {exc}")
         return EXIT_FLAGS

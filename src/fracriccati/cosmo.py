@@ -5,8 +5,8 @@ fractional scheme turns into the modified equation with free term
 onto the Riccati branches with a = c, b = -k c; the flat case k = 0 is
 untouched by the scheme and keeps its classical solution H = 1/(c eta).
 CosmoParams carries (k, delta, c); c_of_gamma gives c = (3/2) gamma - 1
-from the adiabatic index gamma.  hubble evaluates H for every k,
-scale_factor the ratio R(eta)/R(eta_ref).
+from the adiabatic index gamma.  hubble evaluates H for every k, with a
+table's pole-row mask on request, scale_factor the ratio R(eta)/R(eta_ref).
 """
 
 from __future__ import annotations
@@ -64,13 +64,12 @@ class CosmoParams:
         return riccati.RiccatiParams(a=self.c, b=-self.k * self.c, delta=self.delta)
 
 
-def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray, scan=None):
+def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray, scan: bool = False):
     """Hubble parameter on the lattice cps x etas, shape (len(cps),
-    len(etas)), and each row's denominator zeros; the parameter sets share
-    one k and c.  With scan = (lo, hi, half) the zeros are those
-    riccati.scanned_table locates over the window [lo, hi] with cells of
-    half-width half (a table's pole scan), without it None; k = 0 has no
-    poles, and every row's list is empty.
+    len(etas)), and its pole rows; the parameter sets share one k and c.
+    With scan, etas is a table's uniform lattice and the pole rows are the
+    bool mask of riccati.scanned_table (H nan there); without it None.
+    k = 0 has no poles: its mask is all false.
 
     k = +-1 gives the Riccati branch of a = c, b = -k c (the 1/a prefactor
     cancels): branch 1 the first-kind ratio (J for k = 1, I for k = -1; the
@@ -82,9 +81,9 @@ def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray, scan=None):
     """
     if cps[0].k != 0:
         rps = [cp.riccati_params() for cp in cps]
-        if scan is None:
-            return riccati.branch_table(rps, branch, etas)[0], None
-        return riccati.scanned_table(rps, branch, etas, *scan)
+        if scan:
+            return riccati.scanned_table(rps, branch, etas)
+        return riccati.branch_table(rps, branch, etas)[0], None
     if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
     if not np.all(etas > 0.0):
@@ -99,7 +98,7 @@ def hubble(cps: list[CosmoParams], branch: int, etas: np.ndarray, scan=None):
     bad = etas[np.isinf(h)]
     if bad.size:
         raise OverflowError(f"H = 1/(c eta) at eta = {float(bad[0])!r} leaves the float range")
-    return np.tile(h, (len(cps), 1)), [[] for _ in cps]
+    return np.tile(h, (len(cps), 1)), (np.zeros((len(cps), h.size), bool) if scan else None)
 
 
 def scale_factor(

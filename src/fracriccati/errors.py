@@ -29,5 +29,13 @@ class ScanBudgetError(ValueError):
     """A pole search span needs more sign-scan cells than the fixed budget."""
 
 
+class GridSizeError(ValueError):
+    """A grid has more points than can be allocated."""
+
+    def __init__(self, grid):
+        super().__init__(f"{grid.count} points do not fit in memory")
+        self.grid = grid
+
+
 class NonFiniteError(ArithmeticError):
     """A verification value (closed form, deviation or residual) is inf or nan."""

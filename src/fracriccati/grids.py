@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridSizeError
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -30,8 +32,7 @@ class GridSpec:
         # linspace's k * step may overflow at the last point of a grid that
         # ends near the float maximum; that point is set to stop itself
         with np.errstate(over="ignore"):
-            return np.linspace(self.start, self.stop, self.count)
-
-    @property
-    def step(self) -> float:
-        return (self.stop - self.start) / (self.count - 1)
+            try:
+                return np.linspace(self.start, self.stop, self.count)
+            except MemoryError:
+                raise GridSizeError(self) from None

@@ -16,7 +16,9 @@ question is one sign-scan rule (_scan_nodes places the nodes, _brackets
 reads the sign changes).  riccati verify and cosmo.scale_factor pass
 sign_scan the denominator values their own lattice already holds; a table
 takes its values, its scan and the cuts of its brackets in the node gaps
-of estimated zeros from one Bessel call (scanned_table).  find_poles, for
+of estimated zeros from one Bessel call (scanned_table), which also owns
+the half-step pole-row rule: the window of pole_window, and the mask of the
+lattice points within half a step of a zero.  find_poles, for
 callers that need the zero positions, locates each bracket's zero with a
 few Illinois regula-falsi calls of specfun's scalar kernels and replays the
 1e-12 bisection from it: only midpoints within _REPLAY_MARGIN of the located
@@ -42,6 +44,7 @@ __all__ = [
     "BesselMap",
     "map_params",
     "branch_table",
+    "pole_window",
     "scanned_table",
     "y_branch_table",
     "residual",
@@ -220,17 +223,29 @@ def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     return _quotient(rps, factor, num, den), den
 
 
-def scanned_table(
-    rps: list[RiccatiParams], branch: int, xs: np.ndarray, lo: float, hi: float, half: float
-):
-    """branch_table's values on rps x xs, and each row's denominator zeros
-    as located for the grid's pole flags.  Returns (value, zeros): zeros
-    one list per row, one x for each sign_scan bracket of the denominator
-    over the nodes lo, xs, hi (min_steps 1), in ascending order.  Each
-    bracket is cut at the cell edges x_j +- half inside it, and its x is
-    the exact zero or the midpoint of the piece holding the sign change,
-    so it lies within half of every lattice point that the zero does.  In
-    the modified regime no row has a zero.
+def pole_window(xs: np.ndarray) -> tuple[float, float, float]:
+    """(lo, hi, half) of the pole-row rule on the uniform lattice xs: a
+    denominator zero flags every point within half, half a step widened by
+    1e-9 relative (both neighbours when midway), and the zeros are sought
+    in [lo, hi], half beyond either end but not below min(1e-12, xs[0]/2)."""
+    start, stop = float(xs[0]), float(xs[-1])
+    half = 0.5 * _step(xs) * (1.0 + 1e-9)
+    return max(start - half, min(1e-12, 0.5 * start)), stop + half, half
+
+
+def _step(xs: np.ndarray) -> float:
+    return (float(xs[-1]) - float(xs[0])) / (xs.size - 1)
+
+
+def scanned_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
+    """branch_table's values on rps x xs, a uniform lattice, and its pole
+    rows: returns (value, pole), pole a bool mask true within pole_window's
+    half of a zero of the row's denominator, and value nan there.  Each
+    sign_scan bracket over the nodes lo, xs, hi (min_steps 1) is cut at the
+    cell edges x_j +- half inside it and reduced to the exact zero or the
+    midpoint x of the piece holding the sign change, which lies within half
+    of every point the zero does: the points next to round((x - xs[0]) /
+    step) within half of x are flagged.  The modified regime has no zeros.
 
     The lattice checks run first, then every row's node placement with its
     end and budget checks, so a window over _MAX_SCAN_CELLS cells raises
@@ -244,9 +259,11 @@ def scanned_table(
     that no zero lies below xs[0].
     """
     if map_params(rps[0]).regime != OSCILLATORY:  # or degenerate, which branch_table refuses
-        return branch_table(rps, branch, xs)[0], [[] for _ in rps]
+        value = branch_table(rps, branch, xs)[0]
+        return value, np.zeros(value.shape, dtype=bool)
     xs = np.asarray(xs, dtype=float)
     bms, kind, sign, q, r, n, z = _checked_lattice(rps, branch, xs)
+    lo, hi, half = pole_window(xs)
     edges = np.sort(np.concatenate((xs - half, xs + half)))
     cells = edges.tolist()
     scans = []  # (nodes, positions of xs among them, mask of the others, cut candidates)
@@ -277,12 +294,20 @@ def scanned_table(
                                      for bm, m in zip(bms, missing)])
         for (_, _, known), m, f in zip(rows, missing, late):
             known.update(zip(m.tolist(), f.tolist()))
-    zeros = [
-        [_sign_change([a, *cut, b], [f_a, *(known[c] for c in cut), f_b])
-         for (a, b, f_a, f_b), cut in zip(brackets, cuts)]
-        for brackets, cuts, known in rows
-    ]
-    return _quotient(rps, _factor(sign, q, r, xs), num, den), zeros
+    pts, start, step = xs.tolist(), float(xs[0]), _step(xs)
+    pole = np.zeros(z.shape, dtype=bool)
+    for row, (brackets, cuts, known) in enumerate(rows):
+        for (a, b, f_a, f_b), cut in zip(brackets, cuts):
+            xk, fk = [a, *cut, b], [f_a, *(known[c] for c in cut), f_b]
+            k = next(k for k, f in enumerate(fk) if f == 0.0 or f * fk[k + 1] < 0.0)
+            x = xk[k] if fk[k] == 0.0 else 0.5 * (xk[k] + xk[k + 1])
+            i = round((x - start) / step)
+            for j in range(max(i - 1, 0), min(i + 2, len(pts))):
+                if abs(pts[j] - x) <= half:
+                    pole[row, j] = True
+    value = _quotient(rps, _factor(sign, q, r, xs), num, den)
+    value[pole] = math.nan
+    return value, pole
 
 
 def _cut_candidates(bm: BesselMap, kind: str, nodes: np.ndarray, edges: np.ndarray):
@@ -304,13 +329,6 @@ def _cut_candidates(bm: BesselMap, kind: str, nodes: np.ndarray, edges: np.ndarr
     first = np.searchsorted(edges, nodes[gap - 1], "right").tolist()
     last = np.searchsorted(edges, nodes[gap], "left").tolist()
     return np.concatenate([edges[:0]] + [edges[a:b] for a, b in zip(first, last)])
-
-
-def _sign_change(xs: list, fs: list) -> float:
-    """The x of the first exact zero among the values fs at xs, or else the
-    midpoint of the first piece whose ends' values change sign."""
-    k = next(k for k, f in enumerate(fs) if f == 0.0 or f * fs[k + 1] < 0.0)
-    return xs[k] if fs[k] == 0.0 else 0.5 * (xs[k] + xs[k + 1])
 
 
 def y_branch_table(

@@ -1,9 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance, one test each,
-plus the selftest-command behaviours (exit status, determinism, sensitivity
-to a perturbed gamma)."""
+plus the selftest-command behaviours (exit status, determinism, the golden
+stdout in tests/golden/selftest.txt, sensitivity to a perturbed gamma)."""
 
 import contextlib
 import io
+import pathlib
 
 import pytest
 
@@ -41,6 +42,11 @@ def test_selftest_deterministic_output(selftest_runs):
     (rc_a, out_a), (rc_b, out_b) = selftest_runs
     assert rc_a == rc_b == 0
     assert out_a == out_b
+
+
+def test_selftest_matches_golden(selftest_runs):
+    golden = pathlib.Path(__file__).resolve().parent / "golden" / "selftest.txt"
+    assert selftest_runs[0][1] == golden.read_text()
 
 
 def test_perturbed_gamma_is_caught(monkeypatch):

@@ -1,11 +1,12 @@
 """The array path returns the bits of the scalar kernels.
 
 specfun.bessel with ndarray arguments must equal a scalar call per element
-exactly, and the CLI's bracket-based grid pole flags must equal the old rule
-that compares every located zero with every grid point and, list for list,
-the per-row flagging that scanned_table's fused calls replaced.  The spline
-and the product-trapezoid mesh are held to their earlier point-by-point and
-two-pow forms, kept here as oracles.
+exactly, and scanned_table's bracket-based pole masks must equal the old
+rule that compares every located zero with every grid point and, row for
+row, the per-row flagging that its fused calls replaced.  riccati.pole_window
+is held to the window the CLI once took from the GridSpec, and the spline
+and the product-trapezoid mesh to their earlier point-by-point and two-pow
+forms, all kept here as oracles.
 """
 
 import math
@@ -166,11 +167,45 @@ def test_k_quadrature_stacked_orders_match_scalar_bits(array_min_size, scaled, n
     assert got.tobytes() == np.array(want).tobytes()
 
 
+def grid_step(grid):
+    """The step of the GridSpec's ends and count."""
+    return (grid.stop - grid.start) / (grid.count - 1)
+
+
+def grid_pole_window(grid):
+    """Half a grid step widened by 1e-9 relative, from the GridSpec: the
+    window riccati.pole_window derives from the lattice, kept as its oracle."""
+    return 0.5 * grid_step(grid) * (1.0 + 1e-9)
+
+
+def grid_pole_search_bounds(grid):
+    """The zero-search window of the half-step rule from the GridSpec, cut
+    off below at min(1e-12, start/2), kept as riccati.pole_window's oracle."""
+    half = grid_pole_window(grid)
+    return max(grid.start - half, min(1e-12, 0.5 * grid.start)), grid.stop + half
+
+
+POSITIVE = st.floats(5e-324, 1.7976931348623157e308) | st.sampled_from(
+    [5e-324, 1e-323, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308])
+
+
+@given(ends=st.lists(POSITIVE, min_size=2, max_size=2, unique=True), count=st.integers(2, 40))
+@example(ends=[5e-324, 1e-322], count=3)  # a subnormal step
+@example(ends=[5e-324, 1e-323], count=40)  # a step that underflows to 0
+@example(ends=[5e-324, 1.7976931348623157e308], count=2)
+@example(ends=[1e-300, 1.7976931348623157e308], count=40)
+@settings(max_examples=200, deadline=None)
+def test_pole_window_matches_grid_oracle(ends, count):
+    grid = GridSpec(*sorted(ends), count)
+    want = (*grid_pole_search_bounds(grid), grid_pole_window(grid))
+    assert [v.hex() for v in riccati.pole_window(grid.points())] == [v.hex() for v in want]
+
+
 def old_pole_indices(rp, branch, grid):
     """The rule the bracket flagging replaced: every located zero against
     every grid point."""
-    lo, hi = cli.pole_search_bounds(grid)
-    half = 0.5 * grid.step * (1.0 + 1e-9)
+    lo, hi, _ = riccati.pole_window(grid.points())
+    half = 0.5 * grid_step(grid) * (1.0 + 1e-9)
     return {
         i
         for zero in riccati.find_poles(rp, lo, hi, branch)
@@ -190,24 +225,28 @@ def oscillatory_grids(draw):
 
 
 def table_flags(rp, branch, grid):
-    """cli._pole_indices of the one-row table's scanned_table zeros."""
-    _, zeros = riccati.scanned_table(
-        [rp], branch, grid.points(), *cli.pole_search_bounds(grid), cli.pole_window(grid))
-    return cli._pole_indices(grid, zeros)[0]
+    """The pole-row indices of the one-row table's scanned_table mask."""
+    return np.flatnonzero(riccati.scanned_table([rp], branch, grid.points())[1][0]).tolist()
+
+
+def pole_mask(indices, count):
+    """The bool mask of count points true at the given indices."""
+    mask = np.zeros(count, dtype=bool)
+    mask[indices] = True
+    return mask
 
 
 def two_call_pole_indices(rp, branch, grid, den):
     """The table flagging that scanned_table replaced, kept as its oracle: sign_scan over the table's denominator row den and the window
     ends (one call), then the cuts at the cell edges (one more call)."""
     pts = grid.points()
-    half = cli.pole_window(grid)
+    lo, hi, half = riccati.pole_window(pts)
 
     def near(x):
-        i = round((x - grid.start) / grid.step)
+        i = round((x - grid.start) / grid_step(grid))
         candidates = range(max(i - 1, 0), min(i + 2, grid.count))
         return [j for j in candidates if abs(float(pts[j]) - x) <= half]
 
-    lo, hi = cli.pole_search_bounds(grid)
     known = np.concatenate(([math.nan], den, [math.nan]))  # unknown at the window ends
     brackets, den_at = riccati.sign_scan(rp, branch, np.concatenate(([lo], pts, [hi])), known, 1)
     if not brackets:
@@ -277,15 +316,14 @@ def test_fused_flags_match_two_call_oracle(case):
     steps = np.concatenate([z_steps(rp, grid) for rp in rps])
     assert steps.min() > riccati._SCAN_STEP or steps.max() < riccati._SCAN_STEP
     pts = grid.points()
-    _, zeros = riccati.scanned_table(
-        rps, branch, pts, *cli.pole_search_bounds(grid), cli.pole_window(grid))
-    flags = cli._pole_indices(grid, zeros)
+    scanned, poles = riccati.scanned_table(rps, branch, pts)
     rows = cli._table_rows(params, branch, grid)
     value, den = riccati.branch_table(rps, branch, pts)
-    for rp, row_flags, row, v, d in zip(rps, flags, rows, value, den):
-        assert row_flags == two_call_pole_indices(rp, branch, grid, d)
-        pole = np.zeros(grid.count, dtype=bool)
-        pole[row_flags] = True
+    for rp, row_pole, row_value, row, v, d in zip(rps, poles, scanned, rows, value, den):
+        pole = pole_mask(two_call_pole_indices(rp, branch, grid, d), grid.count)
+        assert row_pole.tolist() == pole.tolist()
+        assert np.isnan(row_value[pole]).all()
+        assert row_value[~pole].tobytes() == v[~pole].tobytes()
         assert [r[2] for r in row] == pole.astype(int).tolist()
         assert np.array([r[1] for r in row])[~pole].tobytes() == v[~pole].tobytes()
 
@@ -333,11 +371,11 @@ def test_cuts_no_estimate_foresaw_take_one_more_call(case, every_other):
         return cand[::2] if every_other else cand[:0]
 
     with mock.patch.object(riccati, "_cut_candidates", fewer):
-        _, zeros = riccati.scanned_table(
-            rps, branch, pts, *cli.pole_search_bounds(grid), cli.pole_window(grid))
+        poles = riccati.scanned_table(rps, branch, pts)[1]
     dens = riccati.branch_table(rps, branch, pts)[1]
-    assert cli._pole_indices(grid, zeros) == [
-        two_call_pole_indices(rp, branch, grid, d) for rp, d in zip(rps, dens)]
+    assert poles.tolist() == [
+        pole_mask(two_call_pole_indices(rp, branch, grid, d), grid.count).tolist()
+        for rp, d in zip(rps, dens)]
 
 
 def zero_grid(step, count, j, x_j):
@@ -391,10 +429,10 @@ def test_one_wide_gap_brackets_every_zero_in_it(branch):
     # can bracket them, and each zero flags the nearer end
     rp = riccati.RiccatiParams(1.0, -1.0, 0.5)
     grid = GridSpec(1.0, 30.0, 2)
-    zeros = riccati.find_poles(rp, *cli.pole_search_bounds(grid), branch)
+    zeros = riccati.find_poles(rp, *riccati.pole_window(grid.points())[:2], branch)
     flags = table_flags(rp, branch, grid)
     assert len(zeros) > 10
-    assert flags == [0 if z < 15.5 else 1 for z in zeros]
+    assert flags == sorted({0 if z < 15.5 else 1 for z in zeros}) == [0, 1]
 
 
 @pytest.mark.parametrize("branch", [1, 2])
@@ -417,7 +455,7 @@ def test_dense_table_evaluates_only_cuts_and_window_ends(monkeypatch, branch):
     monkeypatch.setattr(sf, "bessel_scaled", counting)
     flags = table_flags(rp, branch, grid)
     monkeypatch.undo()
-    zeros = riccati.find_poles(rp, *cli.pole_search_bounds(grid), branch)
+    zeros = riccati.find_poles(rp, *riccati.pole_window(grid.points())[:2], branch)
     assert len(zeros) >= 15
     table, *late = calls
     assert table[:2 * pts.size] == 2 * grid_z

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special as sp
 from scipy.optimize import brentq
 
@@ -847,7 +847,8 @@ class TestNoPoleNearZero:
 
 class TestPoleRowsAtBesselZeros:
     """The pole column of riccati eval is the set of grid indices within
-    pole_window of a zero of B_n(q x^r), with the zeros taken from scipy."""
+    riccati.pole_window's half of a zero of B_n(q x^r), with the zeros
+    taken from scipy."""
 
     @staticmethod
     def scipy_zeros(f, n, z_lo, z_hi):
@@ -883,7 +884,7 @@ class TestPoleRowsAtBesselZeros:
         start = start_frac * stop
         grid = cli._parse_grid(f"{start!r}:{stop!r}:{count}")
         xs = grid.points().tolist()
-        half = cli.pole_window(grid)
+        half = riccati.pole_window(grid.points())[2]
         f = sp.jv if branch == 1 else sp.yv
         zeros = [(z / q) ** (1.0 / r) for z in self.scipy_zeros(f, n, 1e-3, q * (stop + half) ** r)]
         assume(all(abs(abs(x - x0) - half) > 1e-9 * x0 for x0 in zeros for x in xs))
@@ -940,3 +941,125 @@ def test_readme_cli_commands_exit_0(monkeypatch, tmp_path):
         warnings.simplefilter("error")
         for argv in commands:
             assert cli.main(argv) == 0, argv
+
+
+class TestGridTooLargeToAllocate:
+    # numpy refuses a float array of 1e13 points without touching memory
+    @pytest.mark.parametrize("argv, flag", [
+        (["riccati", "eval", "--a", "1", "--b", "-1", "--delta", "1",
+          "--grid", "1:2:10000000000000"], "--grid"),
+        (["fracderiv", "--beta", "0.5", "--power", "1", "--grid", "1:2:10000000000000"],
+         "--grid"),
+        (["cosmo", "figure", "--k", "1", "--c", "1", "--grid", "1:2:3",
+          "--delta-grid", "0.5:1:10000000000000"], "--delta-grid"),
+        (["cosmo", "scale", "--k", "0", "--c", "1", "--grid", "1:2:100000000000000"],
+         "--grid"),
+    ])
+    def test_grid_count_too_large_is_a_flag_error(self, capsys, argv, flag):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag}: ")
+        assert "do not fit in memory" in err
+
+
+# flag values of the argv fuzz: signed zeros, the float range's ends, a
+# non-number, non-finite values and ordinary magnitudes
+FUZZ_VALUES = [
+    "0", "-0", "5e-324", "1e-300", "1e-15", "0.05", "0.1", "0.333", "0.5", "0.999999999",
+    "1", "1.0000001", "1.5", "2", "2.5", "3", "7", "12", "1e5", "1e300",
+    "1.7976931348623157e308", "-1e-300", "-0.5", "-1", "-2", "-7", "-1e5",
+    "-1.7976931348623157e308", "nan", "inf", "-inf", "x", "0.2", "0.75",
+]
+# half of the draws come from these, so that some argv pass every check
+FUZZ_ORDINARY = ["0.05", "0.1", "0.2", "0.333", "0.5", "0.75", "0.999999999", "1", "1.5",
+                 "2", "2.5", "3", "7", "12"]
+# verify integrates its whole span: its ends stay short or are refused early
+VERIFY_ENDS = ["0", "-1", "5e-324", "1e-300", "0.5", "1", "1.0000001", "2.5", "3", "nan",
+               "inf", "1e300", "1.7976931348623157e308"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    """An argv of fracderiv, riccati or cosmo with every flag drawn from
+    FUZZ_VALUES or FUZZ_ORDINARY, the Riccati coefficients of either sign
+    (grid counts up to 40, 3 for fracderiv, the ends mostly ascending); a
+    flag is left out now and then, so required ones go missing too."""
+    value = st.sampled_from(FUZZ_ORDINARY) | st.sampled_from(FUZZ_VALUES)
+
+    def signed():
+        v = draw(value)
+        return v if v.startswith("-") else draw(st.sampled_from(["", "-"])) + v
+
+    def grid(max_count):
+        ends = draw(st.lists(value, min_size=2, max_size=2, unique=draw(st.integers(0, 3)) > 0))
+        if draw(st.integers(0, 3)) and "x" not in ends:
+            ends.sort(key=float)
+        count = draw(st.integers(2, max_count) | st.integers(0, max_count))
+        return f"{ends[0]}:{ends[1]}:{count}"
+
+    def flags(*pairs):
+        return [t for name, v in pairs if draw(st.integers(0, 19)) > 0 for t in (name, v)]
+
+    command = draw(st.sampled_from(["fracderiv", "riccati", "cosmo"]))
+    if command == "fracderiv":
+        f = draw(st.sampled_from(["--power", "--builtin"]))
+        fv = draw(value) if f == "--power" else draw(st.sampled_from(
+            ["sin", "exp", f"poly:{draw(value)},{draw(value)}", "cos"]))
+        return [command] + flags(("--beta", draw(value)), (f, fv), ("--grid", grid(3)))
+    branch = ("--branch", draw(st.sampled_from(["1", "2", "1", "2", "0"])))
+    if command == "riccati":
+        action = draw(st.sampled_from(["eval", "poles", "verify"]))
+        ends = st.sampled_from(VERIFY_ENDS)
+        rest = [("--x0", draw(ends)), ("--x1", draw(ends))] if action == "verify" else [
+            ("--grid", grid(40))]
+        return [command, action] + flags(("--a", signed()), ("--b", signed()),
+                                         ("--delta", draw(value)), branch, *rest)
+    action = draw(st.sampled_from(["hubble", "scale", "figure"]))
+    rest = {"hubble": [], "scale": [("--eta-ref", draw(value))],
+            "figure": [("--delta-grid", grid(6))]}[action]
+    fluid = [(name, draw(value)) for name in draw(st.sampled_from(
+        [["--c"], ["--gamma"], ["--c"], ["--gamma"], ["--c", "--gamma"]]))]
+    return [command, action] + flags(
+        ("--k", draw(st.sampled_from(["-1", "0", "1", "1", "2"]))), *fluid,
+        ("--delta", draw(value)), branch, ("--grid", grid(40)), *rest)
+
+
+@given(argv=fuzz_argv())
+@example(argv="cosmo hubble --k -1 --gamma 0.1 --delta 1 --branch 2 --grid 5e-324:3:14".split())
+@example(argv="riccati verify --a 3 --b 0.1 --delta 0.999999999 --x0 5e-324 --x1 1.0000001"
+         .split())
+@example(argv="fracderiv --beta 1.0000001 --builtin poly:1,2 --grid 1e-300:3:3".split())
+@example(argv="riccati eval --a 5e-324 --b 7 --delta 0.333 --grid 0.05:3:3".split())
+@example(argv="fracderiv --beta 0 --builtin poly:1,2 --grid 3:1.7976931348623157e308:3"
+         .split())
+@example(argv="riccati eval --a -0.5 --b -0.5 --delta 0.333 --branch 2 "
+         "--grid 0.05:1.7976931348623157e308:13".split())
+@example(argv="riccati eval --a 1e-300 --b 1e5 --delta 1e-15 --grid 1e-15:2.5:24".split())
+@example(argv="fracderiv --beta 1.0000001 --builtin exp --grid 7:1e5:2".split())
+@example(argv="riccati eval --a 1 --b -1 --delta 1 --grid 1:2:10000000000000".split())
+@example(argv="fracderiv --beta 0.5 --power 1 --grid 1:2:10000000000000".split())
+@example(argv="cosmo figure --k 1 --c 1 --grid 1:2:3 --delta-grid 0.5:1:10000000000000"
+         .split())
+@settings(max_examples=300, deadline=None)
+def test_flag_contract_holds_for_any_argv(argv):
+    # exit 0, 2, 3, 4 or 5 with no exception or warning, one error line on
+    # a non-zero exit (argparse's usage lines may come first), and a table
+    # with no inf cell and nan only on its pole rows
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = cli.main(argv)
+    errors = [ln for ln in err.getvalue().splitlines() if "error:" in ln]
+    if rc != 0:
+        assert rc in (2, 3, 4, 5)
+        assert out.getvalue() == "" and len(errors) == 1
+        assert err.getvalue().splitlines()[-1] == errors[0]
+        return
+    assert err.getvalue() == ""
+    header, rows = parse_table(out.getvalue())
+    for row in rows:
+        cells = [float(c) for c in row]
+        assert not any(math.isinf(c) for c in cells), row
+        if any(math.isnan(c) for c in cells):
+            assert header[-1] == "pole" and row[-1] == "1", row

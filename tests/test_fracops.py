@@ -362,7 +362,6 @@ class TestRealFunction:
             GridSpec(0.0, 1.0, 1)
         g = GridSpec(0.0, 1.0, 5)
         assert g.points().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert g.step == 0.25
 
 
 class TestQuadratureSpecValidation:
