@@ -7,10 +7,10 @@ endings.  Pole rows ('nan' in the value column and pole=1) are the mask that
 riccati.scanned_table returns with the values: a lattice point within half a
 grid step of a denominator zero is a pole row.
 Exit codes: 0 ok, 2 flag errors (a non-finite grid end, coefficient,
-coefficient product a*b, --x1 or --eta-ref, a grid count too large to
-allocate, a pole-search span over the scan budget, or a point whose Bessel
-argument or fracderiv x^n underflows to 0 or whose Bessel argument
-overflows among them) or an unwritable --out, 3 numeric non-convergence,
+coefficient product a*b, --x1 or --eta-ref, a grid count or table too
+large to allocate, a pole-search span over the scan budget, or a point
+whose Bessel argument or fracderiv x^n underflows to 0 or whose Bessel
+argument overflows among them) or an unwritable --out, 3 numeric non-convergence,
 overflow or a non-finite verification value, 4 pole inside a
 verification/scale interval, 5 cosmology with c = 0.
 
@@ -396,8 +396,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _lattice_flags(args) -> str:
-    """The flags that set the evaluation lattice of a riccati or cosmo action."""
-    return {"verify": "--x0/--x1", "scale": "--grid/--eta-ref"}.get(args.action, "--grid")
+    """The flags that set the evaluation lattice of a command."""
+    return {"verify": "--x0/--x1", "scale": "--grid/--eta-ref"}.get(
+        getattr(args, "action", None), "--grid")
 
 
 def main(argv=None) -> int:
@@ -419,6 +420,11 @@ def main(argv=None) -> int:
     except GridSizeError as exc:
         flag = next(name for name, value in vars(args).items() if value is exc.grid)
         _err(f"--{flag.replace('_', '-')}: {exc}")
+        return EXIT_FLAGS
+    except MemoryError:  # a table of allocated grids, too large for what is left
+        figure = getattr(args, "action", None) == "figure"
+        _err(f"{'--grid/--delta-grid' if figure else _lattice_flags(args)}: "
+             "the table does not fit in memory")
         return EXIT_FLAGS
     except ScanBudgetError as exc:
         _err(f"{_lattice_flags(args)} too wide: {exc}")

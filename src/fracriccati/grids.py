@@ -34,5 +34,5 @@ class GridSpec:
         with np.errstate(over="ignore"):
             try:
                 return np.linspace(self.start, self.stop, self.count)
-            except MemoryError:
+            except (MemoryError, ValueError):  # a count past memory or the index range
                 raise GridSizeError(self) from None

@@ -228,13 +228,14 @@ def pole_window(xs: np.ndarray) -> tuple[float, float, float]:
     denominator zero flags every point within half, half a step widened by
     1e-9 relative (both neighbours when midway), and the zeros are sought
     in [lo, hi], half beyond either end but not below min(1e-12, xs[0]/2)."""
+    return _window(xs)[:3]
+
+
+def _window(xs: np.ndarray) -> tuple[float, float, float, float]:
     start, stop = float(xs[0]), float(xs[-1])
-    half = 0.5 * _step(xs) * (1.0 + 1e-9)
-    return max(start - half, min(1e-12, 0.5 * start)), stop + half, half
-
-
-def _step(xs: np.ndarray) -> float:
-    return (float(xs[-1]) - float(xs[0])) / (xs.size - 1)
+    step = (stop - start) / (xs.size - 1)
+    half = 0.5 * step * (1.0 + 1e-9)
+    return max(start - half, min(1e-12, 0.5 * start)), stop + half, half, step
 
 
 def scanned_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
@@ -263,7 +264,7 @@ def scanned_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
         return value, np.zeros(value.shape, dtype=bool)
     xs = np.asarray(xs, dtype=float)
     bms, kind, sign, q, r, n, z = _checked_lattice(rps, branch, xs)
-    lo, hi, half = pole_window(xs)
+    lo, hi, half, step = _window(xs)
     edges = np.sort(np.concatenate((xs - half, xs + half)))
     cells = edges.tolist()
     scans = []  # (nodes, positions of xs among them, mask of the others, cut candidates)
@@ -294,7 +295,7 @@ def scanned_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
                                      for bm, m in zip(bms, missing)])
         for (_, _, known), m, f in zip(rows, missing, late):
             known.update(zip(m.tolist(), f.tolist()))
-    pts, start, step = xs.tolist(), float(xs[0]), _step(xs)
+    pts, start = xs.tolist(), float(xs[0])
     pole = np.zeros(z.shape, dtype=bool)
     for row, (brackets, cuts, known) in enumerate(rows):
         for (a, b, f_a, f_b), cut in zip(brackets, cuts):

@@ -424,15 +424,27 @@ def test_zero_near_a_cell_edge(branch, step, edge, side, want):
 
 
 @pytest.mark.parametrize("branch", [1, 2])
-def test_one_wide_gap_brackets_every_zero_in_it(branch):
+def test_one_wide_gap_brackets_every_zero_in_it(monkeypatch, branch):
     # a single grid gap spans many zeros: only the nodes the scan adds in it
-    # can bracket them, and each zero flags the nearer end
+    # can bracket them, one bracket for each zero, and the zeros flag both ends
     rp = riccati.RiccatiParams(1.0, -1.0, 0.5)
     grid = GridSpec(1.0, 30.0, 2)
     zeros = riccati.find_poles(rp, *riccati.pole_window(grid.points())[:2], branch)
+    brackets = []
+    scan = riccati._brackets
+
+    def recording(nodes, values):
+        found = scan(nodes, values)
+        brackets.extend(found)
+        return found
+
+    monkeypatch.setattr(riccati, "_brackets", recording)
     flags = table_flags(rp, branch, grid)
+    monkeypatch.undo()
     assert len(zeros) > 10
-    assert flags == sorted({0 if z < 15.5 else 1 for z in zeros}) == [0, 1]
+    assert len(brackets) == len(zeros)
+    assert all(a <= z <= b for (a, b, _, _), z in zip(brackets, zeros))
+    assert flags == [0, 1]
 
 
 @pytest.mark.parametrize("branch", [1, 2])

@@ -944,15 +944,21 @@ def test_readme_cli_commands_exit_0(monkeypatch, tmp_path):
 
 
 class TestGridTooLargeToAllocate:
-    # numpy refuses a float array of 1e13 points without touching memory
+    # 1e17 float points take 711 PiB, past any user address space, so numpy
+    # refuses them without touching memory; past 1.15e18 points numpy
+    # refuses the byte size before asking for it
     @pytest.mark.parametrize("argv, flag", [
         (["riccati", "eval", "--a", "1", "--b", "-1", "--delta", "1",
-          "--grid", "1:2:10000000000000"], "--grid"),
-        (["fracderiv", "--beta", "0.5", "--power", "1", "--grid", "1:2:10000000000000"],
+          "--grid", "1:2:100000000000000000"], "--grid"),
+        (["fracderiv", "--beta", "0.5", "--power", "1", "--grid", "1:2:100000000000000000"],
          "--grid"),
         (["cosmo", "figure", "--k", "1", "--c", "1", "--grid", "1:2:3",
-          "--delta-grid", "0.5:1:10000000000000"], "--delta-grid"),
-        (["cosmo", "scale", "--k", "0", "--c", "1", "--grid", "1:2:100000000000000"],
+          "--delta-grid", "0.5:1:100000000000000000"], "--delta-grid"),
+        (["cosmo", "scale", "--k", "0", "--c", "1", "--grid", "1:2:100000000000000000"],
+         "--grid"),
+        (["riccati", "eval", "--a", "1", "--b", "-1", "--delta", "1",
+          "--grid", "1:2:10000000000000000000"], "--grid"),
+        (["fracderiv", "--beta", "0.5", "--power", "1", "--grid", "1:2:10000000000000000000"],
          "--grid"),
     ])
     def test_grid_count_too_large_is_a_flag_error(self, capsys, argv, flag):
@@ -960,6 +966,25 @@ class TestGridTooLargeToAllocate:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith(f"error: {flag}: ")
         assert "do not fit in memory" in err
+
+    # a table whose grids were allocated may still run out of memory later:
+    # the step that would raise is stubbed, so nothing large is allocated
+    @pytest.mark.parametrize("argv, target, flag", [
+        (["riccati", "eval", "--a", "1", "--b", "-1", "--delta", "1", "--grid", "1:2:3"],
+         (riccati, "scanned_table"), "--grid"),
+        (["fracderiv", "--beta", "0.5", "--power", "1", "--grid", "1:2:3"],
+         (cli.fo, "rl_derivative"), "--grid"),
+        (["cosmo", "figure", "--k", "1", "--c", "1", "--grid", "1:2:3",
+          "--delta-grid", "0.5:1:3"], (cli, "figure_rows"), "--grid/--delta-grid"),
+    ])
+    def test_table_out_of_memory_is_a_flag_error(self, capsys, monkeypatch, argv, target, flag):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(*target, out_of_memory)
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err == f"error: {flag}: the table does not fit in memory\n"
 
 
 # flag values of the argv fuzz: signed zeros, the float range's ends, a
@@ -1036,9 +1061,9 @@ def fuzz_argv(draw):
          "--grid 0.05:1.7976931348623157e308:13".split())
 @example(argv="riccati eval --a 1e-300 --b 1e5 --delta 1e-15 --grid 1e-15:2.5:24".split())
 @example(argv="fracderiv --beta 1.0000001 --builtin exp --grid 7:1e5:2".split())
-@example(argv="riccati eval --a 1 --b -1 --delta 1 --grid 1:2:10000000000000".split())
-@example(argv="fracderiv --beta 0.5 --power 1 --grid 1:2:10000000000000".split())
-@example(argv="cosmo figure --k 1 --c 1 --grid 1:2:3 --delta-grid 0.5:1:10000000000000"
+@example(argv="riccati eval --a 1 --b -1 --delta 1 --grid 1:2:100000000000000000".split())
+@example(argv="fracderiv --beta 0.5 --power 1 --grid 1:2:100000000000000000".split())
+@example(argv="cosmo figure --k 1 --c 1 --grid 1:2:3 --delta-grid 0.5:1:100000000000000000"
          .split())
 @settings(max_examples=300, deadline=None)
 def test_flag_contract_holds_for_any_argv(argv):
