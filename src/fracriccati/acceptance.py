@@ -189,28 +189,30 @@ def criterion_classical_limits():
 def criterion_figure_grids():
     """Figure surfaces are complete; the open one is finite and positive; the
     closed one's pole rows coincide with located poles at grid resolution."""
-    from .cli import figure_rows
+    etas = GridSpec(0.1, 3.0, 60).points()
+    deltas = GridSpec(0.1, 1.0, 10).points().tolist()
 
-    eta_grid = GridSpec(0.1, 3.0, 60)
-    delta_grid = GridSpec(0.1, 1.0, 10)
-    rows_open = figure_rows(-1, 1.0, eta_grid, delta_grid, branch=1)
-    if len(rows_open) != 600:
-        return False, f"open surface has {len(rows_open)} rows, expected 600"
-    if any(r[3] for r in rows_open):
+    def surface(k):
+        cps = [cosmo.CosmoParams(k=k, delta=d, c=1.0) for d in deltas]
+        return cosmo.hubble(cps, 1, etas, scan=True)
+
+    h_open, pole_open = surface(-1)
+    if h_open.size != 600:
+        return False, f"open surface has {h_open.size} rows, expected 600"
+    if pole_open.any():
         return False, "open surface contains pole rows"
-    if not all(math.isfinite(r[2]) and r[2] > 0.0 for r in rows_open):
+    if not (np.isfinite(h_open) & (h_open > 0.0)).all():
         return False, "open surface not everywhere finite and positive"
 
-    rows_closed = figure_rows(1, 1.0, eta_grid, delta_grid, branch=1)
-    if len(rows_closed) != 600:
-        return False, f"closed surface has {len(rows_closed)} rows, expected 600"
-    z_lo, z_hi, half = riccati.pole_window(eta_grid.points())
+    pole_closed = surface(1)[1]
+    if pole_closed.size != 600:
+        return False, f"closed surface has {pole_closed.size} rows, expected 600"
+    z_lo, z_hi, half = riccati.pole_window(etas)
     n_flagged = 0
-    for d in delta_grid.points():
-        d = float(d)
+    for d, pole in zip(deltas, pole_closed):
         rp = riccati.RiccatiParams(1.0, -1.0, d)
         zeros = riccati.find_poles(rp, z_lo, z_hi, 1)
-        flagged = [r[0] for r in rows_closed if r[1] == d and r[3]]
+        flagged = etas[pole].tolist()
         n_flagged += len(flagged)
         for eta in flagged:
             if not zeros or min(abs(eta - z) for z in zeros) > half:

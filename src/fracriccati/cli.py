@@ -14,10 +14,11 @@ argument overflows among them) or an unwritable --out, 3 numeric non-convergence
 overflow or a non-finite verification value, 4 pole inside a
 verification/scale interval, 5 cosmology with c = 0.
 
-`riccati eval`, `cosmo hubble` and `cosmo figure` share one row builder,
-_table_rows, which takes the values and pole rows of parameter sets x grid
-points from one call of riccati.scanned_table or, for every curvature,
-cosmo.hubble, and only formats the rows.
+Every command hands _emit the columns its library calls return, and _emit
+alone forms the rows: `riccati eval` and `cosmo hubble` pass the grid and
+the value row and pole mask of one riccati.scanned_table or cosmo.hubble
+call, and `cosmo figure` the flattened (eta, delta) surface of one
+cosmo.hubble call over its delta axis.
 """
 
 from __future__ import annotations
@@ -85,16 +86,18 @@ class _Parser(argparse.ArgumentParser):
         return text[:1] == "-" and text[1:2] not in "+-"
 
 
-def _emit(out_path: str | None, header: list[str], rows) -> int:
-    """Write the table; exit code EXIT_FLAGS if --out cannot be written.
+def _emit(out_path: str | None, header: list[str], *columns) -> int:
+    """Write the table of the equal-length columns (1-D arrays or lists),
+    one per header name; exit code EXIT_FLAGS if --out cannot be written.
 
     Every row goes through one '%.17g' template, which prints the integer
-    columns (pole flag, branch) as plain integers.  A value of +-inf raises
-    OverflowError naming its row's x (or eta) before anything is written.
+    and bool columns (pole flag, branch) as plain integers.  A value of
+    +-inf raises OverflowError naming its row's x (or eta) before anything
+    is written.
     """
     fmt = ",".join(["%.17g"] * len(header))
     lines = ["# " + ",".join(header)]
-    lines.extend(fmt % row for row in rows)
+    lines.extend(fmt % row for row in zip(*(np.asarray(c).tolist() for c in columns), strict=True))
     text = "\n".join(lines) + "\n"
     if "inf" in text:  # '%.17g' spells no finite float, nan or header with it
         row = next(ln for ln in lines if "inf" in ln).split(",")
@@ -114,36 +117,6 @@ def _emit(out_path: str | None, header: list[str], rows) -> int:
 
 def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
-# table rows: one builder
-# ---------------------------------------------------------------------------
-
-
-def _table_rows(params: list, branch: int, grid: GridSpec) -> list[list[tuple]]:
-    """(x, value, pole) rows of each parameter set on the grid, values and
-    pole rows from one call of riccati.scanned_table, or of cosmo.hubble
-    for CosmoParams of one k and c."""
-    xs = grid.points()
-    if isinstance(params[0], cosmo.CosmoParams):
-        value, pole = cosmo.hubble(params, branch, xs, scan=True)
-    else:
-        value, pole = riccati.scanned_table(params, branch, xs)
-    xs = xs.tolist()
-    return [list(zip(xs, v, p)) for v, p in zip(value.tolist(), pole.astype(int).tolist())]
-
-
-def figure_rows(k: int, c: float, eta_grid: GridSpec, delta_grid: GridSpec, branch: int = 1):
-    """(eta, delta, H, pole) rows, delta-major, covering the full lattice,
-    which is evaluated in one array pass."""
-    deltas = delta_grid.points().tolist()
-    cps = [cosmo.CosmoParams(k=k, delta=d, c=c) for d in deltas]
-    return [
-        (eta, d, h, p)
-        for d, rows in zip(deltas, _table_rows(cps, branch, eta_grid))
-        for eta, h, p in rows
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +178,7 @@ def _cmd_fracderiv(args) -> int:
     # fails to converge (exit 3) or is inf, which _emit refuses, with no
     # RuntimeWarning before the error line
     with np.errstate(all="ignore"):
-        for x in grid.points():
-            x = float(x)
+        for x in grid.points().tolist():
             numeric = fo.rl_derivative(f, args.beta, x)
             if oracle is not None:
                 want = oracle(x)
@@ -214,7 +186,7 @@ def _cmd_fracderiv(args) -> int:
             else:
                 rows.append((x, numeric))
     header = ["x", "numeric", "oracle", "abs_err"] if oracle else ["x", "numeric"]
-    return _emit(args.out, header, rows)
+    return _emit(args.out, header, *zip(*rows))
 
 
 def _cmd_riccati(args) -> int:
@@ -240,11 +212,13 @@ def _cmd_riccati(args) -> int:
         if args.grid.start <= 0.0:
             _err("evaluation grid must start above 0")
             return EXIT_FLAGS
-        return _emit(args.out, ["x", "u", "pole"], _table_rows([rp], args.branch, args.grid)[0])
+        xs = args.grid.points()
+        value, pole = riccati.scanned_table([rp], args.branch, xs)
+        return _emit(args.out, ["x", "u", "pole"], xs, value[0], pole[0])
 
     if args.action == "poles":
         poles = riccati.find_poles(rp, args.grid.start, args.grid.stop, args.branch)
-        return _emit(args.out, ["x_pole"], [(p,) for p in poles])
+        return _emit(args.out, ["x_pole"], poles)
 
     # verify
     if args.x0 is None or args.x1 is None:
@@ -281,7 +255,7 @@ def _cmd_riccati(args) -> int:
     return _emit(
         args.out,
         ["a", "b", "delta", "branch", "x0", "x1", "max_residual", "max_deviation"],
-        [(rp.a, rp.b, rp.delta, args.branch, args.x0, args.x1, max_res, max_dev)],
+        *([v] for v in (rp.a, rp.b, rp.delta, args.branch, args.x0, args.x1, max_res, max_dev)),
     )
 
 
@@ -311,7 +285,9 @@ def _cmd_cosmo(args) -> int:
         return EXIT_FLAGS
 
     if args.action == "hubble":
-        return _emit(args.out, ["eta", "H", "pole"], _table_rows([cp], args.branch, grid)[0])
+        etas = grid.points()
+        h, pole = cosmo.hubble([cp], args.branch, etas, scan=True)
+        return _emit(args.out, ["eta", "H", "pole"], etas, h[0], pole[0])
 
     if args.action == "scale":
         eta_ref = args.eta_ref if args.eta_ref is not None else grid.start
@@ -320,14 +296,18 @@ def _cmd_cosmo(args) -> int:
             return EXIT_FLAGS
         etas = grid.points()
         ratios = cosmo.scale_factor(cp, etas, eta_ref, args.branch)
-        return _emit(args.out, ["eta", "R_ratio"], list(zip(etas.tolist(), ratios.tolist())))
+        return _emit(args.out, ["eta", "R_ratio"], etas, ratios)
 
     # figure
     if not (0.0 < args.delta_grid.start and args.delta_grid.stop <= 1.0):
         _err("delta grid values must lie in (0, 1]")
         return EXIT_FLAGS
-    rows = figure_rows(args.k, c, grid, args.delta_grid, args.branch)
-    return _emit(args.out, ["eta", "delta", "H", "pole"], rows)
+    deltas = args.delta_grid.points()  # first: of two oversized grids, --delta-grid is named
+    etas = grid.points()
+    cps = [cosmo.CosmoParams(k=args.k, delta=d, c=c) for d in deltas.tolist()]
+    h, pole = cosmo.hubble(cps, args.branch, etas, scan=True)
+    return _emit(args.out, ["eta", "delta", "H", "pole"], np.tile(etas, deltas.size),
+                 np.repeat(deltas, etas.size), h.ravel(), pole.ravel())
 
 
 def _cmd_selftest(args) -> int:

@@ -289,7 +289,7 @@ def _product_trapezoid(
 
 
 def rl_integral(f, alpha: float, x: float, q: QuadratureSpec = QuadratureSpec()) -> float:
-    """Riemann-Liouville integral of order alpha > 0 at x > 0, lower limit 0.
+    """Riemann-Liouville integral of order alpha > 0 at a finite x > 0, lower limit 0.
 
     The first _product_trapezoid value, n doubled from ceil(q.n_base / 32),
     whose two extrapolated values agree to q.tol (scaled by 1 + |value|).
@@ -302,8 +302,8 @@ def rl_integral(f, alpha: float, x: float, q: QuadratureSpec = QuadratureSpec())
     x = float(x)
     if not alpha > 0.0:
         raise ValueError(f"integral order must be positive, got {alpha}")
-    if not x > 0.0:
-        raise ValueError(f"rl_integral requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"rl_integral requires a finite x > 0, got {x}")
     f = _as_real_function(f)
     n = -(-q.n_base // 32)
     budget = q.n_base * 2**q.max_doublings
@@ -354,7 +354,7 @@ def _richardson_d2(fv, h):
 
 
 def rl_derivative(f, beta: float, x: float, q: QuadratureSpec = QuadratureSpec()) -> float:
-    """Riemann-Liouville derivative of order beta in [0, 2) at x > 0.
+    """Riemann-Liouville derivative of order beta in [0, 2) at a finite x > 0.
 
     D^beta f = (d/dx)^n I^alpha f with n = ceil(beta), alpha = n - beta, and
     I^alpha commutes with the Euler operator x d/dx (substitute t = x tau;
@@ -372,8 +372,8 @@ def rl_derivative(f, beta: float, x: float, q: QuadratureSpec = QuadratureSpec()
     x = float(x)
     if not 0.0 <= beta < 2.0:
         raise ValueError(f"derivative order must lie in [0, 2), got {beta}")
-    if not x > 0.0:
-        raise ValueError(f"rl_derivative requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"rl_derivative requires a finite x > 0, got {x}")
     f = _as_real_function(f)
     n = math.ceil(beta)
     alpha = n - beta

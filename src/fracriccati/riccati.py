@@ -155,7 +155,9 @@ def _checked_lattice(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
         raise ValueError("branch_table needs parameter sets of one regime")
     kind, sign = _kind(bms[0], branch)
     q, r, n = np.array([(bm.q_mag, bm.r, bm.n) for bm in bms]).T[:, :, None]
-    with np.errstate(over="ignore"):
+    # an x^r that underflows to 0 times a q that overflowed (|ab| near the
+    # float maximum) is nan, which the underflow check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
             z = q * specfun.power(xs[None, :], r)
         except OverflowError:  # x^r itself leaves the float range
@@ -167,23 +169,8 @@ def _checked_lattice(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     return bms, kind, sign, q, r, n, z
 
 
-def _lattice(rps: list[RiccatiParams], branch: int, xs, orders=(-1.0, 0.0)):
-    """The one evaluation of the closed forms, on the lattice rps x xs.
-
-    Takes B_(n+k)(z) for each k of orders (by default B_(n-1) and B_n) of
-    the branch's Bessel kind on _checked_lattice's z from one
-    specfun.bessel_scaled call.  Returns (signed factor, s, e) with the
-    factor sign q r x^(r-1) of y'/y and B = s exp(e), stacked over orders.
-    The parameter sets must share one regime (a figure surface varies delta
-    only).
-    """
-    xs = np.asarray(xs, dtype=float)
-    _, kind, sign, q, r, n, z = _checked_lattice(rps, branch, xs)
-    s, e = specfun.bessel_scaled(kind, np.stack([n + k for k in orders]), z)
-    return _factor(sign, q, r, xs), s, e
-
-
 def _factor(sign, q, r, xs):
+    """The factor sign q r x^(r-1) of y'/y on the lattice."""
     return sign * q * r * specfun.power(xs[None, :], r - 1.0)
 
 
@@ -218,20 +205,24 @@ def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     the table from scanned_table.  A value past the float range is +-inf,
     with no warning.
     """
-    factor, s, _ = _lattice(rps, branch, xs)
-    num, den = s
-    return _quotient(rps, factor, num, den), den
+    xs = np.asarray(xs, dtype=float)
+    _, kind, sign, q, r, n, z = _checked_lattice(rps, branch, xs)
+    num, den = specfun.bessel_scaled(kind, np.stack([n - 1.0, n]), z)[0]
+    return _quotient(rps, _factor(sign, q, r, xs), num, den), den
 
 
 def pole_window(xs: np.ndarray) -> tuple[float, float, float]:
     """(lo, hi, half) of the pole-row rule on the uniform lattice xs: a
     denominator zero flags every point within half, half a step widened by
     1e-9 relative (both neighbours when midway), and the zeros are sought
-    in [lo, hi], half beyond either end but not below min(1e-12, xs[0]/2)."""
+    in [lo, hi], half beyond either end but not below min(1e-12, xs[0]/2).
+    A lattice of fewer than 2 points has no step: ValueError."""
     return _window(xs)[:3]
 
 
 def _window(xs: np.ndarray) -> tuple[float, float, float, float]:
+    if xs.size < 2:
+        raise ValueError(f"a table lattice needs at least 2 points, got {xs.size}")
     start, stop = float(xs[0]), float(xs[-1])
     step = (stop - start) / (xs.size - 1)
     half = 0.5 * step * (1.0 + 1e-9)
@@ -338,8 +329,10 @@ def y_branch_table(
     """y = sqrt(x) B_n(q x^r) of the chosen linear branch at every x in one
     array pass, split as y = s * exp(e) by specfun.bessel_scaled; returns
     (s, e).  Where e = 0, s is y itself."""
-    _, s, e = _lattice([rp], branch, xs, orders=(0.0,))
-    return np.sqrt(xs) * s[0, 0], e[0, 0]
+    xs = np.asarray(xs, dtype=float)
+    _, kind, _, _, _, n, z = _checked_lattice([rp], branch, xs)
+    s, e = specfun.bessel_scaled(kind, n, z)
+    return np.sqrt(xs) * s[0], e[0]
 
 
 def residual(rp: RiccatiParams, x, u, u_prime):

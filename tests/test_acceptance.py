@@ -4,7 +4,10 @@ stdout in tests/golden/selftest.txt, sensitivity to a perturbed gamma)."""
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,17 @@ from fracriccati import fracops, specfun
 def test_criterion(name, criterion):
     passed, detail = criterion()
     assert passed, f"{name}: {detail}"
+
+
+def test_figure_criterion_does_not_import_the_cli():
+    # the suite reads the figure surfaces from the library; cli is a leaf
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from fracriccati import acceptance; "
+            "assert acceptance.criterion_figure_grids()[0]; "
+            "print('fracriccati.cli' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, timeout=120, check=True)
+    assert proc.stdout == b"False\n"
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,8 @@ and the product-trapezoid mesh to their earlier point-by-point and two-pow
 forms, all kept here as oracles.
 """
 
+import contextlib
+import io
 import math
 from unittest import mock
 
@@ -201,6 +203,17 @@ def test_pole_window_matches_grid_oracle(ends, count):
     assert [v.hex() for v in riccati.pole_window(grid.points())] == [v.hex() for v in want]
 
 
+@pytest.mark.parametrize("call", [
+    riccati.pole_window,
+    lambda xs: riccati.scanned_table([riccati.RiccatiParams(1.0, -1.0, 0.5)], 1, xs),
+    lambda xs: cosmo.hubble([cosmo.CosmoParams(k=1, delta=0.5, c=1.0)], 1, xs, scan=True),
+])
+def test_table_lattice_of_one_point_is_refused(call):
+    # a one-point lattice has no step to take the pole window from
+    with pytest.raises(ValueError, match="at least 2 points, got 1"):
+        call(np.array([1.0]))
+
+
 def old_pole_indices(rp, branch, grid):
     """The rule the bracket flagging replaced: every located zero against
     every grid point."""
@@ -264,6 +277,25 @@ def two_call_pole_indices(rp, branch, grid, den):
     return flags
 
 
+def emitted_table(params, branch, grid):
+    """(value, pole) arrays, one row per parameter set, of the table the CLI
+    prints for params: `riccati eval` of one RiccatiParams, or `cosmo figure`
+    of CosmoParams of one k and c over a delta grid's points."""
+    first = params[0]
+    if isinstance(first, riccati.RiccatiParams):
+        argv = ["riccati", "eval", "--a", repr(first.a), "--b", repr(first.b),
+                "--delta", repr(first.delta)]
+    else:
+        argv = ["cosmo", "figure", "--k", str(first.k), "--c", repr(first.c), "--delta-grid",
+                f"{first.delta!r}:{params[-1].delta!r}:{len(params)}"]
+    argv += ["--branch", str(branch), "--grid", f"{grid.start!r}:{grid.stop!r}:{grid.count}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    rows = np.array([ln.split(",")[-2:] for ln in out.getvalue().splitlines()[1:]], dtype=float)
+    return rows[:, 0].reshape(len(params), -1), rows[:, 1].reshape(len(params), -1).astype(int)
+
+
 def z_steps(rp, grid):
     """The z = q x^r widths of the grid's cells."""
     bm = riccati.map_params(rp)
@@ -317,15 +349,16 @@ def test_fused_flags_match_two_call_oracle(case):
     assert steps.min() > riccati._SCAN_STEP or steps.max() < riccati._SCAN_STEP
     pts = grid.points()
     scanned, poles = riccati.scanned_table(rps, branch, pts)
-    rows = cli._table_rows(params, branch, grid)
+    table = zip(*emitted_table(params, branch, grid))
     value, den = riccati.branch_table(rps, branch, pts)
-    for rp, row_pole, row_value, row, v, d in zip(rps, poles, scanned, rows, value, den):
+    for rp, row_pole, row_value, (t_value, t_pole), v, d in zip(
+            rps, poles, scanned, table, value, den):
         pole = pole_mask(two_call_pole_indices(rp, branch, grid, d), grid.count)
         assert row_pole.tolist() == pole.tolist()
         assert np.isnan(row_value[pole]).all()
         assert row_value[~pole].tobytes() == v[~pole].tobytes()
-        assert [r[2] for r in row] == pole.astype(int).tolist()
-        assert np.array([r[1] for r in row])[~pole].tobytes() == v[~pole].tobytes()
+        assert t_pole.tolist() == pole.astype(int).tolist()
+        assert t_value[~pole].tobytes() == v[~pole].tobytes()
 
 
 @given(case=oscillatory_grids())
@@ -350,11 +383,10 @@ def test_closed_figure_flags_match_all_pairs_rule(
 ):
     eta_grid = GridSpec(start, start + width, count)
     delta_grid = GridSpec(0.5 * delta_stop, delta_stop, delta_count)
-    rows = cli.figure_rows(1, c, eta_grid, delta_grid, branch)
-    for d in delta_grid.points().tolist():
-        got = {i for i, row in enumerate(r for r in rows if r[1] == d) if row[3]}
-        rp = cosmo.CosmoParams(k=1, delta=d, c=c).riccati_params()
-        assert got == old_pole_indices(rp, branch, eta_grid), d
+    params = [cosmo.CosmoParams(k=1, delta=d, c=c) for d in delta_grid.points().tolist()]
+    for cp, pole in zip(params, emitted_table(params, branch, eta_grid)[1]):
+        got = set(np.flatnonzero(pole).tolist())
+        assert got == old_pole_indices(cp.riccati_params(), branch, eta_grid), cp.delta
 
 
 @given(case=flagged_tables(), every_other=st.booleans())

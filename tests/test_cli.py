@@ -17,6 +17,7 @@ from scipy import special as sp
 from scipy.optimize import brentq
 
 from fracriccati import cli, cosmo, odeverify, riccati, specfun
+from fracriccati import fracops as fo
 from fracriccati.errors import MaxStepsError, StepUnderflowError
 from fracriccati.grids import GridSpec
 from test_golden import TABLES as golden_tables
@@ -162,6 +163,29 @@ class TestFracderiv:
                                         "--grid", "7:1e5:2"])
         assert rc == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: numeric non-convergence: ")
+
+    @pytest.mark.parametrize("beta, flags, f, oracle", [
+        ("0.7", ["--power", "1.5"], fo.RealFunction.power(1.5),
+         lambda x: fo.power_rule(1.5, 0.7, x)),
+        ("1.3", ["--builtin", "poly:1,-2,0.5"], fo.RealFunction.polynomial([1.0, -2.0, 0.5]),
+         lambda x: sum(c * specfun.gamma(j + 1.0) * specfun.recip_gamma(j + 1.0 - 1.3)
+                       * x ** (j - 1.3) for j, c in enumerate((1.0, -2.0, 0.5)))),
+        ("1.3", ["--builtin", "sin"], fo.RealFunction(np.sin, lambda k: cli._SIN_DERIVS[k % 4]),
+         None),
+        ("0.4", ["--builtin", "exp"], fo.RealFunction(np.exp, lambda k: np.exp), None),
+    ])
+    def test_table_renders_each_point(self, capsys, beta, flags, f, oracle):
+        # each row is the '%.17g' rendering of rl_derivative and its oracle at x
+        rc, out, _ = run(capsys, ["fracderiv", "--beta", beta, *flags, "--grid", "0.25:2:4"])
+        assert rc == 0
+        lines = ["# x,numeric" + (",oracle,abs_err" if oracle else "")]
+        for x in np.linspace(0.25, 2.0, 4).tolist():
+            row = [x, fo.rl_derivative(f, float(beta), x)]
+            if oracle is not None:
+                want = oracle(x)
+                row += [want, abs(row[1] - want)]
+            lines.append(",".join("%.17g" % v for v in row))
+        assert out == "\n".join(lines) + "\n"
 
     def test_poly_oracle(self, capsys):
         rc, out, _ = run(capsys, ["fracderiv", "--beta", "0.5",
@@ -415,9 +439,11 @@ class TestCosmoCommand:
         assert all(row[3] == "0" for row in rows)
         assert all(float(row[2]) > 0.0 for row in rows)
 
-    def test_figure_accepts_second_axis_grid(self):
-        rows = cli.figure_rows(-1, 1.0, GridSpec(0.1, 2.0, 8), GridSpec(0.3, 1.0, 4))
-        assert len(rows) == 32
+    def test_figure_accepts_second_axis_grid(self, capsys):
+        rc, out, _ = run(capsys, ["cosmo", "figure", "--k", "-1", "--c", "1",
+                                  "--grid", "0.1:2:8", "--delta-grid", "0.3:1:4"])
+        assert rc == 0
+        assert len(parse_table(out)[1]) == 32
 
     def test_c_zero_exits_5(self, capsys):
         rc, _, _ = run(capsys, ["cosmo", "hubble", "--k", "1", "--gamma",
@@ -975,7 +1001,7 @@ class TestGridTooLargeToAllocate:
         (["fracderiv", "--beta", "0.5", "--power", "1", "--grid", "1:2:3"],
          (cli.fo, "rl_derivative"), "--grid"),
         (["cosmo", "figure", "--k", "1", "--c", "1", "--grid", "1:2:3",
-          "--delta-grid", "0.5:1:3"], (cli, "figure_rows"), "--grid/--delta-grid"),
+          "--delta-grid", "0.5:1:3"], (riccati, "scanned_table"), "--grid/--delta-grid"),
     ])
     def test_table_out_of_memory_is_a_flag_error(self, capsys, monkeypatch, argv, target, flag):
         def out_of_memory(*args, **kwargs):
@@ -1065,6 +1091,8 @@ def fuzz_argv(draw):
 @example(argv="fracderiv --beta 0.5 --power 1 --grid 1:2:100000000000000000".split())
 @example(argv="cosmo figure --k 1 --c 1 --grid 1:2:3 --delta-grid 0.5:1:100000000000000000"
          .split())
+@example(argv="riccati verify --a -1 --b -1.7976931348623157e308 --delta 0.05 "
+         "--x0 5e-324 --x1 1e-300".split())
 @settings(max_examples=300, deadline=None)
 def test_flag_contract_holds_for_any_argv(argv):
     # exit 0, 2, 3, 4 or 5 with no exception or warning, one error line on

@@ -46,6 +46,16 @@ class TestRlIntegral:
         with pytest.raises(ValueError):
             fo.rl_integral(fo.RealFunction.constant(1.0), -0.5, 1.0)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_x_is_refused(self, x):
+        # refused up front: at x = inf every mesh doubling would warn and fail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rl_integral requires a finite x > 0"):
+                fo.rl_integral(fo.RealFunction.constant(1.0), 0.5, x)
+            with pytest.raises(ValueError, match="rl_derivative requires a finite x > 0"):
+                fo.rl_derivative(fo.RealFunction.power(1.0), 0.5, x)
+
     def test_nonconvergence_error(self):
         q = fo.QuadratureSpec(n_base=16, tol=1e-30, max_doublings=1)
         with pytest.raises(ConvergenceError):

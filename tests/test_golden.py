@@ -1,7 +1,8 @@
 """The tracked figure surfaces in out/ are golden: regenerating them with the
 argv of scripts/emit_figures.py must give the same bytes.  So are the tables
-in tests/golden/ of `riccati eval`, `cosmo hubble`, `cosmo scale` and
-`cosmo figure`, and the stdout of scripts/verify_matrix.py."""
+in tests/golden/ of `riccati eval`, `riccati poles`, `riccati verify`,
+`cosmo hubble`, `cosmo scale` and `cosmo figure`, and the stdout of
+scripts/verify_matrix.py."""
 
 import importlib.util
 import pathlib
