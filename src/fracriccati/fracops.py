@@ -10,13 +10,16 @@ integrated exactly, so constants and linear functions are reproduced to
 round-off.  The rule is summed on four nested levels of one mesh and
 Richardson-extrapolated in h^2 and h^(2+alpha), so smooth functions converge
 at order min(3 + alpha, 4); the mesh doubles until two extrapolated values
-agree.  No sum goes through BLAS, so the bits do not depend on its thread
-count.  The derivative is one such integral; see rl_derivative.
+agree, and each doubling evaluates only its new nodes.  No sum goes through
+BLAS, so the bits do not depend on its thread count.  The derivative is one
+such integral; see rl_derivative.  The linear solver splits off the part
+I^(2-delta) g that does not depend on p; see solve_linear_fractional.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -55,7 +58,8 @@ class QuadratureSpec:
     until the mesh's two extrapolated values agree to tol (scaled by
     1 + |value|), and the finest mesh has at most n_base * 2**max_doublings
     panels.  solve_linear_fractional also takes n_base as its panel count
-    for the integral of p.
+    for the integral of p.  n_base must be an integer >= 16, max_doublings
+    an integer >= 0 and tol finite and positive.
     """
 
     n_base: int = 4096
@@ -63,10 +67,14 @@ class QuadratureSpec:
     max_doublings: int = 6
 
     def __post_init__(self):
-        if self.n_base < 16:
-            raise ValueError(f"n_base must be >= 16, got {self.n_base}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (isinstance(self.n_base, numbers.Integral) and self.n_base >= 16):
+            raise ValueError(f"n_base must be an integer >= 16, got {self.n_base!r}")
+        if not (isinstance(self.max_doublings, numbers.Integral) and self.max_doublings >= 0):
+            raise ValueError(
+                f"max_doublings must be an integer >= 0, got {self.max_doublings!r}"
+            )
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,42 +258,56 @@ def _as_real_function(f) -> RealFunction:
 # ---------------------------------------------------------------------------
 
 
-def _product_trapezoid(
-    f: RealFunction, alpha: float, x: float, n: int
-) -> tuple[float, float]:
-    """Two extrapolated values of (1/Gamma(alpha)) int_0^x f(t) (x-t)^(alpha-1)
-    dt, from levels (n, 2n, 4n) and (2n, 4n, 8n) panels of one uniform mesh.
-
-    f and the kernel power are evaluated once, on the 8n-panel mesh; the
-    coarser levels are its strided views, which linspace makes bit-equal to
-    fresh meshes.  On each level f is piecewise linear and the kernel
-    moments are exact per panel.  That rule's error expands in h^2,
-    h^(2+alpha), ... (Diethelm & Walz, Numer. Algorithms 16, 1997), and two
-    Richardson steps with those exponents remove both terms.  Every sum is
-    ndarray.sum, not @, so no BLAS thread count changes the bits.
-    """
-    t = np.linspace(0.0, x, 8 * n + 1)
-    fv = f.eval_array(t)
+def _mesh_nodes(f: RealFunction, alpha: float, x: float, t: np.ndarray) -> np.ndarray:
+    """Rows f(t), s = x - t, s^alpha and s^(alpha+1) at the nodes t."""
     s = x - t
     p = s**alpha
-    sp = s * p
-    rows = []
-    for k in (8, 4, 2, 1):
+    return np.array([f.eval_array(t), s, p, s * p])
+
+
+def _product_trapezoid(f: RealFunction, alpha: float, x: float, n: int, coarser=None):
+    """Two extrapolated values of (1/Gamma(alpha)) int_0^x f(t) (x-t)^(alpha-1)
+    dt, from levels (n, 2n, 4n) and (2n, 4n, 8n) panels of one uniform mesh,
+    and the mesh itself: its level sums and node values.
+
+    coarser is None, or the mesh this function returned for n/2.  Then f and
+    the kernel power are evaluated only at the 4n new odd nodes: the old
+    nodes are the new mesh's even ones, bit for bit, since linspace's step
+    halves exactly, and the sums of levels n, 2n and 4n carry over.  Without
+    it, the 8n-panel mesh is evaluated whole and the coarser levels are its
+    strided views, which are bit-equal to fresh meshes likewise.  On each
+    level f is piecewise linear and the kernel moments are exact per panel.
+    That rule's error expands in h^2, h^(2+alpha), ... (Diethelm & Walz,
+    Numer. Algorithms 16, 1997), and two Richardson steps with those
+    exponents remove both terms.  Every sum is ndarray.sum, not @, so no BLAS
+    thread count changes the bits.
+    """
+    t = np.linspace(0.0, x, 8 * n + 1)
+    if coarser is None:
+        nodes, sums, strides = _mesh_nodes(f, alpha, x, t), [], (8, 4, 2, 1)
+    else:
+        sums, old = coarser
+        nodes = np.empty((4, t.size))
+        nodes[:, ::2] = old
+        nodes[:, 1::2] = _mesh_nodes(f, alpha, x, t[1::2])
+        sums, strides = sums[1:], (1,)
+    for k in strides:
         # panel j: m0 = (p_j - p_(j+1))/alpha and m1 = s_j m0 - (sp_j -
         # sp_(j+1))/(alpha + 1), summed as f_j m0 + (f_(j+1) - f_j) m1/h
         # with the scalar factors taken out of the sums
-        fk, sk, pk, spk = fv[::k], s[::k], p[::k], sp[::k]
+        fk, sk, pk, spk = nodes[:, ::k]
         h = x / (8 * n // k)
         df = fk[1:] - fk[:-1]
-        rows.append(
+        sums.append(
             ((fk[:-1] + df * sk[:-1] / h) * (pk[:-1] - pk[1:])).sum() / alpha
             - (df * (spk[:-1] - spk[1:])).sum() / ((alpha + 1.0) * h)
         )
+    rows = sums
     for e in (2.0, 2.0 + alpha):
         c = 2.0**e - 1.0
         rows = [fine + (fine - coarse) / c for coarse, fine in zip(rows, rows[1:])]
     g = gamma(alpha)
-    return float(rows[0] / g), float(rows[1] / g)
+    return float(rows[0] / g), float(rows[1] / g), (sums, nodes)
 
 
 def rl_integral(f, alpha: float, x: float, q: QuadratureSpec = QuadratureSpec()) -> float:
@@ -293,6 +315,7 @@ def rl_integral(f, alpha: float, x: float, q: QuadratureSpec = QuadratureSpec())
 
     The first _product_trapezoid value, n doubled from ceil(q.n_base / 32),
     whose two extrapolated values agree to q.tol (scaled by 1 + |value|).
+    Each doubling keeps the mesh and evaluates f only at the new nodes.
     Smooth f converge at order min(3 + alpha, 4), and f with a t^a endpoint
     behaviour (0 < a < 1) at order 1 + a, as the plain rule does.  Needing a
     finest mesh (8n panels) beyond q.n_base * 2**q.max_doublings raises
@@ -307,8 +330,9 @@ def rl_integral(f, alpha: float, x: float, q: QuadratureSpec = QuadratureSpec())
     f = _as_real_function(f)
     n = -(-q.n_base // 32)
     budget = q.n_base * 2**q.max_doublings
+    mesh = None
     while 8 * n <= budget:
-        coarse, fine = _product_trapezoid(f, alpha, x, n)
+        coarse, fine, mesh = _product_trapezoid(f, alpha, x, n, mesh)
         if abs(fine - coarse) <= q.tol * (1.0 + abs(fine)):
             return fine
         n *= 2
@@ -477,11 +501,17 @@ def solve_linear_fractional(
 ) -> SampledFunction:
     """Solve u' + p(x) u = D^(delta-1) g on the grid by integrating factor.
 
-    u(x) = (1/mu(x)) [ int_0^x mu(s) D_s^(delta-1) g(s) ds + c ],
+    u(x) = (1/mu(x)) [ int_0^x mu(s) v(s) ds + c ],  v = D^(delta-1) g,
     mu(x) = exp(int_{x_start}^x p), anchored so that mu(x_start) = 1; the
     integration constant c is then u(x_start) whenever g vanishes.  The
-    order-(1-delta) integral of g collapses to g itself at delta = 1 and the
-    solver reduces to the classical integrating-factor formula.
+    order-(1-delta) integral v of g collapses to g itself at delta = 1 and
+    the solver reduces to the classical integrating-factor formula.
+
+    The part that does not depend on p is split off: W = I^(2-delta) g has
+    W' = v by the semigroup rule, so int_0^x mu v = W(x) + int_0^x (mu - 1) v.
+    Each grid point makes one rl_integral for W(x_i), and adaptive Simpson
+    integrates (mu - 1) v, which is 0 without a call of v wherever mu is 1:
+    everywhere when p = 0.
     """
     d = _delta_value(delta)
     p = _as_real_function(p)
@@ -525,9 +555,11 @@ def solve_linear_fractional(
             return rl_integral(g, 1.0 - d, sx, q)
 
     def integrand(sx: float) -> float:
-        if sx <= 0.0:
-            return mu(0.0) * g(0.0) if d == 1.0 else 0.0
-        return mu(sx) * v(sx)
+        # v(0) = 0 when delta < 1, and mu = 1 needs no call of v
+        mu1 = mu(sx) - 1.0
+        if mu1 == 0.0 or (sx <= 0.0 and d < 1.0):
+            return 0.0
+        return mu1 * v(sx)
 
     us = np.empty(pts.size)
     acc = 0.0
@@ -547,5 +579,5 @@ def solve_linear_fractional(
         else:
             acc += adaptive_simpson(integrand, prev, xi, tol_i)
         prev = xi
-        us[i] = (acc + c) / mu(xi)
+        us[i] = (rl_integral(g, 2.0 - d, xi, q) + acc + c) / mu(xi)
     return SampledFunction(pts, us)

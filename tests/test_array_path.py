@@ -4,9 +4,10 @@ specfun.bessel with ndarray arguments must equal a scalar call per element
 exactly, and scanned_table's bracket-based pole masks must equal the old
 rule that compares every located zero with every grid point and, row for
 row, the per-row flagging that its fused calls replaced.  riccati.pole_window
-is held to the window the CLI once took from the GridSpec, and the spline
-and the product-trapezoid mesh to their earlier point-by-point and two-pow
-forms, all kept here as oracles.
+is held to the window the CLI once took from the GridSpec, the spline and
+the product-trapezoid mesh to their earlier point-by-point and two-pow
+forms, and rl_integral, which keeps its mesh across doublings, to the loop
+that built each mesh afresh, all kept here as oracles.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from fracriccati import cli, cosmo, riccati
 from fracriccati import fracops as fo
 from fracriccati import specfun as sf
+from fracriccati.errors import ConvergenceError
 from fracriccati.grids import GridSpec
 from riccati_points import eval_u1, eval_u2
 
@@ -585,6 +587,61 @@ def old_product_trapezoid(f, alpha, x, n):
     return tuple(float(r / sf.gamma(alpha)) for r in rows)
 
 
+def fresh_product_trapezoid(f, alpha, x, n):
+    """The mesh rule before rl_integral kept its mesh across doublings: f and
+    the kernel power on a fresh (8n)-panel mesh, the levels n, 2n, 4n, 8n its
+    strided views, and two extrapolated values."""
+    t = np.linspace(0.0, x, 8 * n + 1)
+    fv = f.eval_array(t)
+    s = x - t
+    p = s**alpha
+    sp = s * p
+    rows = []
+    for k in (8, 4, 2, 1):
+        fk, sk, pk, spk = fv[::k], s[::k], p[::k], sp[::k]
+        h = x / (8 * n // k)
+        df = fk[1:] - fk[:-1]
+        rows.append(
+            ((fk[:-1] + df * sk[:-1] / h) * (pk[:-1] - pk[1:])).sum() / alpha
+            - (df * (spk[:-1] - spk[1:])).sum() / ((alpha + 1.0) * h)
+        )
+    for e in (2.0, 2.0 + alpha):
+        c = 2.0**e - 1.0
+        rows = [fine + (fine - coarse) / c for coarse, fine in zip(rows, rows[1:])]
+    g = sf.gamma(alpha)
+    return float(rows[0] / g), float(rows[1] / g)
+
+
+def fresh_rl_integral(f, alpha, x, q):
+    """rl_integral's doubling loop over fresh_product_trapezoid: (value,
+    meshes used), or the ConvergenceError it raises."""
+    n = -(-q.n_base // 32)
+    budget = q.n_base * 2**q.max_doublings
+    meshes = 0
+    while 8 * n <= budget:
+        coarse, fine = fresh_product_trapezoid(f, alpha, x, n)
+        meshes += 1
+        if abs(fine - coarse) <= q.tol * (1.0 + abs(fine)):
+            return fine, meshes
+        n *= 2
+    raise ConvergenceError(
+        f"fractional integral of order {alpha} at x={x} did not converge on "
+        f"meshes of up to {budget} panels (n_base={q.n_base}, "
+        f"max_doublings={q.max_doublings})"
+    )
+
+
+def mesh_function(kind, x):
+    if kind == "sin":
+        return fo.RealFunction(np.sin)
+    if kind == "sqrt":
+        return fo.RealFunction.power(0.5)
+    if kind == "power":
+        return fo.RealFunction.power(1.5)
+    ts = np.linspace(0.0, x, 200)
+    return fo.SampledFunction(ts, np.cos(ts))
+
+
 @given(
     alpha=st.one_of(st.floats(0.01, 2.5), st.sampled_from([0.5, 1.0, 2.0])),
     x=st.floats(1e-3, 50.0),
@@ -593,12 +650,46 @@ def old_product_trapezoid(f, alpha, x, n):
 )
 @settings(max_examples=150, deadline=None)
 def test_product_trapezoid_matches_two_pow_form(alpha, x, n, kind):
-    if kind == "sin":
-        f = fo.RealFunction(np.sin)
-    elif kind == "power":
-        f = fo.RealFunction.power(1.5)
-    else:
-        ts = np.linspace(0.0, x, 200)
-        f = fo.SampledFunction(ts, np.cos(ts))
-    got = fo._product_trapezoid(f, alpha, x, n)
-    assert np.array(got).tobytes() == np.array(old_product_trapezoid(f, alpha, x, n)).tobytes()
+    # the two-pow form holds the fresh-mesh rule, which holds the library's
+    # first mesh and, for even n, its mesh refined from n / 2
+    f = mesh_function(kind, x)
+    want = fresh_product_trapezoid(f, alpha, x, n)
+    assert np.array(want).tobytes() == np.array(old_product_trapezoid(f, alpha, x, n)).tobytes()
+    coarse, fine, mesh = fo._product_trapezoid(f, alpha, x, n)
+    assert (coarse, fine) == want
+    if n % 2 == 0:
+        mesh = fo._product_trapezoid(f, alpha, x, n // 2)[2]
+        assert fo._product_trapezoid(f, alpha, x, n, mesh)[:2] == want
+
+
+@given(
+    alpha=st.floats(0.01, 2.5),
+    x=st.floats(1e-3, 50.0),
+    kind=st.sampled_from(["sin", "sqrt", "power", "sampled"]),
+    n_base=st.integers(16, 96),
+    tol=st.sampled_from([1e-5, 1e-7, 1e-9, 1e-11]),
+    max_doublings=st.integers(3, 7),
+)
+# five meshes or more, and one spec too small for t^0.5
+@example(alpha=0.05, x=1.0, kind="sin", n_base=16, tol=1e-9, max_doublings=5)
+@example(alpha=0.05, x=0.01, kind="sqrt", n_base=16, tol=1e-7, max_doublings=5)
+@example(alpha=0.05, x=1.0, kind="power", n_base=16, tol=1e-9, max_doublings=5)
+@example(alpha=0.05, x=1.0, kind="sampled", n_base=48, tol=1e-9, max_doublings=5)
+@example(alpha=0.5, x=1.0, kind="sqrt", n_base=16, tol=1e-12, max_doublings=3)
+@settings(max_examples=150, deadline=None)
+def test_rl_integral_matches_fresh_mesh_doubling(alpha, x, kind, n_base, tol, max_doublings):
+    # keeping the mesh across doublings keeps every bit, every mesh count and
+    # every ConvergenceError of the loop that built each mesh afresh
+    f = mesh_function(kind, x)
+    q = fo.QuadratureSpec(n_base=n_base, tol=tol, max_doublings=max_doublings)
+    try:
+        want, meshes = fresh_rl_integral(f, alpha, x, q)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as got:
+            fo.rl_integral(f, alpha, x, q)
+        assert str(got.value) == str(exc)
+        return
+    with mock.patch.object(fo, "_product_trapezoid", wraps=fo._product_trapezoid) as spy:
+        got = fo.rl_integral(f, alpha, x, q)
+    assert got.hex() == want.hex()
+    assert spy.call_count == meshes

@@ -1,9 +1,11 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from fracriccati import fracops as fo
 from fracriccati.errors import ConvergenceError, GammaPoleError
@@ -334,6 +336,33 @@ class TestSolveLinear:
                 0.5, GridSpec(0.0, 1.0, 5), 0.0, FAST_Q,
             )
 
+    @pytest.mark.parametrize("delta", [0.35, 0.7, 0.95])
+    @pytest.mark.parametrize("a", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("p0", [-0.4, -0.85])
+    def test_damped_power_forcing_closed_form(self, delta, a, p0):
+        # u' + p0 u = D^(delta-1) t^a: with lam = -p0, xs the grid start and
+        # v = Gamma(a+1)/Gamma(m) s^(m-1), m = a + 2 - delta,
+        # u = e^(lam (x - xs)) [int_0^x e^(-lam (s - xs)) v ds + c], and
+        # int_0^x e^(-lam s) s^(m-1) ds = lam^-m Gamma(m) P(m, lam x)
+        grid, c = GridSpec(0.5, 2.5, 6), 0.3
+        u = fo.solve_linear_fractional(
+            fo.RealFunction.constant(p0), fo.RealFunction.power(a), delta, grid, c
+        )
+        x, xs, lam, m = grid.points(), 0.5, -p0, a + 2.0 - delta
+        integral = math.gamma(a + 1.0) * lam**-m * special.gammainc(m, lam * x)
+        want = np.exp(lam * (x - xs)) * (np.exp(lam * xs) * integral + c)
+        np.testing.assert_allclose(u.ys, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    def test_one_integral_per_point_without_p(self, delta):
+        # with p = 0 the integrating factor is 1 and only I^(2-delta) g is left
+        grid = GridSpec(0.5, 2.0, 7)
+        with mock.patch.object(fo, "rl_integral", wraps=fo.rl_integral) as spy:
+            fo.solve_linear_fractional(
+                fo.RealFunction.constant(0.0), fo.RealFunction.power(1.0), delta, grid, 1.0, FAST_Q
+            )
+        assert spy.call_count == grid.count
+
 
 class TestRealFunction:
     def test_power_derivatives(self):
@@ -382,6 +411,19 @@ class TestQuadratureSpecValidation:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             fo.QuadratureSpec(tol=0.0)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"max_doublings": -3},  # no mesh fits the budget
+            {"max_doublings": 2.5},
+            {"n_base": 100.5},  # linspace takes an integer count
+            {"tol": math.inf},  # any first value would pass
+        ],
+    )
+    def test_unusable_values_are_refused(self, kw):
+        with pytest.raises(ValueError):
+            fo.QuadratureSpec(**kw)
 
     def test_bad_series(self):
         with pytest.raises(ValueError):
