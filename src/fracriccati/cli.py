@@ -227,12 +227,13 @@ def _cmd_riccati(args) -> int:
     if not 0.0 < args.x0 < args.x1 < math.inf:
         _err(f"need 0 < x0 < x1 < inf, got {args.x0}, {args.x1}")
         return EXIT_FLAGS
-    # the pole check reads the 33 points' own denominator row; the residual
-    # stencils are evaluated after the integration, so an integrator failure
-    # (exit 3) comes before a stencil point whose Bessel argument leaves the
-    # float range (exit 2)
+    # one closed-form table on the 33 points and their residual stencils, after
+    # a check of the points alone, so that a Bessel argument out of range names
+    # a point; the pole check reads their denominator row (stencil row 0)
     xs = np.linspace(args.x0, args.x1, 33)
-    u, den = riccati.branch_table([rp], args.branch, xs)
+    riccati._checked_lattice([rp], args.branch, xs)
+    stencil = odeverify.stencils(xs)
+    u, den = (v.reshape(5, -1) for v in riccati.branch_table([rp], args.branch, stencil.ravel()))
     if riccati.sign_scan(rp, args.branch, xs, den[0], 1)[0]:
         _err(f"verification interval [{args.x0}, {args.x1}] contains a pole")
         return EXIT_POLE
@@ -245,12 +246,9 @@ def _cmd_riccati(args) -> int:
 
     pts = xs.tolist()
     u_pts = [checked("closed-form value", x, v) for x, v in zip(pts, u[0].tolist())]
-    max_dev = 0.0
-    u_num = u_pts[0]
-    for x_prev, x_cur, u_cur in zip(pts[:-1], pts[1:], u_pts[1:]):
-        u_num = odeverify.integrate_riccati(rp, odeverify.IvpSpec(x_prev, u_num, x_cur))
-        max_dev = max(max_dev, checked("deviation", x_cur, abs(u_num - u_cur)))
-    res = odeverify.residuals(rp, args.branch, xs).tolist()
+    u_num = odeverify.riccati_trajectory(rp, xs, u[0]).tolist()
+    max_dev = max(checked("deviation", x, abs(v - w)) for x, v, w in zip(pts, u_num, u_pts))
+    res = odeverify.residuals(rp, args.branch, xs, u).tolist()
     max_res = max(checked("residual", x, r) for x, r in zip(pts, res))
     return _emit(
         args.out,

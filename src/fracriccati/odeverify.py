@@ -1,9 +1,9 @@
 """Independent verification backend: an embedded Dormand-Prince 5(4) pair
 with PI step-size control at the fixed tolerances _REL_TOL and _ABS_TOL,
-used to integrate the modified Riccati equation and its associated linear
-equation as a cross-check on the closed forms; the other cross-check,
-residuals, puts the closed forms into the equation with a finite-difference
-derivative.
+integrating the modified Riccati equation and its associated linear
+equation forward or backward through output points, a cross-check on the
+closed forms; the other cross-check, residuals, puts the closed forms into
+the equation with a finite-difference derivative.
 
 Pole avoidance is the caller's duty (locate poles first); the integrator
 reports step underflow rather than attempting to continue through one.
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MaxStepsError, StepUnderflowError
-from .fracops import _fd_values, _richardson_d1, frac_const
+from .fracops import _STENCIL, _fd_step, _richardson_d1, frac_const
 from .riccati import RiccatiParams, branch_table, residual
 from .specfun import gamma
 
@@ -28,13 +28,15 @@ __all__ = [
     "integrate",
     "integrate_riccati",
     "integrate_linear",
+    "riccati_trajectory",
+    "stencils",
     "residuals",
 ]
 
 
 @dataclass(frozen=True)
 class IvpSpec:
-    """Initial-value problem: integrate from (x0, u0) to x1 > x0."""
+    """The problem of integrate_riccati and _linear: from (x0, u0) to x1 > x0."""
 
     x0: float
     u0: float | Sequence[float]
@@ -81,11 +83,11 @@ _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
 
 
-def _step(rhs, x, y, h):
-    """One DP5 step from (x, y): the 5th-order state and the local error
-    estimate, as lists of floats.  Each component is summed in tableau
-    order; the y5 and err sums start from 0.0."""
-    k = [rhs(x, y)]
+def _step(rhs, x, y, h, k0):
+    """One DP5 step of signed size h from (x, y), k0 = rhs(x, y): the 5th-order
+    state, the local error estimate and stage 7 (rhs there: the next k0, first
+    same as last), as lists of floats, each summed in tableau order from 0.0."""
+    k = [k0]
     for i in range(1, 7):
         row = _A[i]
         stage = []
@@ -103,7 +105,7 @@ def _step(rhs, x, y, h):
             se = se + e * kj[c]
         y5.append(yc + h * s5)
         err.append(h * se)
-    return y5, err
+    return y5, err, k[6]
 
 
 def _rms(values) -> float:
@@ -121,53 +123,64 @@ def _error_norm(err, y, y_new):
 
 
 def _initial_step(rhs, x0, y0, x1):
+    """(h, f0 = rhs(x0, y0)): the first step size towards x1 (either side)."""
     f0 = rhs(x0, y0)
+    span, sign = abs(x1 - x0), math.copysign(1.0, x1 - x0)
     scale = [_ABS_TOL + _REL_TOL * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, x1 - x0)
+    h0 = min(h0, span)
     if not (h0 > 0.0 and all(map(math.isfinite, f0))):
-        return 0.0  # f0 overflowed: integrate reports a step underflow at x0
-    y1 = [v + h0 * f for v, f in zip(y0, f0)]
-    f1 = rhs(x0 + h0, y1)
+        return 0.0, f0  # f0 overflowed: integrate reports a step underflow at x0
+    y1 = [v + sign * h0 * f for v, f in zip(y0, f0)]
+    f1 = rhs(x0 + sign * h0, y1)
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, x1 - x0)
+    return min(100.0 * h0, h1, span), f0
 
 
-def integrate(rhs, spec: IvpSpec) -> np.ndarray:
-    """The state at spec.x1, integrated with the embedded 5(4) pair and PI
-    step control.
+def integrate(rhs, xs, y0) -> np.ndarray:
+    """The states at the strictly monotone points xs, shape (len(xs),
+    len(y0)), of one trajectory from y0 at xs[0] with the embedded 5(4) pair
+    and PI step control.  A step that would pass a point is cut to land on
+    it; after an accepted cut the larger of the proposed and the uncut size
+    carries on.  _MAX_STEPS bounds the attempted steps of the trajectory.
 
     rhs(x, y) takes the state as a sequence of floats and returns the
     derivative as one; the state is carried as Python floats between steps.
     """
-    y = np.atleast_1d(np.asarray(spec.u0, dtype=float)).tolist()
-    x = spec.x0
-    h = _initial_step(rhs, x, y, spec.x1)
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    xs = np.asarray(xs, dtype=float).tolist()
+    x, sign = xs[0], math.copysign(1.0, xs[-1] - xs[0])
+    h, k0 = _initial_step(rhs, x, y, xs[-1])
     prev_err = 1.0
+    out = [y]
     for _ in range(_MAX_STEPS):
-        if x >= spec.x1:
-            return np.array(y)
-        h = min(h, spec.x1 - x)
-        if h <= 16.0 * _EPS * max(abs(x), 1.0):
+        if len(out) == len(xs):
+            return np.array(out)
+        target = xs[len(out)]
+        span = sign * (target - x)
+        step = min(h, span)
+        if step <= 16.0 * _EPS * max(abs(x), 1.0):
             raise StepUnderflowError(
                 f"step size underflow at x={x}; likely a pole or stiffness"
             )
-        y_new, err = _step(rhs, x, y, h)
+        y_new, err, k_new = _step(rhs, x, y, sign * step, k0)
         norm = _error_norm(err, y, y_new)
         if norm <= 1.0:
-            x += h
-            y = y_new
+            x, y, k0 = x + sign * step, y_new, k_new
+            if step == span or sign * (x - target) >= 0.0:
+                out.append(y)
             factor = _SAFETY * (norm + 1e-16) ** (-_PI_ALPHA) * prev_err**_PI_BETA
             prev_err = norm + 1e-16
         else:
             factor = max(_MIN_FACTOR, _SAFETY * norm**(-_PI_ALPHA))
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        proposed = step * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        h = max(h, proposed) if norm <= 1.0 and step < h else proposed
     raise MaxStepsError(f"integration exceeded {_MAX_STEPS} steps")
 
 
@@ -207,7 +220,17 @@ def integrate_riccati(rp: RiccatiParams, ivp: IvpSpec) -> float:
 
     The caller is responsible for a pole-free [x0, x1] (see find_poles).
     """
-    return float(integrate(riccati_rhs(rp), ivp)[0])
+    return float(integrate(riccati_rhs(rp), [ivp.x0, ivp.x1], ivp.u0)[1, 0])
+
+
+def riccati_trajectory(rp: RiccatiParams, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u of the modified Riccati equation at the ascending points xs of a
+    pole-free span, from one trajectory that starts at the closed-form u (an
+    ndarray on xs) of the end a deviation contracts from (du' = -2 a u du):
+    xs[0] when the trapezoid integral of a u over xs is >= 0, else xs[-1]."""
+    with np.errstate(all="ignore"):  # only the sign is read
+        way = 1 if rp.a * np.sum((u[1:] + u[:-1]) * np.diff(xs)) >= 0.0 else -1
+    return integrate(riccati_rhs(rp), xs[::way], u[::way][0])[::way, 0]
 
 
 def integrate_linear(rp: RiccatiParams, ivp: IvpSpec) -> tuple[float, float]:
@@ -215,19 +238,27 @@ def integrate_linear(rp: RiccatiParams, ivp: IvpSpec) -> tuple[float, float]:
     u0 = np.asarray(ivp.u0, dtype=float)
     if u0.shape != (2,):
         raise ValueError(f"integrate_linear needs u0 = (y, y'), got {ivp.u0!r}")
-    y, yp = integrate(linear_rhs(rp), ivp)
+    y, yp = integrate(linear_rhs(rp), [ivp.x0, ivp.x1], u0)[1]
     return float(y), float(yp)
 
 
-def residuals(rp: RiccatiParams, branch: int, xs) -> np.ndarray:
+def stencils(xs: np.ndarray) -> np.ndarray:
+    """The residual stencils xs + fracops._STENCIL h, h = _fd_step(xs, 1e-6),
+    of the points xs > 0 (an ndarray): shape (5, len(xs)), row 0 is xs."""
+    with np.errstate(over="ignore"):  # past the float maximum: inf, refused as too large
+        return xs + np.multiply.outer(_STENCIL, _fd_step(xs, 1e-6))
+
+
+def residuals(rp: RiccatiParams, branch: int, xs, u=None) -> np.ndarray:
     """|u' + a u^2 - rhs| / (|u'| + |a u^2| + |rhs|) of the closed-form
     branch at the points xs > 0 (an ndarray), rhs = b x^(1-delta) /
-    Gamma(2-delta), with u' by fracops' difference rule and u at xs and their
-    stencils from one branch_table call.  The scale is never 0 for b != 0;
-    near 0, where u' and a u^2 grow like 1/x^2, it keeps their round-off
-    from reading as a defect."""
-    u, h = _fd_values(
-        lambda pts: branch_table([rp], branch, pts.ravel())[0][0].reshape(pts.shape), xs, 1e-6)
-    up = _richardson_d1(u, h)
+    Gamma(2-delta), with u' by fracops' difference rule from u on
+    stencils(xs): the given values, else those of one branch_table call.
+    The scale is never 0 for b != 0; near 0, where u' and a u^2 grow like
+    1/x^2, it keeps their round-off from reading as a defect."""
+    if u is None:
+        pts = stencils(xs)
+        u = branch_table([rp], branch, pts.ravel())[0][0].reshape(pts.shape)
+    up = _richardson_d1(u, _fd_step(xs, 1e-6))
     scale = np.abs(up) + np.abs(rp.a * u[0] * u[0]) + np.abs(frac_const(rp.b, rp.delta, xs))
     return np.abs(residual(rp, xs, u[0], up)) / scale

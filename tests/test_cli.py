@@ -293,11 +293,11 @@ class TestRiccatiCommand:
 
     @pytest.mark.parametrize("error", [MaxStepsError, StepUnderflowError])
     def test_integrator_failure_exits_3_with_one_error_line(self, capsys, monkeypatch, error):
-        # e.g. --x1 1e300 exhausts the step budget, but takes about 12 s to get there
-        def fail(rp, ivp):
+        # e.g. --x1 1e300 exhausts the step budget, but takes about 2 s to get there
+        def fail(*args):
             raise error("integrator gave up")
 
-        monkeypatch.setattr(odeverify, "integrate_riccati", fail)
+        monkeypatch.setattr(odeverify, "riccati_trajectory", fail)
         rc, out, err = run(capsys, ["riccati", "verify", "--a", "1", "--b", "1",
                                     "--delta", "1", "--x0", "0.1", "--x1", "1"])
         assert rc == 3
@@ -684,7 +684,7 @@ class TestPoleChecksCallNoFindPoles:
                                    "--branch 2".split())
         assert rc == 0 and err == ""
         assert out.splitlines()[1] == ("1,-1,0.69999999999999996,2,0.29999999999999999,1.2,"
-                                       "4.348652304484016e-10,3.4422686923107904e-11")
+                                       "4.348652304484016e-10,1.7187584688826973e-11")
 
     def test_verify_pole_exits_4(self, capsys):
         rc, out, err = run(capsys, "riccati verify --a 1 --b -1 --delta 1 --x0 2.5 --x1 4.0".split())
@@ -786,20 +786,21 @@ class TestOutputContract:
 
 
 class TestVerifyPinned:
-    # stdout and exit codes of a point-by-point eval_u1/eval_u2 evaluation,
-    # which the table evaluation must repeat
+    # stdout and exit codes: max_residual as a point-by-point eval_u1/eval_u2
+    # evaluation gave it, which the table evaluation must repeat, and
+    # max_deviation as one DP5 trajectory in the contracting direction gives it
     @pytest.mark.parametrize("argv, code, stdout", [
         ("riccati verify --a 1 --b 1 --delta 0.5 --x0 0.5 --x1 1.5 --branch 1", 0,
-         "1,1,0.5,1,0.5,1.5,3.2249755154586834e-10,1.2014167438678669e-11"),
+         "1,1,0.5,1,0.5,1.5,3.2249755154586834e-10,1.2720935416155044e-11"),
         ("riccati verify --a 2 --b 0.5 --delta 0.3 --x0 0.2 --x1 3 --branch 1", 0,
          "2,0.5,0.29999999999999999,1,0.20000000000000001,3,"
-         "4.5149523929063212e-10,4.5229375800204252e-11"),
+         "4.5149523929063212e-10,4.3480108402604856e-11"),
         ("riccati verify --a 1 --b -1 --delta 0.7 --x0 0.3 --x1 1.2 --branch 2", 0,
          "1,-1,0.69999999999999996,2,0.29999999999999999,1.2,"
-         "4.348652304484016e-10,3.4422686923107904e-11"),
+         "4.348652304484016e-10,1.7187584688826973e-11"),
         ("riccati verify --a -1.5 --b 0.7 --delta 0.8 --x0 0.4 --x1 2.5 --branch 1", 0,
          "-1.5,0.69999999999999996,0.80000000000000004,1,0.40000000000000002,2.5,"
-         "2.5771258552710137e-10,5.0480730706681243e-11"),
+         "2.5771258552710137e-10,1.3005219123840561e-10"),
         # below x = 1e-3 the difference step is 1e-3 x; u' and a u^2 are
         # about 1/x0^2 (2.5e11 and 4e12), and the residual is scaled by them
         ("riccati verify --a 1 --b -1 --delta 0.5 --x0 2e-6 --x1 1 --branch 1", 0,
@@ -829,6 +830,54 @@ class TestVerifyPinned:
         header, rows = parse_table(out)
         vals = dict(zip(header, rows[0]))
         assert float(vals["max_residual"]) <= 1e-9
+
+
+class TestVerifyOneTrajectory:
+    # forward integration drifts off the modified regime's branch 2 (a u < 0)
+    # like e^(-2 int a u): from x0 these read deviations of 4.97, 9.50 and
+    # 53.8, and the last one's step size underflowed (exit 3)
+    @pytest.mark.parametrize("argv", [
+        "--a 1 --b 1 --delta 0.5 --x0 0.5 --x1 30 --branch 2",
+        "--a 1 --b 1 --delta 0.5 --x0 5 --x1 400 --branch 2",
+        "--a 1 --b 1 --delta 0.05 --x0 1 --x1 1000 --branch 2",
+        "--a 2 --b 3 --delta 1 --x0 0.1 --x1 300 --branch 2",
+    ])
+    def test_modified_branch2_is_integrated_backward(self, capsys, argv):
+        rc, out, err = run(capsys, ["riccati", "verify", *argv.split()])
+        assert rc == 0 and err == ""
+        header, rows = parse_table(out)
+        assert float(dict(zip(header, rows[0]))["max_deviation"]) <= 1e-8
+
+    @pytest.mark.parametrize("argv", [
+        "--a 1 --b -1 --delta 0.7 --x0 0.3 --x1 1.2 --branch 2",
+        "--a 1.5 --b 0.8 --delta 0.7 --branch 1 --x0 1 --x1 8",
+        "--a 1.5 --b 0.8 --delta 0.7 --branch 2 --x0 1 --x1 8",
+    ])
+    def test_one_initial_step_and_one_table(self, capsys, monkeypatch, argv):
+        calls = {"_initial_step": 0, "branch_table": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(odeverify, "_initial_step",
+                            counted("_initial_step", odeverify._initial_step))
+        table = counted("branch_table", riccati.branch_table)
+        monkeypatch.setattr(riccati, "branch_table", table)
+        monkeypatch.setattr(odeverify, "branch_table", table)
+        rc, _, err = run(capsys, ["riccati", "verify", *argv.split()])
+        assert rc == 0 and err == ""
+        assert calls == {"_initial_step": 1, "branch_table": 1}
+
+    def test_step_budget_covers_the_whole_trajectory(self, capsys):
+        # stiff (2 a |u| is about 530): with a budget per gap of the 33
+        # points this ran for 24 s and printed a deviation of 20
+        argv = "riccati verify --a 700 --b 100 --delta 1e-300 --branch 2 --x0 0.05 --x1 700"
+        rc, out, err = run(capsys, argv.split())
+        assert rc == 3 and out == ""
+        assert err == "error: numeric non-convergence: integration exceeded 100000 steps\n"
 
 
 def test_fracderiv_bits_do_not_depend_on_blas_threads():

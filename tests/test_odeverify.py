@@ -46,7 +46,7 @@ class TestIntegrateRiccati:
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
         monkeypatch.setattr(ov, "_MAX_STEPS", 3)
         with pytest.raises(MaxStepsError, match="exceeded 3 steps"):
-            ov.integrate(ov.riccati_rhs(rp), ov.IvpSpec(0.5, 1.0, 100.0))
+            ov.integrate(ov.riccati_rhs(rp), [0.5, 100.0], 1.0)
 
 
 class TestIntegrateLinear:
@@ -90,13 +90,48 @@ class TestIntegrateLinear:
             ov.integrate_linear(rp, ov.IvpSpec(0.5, 1.0, 2.0))
 
 
+class TestTrajectory:
+    # u = -coth(5 - x) solves u' = 1 - u^2; it leaves the repelling
+    # equilibrium -1 forward, so it is followed backward from x = 3
+    XS = np.linspace(3.0, 0.5, 11)
+
+    def test_backward_through_output_points(self):
+        rp = rc.RiccatiParams(1.0, 1.0, 1.0)
+        got = ov.integrate(ov.riccati_rhs(rp), self.XS, -1.0 / math.tanh(2.0))
+        assert got.shape == (11, 1)
+        assert got[0, 0] == -1.0 / math.tanh(2.0)
+        np.testing.assert_allclose(got[:, 0], -1.0 / np.tanh(5.0 - self.XS), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("xs, u0", [
+        (XS, -1.0 / math.tanh(2.0)),
+        (np.linspace(0.5, 8.0, 33), 1.0 / math.tanh(0.5)),
+        ([0.5, 8.0], 1.0 / math.tanh(0.5)),
+    ])
+    def test_six_rhs_calls_per_attempted_step(self, monkeypatch, xs, u0):
+        # stage 7 of a step is the next step's first, and _initial_step's
+        # f0 the first step's: two calls there, six per step
+        steps = []
+        step = ov._step
+        monkeypatch.setattr(ov, "_step", lambda *args: steps.append(args[3]) or step(*args))
+        rhs = ov.riccati_rhs(rc.RiccatiParams(1.0, 1.0, 1.0))
+        calls = []
+
+        def counted(x, u):
+            calls.append(x)
+            return rhs(x, u)
+
+        ov.integrate(counted, xs, u0)
+        assert len(calls) == 6 * len(steps) + 2
+
+
 def integrate_fixed(rhs, x0: float, u0, x1: float, n_steps: int) -> np.ndarray:
     """Fixed-step integration with the 5th-order weights of the DP5 pair."""
     y = np.atleast_1d(np.asarray(u0, dtype=float))
     h = (x1 - x0) / n_steps
     x = x0
+    k0 = rhs(x, y)
     for _ in range(n_steps):
-        y, _err = ov._step(rhs, x, y, h)
+        y, _err, k0 = ov._step(rhs, x, y, h, k0)
         x += h
     return y
 
