@@ -235,9 +235,7 @@ def criterion_operator_properties():
 
     def sampled_profile(f, alpha, x_max, m=1200, grade=3):
         ts = x_max * (np.arange(m + 1) / m) ** grade
-        ys = np.array(
-            [fo.rl_integral(f, alpha, float(t), q_in) if t > 0 else 0.0 for t in ts]
-        )
+        ys = np.concatenate([[0.0], fo.rl_integral(f, alpha, ts[1:], q_in)])
         return fo.RealFunction.from_samples(ts, ys)
 
     worst_left = 0.0

@@ -141,7 +141,7 @@ def _cmd_fracderiv(args) -> int:
             _err(f"--power must exceed -1, got {args.power}")
             return EXIT_FLAGS
         if args.power < 0.0 and args.beta not in (0.0, 1.0):
-            # the quadrature samples t^a at t = 0, where a negative power is infinite
+            # the quadrature's cell next to 0 does not resolve a negative power
             _err(f"--power below 0 needs --beta 0 or 1, got --power {args.power} "
                  f"with --beta {args.beta}")
             return EXIT_FLAGS

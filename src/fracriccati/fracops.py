@@ -4,20 +4,16 @@ first-order linear solver, whose solution is a SampledFunction: the natural
 cubic spline through its grid values, which is itself an operand.
 
 The lower limit of every operator is fixed at 0.  The fractional integral
-uses a product-trapezoid rule: the integrand f is replaced panel-by-panel by
-its linear interpolant while the singular kernel (x-t)^(alpha-1) moments are
-integrated exactly, so constants and linear functions are reproduced to
-round-off.  The rule is summed on four nested levels of one mesh and
-Richardson-extrapolated in h^2 and h^(2+alpha), so smooth functions converge
-at order min(3 + alpha, 4); the mesh doubles until two extrapolated values
-agree, and each doubling evaluates only its new nodes.  No sum goes through
-BLAS, so the bits do not depend on its thread count.  The derivative is one
-such integral; see rl_derivative.  The linear solver splits off the part
-I^(2-delta) g that does not depend on p; see solve_linear_fractional.
+is a composite Gauss rule whose nodes scale with x, so one call takes a
+whole profile; no sum goes through BLAS, so the bits do not depend on its
+thread count.  The derivative is one such integral; see rl_derivative.  The
+linear solver splits off the part I^(2-delta) g that does not depend on p;
+see solve_linear_fractional.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -51,15 +47,12 @@ def _delta_value(delta) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Mesh/tolerance budget for the singular-kernel quadrature.
-
-    The first mesh has 8 m panels, m = ceil(n_base / 32), summed on levels
-    of m, 2m, 4m and 8m panels (n_base / 4 panels by default); m doubles
-    until the mesh's two extrapolated values agree to tol (scaled by
-    1 + |value|), and the finest mesh has at most n_base * 2**max_doublings
-    panels.  solve_linear_fractional also takes n_base as its panel count
-    for the integral of p.  n_base must be an integer >= 16, max_doublings
-    an integer >= 0 and tol finite and positive.
+    """Tolerance and budget of rl_integral: its levels of 8, 16, ... Gauss
+    nodes per cell stop once two agree to tol times the finer one's absolute
+    mass, within n_base * 2**max_doublings evaluations of f per x (and 512
+    nodes per cell).  solve_linear_fractional also takes n_base as its panel
+    count for the integral of p.  n_base must be an integer >= 16,
+    max_doublings an integer >= 0 and tol finite and positive.
     """
 
     n_base: int = 4096
@@ -70,9 +63,7 @@ class QuadratureSpec:
         if not (isinstance(self.n_base, numbers.Integral) and self.n_base >= 16):
             raise ValueError(f"n_base must be an integer >= 16, got {self.n_base!r}")
         if not (isinstance(self.max_doublings, numbers.Integral) and self.max_doublings >= 0):
-            raise ValueError(
-                f"max_doublings must be an integer >= 0, got {self.max_doublings!r}"
-            )
+            raise ValueError(f"max_doublings must be an integer >= 0, got {self.max_doublings!r}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
@@ -125,7 +116,7 @@ class RealFunction:
         if k == 1:
             return lambda x: _richardson_d1(*_fd_values(self.eval_array, x, 1e-6))
         if k == 2:
-            return lambda x: _richardson_d2(*_fd_values(self.eval_array, x, 1e-4))
+            return lambda x: _richardson_d2(*_fd_values(self.eval_array, x, 1e-3))
         raise ValueError(
             f"no derivative supplier for order {k} "
             "(finite-difference fallback stops at order 2)"
@@ -258,89 +249,116 @@ def _as_real_function(f) -> RealFunction:
 # ---------------------------------------------------------------------------
 
 
-def _mesh_nodes(f: RealFunction, alpha: float, x: float, t: np.ndarray) -> np.ndarray:
-    """Rows f(t), s = x - t, s^alpha and s^(alpha+1) at the nodes t."""
-    s = x - t
-    p = s**alpha
-    return np.array([f.eval_array(t), s, p, s * p])
+_CELLS, _RATIO = 13, 0.15  # graded cells on [0, x/2], each r times the next
+_N_MAX = 512  # Gauss nodes per cell on the last level; the first has 8
 
 
-def _product_trapezoid(f: RealFunction, alpha: float, x: float, n: int, coarser=None):
-    """Two extrapolated values of (1/Gamma(alpha)) int_0^x f(t) (x-t)^(alpha-1)
-    dt, from levels (n, 2n, 4n) and (2n, 4n, 8n) panels of one uniform mesh,
-    and the mesh itself: its level sums and node values.
-
-    coarser is None, or the mesh this function returned for n/2.  Then f and
-    the kernel power are evaluated only at the 4n new odd nodes: the old
-    nodes are the new mesh's even ones, bit for bit, since linspace's step
-    halves exactly, and the sums of levels n, 2n and 4n carry over.  Without
-    it, the 8n-panel mesh is evaluated whole and the coarser levels are its
-    strided views, which are bit-equal to fresh meshes likewise.  On each
-    level f is piecewise linear and the kernel moments are exact per panel.
-    That rule's error expands in h^2, h^(2+alpha), ... (Diethelm & Walz,
-    Numer. Algorithms 16, 1997), and two Richardson steps with those
-    exponents remove both terms.  Every sum is ndarray.sum, not @, so no BLAS
-    thread count changes the bits.
-    """
-    t = np.linspace(0.0, x, 8 * n + 1)
-    if coarser is None:
-        nodes, sums, strides = _mesh_nodes(f, alpha, x, t), [], (8, 4, 2, 1)
-    else:
-        sums, old = coarser
-        nodes = np.empty((4, t.size))
-        nodes[:, ::2] = old
-        nodes[:, 1::2] = _mesh_nodes(f, alpha, x, t[1::2])
-        sums, strides = sums[1:], (1,)
-    for k in strides:
-        # panel j: m0 = (p_j - p_(j+1))/alpha and m1 = s_j m0 - (sp_j -
-        # sp_(j+1))/(alpha + 1), summed as f_j m0 + (f_(j+1) - f_j) m1/h
-        # with the scalar factors taken out of the sums
-        fk, sk, pk, spk = nodes[:, ::k]
-        h = x / (8 * n // k)
-        df = fk[1:] - fk[:-1]
-        sums.append(
-            ((fk[:-1] + df * sk[:-1] / h) * (pk[:-1] - pk[1:])).sum() / alpha
-            - (df * (spk[:-1] - spk[1:])).sum() / ((alpha + 1.0) * h)
-        )
-    rows = sums
-    for e in (2.0, 2.0 + alpha):
-        c = 2.0**e - 1.0
-        rows = [fine + (fine - coarse) / c for coarse, fine in zip(rows, rows[1:])]
-    g = gamma(alpha)
-    return float(rows[0] / g), float(rows[1] / g), (sums, nodes)
+def _gauss_jacobi(n: int, alpha: float):
+    """Angles theta of the nodes u = cos(theta) and the weights of the n-point
+    Gauss rule for (1 - u)^(alpha-1) on [-1, 1], alpha > 0: Newton's method
+    in theta from the Gatteschi-Pittaluga estimates, weights scaled to the
+    mass 2^alpha/alpha (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The
+    recurrence runs on q_m = P_m(u)/P_m(1) and d_m = q_m - q_(m-1), in which
+    v = 1 - u is a factor, so the nodes near u = 1 keep their digits."""
+    a, rho = alpha - 1.0, n + 0.5 * alpha
+    phi = (np.arange(1, n + 1) + 0.5 * a - 0.25) * (math.pi / rho)
+    half = np.tan(0.5 * phi)
+    theta = phi + ((0.25 - a * a) / half - 0.25 * half) / (4.0 * rho * rho)
+    c, converged = 2.0 * n + a, False
+    m = np.arange(2.0, n + 1.0)
+    cm, mm = 2.0 * m + a, (m + a) ** 2
+    steps = list(zip((m - 1.0) ** 2 * cm / (mm * (cm - 2.0)), (cm - 1.0) * cm / (2.0 * mm)))
+    for _ in range(100):
+        v = 2.0 * np.sin(0.5 * theta) ** 2
+        d = -(alpha + 1.0) / (2.0 * alpha) * v
+        q, vq = 1.0 + d, np.empty(n)
+        for sm, tm in steps:  # d = sm d - tm v q in place: at small n the calls cost most
+            np.multiply(v, q, out=vq)
+            vq *= tm
+            d *= sm
+            d -= vq
+            q += d
+        dq = c * v * q - 2.0 * n * d  # c (1 - u^2) P_n'(u) / ((n + a) P_(n-1)(1))
+        if converged:
+            w = (np.sin(theta) / dq) ** 2
+            return theta, w * (2.0**alpha / alpha / w.sum())
+        step = c * np.sin(theta) * q / (n * dq)
+        theta = theta + step
+        converged = np.abs(step).max() < 1e-12
+    raise ConvergenceError(f"Gauss-Jacobi nodes for n={n}, alpha={alpha} did not converge")
 
 
-def rl_integral(f, alpha: float, x: float, q: QuadratureSpec = QuadratureSpec()) -> float:
-    """Riemann-Liouville integral of order alpha > 0 at a finite x > 0, lower limit 0.
+@functools.lru_cache(maxsize=8)
+def _legendre_cells(n: int):
+    """n-point Gauss-Legendre on [0, r^12/2], [r^12/2, r^11/2], ..., [r/2, 1/2]."""
+    theta, w = _gauss_jacobi(n, 1.0)
+    edges = np.concatenate([[0.0], 0.5 * _RATIO ** np.arange(_CELLS - 1, -1, -1.0)])
+    width = np.diff(edges)[:, None]
+    return (edges[:-1, None] + width * np.cos(0.5 * theta) ** 2).ravel(), (0.5 * width * w).ravel()
 
-    The first _product_trapezoid value, n doubled from ceil(q.n_base / 32),
-    whose two extrapolated values agree to q.tol (scaled by 1 + |value|).
-    Each doubling keeps the mesh and evaluates f only at the new nodes.
-    Smooth f converge at order min(3 + alpha, 4), and f with a t^a endpoint
-    behaviour (0 < a < 1) at order 1 + a, as the plain rule does.  Needing a
-    finest mesh (8n panels) beyond q.n_base * 2**q.max_doublings raises
-    ConvergenceError.
-    """
+
+@functools.lru_cache(maxsize=64)
+def _unit_rule(n: int, alpha: float):
+    """Nodes s and weights W with int_0^x f(t) (x-t)^(alpha-1) dt ~
+    x^alpha sum W f(x s): _legendre_cells with the kernel in W, and on
+    [x/2, x] Gauss-Jacobi for the kernel, t = x (1 - (1 - u)/4)."""
+    tau, omega = _legendre_cells(n)
+    theta, w = _gauss_jacobi(n, alpha)
+    s = np.concatenate([tau, 1.0 - 0.5 * np.sin(0.5 * theta) ** 2])
+    weights = np.concatenate([omega * (1.0 - tau) ** (alpha - 1.0), w / 4.0**alpha])
+    s.flags.writeable = weights.flags.writeable = False
+    return s, weights
+
+
+def _gauss_level(f: RealFunction, alpha: float, x: np.ndarray, n: int):
+    """The rule with n nodes per cell at each x, and its absolute mass: one
+    eval_array call, sums along the last axis (each x has its own bits)."""
+    s, w = _unit_rule(n, alpha)
+    fw = f.eval_array(np.multiply.outer(x, s)) * w
+    scale = x**alpha / gamma(alpha)
+    return fw.sum(axis=-1) * scale, np.abs(fw).sum(axis=-1) * scale
+
+
+def rl_integral(f, alpha: float, x, q: QuadratureSpec = QuadratureSpec()):
+    """Riemann-Liouville integral of order alpha > 0, lower limit 0, at a
+    finite x > 0, or elementwise at an ndarray of them (a whole profile).
+
+    Gauss-Jacobi on [x/2, x] takes the kernel (x-t)^(alpha-1) as its weight;
+    Gauss-Legendre on 13 cells of [0, x/2] graded toward 0 (Schwab, p- and
+    hp-Finite Element Methods, 1998) makes t^a endpoints (a >= 0) converge
+    exponentially.  n = 8, 16, ... nodes per cell (_unit_rule) until two
+    levels agree to q.tol times the finer one's absolute mass; each x stops
+    on its own level, with the bits of a float call.  A non-finite value,
+    n > _N_MAX or more than q.n_base * 2**q.max_doublings evaluations of f
+    per x raise ConvergenceError."""
     alpha = float(alpha)
-    x = float(x)
     if not alpha > 0.0:
         raise ValueError(f"integral order must be positive, got {alpha}")
-    if not 0.0 < x < math.inf:
+    xs = np.array(x, dtype=float).ravel()
+    if not np.all((xs > 0.0) & (xs < math.inf)):
         raise ValueError(f"rl_integral requires a finite x > 0, got {x}")
     f = _as_real_function(f)
-    n = -(-q.n_base // 32)
+    out, live = np.empty(xs.size), np.arange(xs.size)
     budget = q.n_base * 2**q.max_doublings
-    mesh = None
-    while 8 * n <= budget:
-        coarse, fine, mesh = _product_trapezoid(f, alpha, x, n, mesh)
-        if abs(fine - coarse) <= q.tol * (1.0 + abs(fine)):
-            return fine
-        n *= 2
-    raise ConvergenceError(
-        f"fractional integral of order {alpha} at x={x} did not converge on "
-        f"meshes of up to {budget} panels (n_base={q.n_base}, "
-        f"max_doublings={q.max_doublings})"
-    )
+    n, used, coarse = 8, 0, None
+    while live.size:
+        used += (_CELLS + 1) * n
+        if n > _N_MAX or used > budget:
+            raise ConvergenceError(
+                f"fractional integral of order {alpha} at x={xs[live[0]]} did not converge: "
+                f"{n} Gauss nodes per cell pass the cap of {_N_MAX} or the budget of "
+                f"{budget} evaluations per x (n_base={q.n_base}, max_doublings={q.max_doublings})"
+            )
+        fine, mass = _gauss_level(f, alpha, xs[live], n)
+        if not np.isfinite(mass).all():  # else |fine| <= mass is finite too
+            bad = xs[live][~np.isfinite(mass)][0]
+            raise ConvergenceError(f"fractional integral of order {alpha} is not finite at x={bad}")
+        if coarse is not None:
+            done = np.abs(fine - coarse) <= q.tol * mass
+            out[live[done]] = fine[done]
+            live, fine = live[~done], fine[~done]
+        coarse, n = fine, 2 * n
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 # offsets of the central-difference stencil, in units of the step h
@@ -388,12 +406,11 @@ def rl_derivative(f, beta: float, x: float, q: QuadratureSpec = QuadratureSpec()
         1 < beta < 2:  I^alpha[alpha(alpha-1) f + 2 alpha t f' + t^2 f''](x) / x^2,
     each t^k f^(k) term taking its limit 0 at t = 0; integer orders give
     f^(n)(x).  A bare callable has no closed-form f', f'' and takes the
-    finite-difference fallback on the whole mesh, never reaching t <= 0, and
-    is less accurate: D^1.95 exp at x = 1 is 9.5e-8 relative off that way,
-    2.3e-11 with the closed form.
+    finite-difference fallback on every node at once, never reaching t <= 0,
+    and is less accurate: D^1.95 exp at x = 1 is 1.5e-10 relative off that way,
+    5.9e-16 with the closed form.
     """
-    beta = float(beta)
-    x = float(x)
+    beta, x = float(beta), float(x)
     if not 0.0 <= beta < 2.0:
         raise ValueError(f"derivative order must lie in [0, 2), got {beta}")
     if not 0.0 < x < math.inf:
@@ -424,18 +441,14 @@ def power_rule(a_exp: float, beta: float, x: float) -> float:
     Serves as the analytic oracle for the numeric operators; beta < 0 gives
     the fractional integral of order -beta.
     """
-    a_exp = float(a_exp)
-    beta = float(beta)
-    x = float(x)
+    a_exp, beta, x = float(a_exp), float(beta), float(x)
     if not a_exp > -1.0:
         raise ValueError(f"power rule needs exponent > -1, got {a_exp}")
     if not x > 0.0:
         raise ValueError(f"power_rule requires x > 0, got {x}")
     den = a_exp + 1.0 - beta
     if den <= 0.0 and den == math.floor(den):
-        raise GammaPoleError(
-            f"power_rule({a_exp}, {beta}): Gamma pole at a+1-beta = {den}"
-        )
+        raise GammaPoleError(f"power_rule({a_exp}, {beta}): Gamma pole at a+1-beta = {den}")
     return gamma(a_exp + 1.0) / gamma(den) * x ** (a_exp - beta)
 
 
@@ -509,13 +522,12 @@ def solve_linear_fractional(
 
     The part that does not depend on p is split off: W = I^(2-delta) g has
     W' = v by the semigroup rule, so int_0^x mu v = W(x) + int_0^x (mu - 1) v.
-    Each grid point makes one rl_integral for W(x_i), and adaptive Simpson
+    One rl_integral gives W on the whole grid, and adaptive Simpson
     integrates (mu - 1) v, which is 0 without a call of v wherever mu is 1:
     everywhere when p = 0.
     """
     d = _delta_value(delta)
-    p = _as_real_function(p)
-    g = _as_real_function(g)
+    p, g = _as_real_function(p), _as_real_function(g)
     pts = xs.points()
     x_start = float(pts[0])
     if not x_start > 0.0:
@@ -528,8 +540,7 @@ def solve_linear_fractional(
     w = np.linspace(0.0, stop, m_panels + 1)
     hw = w[1] - w[0]
     mids = 0.5 * (w[:-1] + w[1:])
-    pv = p.eval_array(w)
-    pm = p.eval_array(mids)
+    pv, pm = p.eval_array(w), p.eval_array(mids)
     panel = hw / 6.0 * (pv[:-1] + 4.0 * pm + pv[1:])
     cum = np.concatenate([[0.0], np.cumsum(panel)])
 
@@ -547,12 +558,7 @@ def solve_linear_fractional(
     def mu(sx: float) -> float:
         return math.exp(antider_p(sx) - p_anchor)
 
-    if d == 1.0:
-        def v(sx: float) -> float:
-            return g(sx)
-    else:
-        def v(sx: float) -> float:
-            return rl_integral(g, 1.0 - d, sx, q)
+    v = g if d == 1.0 else functools.partial(rl_integral, g, 1.0 - d, q=q)
 
     def integrand(sx: float) -> float:
         # v(0) = 0 when delta < 1, and mu = 1 needs no call of v
@@ -561,9 +567,8 @@ def solve_linear_fractional(
             return 0.0
         return mu1 * v(sx)
 
-    us = np.empty(pts.size)
-    acc = 0.0
-    prev = 0.0
+    us = rl_integral(g, 2.0 - d, pts, q)
+    acc = prev = 0.0
     for i, xi in enumerate(pts):
         xi = float(xi)
         tol_i = q.tol * max(1.0, abs(acc)) * max((xi - prev) / stop, 1e-3)
@@ -571,13 +576,10 @@ def solve_linear_fractional(
             # cubic substitution s = xi*tau^3 absorbs the s^(1-delta) endpoint
             # behaviour, restoring full Simpson order on the first increment
             acc += adaptive_simpson(
-                lambda tau: integrand(xi * tau**3) * 3.0 * xi * tau * tau,
-                0.0,
-                1.0,
-                tol_i,
+                lambda tau: integrand(xi * tau**3) * 3.0 * xi * tau * tau, 0.0, 1.0, tol_i
             )
         else:
             acc += adaptive_simpson(integrand, prev, xi, tol_i)
         prev = xi
-        us[i] = (rl_integral(g, 2.0 - d, xi, q) + acc + c) / mu(xi)
+        us[i] = (us[i] + acc + c) / mu(xi)
     return SampledFunction(pts, us)

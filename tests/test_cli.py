@@ -8,6 +8,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -156,13 +157,27 @@ class TestFracderiv:
         assert err == "error: x = 1e-300 is too close to 0: x^2 underflows to 0\n"
 
     def test_overflowing_integrand_prints_only_the_error_line(self, capsys):
-        # exp(1e5) overflows, and so do the quadrature's sums
+        # exp(1e5) overflows, and so do the quadrature's sums: the first
+        # level at x = 1e5 is not finite and raises, with no doubling
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc, out, err = run(capsys, ["fracderiv", "--beta", "1.0000001", "--builtin", "exp",
-                                        "--grid", "7:1e5:2"])
+            with mock.patch.object(fo, "_gauss_level", wraps=fo._gauss_level) as spy:
+                rc, out, err = run(capsys, ["fracderiv", "--beta", "1.0000001", "--builtin",
+                                            "exp", "--grid", "7:1e5:2"])
         assert rc == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: numeric non-convergence: ")
+        assert [c.args[3] for c in spy.call_args_list if c.args[2][0] == 1e5] == [8]
+
+    def test_low_power_table_matches_the_power_rule(self, capsys):
+        # t^0.1 is far from smooth at 0; the graded cells resolve it
+        rc, out, _ = run(capsys, ["fracderiv", "--beta", "0.5", "--power", "0.1",
+                                  "--grid", "0.5:2:3"])
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert len(rows) == 3
+        for x, numeric, oracle, abs_err in rows:
+            assert float(oracle) == fo.power_rule(0.1, 0.5, float(x))
+            assert abs(float(numeric) - float(oracle)) <= 1e-12 * abs(float(oracle))
 
     @pytest.mark.parametrize("beta, flags, f, oracle", [
         ("0.7", ["--power", "1.5"], fo.RealFunction.power(1.5),
