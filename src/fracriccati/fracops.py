@@ -197,12 +197,13 @@ class SampledFunction(RealFunction):
         n = xs.size
         h = np.diff(xs)
         # tridiagonal system for interior second derivatives, Thomas algorithm
-        m = np.zeros(n)
+        # on float lists: indexing an ndarray element by element costs more
+        # than the arithmetic
+        m = [0.0] * n
         if n > 2:
-            a = h[:-1].copy()              # sub-diagonal
-            b = 2.0 * (h[:-1] + h[1:])     # diagonal
-            c = h[1:].copy()               # super-diagonal
-            d = 6.0 * (np.diff(ys[1:]) / h[1:] - np.diff(ys[:-1]) / h[:-1])
+            a, c = h[:-1].tolist(), h[1:].tolist()  # sub- and super-diagonal
+            b = (2.0 * (h[:-1] + h[1:])).tolist()   # diagonal
+            d = (6.0 * (np.diff(ys[1:]) / h[1:] - np.diff(ys[:-1]) / h[:-1])).tolist()
             for i in range(1, n - 2):
                 wfac = a[i] / b[i - 1]
                 b[i] -= wfac * c[i - 1]
@@ -210,7 +211,7 @@ class SampledFunction(RealFunction):
             m[n - 2] = d[-1] / b[-1]
             for i in range(n - 4, -1, -1):
                 m[i + 1] = (d[i] - c[i] * m[i + 2]) / b[i]
-        self.xs, self.ys, self.h, self.m = xs, ys, h, m
+        self.xs, self.ys, self.h, self.m = xs, ys, h, np.array(m)
         super().__init__(self._eval, lambda k: (lambda t: self._eval(t, k)) if k <= 3 else None)
 
     def _eval(self, x, k: int = 0):

@@ -45,32 +45,9 @@ class IvpSpec:
     def __post_init__(self):
         if not self.x0 > 0.0:
             raise ValueError(f"x0 must be positive, got {self.x0}")
-        if not self.x1 > self.x0:
-            raise ValueError(f"need x1 > x0, got x1={self.x1}, x0={self.x0}")
+        if not self.x0 < self.x1 < math.inf:
+            raise ValueError(f"need x0 < x1 < inf, got x1={self.x1}, x0={self.x0}")
 
-
-# Dormand-Prince 5(4) tableau
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-# b5 - b4: weights of the embedded local error estimate
-_E = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -86,26 +63,30 @@ _ABS_TOL = 1e-12
 def _step(rhs, x, y, h, k0):
     """One DP5 step of signed size h from (x, y), k0 = rhs(x, y): the 5th-order
     state, the local error estimate and stage 7 (rhs there: the next k0, first
-    same as last), as lists of floats, each summed in tableau order from 0.0."""
-    k = [k0]
-    for i in range(1, 7):
-        row = _A[i]
-        stage = []
-        for c, yc in enumerate(y):
-            acc = row[0] * k[0][c]
-            for j in range(1, i):
-                acc = acc + row[j] * k[j][c]
-            stage.append(yc + h * acc)
-        k.append(rhs(x + _C[i] * h, stage))
-    y5, err = [], []
-    for c, yc in enumerate(y):
-        s5 = se = 0.0
-        for b, e, kj in zip(_B5, _E, k):
-            s5 = s5 + b * kj[c]
-            se = se + e * kj[c]
-        y5.append(yc + h * s5)
-        err.append(h * se)
-    return y5, err, k[6]
+    same as last).  The tableau is written out in + and * alone, so y and the
+    stages may be floats or ndarrays; each stage sum starts from its first
+    term, the two weight sums from 0.0, and zero weights stay in, which fixes
+    the bits."""
+    k1 = rhs(x + 0.2 * h, y + h * (0.2 * k0))
+    k2 = rhs(x + 0.3 * h, y + h * (3.0 / 40.0 * k0 + 9.0 / 40.0 * k1))
+    k3 = rhs(x + 0.8 * h, y + h * (44.0 / 45.0 * k0 - 56.0 / 15.0 * k1 + 32.0 / 9.0 * k2))
+    k4 = rhs(x + 8.0 / 9.0 * h, y + h * (
+        19372.0 / 6561.0 * k0 - 25360.0 / 2187.0 * k1 + 64448.0 / 6561.0 * k2
+        - 212.0 / 729.0 * k3))
+    k5 = rhs(x + h, y + h * (
+        9017.0 / 3168.0 * k0 - 355.0 / 33.0 * k1 + 46732.0 / 5247.0 * k2
+        + 49.0 / 176.0 * k3 - 5103.0 / 18656.0 * k4))
+    k6 = rhs(x + h, y + h * (
+        35.0 / 384.0 * k0 + 0.0 * k1 + 500.0 / 1113.0 * k2 + 125.0 / 192.0 * k3
+        - 2187.0 / 6784.0 * k4 + 11.0 / 84.0 * k5))
+    y5 = y + h * (
+        0.0 + 35.0 / 384.0 * k0 + 0.0 * k1 + 500.0 / 1113.0 * k2 + 125.0 / 192.0 * k3
+        - 2187.0 / 6784.0 * k4 + 11.0 / 84.0 * k5 + 0.0 * k6)
+    # b5 - b4: the weights of the embedded error estimate
+    err = h * (
+        0.0 + 71.0 / 57600.0 * k0 + 0.0 * k1 - 71.0 / 16695.0 * k2 + 71.0 / 1920.0 * k3
+        - 17253.0 / 339200.0 * k4 + 22.0 / 525.0 * k5 - 1.0 / 40.0 * k6)
+    return y5, err, k6
 
 
 def _rms(values) -> float:
@@ -116,26 +97,25 @@ def _rms(values) -> float:
     return math.sqrt(total / len(values))
 
 
-def _error_norm(err, y, y_new):
-    return _rms([
-        e / (_ABS_TOL + _REL_TOL * max(abs(a), abs(b))) for e, a, b in zip(err, y, y_new)
-    ])
+def _error_norm(err, y, y_new) -> float:
+    """The RMS of err / (_ABS_TOL + _REL_TOL max(|y|, |y_new|)): its absolute
+    value for a float state, which is the one place that reads the kind."""
+    if isinstance(err, float):
+        return abs(err) / (_ABS_TOL + _REL_TOL * max(abs(y), abs(y_new)))
+    return _rms(err / (_ABS_TOL + _REL_TOL * np.maximum(abs(y), abs(y_new))))
 
 
 def _initial_step(rhs, x0, y0, x1):
     """(h, f0 = rhs(x0, y0)): the first step size towards x1 (either side)."""
     f0 = rhs(x0, y0)
     span, sign = abs(x1 - x0), math.copysign(1.0, x1 - x0)
-    scale = [_ABS_TOL + _REL_TOL * abs(v) for v in y0]
-    d0 = _rms([v / s for v, s in zip(y0, scale)])
-    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    d0, d1 = _error_norm(y0, y0, y0), _error_norm(f0, y0, y0)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    if not (h0 > 0.0 and all(map(math.isfinite, f0))):
+    if not (h0 > 0.0 and np.isfinite(f0).all()):
         return 0.0, f0  # f0 overflowed: integrate reports a step underflow at x0
-    y1 = [v + sign * h0 * f for v, f in zip(y0, f0)]
-    f1 = rhs(x0 + sign * h0, y1)
-    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    f1 = rhs(x0 + sign * h0, y0 + sign * h0 * f0)
+    d2 = _error_norm(f1 - f0, y0, y0) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -144,24 +124,36 @@ def _initial_step(rhs, x0, y0, x1):
 
 
 def integrate(rhs, xs, y0) -> np.ndarray:
-    """The states at the strictly monotone points xs, shape (len(xs),
+    """The states at the finite, strictly monotone points xs, shape (len(xs),
     len(y0)), of one trajectory from y0 at xs[0] with the embedded 5(4) pair
     and PI step control.  A step that would pass a point is cut to land on
     it; after an accepted cut the larger of the proposed and the uncut size
     carries on.  _MAX_STEPS bounds the attempted steps of the trajectory.
 
-    rhs(x, y) takes the state as a sequence of floats and returns the
-    derivative as one; the state is carried as Python floats between steps.
+    A one-component y0 (a float, [float] or a one-element ndarray) is carried
+    as a float, and rhs(x, y) takes and returns a float; a longer one as a
+    float ndarray, and rhs returns an ndarray of its shape.
     """
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
-    xs = np.asarray(xs, dtype=float).tolist()
+    pts = np.asarray(xs, dtype=float)
+    if pts.ndim != 1 or pts.size == 0:
+        raise ValueError(f"xs must be a non-empty sequence of points, got {xs!r}")
+    xs, finite = pts.tolist(), np.isfinite(pts)
+    if not finite.all():
+        raise ValueError(f"xs must be finite, got {xs[np.argmin(finite)]!r}")
     x, sign = xs[0], math.copysign(1.0, xs[-1] - xs[0])
+    onward = sign * pts[1:] > sign * pts[:-1]
+    if not onward.all():
+        i = int(np.argmin(onward))
+        raise ValueError(f"xs must be strictly monotone, got {xs[i + 1]!r} after {xs[i]!r}")
+    y = np.array(y0, dtype=float).reshape(-1)
+    if y.size == 1:
+        y = float(y[0])
     h, k0 = _initial_step(rhs, x, y, xs[-1])
     prev_err = 1.0
     out = [y]
     for _ in range(_MAX_STEPS):
         if len(out) == len(xs):
-            return np.array(out)
+            return np.array(out).reshape(len(xs), -1)
         target = xs[len(out)]
         span = sign * (target - x)
         step = min(h, span)
@@ -184,33 +176,24 @@ def integrate(rhs, xs, y0) -> np.ndarray:
     raise MaxStepsError(f"integration exceeded {_MAX_STEPS} steps")
 
 
-def riccati_rhs(rp: RiccatiParams) -> Callable[[float, Sequence[float]], tuple[float]]:
-    """u' = b x^(1-delta)/Gamma(2-delta) - a u^2 as a vector field."""
+def riccati_rhs(rp: RiccatiParams) -> Callable[[float, float], float]:
+    """u' = b x^(1-delta)/Gamma(2-delta) - a u^2, for a float u and x."""
     a, b, delta = float(rp.a), float(rp.b), rp.delta
     if delta == 1.0:
-        def f(x, u):
-            (v,) = u
-            return (b - a * v * v,)
-
-        return f
-    e = 1.0 - delta
-    g = gamma(2.0 - delta)
-
-    def f(x, u):
-        (v,) = u
-        return (b * x**e / g - a * v * v,)
-
-    return f
+        return lambda x, u: b - a * u * u
+    e, g = 1.0 - delta, float(gamma(2.0 - delta))
+    return lambda x, u: b * x**e / g - a * u * u
 
 
-def linear_rhs(rp: RiccatiParams) -> Callable[[float, Sequence[float]], tuple[float, float]]:
-    """First-order system for y'' = (ab/Gamma(2-delta)) x^(1-delta) y."""
+def linear_rhs(rp: RiccatiParams) -> Callable[[float, np.ndarray], np.ndarray]:
+    """First-order system for y'' = (ab/Gamma(2-delta)) x^(1-delta) y, on the
+    state (y, y') as an ndarray of shape (2,)."""
     coef = rp.a * rp.b / gamma(2.0 - rp.delta)
     e = 1.0 - rp.delta
 
     def f(x, state):
         y, yp = state
-        return (yp, coef * x**e * y)
+        return np.array((yp, coef * x**e * y))
 
     return f
 

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fracriccati import cli, cosmo, riccati
 from fracriccati import fracops as fo
@@ -560,6 +560,44 @@ def test_spline_eval_array_matches_point_by_point(start, gaps, ys, unit, pick):
     want = np.array([old_spline_eval(f, float(t)) for t in pts.tolist()])
     assert f.eval_array(pts).tobytes() == want.tobytes()
     assert np.array([f(float(t)) for t in pts.tolist()]).tobytes() == want.tobytes()
+
+
+def numpy_thomas_m(xs, ys):
+    """The second derivatives of the natural cubic spline by the Thomas sweep
+    indexed element by element in ndarrays, as SampledFunction once ran it."""
+    n, h = xs.size, np.diff(xs)
+    m = np.zeros(n)
+    if n > 2:
+        a = h[:-1].copy()
+        b = 2.0 * (h[:-1] + h[1:])
+        c = h[1:].copy()
+        d = 6.0 * (np.diff(ys[1:]) / h[1:] - np.diff(ys[:-1]) / h[:-1])
+        for i in range(1, n - 2):
+            wfac = a[i] / b[i - 1]
+            b[i] -= wfac * c[i - 1]
+            d[i] -= wfac * d[i - 1]
+        m[n - 2] = d[-1] / b[-1]
+        for i in range(n - 4, -1, -1):
+            m[i + 1] = (d[i] - c[i] * m[i + 2]) / b[i]
+    return m
+
+
+@given(
+    start=st.floats(-50.0, 50.0),
+    gaps=st.lists(st.floats(1e-6, 5.0), min_size=1, max_size=60),
+    ys=st.lists(st.floats(-1e3, 1e3), min_size=61, max_size=61),
+)
+@example(start=0.0, gaps=[1.0], ys=[1.0, -2.0] + [0.0] * 59)
+@example(start=0.5, gaps=[0.25, 2.0], ys=[1.0, -2.0, 3.0] + [0.0] * 58)
+@example(start=-1.0, gaps=[1e-6, 1.0, 3.0], ys=[0.5, 2.0, -1.0, 4.0] + [0.0] * 57)
+@settings(max_examples=200, deadline=None)
+def test_spline_sweep_matches_numpy_indexed_sweep(start, gaps, ys):
+    xs = start + np.cumsum([0.0] + gaps)
+    assume(np.all(np.diff(xs) > 0.0))
+    ys = np.array(ys[: xs.size])
+    f = fo.SampledFunction(xs, ys)
+    assert f.m.dtype == float and f.m.shape == xs.shape
+    assert f.m.tobytes() == numpy_thomas_m(xs, ys).tobytes()
 
 
 def profile_function(kind, x_max):

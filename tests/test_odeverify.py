@@ -17,6 +17,13 @@ class TestIvpSpec:
         with pytest.raises(ValueError):
             ov.IvpSpec(1.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("x0, x1", [(0.5, math.inf), (0.5, math.nan), (math.inf, 2.0)])
+    def test_non_finite_ends(self, x0, x1):
+        # an infinite x1 used to run into the step bound after 0.8 s
+        with pytest.raises(ValueError, match=r"x1=\S+, x0=\S+") as info:
+            ov.IvpSpec(x0, 2.0, x1)
+        assert repr(x1) in str(info.value) and repr(x0) in str(info.value)
+
 
 class TestIntegrateRiccati:
     def test_coth_propagation(self):
@@ -47,6 +54,79 @@ class TestIntegrateRiccati:
         monkeypatch.setattr(ov, "_MAX_STEPS", 3)
         with pytest.raises(MaxStepsError, match="exceeded 3 steps"):
             ov.integrate(ov.riccati_rhs(rp), [0.5, 100.0], 1.0)
+
+
+class TestPoints:
+    @pytest.mark.parametrize("xs, bad", [
+        ([0.5, 1.0, 0.8, 2.0], "0.8 after 1.0"),
+        ([0.5, 0.5, 1.0], "0.5 after 0.5"),
+        ([2.0, 1.0, 1.5], "1.5 after 1.0"),
+        ([0.5, math.nan, 1.0], "finite, got nan"),
+        ([0.5, math.inf], "finite, got inf"),
+        ([-math.inf, 1.0], "finite, got -inf"),
+        ([], "non-empty"),
+        ([[0.5, 1.0]], "non-empty"),
+    ])
+    def test_malformed_points_are_refused_before_any_step(self, xs, bad):
+        # these used to read as a pole (StepUnderflowError) or run into the
+        # step bound (MaxStepsError)
+        calls = []
+        rhs = ov.riccati_rhs(rc.RiccatiParams(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match=bad):
+            ov.integrate(lambda x, u: calls.append(x) or rhs(x, u), xs, 1.0)
+        assert calls == []
+
+    def test_one_point(self):
+        got = ov.integrate(ov.riccati_rhs(rc.RiccatiParams(1.0, 1.0, 1.0)), [0.5], 2.0)
+        assert got.shape == (1, 1) and got[0, 0] == 2.0
+
+
+def spy_rhs(monkeypatch, name, record):
+    """Make ov.<name> build right-hand sides that pass (x, state, result) of
+    every call to record."""
+    make = getattr(ov, name)
+
+    def spied(rp):
+        rhs = make(rp)
+
+        def f(x, state):
+            out = rhs(x, state)
+            record(x, state, out)
+            return out
+        return f
+
+    monkeypatch.setattr(ov, name, spied)
+
+
+class TestStateKind:
+    # one component is carried as a float, two as an ndarray; the pinned
+    # bits below hold for both
+    @pytest.mark.parametrize("params", [(1.0, 1.0, 1.0), (1.0, -1.0, 0.5), (2, 3, 0.3)])
+    def test_riccati_rhs_sees_only_floats(self, monkeypatch, params):
+        kinds = set()
+        spy_rhs(monkeypatch, "riccati_rhs", lambda *args: kinds.add(tuple(map(type, args))))
+        rp = rc.RiccatiParams(*params)
+        ov.integrate_riccati(rp, ov.IvpSpec(0.5, 0.25, 1.5))
+        xs = np.linspace(0.5, 1.5, 9)
+        ov.riccati_trajectory(rp, xs, np.tanh(xs))
+        assert kinds == {(float, float, float)}
+
+    def test_linear_rhs_sees_only_arrays(self, monkeypatch):
+        kinds = set()
+        spy_rhs(monkeypatch, "linear_rhs", lambda x, state, out: kinds.add(
+            (type(x), type(state), state.shape, state.dtype, type(out), out.shape, out.dtype)))
+        ov.integrate_linear(rc.RiccatiParams(1.0, -1.0, 0.6), ov.IvpSpec(0.5, (0.3, 0.8), 1.5))
+        f8 = np.dtype(float)
+        assert kinds == {(float, np.ndarray, (2,), f8, np.ndarray, (2,), f8)}
+
+    @pytest.mark.parametrize("params, u0", [((1.0, 1.0, 1.0), 1.0 / math.tanh(0.5)),
+                                            ((1.0, -1.0, 0.5), 1.7), ((2.0, 0.5, 0.3), -0.0)])
+    def test_one_component_forms_have_the_same_bits(self, params, u0):
+        rhs = ov.riccati_rhs(rc.RiccatiParams(*params))
+        xs = np.linspace(0.5, 1.2, 6)
+        got = [ov.integrate(rhs, xs, y0) for y0 in (u0, [u0], np.array([u0]), np.float64(u0))]
+        assert all(g.shape == (6, 1) for g in got)
+        assert len({g.tobytes() for g in got}) == 1
 
 
 class TestIntegrateLinear:
