@@ -7,8 +7,8 @@ The lower limit of every operator is fixed at 0.  The fractional integral
 is a composite Gauss rule whose nodes scale with x, so one call takes a
 whole profile; no sum goes through BLAS, so the bits do not depend on its
 thread count.  The derivative is one such integral; see rl_derivative.  The
-linear solver splits off the part I^(2-delta) g that does not depend on p;
-see solve_linear_fractional.
+linear solver integrates by parts, so that all its integrals are such
+integrals of p and g; see solve_linear_fractional.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "power_rule",
     "frac_const",
     "solve_linear_fractional",
-    "adaptive_simpson",
 ]
 
 
@@ -50,9 +49,8 @@ class QuadratureSpec:
     """Tolerance and budget of rl_integral: its levels of 8, 16, ... Gauss
     nodes per cell stop once two agree to tol times the finer one's absolute
     mass, within n_base * 2**max_doublings evaluations of f per x (and 512
-    nodes per cell).  solve_linear_fractional also takes n_base as its panel
-    count for the integral of p.  n_base must be an integer >= 16,
-    max_doublings an integer >= 0 and tol finite and positive.
+    nodes per cell).  n_base must be an integer >= 16, max_doublings an
+    integer >= 0 and tol finite and positive.
     """
 
     n_base: int = 4096
@@ -467,42 +465,8 @@ def frac_const(b: float, delta, x):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature and the linear solver
+# The linear solver
 # ---------------------------------------------------------------------------
-
-
-_SIMPSON_MAX_DEPTH = 30
-
-
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width * (fa + 4.0 * fm + fb) / 6.0
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Classic adaptive Simpson quadrature of a callable on [a, b]."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(fa, fm, fb, b - a)
-
-    def recurse(a, m, b, fa, fm, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = _simpson(fa, flm, fm, m - a)
-        right = _simpson(fm, frm, fb, b - m)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol or (b - a) < 1e-14 * (1.0 + abs(a)):
-            return left + right + err / 15.0
-        if depth >= _SIMPSON_MAX_DEPTH:
-            raise ConvergenceError(
-                f"adaptive_simpson: depth limit {_SIMPSON_MAX_DEPTH} reached on [{a}, {b}]"
-            )
-        return recurse(a, lm, m, fa, flm, fm, left, 0.5 * tol, depth + 1) + recurse(
-            m, rm, b, fm, frm, fb, right, 0.5 * tol, depth + 1
-        )
-
-    return recurse(a, m, b, fa, fm, fb, whole, tol, 0)
 
 
 def solve_linear_fractional(
@@ -521,66 +485,29 @@ def solve_linear_fractional(
     order-(1-delta) integral v of g collapses to g itself at delta = 1 and
     the solver reduces to the classical integrating-factor formula.
 
-    The part that does not depend on p is split off: W = I^(2-delta) g has
-    W' = v by the semigroup rule, so int_0^x mu v = W(x) + int_0^x (mu - 1) v.
-    One rl_integral gives W on the whole grid, and adaptive Simpson
-    integrates (mu - 1) v, which is 0 without a call of v wherever mu is 1:
-    everywhere when p = 0.
+    v is never formed: W = I^(2-delta) g has W' = v and W(0) = 0, and
+    mu' = p mu, so by parts u(x) = W(x) + (c - int_0^x p mu W) / mu(x).
+    Each integral is an rl_integral, of order 1 for int_0^x p and for the
+    correction: one call per grid point, whose integrand takes int_0^s p and
+    W at all its nodes at once and calls nothing where p(s) = 0.
     """
     d = _delta_value(delta)
     p, g = _as_real_function(p), _as_real_function(g)
     pts = xs.points()
-    x_start = float(pts[0])
-    if not x_start > 0.0:
-        raise ValueError(f"solution grid must start above 0, got {x_start}")
-    stop = float(pts[-1])
+    if not pts[0] > 0.0:
+        raise ValueError(f"solution grid must start above 0, got {float(pts[0])}")
+    ip = rl_integral(p, 1.0, pts, q)  # int_0^x p
+    w = rl_integral(g, 2.0 - d, pts, q)
 
-    # cumulative antiderivative of p on a dense panel mesh; queried values
-    # are finished with a one-panel Simpson correction
-    m_panels = q.n_base
-    w = np.linspace(0.0, stop, m_panels + 1)
-    hw = w[1] - w[0]
-    mids = 0.5 * (w[:-1] + w[1:])
-    pv, pm = p.eval_array(w), p.eval_array(mids)
-    panel = hw / 6.0 * (pv[:-1] + 4.0 * pm + pv[1:])
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
+    def pmw(s):
+        ps = p.eval_array(s)
+        live = (ps != 0.0) & (s > 0.0)  # W(0) = 0
+        out = np.zeros(s.shape)
+        if live.any():
+            t = s[live]
+            mu = np.exp(rl_integral(p, 1.0, t, q) - ip[0])
+            out[live] = ps[live] * mu * rl_integral(g, 2.0 - d, t, q)
+        return out
 
-    def antider_p(sx: float) -> float:
-        # int_0^sx p
-        i = min(int(sx / hw), m_panels - 1)
-        a = w[i]
-        if sx <= a:
-            return float(cum[i])
-        mid = 0.5 * (a + sx)
-        return float(cum[i]) + (sx - a) / 6.0 * (p(a) + 4.0 * p(mid) + p(sx))
-
-    p_anchor = antider_p(x_start)
-
-    def mu(sx: float) -> float:
-        return math.exp(antider_p(sx) - p_anchor)
-
-    v = g if d == 1.0 else functools.partial(rl_integral, g, 1.0 - d, q=q)
-
-    def integrand(sx: float) -> float:
-        # v(0) = 0 when delta < 1, and mu = 1 needs no call of v
-        mu1 = mu(sx) - 1.0
-        if mu1 == 0.0 or (sx <= 0.0 and d < 1.0):
-            return 0.0
-        return mu1 * v(sx)
-
-    us = rl_integral(g, 2.0 - d, pts, q)
-    acc = prev = 0.0
-    for i, xi in enumerate(pts):
-        xi = float(xi)
-        tol_i = q.tol * max(1.0, abs(acc)) * max((xi - prev) / stop, 1e-3)
-        if prev == 0.0:
-            # cubic substitution s = xi*tau^3 absorbs the s^(1-delta) endpoint
-            # behaviour, restoring full Simpson order on the first increment
-            acc += adaptive_simpson(
-                lambda tau: integrand(xi * tau**3) * 3.0 * xi * tau * tau, 0.0, 1.0, tol_i
-            )
-        else:
-            acc += adaptive_simpson(integrand, prev, xi, tol_i)
-        prev = xi
-        us[i] = (us[i] + acc + c) / mu(xi)
-    return SampledFunction(pts, us)
+    corr = np.array([rl_integral(pmw, 1.0, xi, q) for xi in pts])
+    return SampledFunction(pts, w + (c - corr) / np.exp(ip - ip[0]))

@@ -47,6 +47,8 @@ class IvpSpec:
             raise ValueError(f"x0 must be positive, got {self.x0}")
         if not self.x0 < self.x1 < math.inf:
             raise ValueError(f"need x0 < x1 < inf, got x1={self.x1}, x0={self.x0}")
+        if not np.isfinite(self.u0).all():
+            raise ValueError(f"u0 must be finite, got {self.u0!r}")
 
 
 _SAFETY = 0.9

@@ -8,7 +8,8 @@ from fracriccati import cosmo as co
 from fracriccati import odeverify as ov
 from fracriccati import riccati as rc
 from fracriccati.errors import BranchZeroError
-from fracriccati.fracops import RealFunction, adaptive_simpson, frac_const
+from fracriccati.fracops import RealFunction, frac_const
+from simpson import adaptive_simpson
 
 
 def h_at(cp, eta: float, branch: int = 1) -> float:

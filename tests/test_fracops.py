@@ -120,11 +120,14 @@ class TestRlIntegral:
     @example(f=("power", 0.1), alpha=0.3, x=50.0)
     @example(f=("sin", None), alpha=0.05, x=50.0)
     @example(f=("exp", None), alpha=2.5, x=50.0)
+    @example(f=("poly", [2.2250738585072014e-308] * 2), alpha=1.76953125, x=0.001)
     @settings(max_examples=150, deadline=None)
     def test_against_power_rule_and_series(self, f, alpha, x):
         # the oracle sums the power rule over the terms of f (mpmath for
         # the series of sin and exp), and the error is held to 1e-12 of the
-        # sum of the terms' magnitudes: of |value| unless terms cancel
+        # sum of the terms' magnitudes: of |value| unless terms cancel; the
+        # oracle rounds each power-rule part to a multiple of ulp(0.0), so
+        # a subnormal sum is only known to len(parts) of those
         kind, arg = f
         if kind == "power":
             func, terms = fo.RealFunction.power(arg), [(1.0, arg)]
@@ -137,9 +140,10 @@ class TestRlIntegral:
         if terms is not None:
             parts = [c * fo.power_rule(float(j), -alpha, x) for c, j in terms]
             want, scale = math.fsum(parts), math.fsum(abs(p) for p in parts)
+            floor = len(parts) * math.ulp(0.0)
         else:
-            want, scale = series_rl_integral(kind, alpha, x)
-        assert abs(got - want) <= 1e-12 * scale
+            (want, scale), floor = series_rl_integral(kind, alpha, x), 0.0
+        assert abs(got - want) <= max(1e-12 * scale, floor)
 
     @given(st.floats(-0.99, -0.01), st.floats(0.05, 2.5), st.floats(1e-3, 50.0))
     @settings(max_examples=40, deadline=None)
@@ -543,18 +547,35 @@ class TestSolveLinear:
         x, xs, lam, m = grid.points(), 0.5, -p0, a + 2.0 - delta
         integral = math.gamma(a + 1.0) * lam**-m * special.gammainc(m, lam * x)
         want = np.exp(lam * (x - xs)) * (np.exp(lam * xs) * integral + c)
-        np.testing.assert_allclose(u.ys, want, rtol=1e-6)
+        np.testing.assert_allclose(u.ys, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.35, 0.5, 0.9])
+    @pytest.mark.parametrize("a", [0.0, 1.5])
+    def test_linear_p_against_mpmath(self, delta, a):
+        # u' + t u = D^(delta-1) t^a: mu(s) = exp((s^2 - xs^2)/2) and
+        # v = Gamma(a+1)/Gamma(m) s^(m-1), m = a + 2 - delta, integrated by
+        # mpmath at 30 digits
+        grid, c, xs, m = GridSpec(0.5, 2.0, 7), 0.4, 0.5, a + 2.0 - delta
+        u = fo.solve_linear_fractional(fo.RealFunction(lambda t: t), fo.RealFunction.power(a),
+                                       delta, grid, c)
+        with mpmath.workdps(30):
+            mu = lambda s: mpmath.exp((s * s - xs * xs) / 2)
+            coef = mpmath.gamma(a + 1) / mpmath.gamma(m)
+            want = np.array([float((coef * mpmath.quad(lambda s: mu(s) * s ** (m - 1), [0, x]) + c)
+                                   / mu(x)) for x in grid.points()])
+        assert np.all(np.abs(u.ys - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("delta", [0.5, 1.0])
     def test_one_integral_per_point_without_p(self, delta):
-        # with p = 0 the integrating factor is 1 and only I^(2-delta) g is left
-        grid = GridSpec(0.5, 2.0, 7)
+        # with p = 0 the integrating factor is 1: int_0^x p on the grid, one
+        # correction call per point whose integrand is 0 without a call, and
+        # one profile call of g, W = I^(2-delta) g on the whole grid
+        grid, g = GridSpec(0.5, 2.0, 7), fo.RealFunction.power(1.0)
         with mock.patch.object(fo, "rl_integral", wraps=fo.rl_integral) as spy:
-            fo.solve_linear_fractional(
-                fo.RealFunction.constant(0.0), fo.RealFunction.power(1.0), delta, grid, 1.0, FAST_Q
-            )
-        # one profile call gives W = I^(2-delta) g on the whole grid
-        assert spy.call_count == 1
+            fo.solve_linear_fractional(fo.RealFunction.constant(0.0), g, delta, grid, 1.0, FAST_Q)
+        assert spy.call_count == 2 + grid.count
+        (on_g,) = [call.args for call in spy.call_args_list if call.args[0] is g]
+        np.testing.assert_array_equal(on_g[2], grid.points())
 
 
 class TestRealFunction:
@@ -610,7 +631,7 @@ class TestQuadratureSpecValidation:
         [
             {"max_doublings": -3},  # no mesh fits the budget
             {"max_doublings": 2.5},
-            {"n_base": 100.5},  # linspace takes an integer count
+            {"n_base": 100.5},  # the budget counts whole evaluations
             {"tol": math.inf},  # any first value would pass
         ],
     )

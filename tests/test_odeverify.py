@@ -24,6 +24,12 @@ class TestIvpSpec:
             ov.IvpSpec(x0, 2.0, x1)
         assert repr(x1) in str(info.value) and repr(x0) in str(info.value)
 
+    @pytest.mark.parametrize("u0", [math.nan, math.inf, (math.nan, 1.0), (0.3, -math.inf)])
+    def test_non_finite_start_value(self, u0):
+        # a non-finite u0 used to end in "step size underflow ... likely a pole"
+        with pytest.raises(ValueError, match=r"u0 must be finite, got \S+"):
+            ov.IvpSpec(0.5, u0, 2.0)
+
 
 class TestIntegrateRiccati:
     def test_coth_propagation(self):
