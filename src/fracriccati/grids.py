@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class GridSpec:
             )
         if not self.start < self.stop:
             raise ValueError(f"grid start must be < stop, got [{self.start}, {self.stop}]")
-        if self.count < 2:
-            raise ValueError(f"grid count must be >= 2, got {self.count}")
+        if not (isinstance(self.count, numbers.Integral) and self.count >= 2):
+            raise ValueError(f"grid count must be an integer >= 2, got {self.count!r}")
 
     def points(self) -> np.ndarray:
         # linspace's k * step may overflow at the last point of a grid that

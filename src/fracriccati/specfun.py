@@ -6,18 +6,16 @@ I or K by its letter, and returns each value split as s * exp(e); ``bessel``
 multiplies it back.  Floats take the scalar kernels (``bessel_j`` and
 ``bessel_y`` are J's and Y's), ndarrays the array path, which repeats their
 floating-point operations element by element and so returns the same bits.
-Bessel evaluation is split by argument size: ascending power series for
-small x, Hankel-type asymptotic expansions (truncated at the smallest term)
-for large x, whose terms one loop, _asymptotic_sums, builds and sums for
-all four kinds.  Y of non-integer order goes through the reflection formula;
-exact integer orders use the limiting log-series instead (no epsilon-offset
-tricks).  K below x = 20 has two kernels: trapezoidal quadrature of its
-cosh-kernel integral representation, which converges for every order and has
-no sin(pi*nu) divisor, and, for x < 2 and orders at least 1/4 from an
-integer, the faster reflection formula through I; from x = 20 on the
-asymptotic series is good to ~e^(-2x).  The I and K kernels return e = x past
-x = 30 and e = -x from x = 20 on, so ratios over the order need no exp(+-x);
-elsewhere e = 0.
+J, Y and I are split by argument size: ascending power series for small x,
+Hankel-type asymptotic expansions (truncated at the smallest term) for large
+x, whose terms one loop, _asymptotic_sums, builds and sums for the three.  Y
+of non-integer order goes through the reflection formula; exact integer
+orders use the limiting log-series instead (no epsilon-offset tricks).  K is
+Temme's series below x = 2 and Steed's continued fraction CF2 from 2 on
+(Numerical Recipes 3rd ed. 6.6), each giving K_mu and K_(mu+1) for
+|mu| <= 1/2 with no sin(pi*nu) divisor, then the upward recurrence in the
+order.  The I and K kernels return e = x past x = 30 and e = -x from x = 2
+on, so ratios over the order need no exp(+-x); elsewhere e = 0.
 
 Accuracy target: >= 10 significant digits for 0 < x <= 100, |nu| <= 10.
 Known caveat: Y of non-integer nu near an integer can be wrong in every
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 
 import numpy as np
 
@@ -63,6 +60,37 @@ _LANCZOS = (
     -0.13857109526572012,
     9.9843695780195716e-6,
     1.5056327351493116e-7,
+)
+
+# Taylor coefficients c_0 .. c_25 of 1/Gamma(1 + z) = sum c_k z^k (DLMF 5.7.1),
+# whose parts give Temme's Gamma_1 and Gamma_2 to 1e-17 for |z| <= 1/2.
+_RECIP_GAMMA_TAYLOR = (
+    1.0,
+    0.5772156649015329,
+    -0.6558780715202539,
+    -0.04200263503409524,
+    0.16653861138229148,
+    -0.04219773455554433,
+    -0.009621971527876973,
+    0.0072189432466631,
+    -0.0011651675918590652,
+    -0.00021524167411495098,
+    0.0001280502823881162,
+    -2.013485478078824e-05,
+    -1.2504934821426706e-06,
+    1.133027231981696e-06,
+    -2.056338416977607e-07,
+    6.116095104481416e-09,
+    5.002007644469223e-09,
+    -1.18127457048702e-09,
+    1.0434267116911005e-10,
+    7.782263439905071e-12,
+    -3.696805618642206e-12,
+    5.100370287454476e-13,
+    -2.0583260535665066e-14,
+    -5.348122539423018e-15,
+    1.2267786282382608e-15,
+    -1.1812593016974588e-16,
 )
 
 
@@ -144,13 +172,10 @@ BESSEL_KINDS = ("J", "Y", "I", "K")
 _SERIES_MAX_TERMS = 500
 # I takes its ascending series up to here and the asymptotic expansion past it
 _I_SERIES_MAX = 30.0
-# K takes its asymptotic expansion from here on, quadrature from 2 up to it
-_K_ASYMPTOTIC_MIN = 20.0
-# below x = 2, K of an order at least this far from an integer takes the
-# reflection formula (1/|sin(pi nu)| <= sqrt 2), the other orders the quadrature
-_K_REFLECT_MIN_GAP = 0.25
-# the largest argument whose cosh is a finite float
-_COSH_MAX = math.log(sys.float_info.max) + math.log(2.0)
+# K takes Temme's series below here and CF2 from here on
+_K_CF2_MIN = 2.0
+_LN2 = math.log(2.0)
+_EPS = 2.0**-52  # the spacing of floats at 1
 # J/Y switch from the ascending series to the Hankel expansion here.  The
 # 1.6|nu| scaling balances series cancellation against the asymptotic
 # smallest-term floor for orders up to ~10.
@@ -194,16 +219,15 @@ def _series(nu: float, x: float, sign: float) -> float:
 
 def _asymptotic_sums(kind: str, nu, x):
     """The sums of the terms t_k = a_k(nu)/x^k, k >= 1, of the large-argument
-    expansions (DLMF 10.17.1, 10.40.1-2), truncated at the smallest term:
-    (P, Q) of J and Y, (1 + sum (-1)^k t_k, 1 + sum t_k) for I and
-    (1, 1 + sum t_k) for K.  An ndarray x truncates each element at its own
-    smallest term.
+    expansions (DLMF 10.17.1, 10.40.1), truncated at the smallest term:
+    (P, Q) of J and Y and (1 + sum (-1)^k t_k, 1 + sum t_k) for I.  An
+    ndarray x truncates each element at its own smallest term.
 
     For large orders the terms grow before they decay, so divergence is only
     declared once a term grows after the decaying phase has started.  J and Y
     add term k to Q for odd k and to P for even k, negated when k % 4 >= 2.
     """
-    jy, alt = kind in "JY", kind == "I"
+    jy = kind in "JY"
     mu = 4.0 * nu * nu
     if isinstance(x, np.ndarray):
         first, second = np.ones_like(x), (np.zeros_like(x) if jy else np.ones_like(x))
@@ -221,8 +245,7 @@ def _asymptotic_sums(kind: str, nu, x):
                 acc = second if k % 2 else first
                 (np.add if k % 4 < 2 else np.subtract)(acc, term, out=acc, where=live)
             else:
-                if alt:
-                    (np.subtract if k % 2 else np.add)(first, term, out=first, where=live)
+                (np.subtract if k % 2 else np.add)(first, term, out=first, where=live)
                 np.add(second, term, out=second, where=live)
             live &= ~(mag < 1e-18)
             np.copyto(prev, mag, where=live)
@@ -244,8 +267,7 @@ def _asymptotic_sums(kind: str, nu, x):
             else:
                 first += signed
         else:
-            if alt:
-                first += -term if k % 2 else term
+            first += -term if k % 2 else term
             second += term
         if mag < 1e-18:
             break
@@ -301,64 +323,117 @@ def _bessel_y_series_int(n: int, x: float) -> float:
     return (2.0 * jn * lg - finite - (half**n) * total) / math.pi
 
 
-def _x_cosh(x, t: float, less: float = 0.0):
-    """x (cosh t - less) for a float t (x may be an ndarray); past cosh's
-    overflow, where less is lost beside cosh t, as 2 (x cosh(t/2)) cosh(t/2)."""
-    if t <= _COSH_MAX:
-        return x * (math.cosh(t) - less)
-    c = math.cosh(0.5 * t)
-    return 2.0 * (x * c) * c
+def _temme_gammas(mu):
+    """(Gamma_1, Gamma_2, 1/Gamma(1 + mu), 1/Gamma(1 - mu)) of Temme's series
+    for |mu| <= 1/2, mu a float or an ndarray, where Gamma_1 = (1/Gamma(1 - mu)
+    - 1/Gamma(1 + mu)) / (2 mu) and Gamma_2 = (1/Gamma(1 - mu) + 1/Gamma(1 +
+    mu)) / 2: the odd and the even part of the Taylor series of 1/Gamma(1 + z),
+    so Gamma_1 has no cancellation near mu = 0 and is -Euler's gamma there."""
+    m2 = mu * mu
+    even = odd = 0.0
+    for j in range(len(_RECIP_GAMMA_TAYLOR) - 2, -1, -2):
+        even = even * m2 + _RECIP_GAMMA_TAYLOR[j]
+        odd = odd * m2 + _RECIP_GAMMA_TAYLOR[j + 1]
+    return -odd, even, even + mu * odd, even - mu * odd
 
 
-def _tail_node(a: float) -> float:
-    """exp(a) / 16, also where exp(a) alone overflows but the quotient does
-    not: there as (exp(a/2) / 16) exp(a/2)."""
-    try:
-        return 0.0625 * math.exp(a)
-    except OverflowError:
-        e = math.exp(0.5 * a)
-        return 0.0625 * e * e
+def _sinh_ratio(e: float, big: float) -> float:
+    """sinh(e) / e, 1 at e = 0, and from |e| = 1 on from big = exp(e)."""
+    if abs(e) >= 1.0:
+        return 0.5 * (big - 1.0 / big) / e
+    return math.sinh(e) / e if e else 1.0
 
 
-def _bessel_k_quad(nu: float, x: float) -> float:
-    """K_nu by trapezoidal quadrature of int_0^inf exp(-x cosh t) cosh(nu t) dt
-    (DLMF 10.32.9), for nu >= 0.
+def _retire(stop, at, done, ends, state):
+    """A step's end in a term loop over ndarrays: the elements where stop put
+    their ends into done at their places at and leave at and each array of
+    state, so later steps run on the others (CF2 takes 76 steps at x = 2 and
+    5 at x = 750).  Returns (at, state)."""
+    for out, end in zip(done, ends):
+        out[at[stop]] = end[stop]
+    go = ~stop
+    return at[go], [v[go] for v in state]
 
-    The rule converges exponentially in the node spacing for every order and
-    every x > 0 (Trefethen & Weideman, SIAM Rev. 56, 2014), and nothing in it
-    divides by sin(pi nu); K takes it for every order at 2 <= x < 20
-    and for orders within 1/4 of an integer below x = 2.  The node spacing
-    shrinks as 1/sqrt(x) past x = 8 and as 1/sqrt(nu) past nu = 10, with
-    the width of the integrand's peak.  Tail nodes where cosh(nu t) would
-    overflow (tiny x and orders >= 1, where K itself is finite) take
-    exp(nu t - x cosh t) / 2 instead, through _tail_node where the exp alone
-    overflows; _x_cosh forms x cosh t where cosh t overflows (x below about
-    4e-307).  Nodes are summed divided by 8 (exact) so the sum stays in
-    range where K = h * sum does (h >= 1/8 to order 20).
-    ndarray nu and x go to _k_quad_array, which forms the factors of a node
-    that several elements share once and keeps each element's own nodes.
-    """
-    if isinstance(x, np.ndarray):
-        return _k_quad_array(nu, x)
-    h = 0.18 / math.sqrt(max(1.0, x / 8.0, nu / 10.0))
-    # truncation point: integrand down by e^-46 relative to the t=0 value
-    t_max = 1.0
-    while _x_cosh(x, t_max, 1.0) - abs(nu) * t_max < 46.0:
-        t_max += 0.5
-    n = int(t_max / h) + 1
-    acc = 0.0625 * math.exp(-x)
-    for j in range(1, n + 1):
-        t = j * h
-        nu_t = nu * t
-        x_cosh = x * math.cosh(t) if t <= _COSH_MAX else _x_cosh(x, t)  # hot path inline
-        if nu_t <= _COSH_MAX:
-            acc += math.exp(-x_cosh) * math.cosh(nu_t) * 0.125
-        else:
-            acc += _tail_node(nu_t - x_cosh)
-    k = 8.0 * h * acc
-    if k == math.inf:
-        raise OverflowError(f"K overflows for x = {x}")
-    return k
+
+def _k_temme(mu, x):
+    """(K_mu(x), K_(mu+1)(x)) for |mu| <= 1/2 and x < 2, floats or ndarrays
+    of one size, by Temme's series (Temme, J. Comput. Phys. 19, 1975;
+    Numerical Recipes 3rd ed. 6.6).  exp(mu log(2/x)) is the power
+    (x/2)^-mu, so the rounding of log(2/x) (737 at x = 1e-320) is not
+    multiplied by mu; K_(mu+1) is 2 sum1 / x, as 2/x overflows below 1e-308."""
+    array = isinstance(x, np.ndarray)
+    each = _each if array else (lambda func, *args: func(*args))
+    g1, g2, gp, gm = _temme_gammas(mu)
+    d = _LN2 - each(math.log, x)  # -log(x/2), with no rounding of a subnormal x/2
+    e = mu * d
+    big = each(operator.pow, x, -mu) * each(lambda m: 2.0**m, mu)  # exp(e)
+    # pi mu / sin(pi mu) = Gamma(1 + mu) Gamma(1 - mu)
+    ff = (g1 * (0.5 * (big + 1.0 / big)) + g2 * each(_sinh_ratio, e, big) * d) / (gp * gm)
+    p = 0.5 * big / gp
+    q = 0.5 / (big * gm)
+    c, quarter, m2 = 1.0, 0.25 * x * x, mu * mu
+    total, total1 = ff, p
+    if array:
+        at, done = np.arange(x.size), (np.empty_like(x), np.empty_like(x))
+    for i in range(1, _SERIES_MAX_TERMS):
+        ff = (i * ff + p + q) / (i * i - m2)
+        c = c * (quarter / i)
+        p = p / (i - mu)
+        q = q / (i + mu)
+        term = c * ff
+        total = total + term
+        total1 = total1 + c * (p - i * ff)
+        stop = abs(term) < abs(total) * _EPS
+        if not array:
+            if stop:
+                break
+        elif stop.any():
+            at, (ff, c, p, q, total, total1, quarter, mu, m2) = _retire(
+                stop, at, done, (total, total1), (ff, c, p, q, total, total1, quarter, mu, m2))
+            if not at.size:
+                total, total1 = done
+                break
+    return total, 2.0 * total1 / x
+
+
+def _k_cf2(mu, x):
+    """(e^x K_mu(x), e^x K_(mu+1)(x)) for |mu| <= 1/2 and x >= 2, floats or
+    ndarrays of one size, by Steed's method on the continued fraction CF2
+    (Temme 1975; Numerical Recipes 3rd ed. 6.6), with no exp(-x)."""
+    array = isinstance(x, np.ndarray)
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0.0 * x, 0.0 * x + 1.0  # 0 and 1 in x's type: _retire indexes q1 from step 1
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    if array:
+        at, done = np.arange(x.size), (np.empty_like(x), np.empty_like(x))
+    for i in range(1, _SERIES_MAX_TERMS):
+        a = a - 2 * i
+        c = -a * c / (i + 1.0)
+        q1, q2 = q2, (q1 - b * q2) / a
+        q = q + c * q2
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h = h + delh
+        dels = q * delh
+        s = s + dels
+        stop = abs(dels / s) < _EPS
+        if not array:
+            if stop:
+                break
+        elif stop.any():
+            at, (a, c, q1, q2, q, b, d, delh, h, s) = _retire(
+                stop, at, done, (h, s), (a, c, q1, q2, q, b, d, delh, h, s))
+            if not at.size:
+                h, s = done
+                break
+    k = (np.sqrt if array else math.sqrt)(math.pi / (2.0 * x)) / s
+    return k, k * (mu + x + 0.5 - a1 * h) / x
 
 
 def bessel_j(nu: float, x: float) -> float:
@@ -405,18 +480,21 @@ def _i_split(nu: float, x: float) -> tuple[float, float]:
 
 
 def _k_split(nu: float, x: float) -> tuple[float, float]:
-    """K_nu(x) = s exp(e) as (s, e): e^x K = sqrt(pi/(2x)) sum_k a_k(nu)/x^k
-    with e = -x from x = 20 on, where the smallest term is ~e^(-2x) < 5e-18;
-    below, e = 0 and the quadrature, except that orders at least 1/4 from an
-    integer take the faster reflection formula through I below x = 2."""
+    """K_nu(x) = s exp(e) as (s, e): K_mu and K_(mu+1), |mu| <= 1/2, from
+    Temme's series with e = 0 below x = 2 and from CF2 with e = -x from 2
+    on, carried to |nu| = mu + n by the upward recurrence, which is stable
+    for K.  OverflowError where s is past the float range."""
     nu, x = _check(nu, x)
     nu = abs(nu)  # K is even in its order
-    if x >= _K_ASYMPTOTIC_MIN:
-        return math.sqrt(math.pi / (2.0 * x)) * _asymptotic_sums("K", nu, x)[1], -x
-    if x >= 2.0 or abs(nu - round(nu)) < _K_REFLECT_MIN_GAP:
-        return _bessel_k_quad(nu, x), 0.0
-    s = _sinpi(nu)
-    return 0.5 * math.pi * (_series(-nu, x, 1.0) - _series(nu, x, 1.0)) / s, 0.0
+    n = int(nu + 0.5)
+    mu = nu - n
+    k0, k1 = (_k_temme if x < _K_CF2_MIN else _k_cf2)(mu, x)
+    for i in range(1, n):
+        k0, k1 = k1, (mu + i) * 2.0 / x * k1 + k0
+    k = k1 if n else k0
+    if k == math.inf:
+        raise OverflowError(f"K overflows for x = {x}")
+    return k, (0.0 if x < _K_CF2_MIN else -x)
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +507,17 @@ def _k_split(nu: float, x: float) -> tuple[float, float]:
 # terms where the scalar kernel would have stopped.  _asymptotic_sums keeps
 # its ndarray loop beside its float loop; where the float loop adds a
 # negated term, the ndarray loop calls np.subtract, which gives the same
-# bits without the temporary.  exp and cosh go through
+# bits without the temporary.  exp, log, sinh and sin go through
 # ``math`` and pow through Python's float power (``operator.pow``), because
 # numpy's versions differ from libm's in the last place for a few percent of
 # arguments; numpy's arithmetic, sqrt, sin and cos are used as they are.
 # A factor that elements share is computed once per distinct argument, as
 # the same call on the same float gives the same bits: gamma and sin(pi nu)
-# per order, and in the K quadrature cosh t_j per node spacing h,
-# exp(-x cosh t_j) per (x, h) and cosh(nu t_j) per (nu, h).  Sub-paths
-# that would not pay to vectorise (Y of integer order below the cutover,
-# arrays under _ARRAY_MIN_SIZE elements) loop the scalar kernels.
+# per order.  Sub-paths that would not pay to vectorise (Y of integer order
+# below the cutover, arrays under _ARRAY_MIN_SIZE elements) loop the scalar
+# kernels.  The K kernels are one code for floats and ndarrays: an ndarray
+# runs the float loop's steps on the elements that have not stopped
+# (_retire).
 
 
 def _each(func, *args):
@@ -484,76 +563,6 @@ def _series_array(nu: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
             if not live.any():
                 break
     return total
-
-
-def _classes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index of the first element of each distinct key, class of every
-    element), the classes numbered in order of first appearance."""
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    rank = np.argsort(first)
-    label = np.empty_like(rank)
-    label[rank] = np.arange(rank.size)
-    return first[rank], label[inv]
-
-
-def _live_counts(n: np.ndarray) -> list[int]:
-    """[number of entries of the descending n that are >= j for j = 1 .. n[0]]"""
-    return np.searchsorted(-n, np.arange(-1, -n[0] - 1, -1), side="right").tolist()
-
-
-def _k_quad_array(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_bessel_k_quad per element.  Node j forms cosh t_j once per distinct
-    node spacing h, exp(-x cosh t_j) once per distinct (x, h) and
-    cosh(nu t_j) once per distinct (nu, h), then adds its term to every
-    element whose own node count reaches j.  Elements and classes run in
-    order of descending node count, so the ones that have a node j are a
-    prefix of each."""
-    h = 0.18 / np.sqrt(np.maximum(np.maximum(1.0, x / 8.0), nu / 10.0))
-    t_max = np.ones_like(x)
-    t = 1.0
-    grow = _x_cosh(x, t, 1.0) - np.abs(nu) * t < 46.0
-    while grow.any():
-        t += 0.5
-        t_max[grow] = t
-        grow &= _x_cosh(x, t, 1.0) - np.abs(nu) * t < 46.0
-    n = (t_max / h).astype(int) + 1
-    order = np.argsort(-n, kind="stable")
-    nu_s, x_s, h_s, n_s = nu[order], x[order], h[order], n[order]
-    h_first, h_of = _classes(h_s)
-    # a pair (v, h) as the complex number v + ih, which np.unique compares as a pair
-    x_first, x_of = _classes(x_s + 1j * h_s)
-    nu_first, nu_of = _classes(nu_s + 1j * h_s)
-    # per class: its x, order or h, and the h-class of each x-class
-    h_c, x_c, x_in_h = h_s[h_first], x_s[x_first], h_of[x_first]
-    nu_c, nuh_c = nu_s[nu_first], h_s[nu_first]
-    h_top, nuh_top = float(h_c.max()), float((nu_c * nuh_c).max())
-    minus_x = -x_c
-    acc = 0.0625 * _each(math.exp, minus_x)[x_of]
-    live = zip(_live_counts(n_s), _live_counts(n_s[h_first]),
-               _live_counts(n_s[x_first]), _live_counts(n_s[nu_first]))
-    for j, (ke, kh, kx, knu) in enumerate(live, 1):
-        # -(x cosh t_j), which is (-x) cosh t_j to the bit
-        if j * h_top <= _COSH_MAX:  # so is every t_j; _x_cosh costs a Python call
-            e_arg = minus_x[:kx] * _each(math.cosh, j * h_c[:kh])[x_in_h[:kx]]
-        else:
-            e_arg = _each(_x_cosh, minus_x[:kx], j * h_c[x_in_h[:kx]])
-        nu_t = nu_c[:knu] * (j * nuh_c[:knu])
-        xe, nue = x_of[:ke], nu_of[:ke]
-        # nu (j h) is within a few ulps of j (nu h) <= j nuh_top, so while
-        # that stays below _COSH_MAX / 2 no node is a tail node
-        tail = nu_t > _COSH_MAX if j * nuh_top > 0.5 * _COSH_MAX else None
-        node = (_each(math.exp, e_arg)[xe]
-                * _each(math.cosh, nu_t if tail is None else np.where(tail, 0.0, nu_t))[nue]
-                * 0.125)
-        if tail is not None and tail.any():
-            e = np.flatnonzero(tail[nue])
-            node[e] = _each(_tail_node, nu_t[nue[e]] + e_arg[xe[e]])
-        acc[:ke] += node
-    k = np.empty_like(acc)
-    k[order] = 8.0 * h_s * acc
-    if (k == math.inf).any():
-        raise OverflowError(f"K overflows for x = {x[k == math.inf][0]}")
-    return k
 
 
 def _negative_integers(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -603,21 +612,20 @@ def _i_array(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _k_array(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nu = np.abs(nu)
-    s = np.empty_like(x)
-    asym = x >= _K_ASYMPTOTIC_MIN
-    reflect = (x < 2.0) & (np.abs(nu - np.round(nu)) >= _K_REFLECT_MIN_GAP)
-    quad = ~(asym | reflect)
-    if asym.any():
-        t = x[asym]
-        s[asym] = np.sqrt(math.pi / (2.0 * t)) * _asymptotic_sums("K", nu[asym], t)[1]
-    if quad.any():
-        s[quad] = _bessel_k_quad(nu[quad], x[quad])
-    if reflect.any():
-        v, t = nu[reflect], x[reflect]
-        s[reflect] = (
-            0.5 * math.pi * (_series_array(-v, t, 1.0) - _series_array(v, t, 1.0))
-        ) / _per_value(_sinpi, v)
-    return s, np.where(asym, -x, 0.0)
+    n = (nu + 0.5).astype(int)
+    mu = nu - n
+    k0, k1 = np.empty_like(x), np.empty_like(x)
+    temme = x < _K_CF2_MIN
+    for part, kernel in ((temme, _k_temme), (~temme, _k_cf2)):
+        if part.any():
+            k0[part], k1[part] = kernel(mu[part], x[part])
+    for i in range(1, int(n.max())):
+        up = i < n
+        k0, k1 = np.where(up, k1, k0), np.where(up, (mu + i) * 2.0 / x * k1 + k0, k1)
+    k = np.where(n > 0, k1, k0)
+    if (k == math.inf).any():
+        raise OverflowError(f"K overflows for x = {x[k == math.inf][0]}")
+    return k, np.where(temme, 0.0, -x)
 
 
 # Below this many elements the array path loops the scalar kernels: a term
@@ -642,10 +650,10 @@ def _broadcast(nu, x) -> tuple[np.ndarray, np.ndarray, tuple]:
 def bessel_scaled(kind: str, nu, x):
     """The Bessel function of the one-letter kind as (s, e), B_nu(x) = s * exp(e).
 
-    e = x for I past its series range (x > 30) and e = -x for K from x = 20
-    on, where s = e^-x I or e^x K is summed from the large-argument
-    expansion: it neither overflows nor underflows, and I has no upper
-    limit on x.  Elsewhere, and for J and Y, e = 0 and s is the value
+    e = x for I past its series range (x > 30), where s = e^-x I is summed
+    from the large-argument expansion, and e = -x for K from x = 2 on, where
+    CF2 gives s = e^x K itself: s neither overflows nor underflows there, and
+    I has no upper limit on x.  Elsewhere, and for J and Y, e = 0 and s is the value
     itself.  At one x, e does not depend on the order, so a ratio over the
     order is the ratio of the s values.  Floats take the scalar kernels; if
     nu or x is an ndarray, the two are broadcast and the array path returns

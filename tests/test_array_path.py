@@ -31,9 +31,10 @@ SIGNS = st.sampled_from([-1.0, 1.0])
 ORDERS = st.one_of(
     INTEGERS,
     st.floats(-10.0, 10.0),
-    # near an integer, and on both sides of K's quadrature/reflection edge
+    # near an integer, and on both sides of a half-integer, where K's
+    # mu = |nu| - round(|nu|) jumps from 1/2 to -1/2
     st.builds(lambda k, s, j: k + s * 10.0**-j, INTEGERS, SIGNS, st.integers(1, 15)),
-    st.builds(lambda k, s, side: math.nextafter(k + 0.25 * s, k + 0.25 * s + side),
+    st.builds(lambda k, s, side: math.nextafter(k + 0.5 * s, k + 0.5 * s + side),
               INTEGERS, SIGNS, st.sampled_from([-1.0, 0.0, 1.0])),
     DELTAS.map(lambda d: 1.0 / (3.0 - d)),  # Riccati order n
     DELTAS.map(lambda d: 1.0 / (3.0 - d) - 1.0),  # and n - 1
@@ -55,8 +56,10 @@ def scalar_values(kind, nu, xs):
     nu=ORDERS,
     unit=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=40),
 )
-@example(kind="K", nu=-2.25, unit=[0.005, 0.015])  # K's 1/4 edge: reflection
-@example(kind="K", nu=math.nextafter(2.25, 0.0), unit=[0.005, 0.015])  # and quadrature
+@example(kind="K", nu=-2.25, unit=[0.005, 0.015])
+@example(kind="K", nu=math.nextafter(2.25, 0.0), unit=[0.005, 0.015])
+@example(kind="K", nu=-2.5, unit=[0.005, 0.015, 0.03])  # K's mu = -1/2, Temme and CF2
+@example(kind="K", nu=math.nextafter(2.5, 0.0), unit=[0.005, 0.015, 0.03])  # and mu = 1/2
 @settings(max_examples=150, deadline=None)
 def test_bessel_array_matches_scalar_bits(array_min_size, kind, nu, unit):
     # array_min_size 1 runs the vectorised kernels on every size
@@ -119,17 +122,20 @@ def test_i_past_700_raises_the_scalar_error_and_scaled_stays_finite(array_min_si
     assert e[3:].tolist() == [750.0, 1000.0]
 
 
-# orders of the K quadrature: past 10 its node spacing shrinks with the
-# order, and below x = 2 it serves the orders within 1/4 of an integer
+# orders of K: past 10 the upward recurrence from K_mu and K_(mu+1) takes
+# more steps than the Riccati orders need, each element its own count
 K_ORDERS = st.one_of(
     ORDERS,
     st.floats(10.0, 25.0),
     st.builds(lambda k, d: k + d, st.integers(0, 25).map(float), st.floats(-0.24, 0.24)),
 )
 K_ARGS = st.one_of(
-    # both node spacings: fixed below x = 8, shrinking from 8 to 20
+    # CF2 from x = 2, whose step count falls from 76 at x = 2 to 15 at 20
+    # and 5 at 750, so elements stop at different steps
     st.floats(2.0, 20.0, exclude_max=True),
-    # tiny x: nodes past cosh's overflow, tail nodes and K itself overflowing
+    st.floats(20.0, 750.0),
+    # Temme's series below x = 2; at tiny x, 2/x overflowing where K does
+    # not, and K itself overflowing
     st.floats(-320.0, 0.3).map(lambda e: 10.0**e),
 )
 
@@ -141,13 +147,13 @@ K_ARGS = st.one_of(
     pool=st.lists(K_ARGS, min_size=1, max_size=8),
     picks=st.lists(st.integers(0, 7), min_size=1, max_size=40),
 )
-@example(nus=[0.96, 0.955, 0.0], pool=[1e-320, 5.0, 9.5], picks=[0, 1, 1, 2, 0] * 9)  # past cosh
-@example(nus=[10.0, 9.75, 10.25, 3.0], pool=[1.6e-29, 2.5, 12.0], picks=[0, 1, 2] * 11)  # tail
+@example(nus=[0.96, 0.955, 0.0], pool=[1e-320, 5.0, 9.5], picks=[0, 1, 1, 2, 0] * 9)  # 2/x = inf
+@example(nus=[10.0, 9.75, 10.25, 3.0], pool=[1.6e-29, 2.5, 12.0], picks=[0, 1, 2] * 11)  # near inf
 @example(nus=[20.0, 12.5, 19.8], pool=[2e-14, 7.9, 8.1, 19.9], picks=[0, 1, 2, 3] * 11)
 @example(nus=[0.5], pool=[3.0, 9.0, 15.0], picks=[0, 1, 2, 1, 0] * 30)  # one order
 @example(nus=[5.0, 0.5], pool=[1e-100, 3.0], picks=[0, 1] * 70)  # K overflows
 @settings(max_examples=60, deadline=None)
-def test_k_quadrature_stacked_orders_match_scalar_bits(array_min_size, scaled, nus, pool, picks):
+def test_k_stacked_orders_match_scalar_bits(array_min_size, scaled, nus, pool, picks):
     # every order at every argument, the arguments repeated, as the Riccati
     # lattice asks for B_(n-1) and B_n at each z
     xs = [pool[i % len(pool)] for i in picks]

@@ -54,6 +54,12 @@ class TestGridParsing:
         assert rc == 2 and "beta" in err
 
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, math.nan, 1, "3"])
+    def test_grid_count_must_be_an_integer_of_at_least_2(self, count):
+        with pytest.raises(ValueError, match="grid count must be an integer >= 2"):
+            GridSpec(0.5, 1.0, count)
+        assert GridSpec(0.5, 1.0, np.int64(3)).points().tolist() == [0.5, 0.75, 1.0]
+
     def test_grid_to_float_max_warns_nothing(self, capsys):
         # linspace's k * step overflows at the last point, which is stop itself
         argv = ["riccati", "eval", "--a", "-0.5", "--b", "-0.5", "--delta", "0.333",

@@ -1,10 +1,11 @@
 import math
+import sys
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special as sp
 
 from fracriccati import specfun as sf
@@ -47,6 +48,14 @@ def snap_to_integer(nu: float) -> float:
     """An order within 1e-15 of an integer snapped onto it: mpmath's K of
     such an order (1e-273, say) takes seconds."""
     return nu if abs(nu - round(nu)) >= 1e-15 else float(round(nu))
+
+
+def kve(nu, xs):
+    """e^x K_nu(x) at every x of the ndarray xs, from mpmath at 30 digits:
+    scipy's kve is up to 9e-14 off at x = 2, where its own kernels switch."""
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.besselk(abs(mpmath.mpf(float(nu))), x) * mpmath.exp(x))
+                         for x in xs.tolist()])
 
 
 class TestGamma:
@@ -195,10 +204,10 @@ class TestBesselValues:
                     scale = abs(want)
                 assert abs(got - want) <= 1e-10 * scale, (kind, nu, x)
 
-    @pytest.mark.parametrize("kind, ref, scaled_from", [("I", sp.ive, 30.0), ("K", sp.kve, 20.0)])
+    @pytest.mark.parametrize("kind, ref, scaled_from", [("I", sp.ive, 30.0), ("K", kve, 2.0)])
     def test_scaled_against_reference_library(self, kind, ref, scaled_from):
-        # past the cutover s = e^-x I or e^x K, from the large-argument
-        # expansion; below it, the unscaled value itself
+        # past the cutover s = e^-x I, from the large-argument expansion, or
+        # from it e^x K, from CF2; below it, the unscaled value itself
         xs = np.concatenate([np.geomspace(0.5, scaled_from, 20), np.geomspace(scaled_from, 1e5, 60)])
         big = xs > scaled_from if kind == "I" else xs >= scaled_from
         for nu in np.concatenate([np.linspace(-2.0 / 3.0, 1.5, 14), [-9.75, 2.0, 5.25, 10.0]]):
@@ -222,8 +231,8 @@ class TestBesselValues:
                     sf.bessel_scaled(kind, 0.4, x)
 
     def test_integer_order_limiting_formula(self):
-        # integer nu must use the log-series (Y) or the quadrature (K), not a
-        # reflection blowup
+        # integer nu must use the log-series (Y) or Temme's series, uniform
+        # in mu through mu = 0 (K), not a reflection blowup
         for n in (0, 1, 2, 5, 10):
             for x in (0.1, 0.9, 1.9, 5.0, 11.0):
                 assert sf.bessel_y(float(n), x) == pytest.approx(sp.yn(n, x), rel=1e-10)
@@ -247,8 +256,8 @@ class TestBesselValues:
     )
     @settings(max_examples=300, deadline=None)
     def test_k_near_integer_orders(self, k, offset, log_x):
-        # no sin(pi nu) divisor near integers: the quadrature serves orders
-        # within 1/4 of one below x = 2, the reflection formula the rest
+        # no sin(pi nu) divisor near integers: Temme's series below x = 2 and
+        # CF2 from 2 on are uniform in mu = |nu| - round(|nu|)
         nu, x = k + offset, 10.0**log_x
         assert sf.bessel("K", nu, x) == pytest.approx(sp.kv(nu, x), rel=1e-10)
 
@@ -284,13 +293,12 @@ class TestBesselValues:
 
     def test_k_tiny_argument(self):
         # small-x limits, exact in double precision here: K_nu(x) =
-        # Gamma(nu)/2 (2/x)^nu and K_0(x) = -log(x/2) - Euler's gamma; the
-        # tail nodes of K_3 lie past cosh(nu t)'s overflow, and below x of
-        # about 4e-307 the truncation point lies past cosh(t)'s, with
-        # K_1(1e-308) = 1e308 near the float maximum.  Near the float
-        # maximum at orders 10 and 12, a tail node's exp(nu t - x cosh t)
-        # alone overflows; past it K raises.  The array path runs its
-        # kernels from sf._ARRAY_MIN_SIZE elements on.
+        # Gamma(nu)/2 (2/x)^nu and K_0(x) = -log(x/2) - Euler's gamma.
+        # Temme's series forms K_(mu+1) as 2 sum1 / x: 2/x alone overflows
+        # below x = 1e-308, where K_0.96(1e-320) = 1.58e307 and K_1(1e-308)
+        # = 1e308 are finite.  Near the float maximum at orders 10 and 12,
+        # the upward recurrence reaches K; past it K raises.  The array path
+        # runs its kernels from sf._ARRAY_MIN_SIZE elements on.
         n = sf._ARRAY_MIN_SIZE
         for nu, x, want in [
             (3.0, 1e-100, 8e300),
@@ -299,6 +307,7 @@ class TestBesselValues:
             (0.0, 3e-307, -math.log(1.5e-307) - 0.5772156649015329),
             (0.9, 1e-310, math.gamma(0.9) / 2.0 * 0.5e-310**-0.9),
             (1.0, 1e-308, 1e308),
+            (0.96, 1e-320, math.gamma(0.96) / 2.0 * 2.0**0.96 * 1e-320**-0.96),
             (10.0, 1.07e-30, math.gamma(10.0) / 2.0 * (2.0 / 1.07e-30) ** 10),
             (-10.0, 1.2e-30, math.gamma(10.0) / 2.0 * (2.0 / 1.2e-30) ** 10),
             (12.0, 2e-25, math.gamma(12.0) / 2.0 * 1e300),
@@ -309,6 +318,85 @@ class TestBesselValues:
             sf.bessel("K", 10.0, 1e-31)
         with pytest.raises(OverflowError):
             sf.bessel("K", np.full(n, 10.0), 1e-31)
+
+
+def mp_scaled_k(nu: float, x: float):
+    """e^x K_nu(x) from x = 2 on, K_nu(x) below it, from mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        x_m = mpmath.mpf(x)
+        k = mpmath.besselk(abs(mpmath.mpf(nu)), x_m)
+        return k * mpmath.exp(x_m) if x >= 2.0 else k
+
+
+NEAR_INTEGER_ORDERS = st.one_of(
+    st.builds(lambda k, s, j: k + s * 10.0**-j, st.integers(-10, 10).map(float),
+              st.sampled_from([-1.0, 1.0]), st.integers(1, 15)),
+    st.builds(math.nextafter, st.integers(-10, 10).map(float),
+              st.sampled_from([-math.inf, math.inf])),
+)
+
+
+class TestTemmeK:
+    """Temme's series below x = 2 and CF2 from 2 on, against mpmath."""
+
+    def test_recip_gamma_coefficients(self):
+        # the literals are the Taylor coefficients of 1/Gamma(1 + z) about 0
+        with mpmath.workdps(25):
+            want = mpmath.taylor(lambda z: mpmath.rgamma(1 + z), 0, len(sf._RECIP_GAMMA_TAYLOR) - 1)
+            assert [float(c) for c in want] == list(sf._RECIP_GAMMA_TAYLOR)
+
+    @given(mu=st.floats(-0.5, 0.5))
+    @example(mu=0.0)
+    @example(mu=1e-300)
+    @example(mu=-1e-300)
+    @example(mu=0.5)
+    @example(mu=-0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_temme_gammas(self, mu):
+        # Gamma_1 = (1/Gamma(1 - mu) - 1/Gamma(1 + mu)) / (2 mu), -Euler's
+        # gamma at mu = 0; 700 digits resolve the difference at mu = 1e-300
+        with mpmath.workdps(700):
+            m = mpmath.mpf(mu)
+            plus, minus = mpmath.rgamma(1 + m), mpmath.rgamma(1 - m)
+            g1 = (minus - plus) / (2 * m) if mu else -mpmath.euler
+            want = [g1, (minus + plus) / 2, plus, minus]
+        for got, value in zip(sf._temme_gammas(mu), want):
+            assert abs(got - value) <= 1e-15 * abs(value)
+
+    @pytest.mark.parametrize("array_min_size", [None, 1])
+    @given(
+        nu=st.one_of(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                     NEAR_INTEGER_ORDERS, NEAR_INTEGER_ORDERS).filter(lambda v: abs(v) <= 10.0),
+        x=st.one_of(
+            st.floats(-320.0, -3.0).map(lambda e: 10.0**e),
+            st.floats(1e-3, 2.0, exclude_max=True),
+            st.floats(2.0, 8.0, exclude_max=True),
+            st.floats(8.0, 20.0, exclude_max=True),
+            st.floats(20.0, 200.0),
+        ),
+    )
+    @example(nu=0.96, x=1e-320)
+    @example(nu=0.5, x=2.0)
+    @example(nu=-0.5, x=math.nextafter(2.0, 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_scaled_k_sweep(self, array_min_size, nu, x):
+        # s of bessel_scaled within 1e-14 of e^x K (x >= 2) or K (x < 2),
+        # orders |nu| <= 10 and 40% of them near an integer; where K itself
+        # leaves the float range, OverflowError
+        want = mp_scaled_k(nu, x)
+        assume(abs(want / sys.float_info.max - 1) > 1e-13)
+
+        def call():
+            if array_min_size is None:
+                return sf.bessel_scaled("K", nu, x)[0]
+            with mock.patch.object(sf, "_ARRAY_MIN_SIZE", array_min_size):
+                return float(sf.bessel_scaled("K", np.array([nu]), np.array([x]))[0][0])
+
+        if want > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                call()
+            return
+        assert abs(call() - want) <= 1e-14 * want
 
 
 class TestBesselDerivative:
