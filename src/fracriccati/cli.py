@@ -173,20 +173,17 @@ def _cmd_fracderiv(args) -> int:
         else:
             _err(f"--builtin must be sin, exp or poly:c0,c1,..., got {name!r}")
             return EXIT_FLAGS
-    rows = []
-    # an x far out may overflow f or the quadrature's sums: the value then
-    # fails to converge (exit 3) or is inf, which _emit refuses, with no
-    # RuntimeWarning before the error line
+    # the whole grid in one call; an x far out may overflow f or the
+    # quadrature's sums: the value then fails to converge (exit 3) or is inf,
+    # which _emit refuses, with no RuntimeWarning before the error line
+    xs = grid.points()
     with np.errstate(all="ignore"):
-        for x in grid.points().tolist():
-            numeric = fo.rl_derivative(f, args.beta, x)
-            if oracle is not None:
-                want = oracle(x)
-                rows.append((x, numeric, want, abs(numeric - want)))
-            else:
-                rows.append((x, numeric))
-    header = ["x", "numeric", "oracle", "abs_err"] if oracle else ["x", "numeric"]
-    return _emit(args.out, header, *zip(*rows))
+        numeric = fo.rl_derivative(f, args.beta, xs)
+        want = None if oracle is None else [oracle(x) for x in xs.tolist()]
+    if want is None:
+        return _emit(args.out, ["x", "numeric"], xs, numeric)
+    err = [abs(v - w) for v, w in zip(numeric.tolist(), want)]
+    return _emit(args.out, ["x", "numeric", "oracle", "abs_err"], xs, numeric, want, err)
 
 
 def _cmd_riccati(args) -> int:

@@ -250,6 +250,7 @@ def _as_real_function(f) -> RealFunction:
 
 _CELLS, _RATIO = 13, 0.15  # graded cells on [0, x/2], each r times the next
 _N_MAX = 512  # Gauss nodes per cell on the last level; the first has 8
+_FLOAT_RECURRENCE_MAX = 32  # largest n whose Gauss-Jacobi recurrence runs on floats (ROADMAP)
 
 
 def _gauss_jacobi(n: int, alpha: float):
@@ -258,7 +259,9 @@ def _gauss_jacobi(n: int, alpha: float):
     in theta from the Gatteschi-Pittaluga estimates, weights scaled to the
     mass 2^alpha/alpha (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The
     recurrence runs on q_m = P_m(u)/P_m(1) and d_m = q_m - q_(m-1), in which
-    v = 1 - u is a factor, so the nodes near u = 1 keep their digits."""
+    v = 1 - u is a factor, so the nodes near u = 1 keep their digits.  Up to
+    n = _FLOAT_RECURRENCE_MAX it runs node by node on floats, above that on
+    whole arrays: the same operations in the same order, so the same bits."""
     a, rho = alpha - 1.0, n + 0.5 * alpha
     phi = (np.arange(1, n + 1) + 0.5 * a - 0.25) * (math.pi / rho)
     half = np.tan(0.5 * phi)
@@ -266,17 +269,29 @@ def _gauss_jacobi(n: int, alpha: float):
     c, converged = 2.0 * n + a, False
     m = np.arange(2.0, n + 1.0)
     cm, mm = 2.0 * m + a, (m + a) ** 2
-    steps = list(zip((m - 1.0) ** 2 * cm / (mm * (cm - 2.0)), (cm - 1.0) * cm / (2.0 * mm)))
+    sm, tm = (m - 1.0) ** 2 * cm / (mm * (cm - 2.0)), (cm - 1.0) * cm / (2.0 * mm)
+    steps = list(zip(sm.tolist(), tm.tolist()))
     for _ in range(100):
         v = 2.0 * np.sin(0.5 * theta) ** 2
         d = -(alpha + 1.0) / (2.0 * alpha) * v
-        q, vq = 1.0 + d, np.empty(n)
-        for sm, tm in steps:  # d = sm d - tm v q in place: at small n the calls cost most
-            np.multiply(v, q, out=vq)
-            vq *= tm
-            d *= sm
-            d -= vq
-            q += d
+        if n <= _FLOAT_RECURRENCE_MAX:  # each numpy call costs more than n float operations
+            qs, ds = [], []
+            for vi, di in zip(v.tolist(), d.tolist()):
+                qi = 1.0 + di
+                for sm, tm in steps:
+                    di = di * sm - vi * qi * tm
+                    qi = qi + di
+                qs.append(qi)
+                ds.append(di)
+            q, d = np.array(qs), np.array(ds)
+        else:
+            q, vq = 1.0 + d, np.empty(n)
+            for sm, tm in steps:  # d = sm d - tm v q in place
+                np.multiply(v, q, out=vq)
+                vq *= tm
+                d *= sm
+                d -= vq
+                q += d
         dq = c * v * q - 2.0 * n * d  # c (1 - u^2) P_n'(u) / ((n + a) P_(n-1)(1))
         if converged:
             w = (np.sin(theta) / dq) ** 2
@@ -394,44 +409,54 @@ def _richardson_d2(fv, h):
     return (4.0 * ((fhp - 2.0 * f0 + fhm) / (hh * hh)) - (fp - 2.0 * f0 + fm) / (h * h)) / 3.0
 
 
-def rl_derivative(f, beta: float, x: float, q: QuadratureSpec = QuadratureSpec()) -> float:
-    """Riemann-Liouville derivative of order beta in [0, 2) at a finite x > 0.
+def rl_derivative(f, beta: float, x, q: QuadratureSpec = QuadratureSpec()):
+    """Riemann-Liouville derivative of order beta in [0, 2) at a finite x > 0,
+    or elementwise at an ndarray of them (a whole profile), each x with the
+    bits of its float call.
 
     D^beta f = (d/dx)^n I^alpha f with n = ceil(beta), alpha = n - beta, and
     I^alpha commutes with the Euler operator x d/dx (substitute t = x tau;
     Samko, Kilbas & Marichev, Fractional Integrals and Derivatives, 1993).
-    So D^beta f is one rl_integral and nothing is differenced:
+    So D^beta f is one rl_integral on the whole profile and nothing is
+    differenced:
         0 < beta < 1:  I^alpha[alpha f + t f'](x) / x,
         1 < beta < 2:  I^alpha[alpha(alpha-1) f + 2 alpha t f' + t^2 f''](x) / x^2,
     each t^k f^(k) term taking its limit 0 at t = 0; integer orders give
-    f^(n)(x).  A bare callable has no closed-form f', f'' and takes the
-    finite-difference fallback on every node at once, never reaching t <= 0,
-    and is less accurate: D^1.95 exp at x = 1 is 1.5e-10 relative off that way,
-    5.9e-16 with the closed form.
+    f^(n)(x), called on each x as a float (numpy's t**0.5 is a square root,
+    which differs from the float power in the last place for some t).  A
+    bare callable has no closed-form f', f'' and takes the finite-difference
+    fallback on every node at once, never reaching t <= 0, and is less
+    accurate: D^1.95 exp at x = 1 is 1.5e-10 relative off that way, 5.9e-16
+    with the closed form.
     """
-    beta, x = float(beta), float(x)
+    beta = float(beta)
     if not 0.0 <= beta < 2.0:
         raise ValueError(f"derivative order must lie in [0, 2), got {beta}")
-    if not 0.0 < x < math.inf:
+    xs = np.array(x, dtype=float)
+    if not np.all((xs > 0.0) & (xs < math.inf)):
         raise ValueError(f"rl_derivative requires a finite x > 0, got {x}")
     f = _as_real_function(f)
     n = math.ceil(beta)
     alpha = n - beta
     if alpha == 0.0:
-        return float(f.derivative(n)(x))
-    if x**n == 0.0:  # the quotient below divides by it
-        raise ValueError(f"x = {x} is too close to 0: x^{n} underflows to 0")
-    # coefficients of t^k f^(k) in the integrand, k = 0..n
-    coef = (alpha, 1.0) if n == 1 else (alpha * (alpha - 1.0), 2.0 * alpha, 1.0)
+        fn = f.derivative(n)
+        out = np.array([float(fn(t)) for t in xs.ravel().tolist()]).reshape(xs.shape)
+    else:
+        xn = power(xs, float(n))  # the quotient below divides by it
+        if not xn.all():
+            raise ValueError(f"x = {xs[xn == 0.0][0]} is too close to 0: x^{n} underflows to 0")
+        # coefficients of t^k f^(k) in the integrand, k = 0..n
+        coef = (alpha, 1.0) if n == 1 else (alpha * (alpha - 1.0), 2.0 * alpha, 1.0)
 
-    def integrand(t):
-        pos = t > 0.0  # f^(k) may be infinite at t = 0, where t^k f^(k) -> 0
-        val = coef[0] * f.eval_array(t)
-        for k in range(1, n + 1):
-            val[pos] += coef[k] * t[pos] ** k * f.eval_array(t[pos], k)
-        return val
+        def integrand(t):
+            pos = t > 0.0  # f^(k) may be infinite at t = 0, where t^k f^(k) -> 0
+            val = coef[0] * f.eval_array(t)
+            for k in range(1, n + 1):
+                val[pos] += coef[k] * t[pos] ** k * f.eval_array(t[pos], k)
+            return val
 
-    return rl_integral(integrand, alpha, x, q) / x**n
+        out = rl_integral(integrand, alpha, xs, q) / xn
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def power_rule(a_exp: float, beta: float, x: float) -> float:

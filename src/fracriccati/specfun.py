@@ -587,10 +587,10 @@ def _jy_array(kind: str, nu: np.ndarray, x: np.ndarray) -> np.ndarray:
         v, t = nu[series], x[series]
         if kind == "J":
             out[series] = _series_array(v, t, -1.0)
-        else:  # reflection through J of orders +-nu
-            out[series] = (
-                _series_array(v, t, -1.0) * _per_value(_cospi, v) - _series_array(-v, t, -1.0)
-            ) / _per_value(_sinpi, v)
+        else:  # reflection through J of orders +-nu, both in one series loop
+            both = _series_array(np.concatenate((v, -v)), np.concatenate((t, t)), -1.0)
+            jp, jm = np.split(both, 2)
+            out[series] = (jp * _per_value(_cospi, v) - jm) / _per_value(_sinpi, v)
     out[odd] = -out[odd]
     return out
 

@@ -5,8 +5,9 @@ exactly, and scanned_table's bracket-based pole masks must equal the old
 rule that compares every located zero with every grid point and, row for
 row, the per-row flagging that its fused calls replaced.  riccati.pole_window
 is held to the window the CLI once took from the GridSpec and the spline
-to its earlier point-by-point form, both kept here as oracles, and
-rl_integral on a whole profile of x to its float calls.
+to its earlier point-by-point form, both kept here as oracles,
+rl_integral and rl_derivative on a whole profile of x to their float calls,
+and the Gauss-Jacobi recurrence on floats to its array form.
 """
 
 import contextlib
@@ -617,26 +618,63 @@ def profile_function(kind, x_max):
     return fo.SampledFunction(ts, np.cos(ts))
 
 
+ORDERS_OF = {
+    "rl_integral": st.one_of(st.floats(0.01, 2.5), st.sampled_from([0.5, 1.0, 2.0])),
+    # beta = 0 and 1 call f^(n) itself; fractional beta on both sides of 1
+    "rl_derivative": st.one_of(st.floats(0.0, 1.999), st.sampled_from([0.0, 0.5, 1.0, 1.5])),
+}
+
+
 @given(
-    alpha=st.one_of(st.floats(0.01, 2.5), st.sampled_from([0.5, 1.0, 2.0])),
+    op_order=st.sampled_from(sorted(ORDERS_OF)).flatmap(
+        lambda op: st.tuples(st.just(op), ORDERS_OF[op])),
     xs=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=12),
     kind=st.sampled_from(["sin", "exp", "sqrt", "sampled"]),
 )
+# "sin" and "exp" are bare callables: their f' and f'' are finite differences;
+# at 2.315 and 9.26 numpy's t**0.5 (a square root) and the float power differ
+@example(op_order=("rl_derivative", 0.0), xs=[0.3, 2.315, 9.26], kind="sqrt")
+@example(op_order=("rl_derivative", 1.0), xs=[0.3, 2.0, 0.7], kind="exp")
+@example(op_order=("rl_derivative", 0.47), xs=[0.25, 1.5, 4.0], kind="sin")
+@example(op_order=("rl_derivative", 1.47), xs=[0.25, 1.5, 4.0], kind="sqrt")
+@example(op_order=("rl_derivative", 1.3), xs=[0.5, 3.0], kind="sampled")
 @settings(max_examples=100, deadline=None)
-def test_rl_integral_profile_matches_float_calls(alpha, xs, kind):
+def test_rl_integral_profile_matches_float_calls(op_order, xs, kind):
     # each x of a profile takes its own levels and has the bits of its own
     # float call, though the profile evaluates f on all of them at once
+    op, order = getattr(fo, op_order[0]), op_order[1]
     f = profile_function(kind, max(xs))
     try:
-        want = np.array([fo.rl_integral(f, alpha, x) for x in xs])
+        want = np.array([op(f, order, x) for x in xs])
     except ConvergenceError:
         # a spline's knots inside the cells slow the rule to an algebraic
         # order: the profile gives up as its float calls do
         with pytest.raises(ConvergenceError):
-            fo.rl_integral(f, alpha, np.array(xs))
+            op(f, order, np.array(xs))
         return
-    assert fo.rl_integral(f, alpha, np.array(xs)).tobytes() == want.tobytes()
+    assert op(f, order, np.array(xs)).tobytes() == want.tobytes()
     # any shape, element by element
-    got = fo.rl_integral(f, alpha, np.array([xs, xs]))
+    got = op(f, order, np.array([xs, xs]))
     assert got.shape == (2, len(xs)) and got.tobytes() == np.array([want, want]).tobytes()
-    assert type(fo.rl_integral(f, alpha, xs[0])) is float
+    assert type(op(f, order, xs[0])) is float
+
+
+def test_x_power_underflow_in_a_profile_names_the_first_such_x():
+    f = fo.RealFunction.polynomial([1.0, 2.0])
+    with pytest.raises(ValueError) as want:
+        fo.rl_derivative(f, 1.5, 1e-300)
+    with pytest.raises(ValueError) as got:
+        fo.rl_derivative(f, 1.5, np.array([3.0, 1e-300, 1e-310, 2.0]))
+    assert str(got.value) == str(want.value) == "x = 1e-300 is too close to 0: x^2 underflows to 0"
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_gauss_jacobi_float_recurrence_matches_array_recurrence(monkeypatch, n):
+    # the module constant picks the path: n <= it runs on floats
+    alphas = [0.01, 0.5, 1.0, 1.999, 2.0, 0.47, 1.46] + np.linspace(0.02, 1.98, 25).tolist()
+    monkeypatch.setattr(fo, "_FLOAT_RECURRENCE_MAX", n)
+    on_floats = [fo._gauss_jacobi(n, a) for a in alphas]
+    monkeypatch.setattr(fo, "_FLOAT_RECURRENCE_MAX", n - 1)
+    for a, (theta, w) in zip(alphas, on_floats):
+        theta_a, w_a = fo._gauss_jacobi(n, a)
+        assert theta.tobytes() == theta_a.tobytes() and w.tobytes() == w_a.tobytes(), a

@@ -164,7 +164,8 @@ class TestFracderiv:
 
     def test_overflowing_integrand_prints_only_the_error_line(self, capsys):
         # exp(1e5) overflows, and so do the quadrature's sums: the first
-        # level at x = 1e5 is not finite and raises, with no doubling
+        # level of the table's one profile, which holds x = 1e5, is not
+        # finite and raises, with no doubling
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with mock.patch.object(fo, "_gauss_level", wraps=fo._gauss_level) as spy:
@@ -172,7 +173,7 @@ class TestFracderiv:
                                             "exp", "--grid", "7:1e5:2"])
         assert rc == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: numeric non-convergence: ")
-        assert [c.args[3] for c in spy.call_args_list if c.args[2][0] == 1e5] == [8]
+        assert [c.args[3] for c in spy.call_args_list if 1e5 in c.args[2]] == [8]
 
     def test_low_power_table_matches_the_power_rule(self, capsys):
         # t^0.1 is far from smooth at 0; the graded cells resolve it
