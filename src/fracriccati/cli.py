@@ -90,17 +90,14 @@ def _emit(out_path: str | None, header: list[str], *columns) -> int:
     """Write the table of the equal-length columns (1-D arrays or lists),
     one per header name; exit code EXIT_FLAGS if --out cannot be written.
 
-    Every row goes through one template: '%.17g' for the float and integer
-    columns, which prints an integer (the branch) as a plain integer, and
-    '%s' of the strings '0' and '1' for a bool column (the pole flag), the
-    bytes '%.17g' prints for False and True.  A value of +-inf raises
-    OverflowError naming its row's x (or eta) before anything is written.
+    Every row goes through one '%.17g' template, which prints the integer
+    and bool columns (pole flag, branch) as plain integers.  A value of
+    +-inf raises OverflowError naming its row's x (or eta) before anything
+    is written.
     """
-    columns = [np.asarray(c) for c in columns]
-    fmt = ",".join("%s" if c.dtype == bool else "%.17g" for c in columns)
-    texts = [np.where(c, "1", "0").tolist() if c.dtype == bool else c.tolist() for c in columns]
+    fmt = ",".join(["%.17g"] * len(header))
     lines = ["# " + ",".join(header)]
-    lines.extend(fmt % row for row in zip(*texts, strict=True))
+    lines.extend(fmt % row for row in zip(*(np.asarray(c).tolist() for c in columns), strict=True))
     text = "\n".join(lines) + "\n"
     if "inf" in text:  # '%.17g' spells no finite float, nan or header with it
         row = next(ln for ln in lines if "inf" in ln).split(",")

@@ -220,20 +220,13 @@ def _series(nu: float, x: float, sign: float) -> float:
 # (2k - 1)^2 and 8k of the asymptotic terms' factor, k = 0 .. 199
 _ODD_SQUARES = tuple((2.0 * k - 1.0) ** 2 for k in range(200))
 _EIGHT_K = tuple(8.0 * k for k in range(200))
-# The Hankel ndarray loop drops its stopped elements once they are half of an
-# array of this many elements or more: below it, copying the state costs about
-# what the shorter steps save, and at 32 768 elements J's loop takes about half
-# the time (timed on a 2-vCPU x86-64 VM, numpy 2.4)
-_COMPACT_MIN_SIZE = 4096
 
 
 def _asymptotic_sums(kind: str, nu, x):
     """The sums of the terms t_k = a_k(nu)/x^k, k >= 1, of the large-argument
     expansions (DLMF 10.17.1, 10.40.1), truncated at the smallest term:
     (P, Q) of J and Y and (1 + sum (-1)^k t_k, 1 + sum t_k) for I.  An
-    ndarray x (nu an ndarray of its size) truncates each element at its own
-    smallest term; from _COMPACT_MIN_SIZE elements on, the stopped ones
-    leave the loop once they are half of it.
+    ndarray x truncates each element at its own smallest term.
 
     For large orders the terms grow before they decay, so divergence is only
     declared once a term grows after the decaying phase has started.  J and Y
@@ -245,7 +238,6 @@ def _asymptotic_sums(kind: str, nu, x):
         first, second = np.ones_like(x), (np.zeros_like(x) if jy else np.ones_like(x))
         term, prev = np.ones_like(x), np.ones_like(x)
         decaying, live = np.zeros(x.size, dtype=bool), np.ones(x.size, dtype=bool)
-        at = None  # the places of the elements left, once stopped ones have been dropped
         for k in range(1, 200):
             np.multiply(term, (mu - _ODD_SQUARES[k]) / (_EIGHT_K[k] * x), out=term)
             mag = np.abs(term)
@@ -262,19 +254,7 @@ def _asymptotic_sums(kind: str, nu, x):
                 np.add(second, term, out=second, where=live)
             np.greater(live, mag < 1e-18, out=live)
             prev = mag
-            if x.size >= _COMPACT_MIN_SIZE and 2 * np.count_nonzero(live) <= x.size:
-                if at is None:
-                    at, done = np.arange(x.size), (first, second)
-                gone, keep = np.flatnonzero(~live), np.flatnonzero(live)
-                for out, end in zip(done, (first, second)):
-                    out[at[gone]] = end[gone]
-                at, term, prev, decaying, mu, x, first, second, live = [
-                    v[keep] for v in (at, term, prev, decaying, mu, x, first, second, live)]
-        if at is None:
-            return first, second
-        for out, end in zip(done, (first, second)):
-            out[at] = end
-        return done
+        return first, second
     first, second = 1.0, (0.0 if jy else 1.0)
     term = prev = 1.0
     decaying = False
@@ -559,8 +539,7 @@ def _k_split(nu: float, x: float) -> tuple[float, float]:
 # runs the float loop's steps on all its elements and records each one's
 # ends at its stop (_retire).  Dropping the stopped elements costs a copy of
 # every state array, so the K loops drop them only once fewer than half are
-# live, and the Hankel loop once half have stopped in an array of
-# _COMPACT_MIN_SIZE elements or more; J's and I's ascending series never do.
+# live; the J, Y and I loops never do.
 
 
 def _each(func, *args):

@@ -179,15 +179,16 @@ def test_k_stacked_orders_match_scalar_bits(array_min_size, scaled, nus, pool, p
 
 # The lattice of a large table: the Riccati orders n - 1 and n of a few deltas
 # times 4 096 points, z from 0.01 to 100.  J and Y past z = 12 and I past 30
-# hand the Hankel loop 17 000 to 22 000 elements, so it drops its stopped
-# ones twice; K's CF2 state from z = 2 on compacts as its elements stop, and
-# over [2, 750], where CF2 takes from 76 steps to 5, more than once.  The
-# property tests above hold at most 40 elements and reach neither.
+# hand the Hankel loop 17 000 to 22 000 elements that stop at many different
+# steps, so most of them run the unmasked term recurrence long past their
+# stop; K's CF2 state from z = 2 on compacts as its elements stop, and over
+# [2, 750], where CF2 takes from 76 steps to 5, more than once.  The property
+# tests above hold at most 40 elements.
 RICCATI_ORDERS = [o for d in (0.25, 0.5, 1.0) for o in (1.0 / (3.0 - d) - 1.0, 1.0 / (3.0 - d))]
 
 
 @pytest.mark.parametrize("kind, lo, hi", [(k, 0.01, 100.0) for k in "JYIK"] + [("K", 2.0, 750.0)])
-def test_compacted_term_loops_match_scalar_bits(kind, lo, hi):
+def test_riccati_lattice_term_loops_match_scalar_bits(kind, lo, hi):
     xs = np.linspace(lo, hi, 4096)
     compactions = []
     retire = sf._retire

@@ -790,34 +790,6 @@ class TestOutputContract:
                 v = float(tok)
                 assert f"{v:.17g}" == tok  # serialization is bit-faithful
 
-    def test_bool_column_prints_as_the_float_template_did(self, capsys):
-        # _emit prints a bool column from the strings '0' and '1'; every row,
-        # pole row or not, must keep the bytes of one '%.17g' template
-        xs = np.array([0.2, 1.5707963267948966, 3.0, 4.7])
-        u = np.array([4.9331548755868948, math.nan, -0.14254654307427775, 0.0])
-        pole = np.array([False, True, False, True])
-        assert cli._emit(None, ["x", "u", "pole"], xs, u, pole) == 0
-        want = "".join("%.17g,%.17g,%.17g\n" % row
-                       for row in zip(xs.tolist(), u.tolist(), pole.tolist()))
-        assert capsys.readouterr().out == "# x,u,pole\n" + want
-
-    @pytest.mark.parametrize("argv", [
-        "riccati eval --a 1 --b -1 --delta 1 --branch 2 --grid 0.2:3:20",
-        "cosmo figure --k 1 --c 1 --branch 2 --grid 0.1:3:12 --delta-grid 0.5:1:3",
-        "riccati verify --a 1 --b 1 --delta 0.5 --x0 0.5 --x1 1.5 --branch 2",
-    ])
-    def test_every_field_is_its_float_in_17_digits(self, capsys, argv):
-        # the pole flag of a table with pole rows and verify's integer branch
-        # column print as '%.17g' printed them
-        rc, out, _ = run(capsys, argv.split())
-        assert rc == 0
-        header, rows = parse_table(out)
-        assert any(row[-1] == "1" for row in rows) or header[-1] != "pole"
-        for row in rows:
-            assert row == ["%.17g" % float(tok) for tok in row]
-        if "verify" in argv:
-            assert rows[0][header.index("branch")] == "2"
-
     def test_unwritable_out_exits_2_with_one_error_line(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
         rc, out, err = run(capsys, ["riccati", "eval", "--a", "1", "--b", "-1",

@@ -2,10 +2,8 @@
 argv of scripts/emit_figures.py must give the same bytes.  So are the tables
 in tests/golden/ of `riccati eval`, `riccati poles`, `riccati verify`,
 `cosmo hubble`, `cosmo scale` and `cosmo figure`, and the stdout of
-scripts/verify_matrix.py.  Large tables are held to the sha256 of their
-stdout in tests/golden/large_tables.sha256."""
+scripts/verify_matrix.py."""
 
-import hashlib
 import importlib.util
 import pathlib
 
@@ -50,17 +48,3 @@ def test_table_matches_golden(capsys, name, argv):
 def test_verify_matrix_matches_golden(capsys):
     assert _script("verify_matrix").main() == 0
     assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "verify_matrix.txt").read_text()
-
-
-# (sha256, argv) of every large table in tests/golden/large_tables.sha256
-LARGE_TABLES = [
-    tuple(line.split(None, 1))
-    for line in (ROOT / "tests" / "golden" / "large_tables.sha256").read_text().splitlines()
-    if line and not line.startswith("#")
-]
-
-
-@pytest.mark.parametrize("digest, argv", LARGE_TABLES)
-def test_large_table_matches_golden_hash(capsys, digest, argv):
-    assert cli.main(argv.split()) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
