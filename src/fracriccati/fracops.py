@@ -6,9 +6,9 @@ cubic spline through its grid values, which is itself an operand.
 The lower limit of every operator is fixed at 0.  The fractional integral
 is a composite Gauss rule whose nodes scale with x, so one call takes a
 whole profile; no sum goes through BLAS, so the bits do not depend on its
-thread count.  The derivative is one such integral; see rl_derivative.  The
-linear solver integrates by parts, so that all its integrals are such
-integrals of p and g; see solve_linear_fractional.
+thread count.  The derivative is one such integral of closed-form f, f',
+f''; see rl_derivative.  The linear solver integrates by parts, so that all
+its integrals are such integrals of p and g; see solve_linear_fractional.
 """
 
 from __future__ import annotations
@@ -76,10 +76,9 @@ class RealFunction:
     derivative suppliers.
 
     ``deriv_factory(k)`` returns the k-th derivative as a callable, or None
-    when no closed form is available; missing derivatives of order <= 2 fall
-    back to Richardson-extrapolated central differences on the _fd_step
-    stencil, which take whole arrays.  ``eval_array(xs, k)`` evaluates f^(k)
-    on a whole array, calling f point by point only if it takes no arrays.
+    when no closed form is available; derivative(k) then raises ValueError.
+    ``eval_array(xs, k)`` evaluates f^(k) on a whole array, calling f^(k)
+    point by point only if it takes no arrays.
     """
 
     def __init__(
@@ -107,18 +106,10 @@ class RealFunction:
     def derivative(self, k: int) -> Callable[[float], float]:
         if k == 0:
             return self.__call__
-        if self._deriv_factory is not None:
-            d = self._deriv_factory(k)
-            if d is not None:
-                return d
-        if k == 1:
-            return lambda x: _richardson_d1(*_fd_values(self.eval_array, x, 1e-6))
-        if k == 2:
-            return lambda x: _richardson_d2(*_fd_values(self.eval_array, x, 1e-3))
-        raise ValueError(
-            f"no derivative supplier for order {k} "
-            "(finite-difference fallback stops at order 2)"
-        )
+        d = None if self._deriv_factory is None else self._deriv_factory(k)
+        if d is None:
+            raise ValueError(f"no closed-form derivative of order {k}")
+        return d
 
     # -- constructors -------------------------------------------------------
 
@@ -182,16 +173,18 @@ class RealFunction:
 
 class SampledFunction(RealFunction):
     """Densely sampled function: the natural cubic spline through the
-    strictly increasing knots xs with values ys (numpy only); h holds the
-    knot gaps and m the second derivatives at the knots."""
+    finite, strictly increasing knots xs with one value each in ys (numpy
+    only); h holds the knot gaps and m the second derivatives at the knots."""
 
     def __init__(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.size < 2:
             raise ValueError("spline needs at least 2 sample points")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("sample abscissae must be strictly increasing")
+        if not (np.isfinite(xs).all() and (np.diff(xs) > 0).all()):
+            raise ValueError("sample abscissae must be finite and strictly increasing")
+        if ys.shape != xs.shape:
+            raise ValueError(f"need one value per knot, got {ys.shape} for {xs.size} knots")
         n = xs.size
         h = np.diff(xs)
         # tridiagonal system for interior second derivatives, Thomas algorithm
@@ -346,8 +339,8 @@ def rl_integral(f, alpha: float, x, q: QuadratureSpec = QuadratureSpec()):
     n > _N_MAX or more than q.n_base * 2**q.max_doublings evaluations of f
     per x raise ConvergenceError."""
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError(f"integral order must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"integral order must be finite and positive, got {alpha}")
     xs = np.array(x, dtype=float).ravel()
     if not np.all((xs > 0.0) & (xs < math.inf)):
         raise ValueError(f"rl_integral requires a finite x > 0, got {x}")
@@ -375,40 +368,6 @@ def rl_integral(f, alpha: float, x, q: QuadratureSpec = QuadratureSpec()):
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
-# offsets of the central-difference stencil, in units of the step h
-_STENCIL = np.array([0.0, 1.0, -1.0, 0.5, -0.5])
-
-
-def _fd_step(x, rel: float):
-    """Step h of the central differences at x, a float or an ndarray:
-    max(rel, |x| rel), capped at sqrt(rel) |x| where x != 0, so that the
-    stencil x + _STENCIL h stays on the side of 0 that x is on."""
-    ax = np.abs(x)
-    h = np.maximum(rel, ax * rel)
-    return np.where(ax > 0.0, np.minimum(h, math.sqrt(rel) * ax), h)
-
-
-def _fd_values(F, x, rel: float):
-    """F on the stencil at x, as one call of F on an array of shape
-    (5,) + shape(x), and the step h = _fd_step(x, rel)."""
-    h = _fd_step(x, rel)
-    return F(x + np.multiply.outer(_STENCIL, h)), h
-
-
-def _richardson_d1(fv, h):
-    """First derivative from the stencil values fv: central differences of
-    steps h and h/2 and one Richardson step."""
-    _, fp, fm, fhp, fhm = fv
-    return (4.0 * ((fhp - fhm) / h) - (fp - fm) / (2.0 * h)) / 3.0
-
-
-def _richardson_d2(fv, h):
-    """Second derivative from the stencil values fv, likewise."""
-    f0, fp, fm, fhp, fhm = fv
-    hh = 0.5 * h
-    return (4.0 * ((fhp - 2.0 * f0 + fhm) / (hh * hh)) - (fp - 2.0 * f0 + fm) / (h * h)) / 3.0
-
-
 def rl_derivative(f, beta: float, x, q: QuadratureSpec = QuadratureSpec()):
     """Riemann-Liouville derivative of order beta in [0, 2) at a finite x > 0,
     or elementwise at an ndarray of them (a whole profile), each x with the
@@ -423,11 +382,9 @@ def rl_derivative(f, beta: float, x, q: QuadratureSpec = QuadratureSpec()):
         1 < beta < 2:  I^alpha[alpha(alpha-1) f + 2 alpha t f' + t^2 f''](x) / x^2,
     each t^k f^(k) term taking its limit 0 at t = 0; integer orders give
     f^(n)(x), called on each x as a float (numpy's t**0.5 is a square root,
-    which differs from the float power in the last place for some t).  A
-    bare callable has no closed-form f', f'' and takes the finite-difference
-    fallback on every node at once, never reaching t <= 0, and is less
-    accurate: D^1.95 exp at x = 1 is 1.5e-10 relative off that way, 5.9e-16
-    with the closed form.
+    which differs from the float power in the last place for some t).  An
+    operand without closed-form f^(k), k = 1..n (a bare callable, say)
+    raises ValueError before any quadrature.
     """
     beta = float(beta)
     if not 0.0 <= beta < 2.0:
@@ -438,9 +395,9 @@ def rl_derivative(f, beta: float, x, q: QuadratureSpec = QuadratureSpec()):
     f = _as_real_function(f)
     n = math.ceil(beta)
     alpha = n - beta
+    fk = [f.derivative(k) for k in range(n + 1)]  # a missing closed form raises here
     if alpha == 0.0:
-        fn = f.derivative(n)
-        out = np.array([float(fn(t)) for t in xs.ravel().tolist()]).reshape(xs.shape)
+        out = np.array([float(fk[n](t)) for t in xs.ravel().tolist()]).reshape(xs.shape)
     else:
         xn = power(xs, float(n))  # the quotient below divides by it
         if not xn.all():
@@ -463,7 +420,8 @@ def power_rule(a_exp: float, beta: float, x: float) -> float:
     """Closed form Gamma(a+1)/Gamma(a+1-beta) x^(a-beta) for D^beta t^a.
 
     Serves as the analytic oracle for the numeric operators; beta < 0 gives
-    the fractional integral of order -beta.
+    the fractional integral of order -beta.  Where Gamma(a+1) overflows, the
+    quotient is exp(lgamma(a+1) - lgamma(a+1-beta)), signed as Gamma(a+1-beta).
     """
     a_exp, beta, x = float(a_exp), float(beta), float(x)
     if not a_exp > -1.0:
@@ -473,7 +431,14 @@ def power_rule(a_exp: float, beta: float, x: float) -> float:
     den = a_exp + 1.0 - beta
     if den <= 0.0 and den == math.floor(den):
         raise GammaPoleError(f"power_rule({a_exp}, {beta}): Gamma pole at a+1-beta = {den}")
-    return gamma(a_exp + 1.0) / gamma(den) * x ** (a_exp - beta)
+    try:
+        num = gamma(a_exp + 1.0)
+    except OverflowError:  # float pow inside gamma, from about a = 290
+        num = math.inf
+    if num < math.inf:
+        return num / gamma(den) * x ** (a_exp - beta)
+    sign = -1.0 if den < 0.0 and math.ceil(-den) % 2 else 1.0
+    return sign * math.exp(math.lgamma(a_exp + 1.0) - math.lgamma(den)) * x ** (a_exp - beta)
 
 
 def frac_const(b: float, delta, x):

@@ -3,7 +3,8 @@ with PI step-size control at the fixed tolerances _REL_TOL and _ABS_TOL,
 integrating the modified Riccati equation and its associated linear
 equation forward or backward through output points, a cross-check on the
 closed forms; the other cross-check, residuals, puts the closed forms into
-the equation with a finite-difference derivative.
+the equation with u' by the library's one difference rule, _richardson_d1
+on stencils(xs).
 
 Pole avoidance is the caller's duty (locate poles first); the integrator
 reports step underflow rather than attempting to continue through one.
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MaxStepsError, StepUnderflowError
-from .fracops import _STENCIL, _fd_step, _richardson_d1, frac_const
+from .fracops import frac_const
 from .riccati import RiccatiParams, branch_table, residual
 from .specfun import gamma
 
@@ -227,23 +228,41 @@ def integrate_linear(rp: RiccatiParams, ivp: IvpSpec) -> tuple[float, float]:
     return float(y), float(yp)
 
 
+# offsets of the central-difference stencil, in units of the step h
+_STENCIL = np.array([0.0, 1.0, -1.0, 0.5, -0.5])
+
+
+def _fd_step(x):
+    """Step h of the central differences at x > 0: max(1e-6, 1e-6 x), capped
+    at 1e-3 x so that the stencil x + _STENCIL h stays above 0."""
+    return np.minimum(np.maximum(1e-6, x * 1e-6), 1e-3 * x)
+
+
+def _richardson_d1(fv, h):
+    """First derivative from the values fv on the stencil of step h: central
+    differences of steps h and h/2 and one Richardson step."""
+    _, fp, fm, fhp, fhm = fv
+    return (4.0 * ((fhp - fhm) / h) - (fp - fm) / (2.0 * h)) / 3.0
+
+
 def stencils(xs: np.ndarray) -> np.ndarray:
-    """The residual stencils xs + fracops._STENCIL h, h = _fd_step(xs, 1e-6),
-    of the points xs > 0 (an ndarray): shape (5, len(xs)), row 0 is xs."""
+    """The residual stencils xs + _STENCIL h, h = _fd_step(xs), of the points
+    xs > 0 (an ndarray): shape (5, len(xs)), row 0 is xs."""
     with np.errstate(over="ignore"):  # past the float maximum: inf, refused as too large
-        return xs + np.multiply.outer(_STENCIL, _fd_step(xs, 1e-6))
+        return xs + np.multiply.outer(_STENCIL, _fd_step(xs))
 
 
 def residuals(rp: RiccatiParams, branch: int, xs, u=None) -> np.ndarray:
     """|u' + a u^2 - rhs| / (|u'| + |a u^2| + |rhs|) of the closed-form
     branch at the points xs > 0 (an ndarray), rhs = b x^(1-delta) /
-    Gamma(2-delta), with u' by fracops' difference rule from u on
-    stencils(xs): the given values, else those of one branch_table call.
+    Gamma(2-delta), with u' by _richardson_d1 from u on stencils(xs): the
+    given values, else those of one branch_table call.
     The scale is never 0 for b != 0; near 0, where u' and a u^2 grow like
     1/x^2, it keeps their round-off from reading as a defect."""
     if u is None:
         pts = stencils(xs)
         u = branch_table([rp], branch, pts.ravel())[0][0].reshape(pts.shape)
-    up = _richardson_d1(u, _fd_step(xs, 1e-6))
+    with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 below x ~ 1e-321: nan
+        up = _richardson_d1(u, _fd_step(xs))
     scale = np.abs(up) + np.abs(rp.a * u[0] * u[0]) + np.abs(frac_const(rp.b, rp.delta, xs))
     return np.abs(residual(rp, xs, u[0], up)) / scale

@@ -1,4 +1,5 @@
-"""One-point values of the closed-form Riccati branches, for the tests.
+"""One-point values of the closed-form Riccati branches, and one-point
+derivatives by the residuals' difference rule, for the tests.
 
 The library evaluates the closed forms on lattices only: u through
 ``riccati.branch_table`` and y through ``riccati.y_branch_table``.  These
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from fracriccati import riccati
+from fracriccati import odeverify, riccati
 
 
 def eval_u(rp: riccati.RiccatiParams, branch: int, x: float) -> float:
@@ -39,3 +40,9 @@ def eval_y_branch(rp: riccati.RiccatiParams, branch: int, x: float) -> tuple[flo
     s, e = riccati.y_branch_table(rp, branch, np.array([float(x)]))
     y = float(s[0]) * math.exp(float(e[0]))
     return y, rp.a * eval_u(rp, branch, x) * y
+
+
+def rule_d1(f, x: float) -> float:
+    """f'(x) by odeverify's difference rule, f called on each stencil point."""
+    return float(odeverify._richardson_d1([f(t) for t in odeverify.stencils(x).tolist()],
+                                          odeverify._fd_step(x)))

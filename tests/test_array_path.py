@@ -640,9 +640,9 @@ def test_spline_sweep_matches_numpy_indexed_sweep(start, gaps, ys):
 
 def profile_function(kind, x_max):
     if kind == "sin":
-        return fo.RealFunction(np.sin)
+        return fo.RealFunction(np.sin, lambda k: cli._SIN_DERIVS[k % 4])
     if kind == "exp":
-        return fo.RealFunction(np.exp)
+        return fo.RealFunction(np.exp, lambda k: np.exp)
     if kind == "sqrt":
         return fo.RealFunction.power(0.5)
     ts = np.linspace(0.0, x_max, 200)
@@ -662,8 +662,9 @@ ORDERS_OF = {
     xs=st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=12),
     kind=st.sampled_from(["sin", "exp", "sqrt", "sampled"]),
 )
-# "sin" and "exp" are bare callables: their f' and f'' are finite differences;
-# at 2.315 and 9.26 numpy's t**0.5 (a square root) and the float power differ
+# "sin" and "exp" carry their derivatives in closed form, as the CLI builds
+# them; at 2.315 and 9.26 numpy's t**0.5 (a square root) and the float power
+# differ
 @example(op_order=("rl_derivative", 0.0), xs=[0.3, 2.315, 9.26], kind="sqrt")
 @example(op_order=("rl_derivative", 1.0), xs=[0.3, 2.0, 0.7], kind="exp")
 @example(op_order=("rl_derivative", 0.47), xs=[0.25, 1.5, 4.0], kind="sin")

@@ -209,6 +209,21 @@ class TestFracderiv:
             lines.append(",".join("%.17g" % v for v in row))
         assert out == "\n".join(lines) + "\n"
 
+    def test_power_oracle_past_the_float_range_of_gamma(self, capsys):
+        # Gamma(201) is inf and gamma(401) overflows float pow, but the
+        # oracles x^200 and 400 x^399 are finite
+        rc, out, _ = run(capsys, ["fracderiv", "--beta", "0", "--power", "200",
+                                  "--grid", "1:2:3"])
+        assert rc == 0
+        _, rows = parse_table(out)
+        assert [float(row[2]) for row in rows] == [x**200 for x in (1.0, 1.5, 2.0)]
+        rc, out, _ = run(capsys, ["fracderiv", "--beta", "1", "--power", "400",
+                                  "--grid", "1:2:3"])
+        assert rc == 0
+        _, rows = parse_table(out)
+        for row in rows:
+            assert float(row[2]) == pytest.approx(400.0 * float(row[0]) ** 399, rel=1e-11)
+
     def test_poly_oracle(self, capsys):
         rc, out, _ = run(capsys, ["fracderiv", "--beta", "0.5",
                                   "--builtin", "poly:0,1", "--grid", "1:1.5:3"])
@@ -1164,6 +1179,8 @@ def fuzz_argv(draw):
          .split())
 @example(argv="riccati verify --a -1 --b -1.7976931348623157e308 --delta 0.05 "
          "--x0 5e-324 --x1 1e-300".split())
+@example(argv="riccati verify --a -7 --b 0.333 --delta 0.999999999 --branch 2 "
+         "--x0 5e-324 --x1 0.5".split())
 @settings(max_examples=300, deadline=None)
 def test_flag_contract_holds_for_any_argv(argv):
     # exit 0, 2, 3, 4 or 5 with no exception or warning, one error line on

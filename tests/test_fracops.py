@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
+from fracriccati import cli
 from fracriccati import fracops as fo
 from fracriccati.errors import ConvergenceError, GammaPoleError
 from fracriccati.grids import GridSpec
@@ -17,6 +18,8 @@ from frac_series import SeriesSpec, frac_chain, frac_leibniz
 
 SQRT_PI = math.sqrt(math.pi)
 FAST_Q = fo.QuadratureSpec(n_base=1024, tol=1e-8, max_doublings=5)
+# sin with its derivatives in closed form, as the CLI builds it
+SIN = fo.RealFunction(np.sin, lambda k: cli._SIN_DERIVS[k % 4])
 
 
 def brute_rl_integral(f, alpha, x, panels=20000):
@@ -50,6 +53,12 @@ class TestRlIntegral:
             fo.rl_integral(fo.RealFunction.constant(1.0), 0.5, 0.0)
         with pytest.raises(ValueError):
             fo.rl_integral(fo.RealFunction.constant(1.0), -0.5, 1.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_order_is_refused(self, alpha):
+        # refused up front: at alpha = inf the Gauss-Jacobi nodes would warn
+        with pytest.raises(ValueError, match="order must be finite and positive"):
+            fo.rl_integral(fo.RealFunction.constant(1.0), alpha, 1.0)
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_non_finite_x_is_refused(self, x):
@@ -272,8 +281,7 @@ class TestRlDerivative:
         assert fo.rl_derivative(f, 0.0, 1.3) == math.sin(1.3)
 
     def test_integer_order_is_ordinary(self):
-        f = fo.RealFunction(np.sin)
-        assert fo.rl_derivative(f, 1.0, 1.3) == pytest.approx(math.cos(1.3), abs=1e-9)
+        assert fo.rl_derivative(SIN, 1.0, 1.3) == pytest.approx(math.cos(1.3), rel=1e-15)
 
     def test_power_oracle(self):
         got = fo.rl_derivative(fo.RealFunction.power(2.0), 0.3, 1.0)
@@ -297,27 +305,12 @@ class TestRlDerivative:
         got = fo.rl_derivative(fo.RealFunction.power(float(k)), beta, x)
         assert got == pytest.approx(fo.power_rule(float(k), beta, x), rel=1e-10)
 
-    @pytest.mark.parametrize("x", [1e-3, 1e-6])
-    @pytest.mark.parametrize("func", [np.sqrt, lambda t: math.sqrt(t)], ids=["np", "math"])
-    def test_bare_sqrt(self, func, x):
-        # the difference fallback for f' takes the whole mesh at once (a
-        # scalar-only callable point by point) and never steps past t = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = fo.rl_derivative(fo.RealFunction(func), 0.5, x)
-        want = fo.power_rule(0.5, 0.5, x)
-        assert math.isfinite(got)
-        assert abs(got - want) <= 1e-5 * abs(want)
-
-    def test_bare_sin_converges_below_the_cap(self):
-        # the difference fallback's f'' is noisy at about 1e-10 of f; the
-        # stop test, relative to the rule's absolute mass, passes that
+    def test_bare_callable_is_refused_before_quadrature(self):
+        # f' has no closed form: nothing is differenced and nothing integrated
         with mock.patch.object(fo, "_gauss_level", wraps=fo._gauss_level) as spy:
-            got = fo.rl_derivative(np.sin, 1.95, 0.25)
-        assert max(c.args[3] for c in spy.call_args_list) < fo._N_MAX
-        want = math.fsum((-1) ** k * 0.25 ** (2 * k - 0.95) / math.gamma(2 * k + 0.05)
-                         for k in range(12))
-        assert got == pytest.approx(want, rel=1e-8)
+            with pytest.raises(ValueError, match="derivative of order 1"):
+                fo.rl_derivative(np.sin, 0.5, 1.0)
+        assert spy.call_count == 0
 
     @given(st.floats(0.0, 4.0), st.floats(0.0, 2.0, exclude_max=True), st.floats(1e-3, 50.0))
     @example(0.5, 1.46, 0.92)
@@ -343,11 +336,12 @@ class TestRlDerivative:
 
     @pytest.mark.parametrize("beta", [0.5, 1.3, 1.5, 1.95])
     def test_bare_sin_against_series(self, beta):
-        # D^beta sin = sum_k (-1)^k x^(2k+1-beta) / Gamma(2k+2-beta)
+        # D^beta sin = sum_k (-1)^k x^(2k+1-beta) / Gamma(2k+2-beta), on sin
+        # with closed-form derivatives
         for x in (1e-3, 0.05, 0.25, 1.0):
             want = math.fsum((-1) ** k * x ** (2 * k + 1 - beta) / math.gamma(2 * k + 2 - beta)
                              for k in range(12))
-            assert abs(fo.rl_derivative(np.sin, beta, x) - want) <= 1e-6, x
+            assert fo.rl_derivative(SIN, beta, x) == pytest.approx(want, rel=1e-13), x
 
     def test_agreement_matrix(self):
         for a in (1.0, 2.0, 2.5):
@@ -377,6 +371,18 @@ class TestPowerRule:
         with pytest.raises(ValueError):
             fo.power_rule(-1.0, 0.5, 1.0)
 
+    @given(st.floats(171.0, 1000.0), st.floats(0.0, 2.0, exclude_max=True),
+           st.floats(0.5, 2.0))
+    @example(171.0, 0.5, 1.0)  # Gamma(172) is inf, Gamma(171.5) is not
+    @example(400.0, 1.0, 2.0)  # gamma(401) raises OverflowError from float pow
+    @example(170.7, 172.2, 1.0)  # Gamma(a+1-beta) = Gamma(-0.5) < 0
+    @settings(max_examples=60, deadline=None)
+    def test_past_the_float_range_of_gamma(self, a, beta, x):
+        with mpmath.workdps(40):
+            a1 = mpmath.mpf(a) + 1
+            want = mpmath.gamma(a1) / mpmath.gamma(a1 - beta) * mpmath.mpf(x) ** (a1 - 1 - beta)
+        assert fo.power_rule(a, beta, x) == pytest.approx(float(want), rel=1e-11)
+
 
 class TestFracConst:
     def test_delta_one_is_exact_identity(self):
@@ -400,9 +406,8 @@ class TestFracConst:
 
 class TestLeibniz:
     def test_constant_left_factor_collapses(self):
-        g = fo.RealFunction(np.sin)
-        r = frac_leibniz(fo.RealFunction.constant(1.0), g, 0.5, 1.0, SeriesSpec(3), FAST_Q)
-        assert r.value == pytest.approx(fo.rl_derivative(g, 0.5, 1.0, FAST_Q), rel=1e-12)
+        r = frac_leibniz(fo.RealFunction.constant(1.0), SIN, 0.5, 1.0, SeriesSpec(3), FAST_Q)
+        assert r.value == pytest.approx(fo.rl_derivative(SIN, 0.5, 1.0, FAST_Q), rel=1e-12)
 
     def test_linear_times_one(self):
         r = frac_leibniz(
@@ -592,11 +597,21 @@ class TestRealFunction:
         assert p.derivative(5)(2.0) == 0.0
 
     def test_fd_fallback(self):
+        # there is none: a derivative without a closed form is refused
         f = fo.RealFunction(np.sin)
-        assert f.derivative(1)(0.7) == pytest.approx(math.cos(0.7), abs=1e-9)
-        assert f.derivative(2)(0.7) == pytest.approx(-math.sin(0.7), abs=1e-6)
-        with pytest.raises(ValueError):
-            f.derivative(3)
+        for k in (1, 2, 3):
+            with pytest.raises(ValueError, match=f"derivative of order {k}"):
+                f.derivative(k)
+
+    @pytest.mark.parametrize("xs, ys, match", [
+        ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0], "finite"),
+        ([0.0, 1.0, math.inf], [0.0, 1.0, 2.0], "finite"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0], "one value per knot"),
+        ([0.0, 1.0], [[0.0, 1.0]], "one value per knot"),
+    ])
+    def test_bad_samples_are_refused(self, xs, ys, match):
+        with pytest.raises(ValueError, match=match):
+            fo.SampledFunction(xs, ys)
 
     def test_from_samples_roundtrip(self):
         xs = np.linspace(0.0, 2.0, 50)
