@@ -149,7 +149,7 @@ def riccati_route_rows():
     for rp in _MATRIX:
         x0, x1 = _verification_interval(rp)
         u0, want = riccati.branch_table([rp], 1, np.array([x0, x1]))[0][0].tolist()
-        got = odeverify.integrate_riccati(rp, odeverify.IvpSpec(x0, u0, x1))
+        got = float(odeverify.integrate(odeverify.riccati_rhs(rp), [x0, x1], u0)[1, 0])
         yield rp, x0, x1, u0, want, abs(got - want) / (1.0 + abs(want))
 
 
@@ -161,7 +161,7 @@ def criterion_cross_oracle():
     for rp, x0, x1, u0, want, dev in riccati_route_rows():
         worst_ric = max(worst_ric, dev)
         y0 = float(riccati.y_branch_table(rp, 1, np.array([x0]))[0][0])  # y = s exp(e), e = 0 here
-        y1, yp1 = odeverify.integrate_linear(rp, odeverify.IvpSpec(x0, (y0, rp.a * u0 * y0), x1))
+        y1, yp1 = odeverify.integrate(odeverify.linear_rhs(rp), [x0, x1], (y0, rp.a * u0 * y0))[1]
         u_lin = yp1 / (rp.a * y1)
         worst_lin = max(worst_lin, abs(u_lin - want) / (1.0 + abs(want)))
     ok = worst_ric <= 1e-6 and worst_lin <= 1e-7

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -322,13 +323,14 @@ def _gauss_level(f: RealFunction, alpha: float, x: np.ndarray, n: int):
     eval_array call, sums along the last axis (each x has its own bits)."""
     s, w = _unit_rule(n, alpha)
     fw = f.eval_array(np.multiply.outer(x, s)) * w
-    scale = x**alpha / gamma(alpha)
+    with np.errstate(over="ignore"):  # inf at a large x: rl_integral's "not finite"
+        scale = x**alpha / gamma(alpha)
     return fw.sum(axis=-1) * scale, np.abs(fw).sum(axis=-1) * scale
 
 
 def rl_integral(f, alpha: float, x, q: QuadratureSpec = QuadratureSpec()):
-    """Riemann-Liouville integral of order alpha > 0, lower limit 0, at a
-    finite x > 0, or elementwise at an ndarray of them (a whole profile).
+    """Riemann-Liouville integral of order 0 < alpha <= 170, lower limit 0,
+    at a finite x > 0, or elementwise at an ndarray of them (a whole profile).
 
     Gauss-Jacobi on [x/2, x] takes the kernel (x-t)^(alpha-1) as its weight;
     Gauss-Legendre on 13 cells of [0, x/2] graded toward 0 (Schwab, p- and
@@ -339,8 +341,8 @@ def rl_integral(f, alpha: float, x, q: QuadratureSpec = QuadratureSpec()):
     n > _N_MAX or more than q.n_base * 2**q.max_doublings evaluations of f
     per x raise ConvergenceError."""
     alpha = float(alpha)
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"integral order must be finite and positive, got {alpha}")
+    if not 0.0 < alpha <= 170.0:
+        raise ValueError(f"integral order must be finite and positive and at most 170, got {alpha}")
     xs = np.array(x, dtype=float).ravel()
     if not np.all((xs > 0.0) & (xs < math.inf)):
         raise ValueError(f"rl_integral requires a finite x > 0, got {x}")
@@ -420,9 +422,11 @@ def power_rule(a_exp: float, beta: float, x: float) -> float:
     """Closed form Gamma(a+1)/Gamma(a+1-beta) x^(a-beta) for D^beta t^a.
 
     Serves as the analytic oracle for the numeric operators; beta < 0 gives
-    the fractional integral of order -beta.  Where Gamma(a+1) overflows, the
-    quotient is exp(lgamma(a+1) - lgamma(a+1-beta)), signed as Gamma(a+1-beta).
-    """
+    the fractional integral of order -beta.  Past the float range the
+    Gammas' quotient, and where needed the whole value with x^(a-beta), is
+    taken in logs, signed as Gamma(a+1-beta).  Within 1/2 of a pole
+    -m of Gamma(t) ~ C / (t + m), t = a + 1 - beta, the value takes the
+    share 1 + lost / (den + m) of what the roundings of den = fl(t) lost."""
     a_exp, beta, x = float(a_exp), float(beta), float(x)
     if not a_exp > -1.0:
         raise ValueError(f"power rule needs exponent > -1, got {a_exp}")
@@ -431,14 +435,21 @@ def power_rule(a_exp: float, beta: float, x: float) -> float:
     den = a_exp + 1.0 - beta
     if den <= 0.0 and den == math.floor(den):
         raise GammaPoleError(f"power_rule({a_exp}, {beta}): Gamma pole at a+1-beta = {den}")
-    try:
-        num = gamma(a_exp + 1.0)
-    except OverflowError:  # float pow inside gamma, from about a = 290
-        num = math.inf
-    if num < math.inf:
-        return num / gamma(den) * x ** (a_exp - beta)
+    s = a_exp + 1.0  # TwoSum of a + 1, then of s - beta: lost = t - den, rounded once
+    lost = (a_exp - (s - (s - a_exp))) + (1.0 - (s - a_exp))
+    lost += (s - (den - (den - s))) - (beta + (den - s))
+    share = 1.0 + lost / (den + round(-den)) if den < 0.5 else 1.0  # den + m is exact
     sign = -1.0 if den < 0.0 and math.ceil(-den) % 2 else 1.0
-    return sign * math.exp(math.lgamma(a_exp + 1.0) - math.lgamma(den)) * x ** (a_exp - beta)
+    log_quot = math.lgamma(a_exp + 1.0) - math.lgamma(den)
+    try:  # gamma is inf from about 171.6; it, exp and the float power raise OverflowError
+        quot = gamma(a_exp + 1.0) / gamma(den)
+        if not 0.0 < abs(quot) < math.inf:
+            quot = sign * math.exp(log_quot)
+        if abs(quot) >= sys.float_info.min:
+            return quot * x ** (a_exp - beta) * share
+    except OverflowError:
+        pass
+    return sign * math.exp(log_quot + (a_exp - beta) * math.log(x)) * share
 
 
 def frac_const(b: float, delta, x):

@@ -1,10 +1,11 @@
-"""Independent verification backend: an embedded Dormand-Prince 5(4) pair
-with PI step-size control at the fixed tolerances _REL_TOL and _ABS_TOL,
-integrating the modified Riccati equation and its associated linear
-equation forward or backward through output points, a cross-check on the
-closed forms; the other cross-check, residuals, puts the closed forms into
-the equation with u' by the library's one difference rule, _richardson_d1
-on stencils(xs).
+"""Independent verification backend: integrate(rhs, xs, y0), the one
+embedded Dormand-Prince 5(4) pair with PI step-size control at the fixed
+tolerances _REL_TOL and _ABS_TOL, runs the modified Riccati equation
+(riccati_rhs) or its associated linear equation (linear_rhs) forward or
+backward through positive output points, a cross-check on the closed forms
+(riccati_trajectory picks the Riccati run's direction); the other, residuals,
+puts the closed forms into the equation with u' by the library's one
+difference rule, _richardson_d1 on stencils(xs).
 
 Pole avoidance is the caller's duty (locate poles first); the integrator
 reports step underflow rather than attempting to continue through one.
@@ -14,8 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,32 +24,7 @@ from .fracops import frac_const
 from .riccati import RiccatiParams, branch_table, residual
 from .specfun import gamma
 
-__all__ = [
-    "IvpSpec",
-    "integrate",
-    "integrate_riccati",
-    "integrate_linear",
-    "riccati_trajectory",
-    "stencils",
-    "residuals",
-]
-
-
-@dataclass(frozen=True)
-class IvpSpec:
-    """The problem of integrate_riccati and _linear: from (x0, u0) to x1 > x0."""
-
-    x0: float
-    u0: float | Sequence[float]
-    x1: float
-
-    def __post_init__(self):
-        if not self.x0 > 0.0:
-            raise ValueError(f"x0 must be positive, got {self.x0}")
-        if not self.x0 < self.x1 < math.inf:
-            raise ValueError(f"need x0 < x1 < inf, got x1={self.x1}, x0={self.x0}")
-        if not np.isfinite(self.u0).all():
-            raise ValueError(f"u0 must be finite, got {self.u0!r}")
+__all__ = ["integrate", "riccati_trajectory", "stencils", "residuals"]
 
 
 _SAFETY = 0.9
@@ -127,11 +102,13 @@ def _initial_step(rhs, x0, y0, x1):
 
 
 def integrate(rhs, xs, y0) -> np.ndarray:
-    """The states at the finite, strictly monotone points xs, shape (len(xs),
-    len(y0)), of one trajectory from y0 at xs[0] with the embedded 5(4) pair
-    and PI step control.  A step that would pass a point is cut to land on
-    it; after an accepted cut the larger of the proposed and the uncut size
-    carries on.  _MAX_STEPS bounds the attempted steps of the trajectory.
+    """The states at the finite, positive (each rhs here takes x**e with a
+    fractional e), strictly monotone points xs, shape (len(xs), len(y0)), of
+    one trajectory from the finite y0 at xs[0]; other xs or y0 raise
+    ValueError before any rhs call.  A step of the embedded 5(4) pair with
+    PI step control that would pass a point is cut to land on it; after an
+    accepted cut the larger of the proposed and the uncut size carries on.
+    _MAX_STEPS bounds the attempted steps of the trajectory.
 
     A one-component y0 (a float, [float] or a one-element ndarray) is carried
     as a float, and rhs(x, y) takes and returns a float; a longer one as a
@@ -143,12 +120,16 @@ def integrate(rhs, xs, y0) -> np.ndarray:
     xs, finite = pts.tolist(), np.isfinite(pts)
     if not finite.all():
         raise ValueError(f"xs must be finite, got {xs[np.argmin(finite)]!r}")
+    if not pts.min() > 0.0:
+        raise ValueError(f"xs must be positive, got {min(xs)!r}")
     x, sign = xs[0], math.copysign(1.0, xs[-1] - xs[0])
     onward = sign * pts[1:] > sign * pts[:-1]
     if not onward.all():
         i = int(np.argmin(onward))
         raise ValueError(f"xs must be strictly monotone, got {xs[i + 1]!r} after {xs[i]!r}")
     y = np.array(y0, dtype=float).reshape(-1)
+    if not np.isfinite(y).all():
+        raise ValueError(f"y0 must be finite, got {y0!r}")
     if y.size == 1:
         y = float(y[0])
     h, k0 = _initial_step(rhs, x, y, xs[-1])
@@ -201,14 +182,6 @@ def linear_rhs(rp: RiccatiParams) -> Callable[[float, np.ndarray], np.ndarray]:
     return f
 
 
-def integrate_riccati(rp: RiccatiParams, ivp: IvpSpec) -> float:
-    """u(x1) of the modified Riccati equation from u(x0) = ivp.u0.
-
-    The caller is responsible for a pole-free [x0, x1] (see find_poles).
-    """
-    return float(integrate(riccati_rhs(rp), [ivp.x0, ivp.x1], ivp.u0)[1, 0])
-
-
 def riccati_trajectory(rp: RiccatiParams, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """u of the modified Riccati equation at the ascending points xs of a
     pole-free span, from one trajectory that starts at the closed-form u (an
@@ -217,15 +190,6 @@ def riccati_trajectory(rp: RiccatiParams, xs: np.ndarray, u: np.ndarray) -> np.n
     with np.errstate(all="ignore"):  # only the sign is read
         way = 1 if rp.a * np.sum((u[1:] + u[:-1]) * np.diff(xs)) >= 0.0 else -1
     return integrate(riccati_rhs(rp), xs[::way], u[::way][0])[::way, 0]
-
-
-def integrate_linear(rp: RiccatiParams, ivp: IvpSpec) -> tuple[float, float]:
-    """(y(x1), y'(x1)) of the associated linear equation; ivp.u0 = (y0, y0')."""
-    u0 = np.asarray(ivp.u0, dtype=float)
-    if u0.shape != (2,):
-        raise ValueError(f"integrate_linear needs u0 = (y, y'), got {ivp.u0!r}")
-    y, yp = integrate(linear_rhs(rp), [ivp.x0, ivp.x1], u0)[1]
-    return float(y), float(yp)
 
 
 # offsets of the central-difference stencil, in units of the step h

@@ -115,7 +115,7 @@ class TestHubble:
         rp = cp.riccati_params()
         assert rp.a == 1.0 and rp.b == -1.0
         u0 = h_at(cp, 0.25)
-        got = ov.integrate_riccati(rp, ov.IvpSpec(0.25, u0, 1.0))
+        got = ov.integrate(ov.riccati_rhs(rp), [0.25, 1.0], u0)[1, 0]
         want = h_at(cp, 1.0)
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 

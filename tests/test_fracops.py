@@ -60,6 +60,22 @@ class TestRlIntegral:
         with pytest.raises(ValueError, match="order must be finite and positive"):
             fo.rl_integral(fo.RealFunction.constant(1.0), alpha, 1.0)
 
+    @pytest.mark.parametrize("alpha", [180.0, 300.0, 1e300])
+    def test_order_past_gammas_range_is_refused(self, alpha):
+        # these used to raise ConvergenceError, a bare OverflowError or leak
+        # numpy warnings from _gauss_jacobi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at most 170"):
+                fo.rl_integral(fo.RealFunction.constant(1.0), alpha, 100.0)
+
+    def test_overflowing_scale_is_not_finite_without_a_warning(self):
+        # 1e3^170 overflows: the "not finite" error, not an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="not finite at x=1000.0"):
+                fo.rl_integral(fo.RealFunction.constant(1.0), 170.0, 1e3)
+
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_non_finite_x_is_refused(self, x):
         # refused up front: at x = inf every mesh doubling would warn and fail
@@ -130,13 +146,17 @@ class TestRlIntegral:
     @example(f=("sin", None), alpha=0.05, x=50.0)
     @example(f=("exp", None), alpha=2.5, x=50.0)
     @example(f=("poly", [2.2250738585072014e-308] * 2), alpha=1.76953125, x=0.001)
+    @example(f=("poly", [5e-324]), alpha=1.0, x=2.0)
+    @example(f=("poly", [2.225073858507e-311]), alpha=1.0, x=1.0)
     @settings(max_examples=150, deadline=None)
     def test_against_power_rule_and_series(self, f, alpha, x):
         # the oracle sums the power rule over the terms of f (mpmath for
         # the series of sin and exp), and the error is held to 1e-12 of the
-        # sum of the terms' magnitudes: of |value| unless terms cancel; the
-        # oracle rounds each power-rule part to a multiple of ulp(0.0), so
-        # a subnormal sum is only known to len(parts) of those
+        # sum of the terms' magnitudes: of |value| unless terms cancel.  A
+        # subnormal value is only known to a floor of multiples of ulp(0.0):
+        # the oracle rounds each power-rule part to one, and the rule each of
+        # its Gauss products w f (at most (_CELLS + 1) _N_MAX per x), whose
+        # sum it then scales by x^alpha / Gamma(alpha)
         kind, arg = f
         if kind == "power":
             func, terms = fo.RealFunction.power(arg), [(1.0, arg)]
@@ -149,7 +169,8 @@ class TestRlIntegral:
         if terms is not None:
             parts = [c * fo.power_rule(float(j), -alpha, x) for c, j in terms]
             want, scale = math.fsum(parts), math.fsum(abs(p) for p in parts)
-            floor = len(parts) * math.ulp(0.0)
+            products = (fo._CELLS + 1) * fo._N_MAX * max(1.0, x**alpha / math.gamma(alpha))
+            floor = (len(parts) + products) * math.ulp(0.0)
         else:
             (want, scale), floor = series_rl_integral(kind, alpha, x), 0.0
         assert abs(got - want) <= max(1e-12 * scale, floor)
@@ -315,6 +336,8 @@ class TestRlDerivative:
     @given(st.floats(0.0, 4.0), st.floats(0.0, 2.0, exclude_max=True), st.floats(1e-3, 50.0))
     @example(0.5, 1.46, 0.92)
     @example(0.1, 0.5, 2.0)
+    @example(1.192092896e-07, 1.9999999999999996, 1.0)  # a + 1 - beta by the pole -1
+    @example(1e-12, 1.9999999999999996, 1.0)
     @settings(max_examples=100, deadline=None)
     def test_power_rule_whole_order_range(self, a, beta, x):
         # D^beta t^a for beta in [0, 2), held to 1e-10 of the magnitudes of
@@ -382,6 +405,29 @@ class TestPowerRule:
             a1 = mpmath.mpf(a) + 1
             want = mpmath.gamma(a1) / mpmath.gamma(a1 - beta) * mpmath.mpf(x) ** (a1 - 1 - beta)
         assert fo.power_rule(a, beta, x) == pytest.approx(float(want), rel=1e-11)
+
+    @pytest.mark.parametrize("a, beta, x", [(1.0, -300.0, 1.0), (1.0, -200.0, 100.0)])
+    def test_integral_past_the_float_range(self, a, beta, x):
+        # both used to raise a bare OverflowError; the first underflows to 0,
+        # the second is about 6.3e24
+        with mpmath.workdps(40):
+            want = mpmath.gamma(a + 1) / mpmath.gamma(a + 1 - beta) * mpmath.mpf(x) ** (a - beta)
+        assert fo.power_rule(a, beta, x) == pytest.approx(float(want), rel=1e-11, abs=0.0)
+
+    @given(st.floats(1e-15, 1e-3), st.sampled_from([0.0, 1.0]), st.floats(0.1, 4.0))
+    @example(1.192092896e-07, 1.0, 1.0)
+    @example(1e-12, 1.0, 1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_next_to_a_pole(self, eps, m, x):
+        # a = eps, beta = 1 + m: a + 1 - beta is eps away from the pole -m of
+        # Gamma, and a + 1 rounds by up to ulp(1) / 2, which the quotient
+        # would take as a relative error of ulp(1) / (2 eps); below about
+        # eps = ulp(1) / 2, a + 1 - beta rounds onto the pole and raises
+        beta = 1.0 + m
+        with mpmath.workdps(40):
+            a1 = mpmath.mpf(eps) + 1
+            want = mpmath.gamma(a1) / mpmath.gamma(a1 - beta) * mpmath.mpf(x) ** (a1 - 1 - beta)
+        assert fo.power_rule(eps, beta, x) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 class TestFracConst:

@@ -9,42 +9,21 @@ from fracriccati.errors import MaxStepsError, StepUnderflowError
 from riccati_points import eval_u1, eval_y_branch
 
 
-class TestIvpSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ov.IvpSpec(-1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            ov.IvpSpec(1.0, 0.0, 0.5)
-
-    @pytest.mark.parametrize("x0, x1", [(0.5, math.inf), (0.5, math.nan), (math.inf, 2.0)])
-    def test_non_finite_ends(self, x0, x1):
-        # an infinite x1 used to run into the step bound after 0.8 s
-        with pytest.raises(ValueError, match=r"x1=\S+, x0=\S+") as info:
-            ov.IvpSpec(x0, 2.0, x1)
-        assert repr(x1) in str(info.value) and repr(x0) in str(info.value)
-
-    @pytest.mark.parametrize("u0", [math.nan, math.inf, (math.nan, 1.0), (0.3, -math.inf)])
-    def test_non_finite_start_value(self, u0):
-        # a non-finite u0 used to end in "step size underflow ... likely a pole"
-        with pytest.raises(ValueError, match=r"u0 must be finite, got \S+"):
-            ov.IvpSpec(0.5, u0, 2.0)
-
-
 class TestIntegrateRiccati:
     def test_coth_propagation(self):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
-        got = ov.integrate_riccati(rp, ov.IvpSpec(0.5, 1.0 / math.tanh(0.5), 1.0))
+        got = ov.integrate(ov.riccati_rhs(rp), [0.5, 1.0], 1.0 / math.tanh(0.5))[1, 0]
         assert got == pytest.approx(1.3130352854993313, abs=1e-8)
 
     def test_equilibrium_is_fixed(self):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
-        got = ov.integrate_riccati(rp, ov.IvpSpec(0.5, 1.0, 5.0))
+        got = ov.integrate(ov.riccati_rhs(rp), [0.5, 5.0], 1.0)[1, 0]
         assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_cross_oracle_fractional(self):
         rp = rc.RiccatiParams(1.0, -1.0, 0.5)
         u0 = eval_u1(rp, 0.5)
-        got = ov.integrate_riccati(rp, ov.IvpSpec(0.5, u0, 1.2))
+        got = ov.integrate(ov.riccati_rhs(rp), [0.5, 1.2], u0)[1, 0]
         want = eval_u1(rp, 1.2)
         assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
@@ -52,13 +31,31 @@ class TestIntegrateRiccati:
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)  # cot: pole at pi
         u0 = eval_u1(rp, 2.0)
         with pytest.raises(StepUnderflowError):
-            ov.integrate_riccati(rp, ov.IvpSpec(2.0, u0, 4.0))
+            ov.integrate(ov.riccati_rhs(rp), [2.0, 4.0], u0)
 
     def test_max_steps(self, monkeypatch):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
         monkeypatch.setattr(ov, "_MAX_STEPS", 3)
         with pytest.raises(MaxStepsError, match="exceeded 3 steps"):
             ov.integrate(ov.riccati_rhs(rp), [0.5, 100.0], 1.0)
+
+
+def refused_before_any_step(xs, y0, bad):
+    """integrate(rhs, xs, y0) raises ValueError matching bad with no rhs call."""
+    calls = []
+    rhs = ov.riccati_rhs(rc.RiccatiParams(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=bad):
+        ov.integrate(lambda x, u: calls.append(x) or rhs(x, u), xs, y0)
+    assert calls == []
+
+
+class TestIvpSpec:
+    # the end checks of the old (x0, u0, x1) spec, now made by integrate on [x0, x1]
+    @pytest.mark.parametrize("x0, x1", [(0.5, math.inf), (0.5, math.nan), (math.inf, 2.0)])
+    def test_non_finite_ends(self, x0, x1):
+        # an infinite x1 used to run into the step bound after 0.8 s
+        bad = x1 if math.isfinite(x0) else x0
+        refused_before_any_step([x0, x1], 2.0, f"xs must be finite, got {bad!r}")
 
 
 class TestPoints:
@@ -71,15 +68,19 @@ class TestPoints:
         ([-math.inf, 1.0], "finite, got -inf"),
         ([], "non-empty"),
         ([[0.5, 1.0]], "non-empty"),
+        ([-1.0, 1.0], "positive, got -1.0"),
+        ([0.0, 1.0], "positive, got 0.0"),
+        ([2.0, 1.0, -0.0], "positive, got -0.0"),
     ])
     def test_malformed_points_are_refused_before_any_step(self, xs, bad):
         # these used to read as a pole (StepUnderflowError) or run into the
-        # step bound (MaxStepsError)
-        calls = []
-        rhs = ov.riccati_rhs(rc.RiccatiParams(1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match=bad):
-            ov.integrate(lambda x, u: calls.append(x) or rhs(x, u), xs, 1.0)
-        assert calls == []
+        # step bound (MaxStepsError); x <= 0 is outside every rhs's x**e
+        refused_before_any_step(xs, 1.0, bad)
+
+    @pytest.mark.parametrize("y0", [math.nan, math.inf, (math.nan, 1.0), (0.3, -math.inf)])
+    def test_non_finite_start_value_is_refused_before_any_step(self, y0):
+        # a non-finite y0 used to end in "step size underflow ... likely a pole"
+        refused_before_any_step([0.5, 2.0], y0, r"y0 must be finite, got \S+")
 
     def test_one_point(self):
         got = ov.integrate(ov.riccati_rhs(rc.RiccatiParams(1.0, 1.0, 1.0)), [0.5], 2.0)
@@ -111,7 +112,7 @@ class TestStateKind:
         kinds = set()
         spy_rhs(monkeypatch, "riccati_rhs", lambda *args: kinds.add(tuple(map(type, args))))
         rp = rc.RiccatiParams(*params)
-        ov.integrate_riccati(rp, ov.IvpSpec(0.5, 0.25, 1.5))
+        ov.integrate(ov.riccati_rhs(rp), [0.5, 1.5], 0.25)
         xs = np.linspace(0.5, 1.5, 9)
         ov.riccati_trajectory(rp, xs, np.tanh(xs))
         assert kinds == {(float, float, float)}
@@ -120,7 +121,7 @@ class TestStateKind:
         kinds = set()
         spy_rhs(monkeypatch, "linear_rhs", lambda x, state, out: kinds.add(
             (type(x), type(state), state.shape, state.dtype, type(out), out.shape, out.dtype)))
-        ov.integrate_linear(rc.RiccatiParams(1.0, -1.0, 0.6), ov.IvpSpec(0.5, (0.3, 0.8), 1.5))
+        ov.integrate(ov.linear_rhs(rc.RiccatiParams(1.0, -1.0, 0.6)), [0.5, 1.5], (0.3, 0.8))
         f8 = np.dtype(float)
         assert kinds == {(float, np.ndarray, (2,), f8, np.ndarray, (2,), f8)}
 
@@ -137,24 +138,20 @@ class TestStateKind:
 class TestIntegrateLinear:
     def test_trig_case(self):
         rp = rc.RiccatiParams(1.0, -1.0, 1.0)  # y'' + y = 0
-        y1, yp1 = ov.integrate_linear(
-            rp, ov.IvpSpec(0.5, (math.sin(0.5), math.cos(0.5)), 2.0)
-        )
+        y1, yp1 = ov.integrate(ov.linear_rhs(rp), [0.5, 2.0], (math.sin(0.5), math.cos(0.5)))[1]
         assert y1 == pytest.approx(math.sin(2.0), abs=1e-9)
         assert yp1 == pytest.approx(math.cos(2.0), abs=1e-9)
 
     def test_hyperbolic_case(self):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)  # y'' - y = 0
-        y1, yp1 = ov.integrate_linear(
-            rp, ov.IvpSpec(0.5, (math.sinh(0.5), math.cosh(0.5)), 2.0)
-        )
+        y1, yp1 = ov.integrate(ov.linear_rhs(rp), [0.5, 2.0], (math.sinh(0.5), math.cosh(0.5)))[1]
         assert y1 == pytest.approx(math.sinh(2.0), rel=1e-9)
         assert yp1 == pytest.approx(math.cosh(2.0), rel=1e-9)
 
     def test_matches_closed_branch_generic_delta(self):
         rp = rc.RiccatiParams(1.0, -1.0, 0.6)
         y0, yp0 = eval_y_branch(rp, 1, 0.5)
-        y1, yp1 = ov.integrate_linear(rp, ov.IvpSpec(0.5, (y0, yp0), 1.5))
+        y1, yp1 = ov.integrate(ov.linear_rhs(rp), [0.5, 1.5], (y0, yp0))[1]
         yw, ypw = eval_y_branch(rp, 1, 1.5)
         assert y1 == pytest.approx(yw, rel=1e-7)
         assert yp1 == pytest.approx(ypw, rel=1e-7)
@@ -163,16 +160,11 @@ class TestIntegrateLinear:
         rp = rc.RiccatiParams(1.5, -1.0, 0.45)
         x0, x1 = 0.4, 1.3
         y0, yp0 = eval_y_branch(rp, 1, x0)
-        y1, yp1 = ov.integrate_linear(rp, ov.IvpSpec(x0, (y0, yp0), x1))
+        y1, yp1 = ov.integrate(ov.linear_rhs(rp), [x0, x1], (y0, yp0))[1]
         u_lin = yp1 / (rp.a * y1)
         u0 = eval_u1(rp, x0)
-        u_ric = ov.integrate_riccati(rp, ov.IvpSpec(x0, u0, x1))
+        u_ric = ov.integrate(ov.riccati_rhs(rp), [x0, x1], u0)[1, 0]
         assert abs(u_lin - u_ric) <= 1e-7 * (1.0 + abs(u_ric))
-
-    def test_state_shape_validation(self):
-        rp = rc.RiccatiParams(1.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            ov.integrate_linear(rp, ov.IvpSpec(0.5, 1.0, 2.0))
 
 
 class TestTrajectory:
@@ -237,12 +229,12 @@ class TestStepControl:
     def test_tightening_tolerance_reduces_error(self, monkeypatch):
         rp = rc.RiccatiParams(1.0, 1.0, 1.0)
         want = 1.0 / math.tanh(2.0)
-        ivp = ov.IvpSpec(0.5, 1.0 / math.tanh(0.5), 2.0)
+        rhs = ov.riccati_rhs(rp)
         errs = []
         for rel_tol, abs_tol in ((1e-5, 1e-8), (1e-11, 1e-13)):
             monkeypatch.setattr(ov, "_REL_TOL", rel_tol)
             monkeypatch.setattr(ov, "_ABS_TOL", abs_tol)
-            errs.append(abs(ov.integrate_riccati(rp, ivp) - want))
+            errs.append(abs(ov.integrate(rhs, [0.5, 2.0], 1.0 / math.tanh(0.5))[1, 0] - want))
         assert errs[1] < errs[0]
 
 
@@ -293,10 +285,10 @@ class TestResiduals:
         assert np.all(ov.residuals(rp, 1, xs) > 1e-6)
 
 
-# (a, b, delta), IvpSpec arguments (optionally followed by the relative and
-# absolute tolerance in place of the module's) and the repr of the result of
-# a DP5 that carried its state in numpy arrays; the float state must repeat
-# them
+# (a, b, delta), the start point, start value and end point (optionally
+# followed by the relative and absolute tolerance in place of the module's)
+# and the repr of the end state, a float or a tuple of floats, of a DP5 that
+# carried its state in numpy arrays; the float state must repeat them
 PINNED_RICCATI = [
     ((1.0, 1.0, 1.0), (0.5, 1.0 / math.tanh(0.5), 2.0), "1.0373147207801316"),
     ((1.0, 1.0, 1.0), (0.5, 1.0, 5.0), "1.0"),
@@ -326,21 +318,22 @@ PINNED_LINEAR = [
 ]
 
 
-def pinned_spec(monkeypatch, ivp) -> ov.IvpSpec:
-    """The IvpSpec of a pinned case, with its tolerances, if any, set in ov."""
+def pinned_end_state(monkeypatch, make_rhs, params, ivp) -> tuple:
+    """The end state of a pinned case as a tuple of floats, with its
+    tolerances, if any, set in ov."""
     if len(ivp) > 3:
         monkeypatch.setattr(ov, "_REL_TOL", ivp[3])
         monkeypatch.setattr(ov, "_ABS_TOL", ivp[4])
-    return ov.IvpSpec(*ivp[:3])
+    x0, y0, x1 = ivp[:3]
+    return tuple(ov.integrate(make_rhs(rc.RiccatiParams(*params)), [x0, x1], y0)[1].tolist())
 
 
 class TestPinnedBits:
     @pytest.mark.parametrize("params, ivp, want", PINNED_RICCATI)
     def test_riccati(self, monkeypatch, params, ivp, want):
-        spec = pinned_spec(monkeypatch, ivp)
-        assert repr(ov.integrate_riccati(rc.RiccatiParams(*params), spec)) == want
+        (u1,) = pinned_end_state(monkeypatch, ov.riccati_rhs, params, ivp)
+        assert repr(u1) == want
 
     @pytest.mark.parametrize("params, ivp, want", PINNED_LINEAR)
     def test_linear(self, monkeypatch, params, ivp, want):
-        spec = pinned_spec(monkeypatch, ivp)
-        assert repr(ov.integrate_linear(rc.RiccatiParams(*params), spec)) == want
+        assert repr(pinned_end_state(monkeypatch, ov.linear_rhs, params, ivp)) == want
