@@ -319,13 +319,15 @@ def _unit_rule(n: int, alpha: float):
 
 
 def _gauss_level(f: RealFunction, alpha: float, x: np.ndarray, n: int):
-    """The rule with n nodes per cell at each x, and its absolute mass: one
+    """The rule with n nodes per cell at each x, its absolute mass and its
+    rounding floor (one ulp(0.0) per product w f, scaled as the sum): one
     eval_array call, sums along the last axis (each x has its own bits)."""
     s, w = _unit_rule(n, alpha)
     fw = f.eval_array(np.multiply.outer(x, s)) * w
     with np.errstate(over="ignore"):  # inf at a large x: rl_integral's "not finite"
         scale = x**alpha / gamma(alpha)
-    return fw.sum(axis=-1) * scale, np.abs(fw).sum(axis=-1) * scale
+    floor = fw.shape[-1] * math.ulp(0.0) * scale
+    return fw.sum(axis=-1) * scale, np.abs(fw).sum(axis=-1) * scale, floor
 
 
 def rl_integral(f, alpha: float, x, q: QuadratureSpec = QuadratureSpec()):
@@ -336,8 +338,9 @@ def rl_integral(f, alpha: float, x, q: QuadratureSpec = QuadratureSpec()):
     Gauss-Legendre on 13 cells of [0, x/2] graded toward 0 (Schwab, p- and
     hp-Finite Element Methods, 1998) makes t^a endpoints (a >= 0) converge
     exponentially.  n = 8, 16, ... nodes per cell (_unit_rule) until two
-    levels agree to q.tol times the finer one's absolute mass; each x stops
-    on its own level, with the bits of a float call.  A non-finite value,
+    levels agree to q.tol times the finer one's absolute mass or to its
+    rounding floor (a subnormal f); each x stops on its own level, with the
+    bits of a float call.  A non-finite value,
     n > _N_MAX or more than q.n_base * 2**q.max_doublings evaluations of f
     per x raise ConvergenceError."""
     alpha = float(alpha)
@@ -358,12 +361,12 @@ def rl_integral(f, alpha: float, x, q: QuadratureSpec = QuadratureSpec()):
                 f"{n} Gauss nodes per cell pass the cap of {_N_MAX} or the budget of "
                 f"{budget} evaluations per x (n_base={q.n_base}, max_doublings={q.max_doublings})"
             )
-        fine, mass = _gauss_level(f, alpha, xs[live], n)
+        fine, mass, floor = _gauss_level(f, alpha, xs[live], n)
         if not np.isfinite(mass).all():  # else |fine| <= mass is finite too
             bad = xs[live][~np.isfinite(mass)][0]
             raise ConvergenceError(f"fractional integral of order {alpha} is not finite at x={bad}")
         if coarse is not None:
-            done = np.abs(fine - coarse) <= q.tol * mass
+            done = np.abs(fine - coarse) <= np.maximum(q.tol * mass, floor)
             out[live[done]] = fine[done]
             live, fine = live[~done], fine[~done]
         coarse, n = fine, 2 * n
@@ -433,21 +436,27 @@ def power_rule(a_exp: float, beta: float, x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"power_rule requires x > 0, got {x}")
     den = a_exp + 1.0 - beta
-    if den <= 0.0 and den == math.floor(den):
-        raise GammaPoleError(f"power_rule({a_exp}, {beta}): Gamma pole at a+1-beta = {den}")
     s = a_exp + 1.0  # TwoSum of a + 1, then of s - beta: lost = t - den, rounded once
     lost = (a_exp - (s - (s - a_exp))) + (1.0 - (s - a_exp))
     lost += (s - (den - (den - s))) - (beta + (den - s))
-    share = 1.0 + lost / (den + round(-den)) if den < 0.5 else 1.0  # den + m is exact
     sign = -1.0 if den < 0.0 and math.ceil(-den) % 2 else 1.0
-    log_quot = math.lgamma(a_exp + 1.0) - math.lgamma(den)
-    try:  # gamma is inf from about 171.6; it, exp and the float power raise OverflowError
-        quot = gamma(a_exp + 1.0) / gamma(den)
+    if den <= 0.0 and den == math.floor(den):  # den = -m is a pole; t is one only if lost = 0
+        if not lost:
+            raise GammaPoleError(f"power_rule({a_exp}, {beta}): Gamma pole at a+1-beta = {den}")
+        sign, share = math.copysign(1.0, sign * lost), 1.0  # Gamma(t) ~ (-1)^m / (m! lost)
+        g_den = sign / (gamma(1.0 - den) * abs(lost))
+        lg_den = -math.lgamma(1.0 - den) - math.log(abs(lost))
+    else:
+        share = 1.0 + lost / (den + round(-den)) if den < 0.5 else 1.0  # den + m is exact
+        g_den, lg_den = gamma(den), math.lgamma(den)
+    log_quot = math.lgamma(a_exp + 1.0) - lg_den
+    try:  # gamma is inf from about 171.6 and 0 below about -180; exp and the float power overflow
+        quot = gamma(a_exp + 1.0) / g_den
         if not 0.0 < abs(quot) < math.inf:
             quot = sign * math.exp(log_quot)
         if abs(quot) >= sys.float_info.min:
             return quot * x ** (a_exp - beta) * share
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         pass
     return sign * math.exp(log_quot + (a_exp - beta) * math.log(x)) * share
 

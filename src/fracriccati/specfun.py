@@ -1,5 +1,5 @@
-"""Self-contained special functions: gamma and Bessel functions of arbitrary
-real order.
+"""Self-contained special functions: gamma (math.gamma behind pole and
+overflow checks) and Bessel functions of arbitrary real order.
 
 Everything here is pure.  ``bessel_scaled`` is the one Bessel entry, J, Y,
 I or K by its letter, and returns each value split as s * exp(e); ``bessel``
@@ -9,13 +9,14 @@ floating-point operations element by element and so returns the same bits.
 J, Y and I are split by argument size: ascending power series for small x,
 Hankel-type asymptotic expansions (truncated at the smallest term) for large
 x, whose terms one loop, _asymptotic_sums, builds and sums for the three.  Y
-of non-integer order goes through the reflection formula; exact integer
-orders use the limiting log-series instead (no epsilon-offset tricks).  K is
-Temme's series below x = 2 and Steed's continued fraction CF2 from 2 on
-(Numerical Recipes 3rd ed. 6.6), each giving K_mu and K_(mu+1) for
-|mu| <= 1/2 with no sin(pi*nu) divisor, then the upward recurrence in the
-order.  The I and K kernels return e = x past x = 30 and e = -x from x = 2
-on, so ratios over the order need no exp(+-x); elsewhere e = 0.
+of non-integer order goes through the reflection formula, whose cos(pi*nu)
+is exactly 0 at half-integers; exact integer orders use the limiting
+log-series (no epsilon-offset tricks).  K is Temme's series below x = 2 and
+Steed's continued fraction CF2 from 2 on (Numerical Recipes 3rd ed. 6.6),
+each giving K_mu and K_(mu+1) for |mu| <= 1/2 with no sin(pi*nu) divisor,
+then the upward recurrence in the order.  The I and K kernels return e = x
+past x = 30 and e = -x from x = 2 on, so ratios over the order need no
+exp(+-x); elsewhere e = 0.
 
 Accuracy target: >= 10 significant digits for 0 < x <= 100, |nu| <= 10.
 Known caveat: Y of non-integer nu near an integer can be wrong in every
@@ -46,21 +47,7 @@ __all__ = [
     "BESSEL_KINDS",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EULER_GAMMA = 0.5772156649015328606065120900824024
-
-# Lanczos coefficients, g = 7, 9 terms.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # Taylor coefficients c_0 .. c_25 of 1/Gamma(1 + z) = sum c_k z^k (DLMF 5.7.1),
 # whose parts give Temme's Gamma_1 and Gamma_2 to 1e-17 for |z| <= 1/2.
@@ -113,46 +100,35 @@ def _sinpi(x: float) -> float:
 
 
 def _cospi(x: float) -> float:
-    """cos(pi*x), same reduction idea as _sinpi."""
-    r = math.fmod(abs(x), 2.0)
-    if r >= 1.0:
-        r = 2.0 - r
-    sign = 1.0
-    if r > 0.5:
-        r = 1.0 - r
-        sign = -1.0
-    return sign * math.cos(math.pi * r)
+    """cos(pi*x) as sin(pi*(1/2 - r)), r = |x| mod 2: 1/2 - r is exact for r
+    in [1/4, 2), so cos(pi*x) is exactly 0 at half-integers."""
+    return _sinpi(0.5 - math.fmod(abs(x), 2.0))
 
 
 def gamma(x: float) -> float:
-    """Gamma function for real x, Lanczos approximation.
-
-    Reflection is used for x < 1/2. Raises GammaPoleError at the poles
-    x = 0, -1, -2, ...
-    """
+    """Gamma of real x by math.gamma; ValueError for a non-finite x,
+    GammaPoleError at x = 0, -1, -2, ..., and inf signed as x where Gamma
+    overflows (x past about 171.62, or |x| below about 5.6e-309)."""
     x = float(x)
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"gamma: argument must be finite, got {x}")
     if _is_nonpositive_integer(x):
         raise GammaPoleError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (_sinpi(x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + 7.5
-    # split the power to keep each factor's exponent moderate
-    base = t ** (0.5 * z + 0.25)
-    return _SQRT_2PI * acc * base * math.exp(-t) * base
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def recip_gamma(x: float) -> float:
-    """1/Gamma(x); returns 0.0 at the poles of Gamma (the natural limit)."""
+    """1/Gamma(x): 0.0 at the poles of Gamma and where it overflows, and
+    OverflowError where 1/Gamma(x) leaves the float range (x below about -171)."""
     if _is_nonpositive_integer(x):
         return 0.0
-    return 1.0 / gamma(x)
+    g = gamma(x)
+    if not g or math.isinf(1.0 / g):
+        raise OverflowError(f"1/Gamma({x}) leaves the float range")
+    return 1.0 / g
 
 
 def _digamma_int(m: int) -> float:

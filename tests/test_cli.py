@@ -247,6 +247,22 @@ class TestRiccatiCommand:
             assert row[2] == "0"
             assert float(row[1]) == pytest.approx(math.cos(x) / math.sin(x), rel=1e-8)
 
+    def test_eval_oscillatory_branch2_at_delta_one_near_zero(self, capsys):
+        # at delta = 1 the orders are +-1/2 and u is about b x next to 0;
+        # cos(pi nu) must be exactly 0 there, or Y_(-1/2) takes in 6.1e-17
+        # J_(1/2) and u reads -2.7e-16
+        rc, out, _ = run(capsys, "riccati eval --a -0.05 --b 1 --delta 1 --branch 2 "
+                                 "--grid 1e-20:1e-19:2".split())
+        assert rc == 0
+        assert parse_table(out)[1][0] == ["9.9999999999999995e-21", "9.9999999999999979e-21", "0"]
+
+    def test_verify_oscillatory_branch2_at_delta_one_from_near_zero(self, capsys):
+        rc, out, _ = run(capsys, "riccati verify --a -0.05 --b 1 --delta 1 --branch 2 "
+                                 "--x0 1e-300 --x1 1".split())
+        assert rc == 0
+        header, rows = parse_table(out)
+        assert float(dict(zip(header, rows[0]))["max_residual"]) < 1e-9
+
     def test_eval_marks_pole_rows(self, capsys):
         # branch 2 is -tan: pole at pi/2 inside the grid
         rc, out, _ = run(capsys, ["riccati", "eval", "--a", "1", "--b", "-1",
@@ -721,7 +737,7 @@ class TestPoleChecksCallNoFindPoles:
                                    "--branch 2".split())
         assert rc == 0 and err == ""
         assert out.splitlines()[1] == ("1,-1,0.69999999999999996,2,0.29999999999999999,1.2,"
-                                       "4.348652304484016e-10,1.7187584688826973e-11")
+                                       "3.3507025337214491e-10,1.7190249224086074e-11")
 
     def test_verify_pole_exits_4(self, capsys):
         rc, out, err = run(capsys, "riccati verify --a 1 --b -1 --delta 1 --x0 2.5 --x1 4.0".split())
@@ -828,22 +844,22 @@ class TestVerifyPinned:
     # max_deviation as one DP5 trajectory in the contracting direction gives it
     @pytest.mark.parametrize("argv, code, stdout", [
         ("riccati verify --a 1 --b 1 --delta 0.5 --x0 0.5 --x1 1.5 --branch 1", 0,
-         "1,1,0.5,1,0.5,1.5,3.2249755154586834e-10,1.2720935416155044e-11"),
+         "1,1,0.5,1,0.5,1.5,3.0664782046380506e-10,1.2720935416155044e-11"),
         ("riccati verify --a 2 --b 0.5 --delta 0.3 --x0 0.2 --x1 3 --branch 1", 0,
          "2,0.5,0.29999999999999999,1,0.20000000000000001,3,"
-         "4.5149523929063212e-10,4.3480108402604856e-11"),
+         "2.7520644137008276e-10,4.3480330447209781e-11"),
         ("riccati verify --a 1 --b -1 --delta 0.7 --x0 0.3 --x1 1.2 --branch 2", 0,
          "1,-1,0.69999999999999996,2,0.29999999999999999,1.2,"
-         "4.348652304484016e-10,1.7187584688826973e-11"),
+         "3.3507025337214491e-10,1.7190249224086074e-11"),
         ("riccati verify --a -1.5 --b 0.7 --delta 0.8 --x0 0.4 --x1 2.5 --branch 1", 0,
          "-1.5,0.69999999999999996,0.80000000000000004,1,0.40000000000000002,2.5,"
-         "2.5771258552710137e-10,1.3005219123840561e-10"),
+         "1.8369067417620568e-10,1.3005041488156621e-10"),
         # below x = 1e-3 the difference step is 1e-3 x; u' and a u^2 are
         # about 1/x0^2 (2.5e11 and 4e12), and the residual is scaled by them
         ("riccati verify --a 1 --b -1 --delta 0.5 --x0 2e-6 --x1 1 --branch 1", 0,
-         "1,-1,0.5,1,1.9999999999999999e-06,1,2.0021534062232414e-10,3.2995544074765348e-09"),
+         "1,-1,0.5,1,1.9999999999999999e-06,1,2.9929313972605529e-10,3.2995579601902136e-09"),
         ("riccati verify --a 1 --b -1 --delta 0.5 --x0 5e-7 --x1 1 --branch 1", 0,
-         "1,-1,0.5,1,4.9999999999999998e-07,1,3.3467242437788195e-10,3.2634517310725641e-09"),
+         "1,-1,0.5,1,4.9999999999999998e-07,1,2.0335396218603243e-10,3.2634517310725641e-09"),
         # the integrator runs out of steps on the way to 1e300; the oscillatory
         # scan is over budget
         ("riccati verify --a 1 --b 1 --delta 1 --x0 0.1 --x1 1e300", 3, None),

@@ -148,6 +148,8 @@ class TestRlIntegral:
     @example(f=("poly", [2.2250738585072014e-308] * 2), alpha=1.76953125, x=0.001)
     @example(f=("poly", [5e-324]), alpha=1.0, x=2.0)
     @example(f=("poly", [2.225073858507e-311]), alpha=1.0, x=1.0)
+    @example(f=("poly", [3.586e-320]), alpha=1.0, x=2.0)  # the rule's rounding floor
+    @example(f=("poly", [-1.01687806e-316]), alpha=0.3, x=1.0)
     @settings(max_examples=150, deadline=None)
     def test_against_power_rule_and_series(self, f, alpha, x):
         # the oracle sums the power rule over the terms of f (mpmath for
@@ -387,8 +389,9 @@ class TestPowerRule:
         assert fo.power_rule(2.5, 0.7, 1.3) == pytest.approx(3.1788722209850411, rel=1e-12)
 
     def test_gamma_pole(self):
-        with pytest.raises(GammaPoleError):
-            fo.power_rule(1.0, 2.0, 1.0)
+        for a, beta in ((1.0, 2.0), (0.0, 1.0)):
+            with pytest.raises(GammaPoleError):
+                fo.power_rule(a, beta, 1.0)
 
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
@@ -421,13 +424,31 @@ class TestPowerRule:
     def test_next_to_a_pole(self, eps, m, x):
         # a = eps, beta = 1 + m: a + 1 - beta is eps away from the pole -m of
         # Gamma, and a + 1 rounds by up to ulp(1) / 2, which the quotient
-        # would take as a relative error of ulp(1) / (2 eps); below about
-        # eps = ulp(1) / 2, a + 1 - beta rounds onto the pole and raises
+        # would take as a relative error of ulp(1) / (2 eps)
         beta = 1.0 + m
         with mpmath.workdps(40):
             a1 = mpmath.mpf(eps) + 1
             want = mpmath.gamma(a1) / mpmath.gamma(a1 - beta) * mpmath.mpf(x) ** (a1 - 1 - beta)
         assert fo.power_rule(eps, beta, x) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("a, beta, x", [(1e-16, 1.0, 1.0), (1e-16, 2.0, 1.5),
+                                            (1e-16, 3.0, 2.0)])
+    def test_rounded_onto_a_pole(self, a, beta, x):
+        # a + 1 - beta rounds onto the pole 0, -1 or -2, but a + 1 lost
+        # 1e-16: the values are about 1e-16, -4.444e-17 and 2.5e-17
+        with mpmath.workdps(40):
+            a1 = mpmath.mpf(a) + 1
+            want = mpmath.gamma(a1) / mpmath.gamma(a1 - beta) * mpmath.mpf(x) ** (a1 - 1 - beta)
+        assert fo.power_rule(a, beta, x) == pytest.approx(float(want), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("a, beta, x", [(0.5, 182.0, 100.0), (1e-16, 172.0, 100.0)])
+    def test_denominator_gamma_past_the_float_range(self, a, beta, x):
+        # Gamma(-180.5) underflows to -0.0, and next to the pole -171 the
+        # factor 171! overflows: both quotients are taken in logs
+        with mpmath.workdps(40):
+            a1 = mpmath.mpf(a) + 1
+            want = mpmath.gamma(a1) / mpmath.gamma(a1 - beta) * mpmath.mpf(x) ** (a1 - 1 - beta)
+        assert fo.power_rule(a, beta, x) == pytest.approx(float(want), rel=1e-11, abs=0.0)
 
 
 class TestFracConst:

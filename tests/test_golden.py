@@ -2,7 +2,8 @@
 argv of scripts/emit_figures.py must give the same bytes.  So are the tables
 in tests/golden/ of `riccati eval`, `riccati poles`, `riccati verify`,
 `cosmo hubble`, `cosmo scale` and `cosmo figure`, and the stdout of
-scripts/verify_matrix.py."""
+scripts/verify_matrix.py.  The value tables among them must also hold u to
+mpmath, as pinned bits say nothing of accuracy."""
 
 import importlib.util
 import pathlib
@@ -10,6 +11,7 @@ import pathlib
 import pytest
 
 from fracriccati import cli
+from mp_riccati import mp_u
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -48,3 +50,29 @@ def test_table_matches_golden(capsys, name, argv):
 def test_verify_matrix_matches_golden(capsys):
     assert _script("verify_matrix").main() == 0
     assert capsys.readouterr().out == (ROOT / "tests" / "golden" / "verify_matrix.txt").read_text()
+
+
+VALUE_TABLES = [t for t in TABLES if t[1].split()[1] in ("eval", "hubble", "figure")]
+
+
+@pytest.mark.parametrize("name, argv", VALUE_TABLES)
+def test_value_table_holds_mpmath_accuracy(name, argv):
+    # u (H = u for a = c, b = -k c) against mpmath from the same float inputs
+    # and float orders, pole rows aside; every 4th row of a table past 100
+    # rows.  The worst row reads 2.1e-11, where u is near a zero
+    words = argv.split()
+    opt = dict(zip(words[2::2], words[3::2]))
+    if words[0] == "riccati":
+        a, b = float(opt["--a"]), float(opt["--b"])
+    else:
+        a = float(opt["--c"])
+        b = -int(opt["--k"]) * a
+    lines = (ROOT / "tests" / "golden" / name).read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    for row in rows[::4 if len(rows) > 100 else 1]:
+        if row[-1] == "1":
+            continue
+        x, delta, u = row[:3] if words[1] == "figure" else (row[0], opt.get("--delta", "1"), row[1])
+        branch = int(opt.get("--branch", "1"))
+        want = mp_u(a, b, float(delta), branch, float(x)) if b else 1.0 / (a * float(x))
+        assert float(u) == pytest.approx(want, rel=1e-10, abs=0.0), row

@@ -9,6 +9,7 @@ from fracriccati import riccati as rc
 from fracriccati.errors import DegenerateRegimeError
 from fracriccati.fracops import frac_const
 from fracriccati.specfun import bessel, gamma
+from mp_riccati import mp_u
 from riccati_points import eval_u1, eval_u2, eval_y_branch, rule_d1
 
 
@@ -127,6 +128,16 @@ class TestBranchValues:
                 want = math.cos(c * x) / math.sin(c * x)
                 got = eval_u1(rp, x)
                 assert abs(got - want) <= 1e-8 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("delta", [1.0, 1.0 - 1e-7, 1.0 - 1e-5, 0.999])
+    @pytest.mark.parametrize("x", [1e-12, 1e-8, 1e-4, 0.5])
+    def test_oscillatory_branch2_as_delta_tends_to_one(self, delta, x):
+        # the orders tend to 1/2 and -1/2, where Y's reflection multiplies
+        # J_nu by cos(pi nu): its absolute error of 1e-16 next to pi/2 once
+        # read 2.7e-4 of u at delta = 1, x = 1e-12, and 1.5e-9 at 1 - 1e-7
+        rp = rc.RiccatiParams(-0.05, 1.0, delta)
+        want = mp_u(-0.05, 1.0, delta, 2, x)
+        assert eval_u2(rp, x) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestModifiedRegime:

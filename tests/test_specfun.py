@@ -63,7 +63,8 @@ class TestGamma:
         assert sf.gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-14)
 
     def test_factorial(self):
-        assert sf.gamma(5.0) == pytest.approx(24.0, rel=1e-13)
+        for n in range(1, 24):  # (n - 1)! is exactly a float up to n = 23
+            assert sf.gamma(float(n)) == math.factorial(n - 1)
 
     def test_three_halves(self):
         assert sf.gamma(1.5) == pytest.approx(SQRT_PI / 2.0, rel=1e-13)
@@ -85,6 +86,37 @@ class TestGamma:
     @settings(max_examples=80, deadline=None)
     def test_recurrence_property(self, x):
         assert sf.gamma(x + 1.0) == pytest.approx(x * sf.gamma(x), rel=1e-12)
+
+    @given(st.one_of(st.floats(1e-300, 171.6),
+                     st.floats(-170.0, -1e-300).filter(lambda x: x != math.floor(x))))
+    # a 9-term Lanczos sum is 64, 445, 726 and 908 ulps off at the last four
+    @example(0.5)
+    @example(-3.0000000000000004)
+    @example(37.3)
+    @example(150.2)
+    @example(170.5)
+    @example(-169.5)
+    @settings(max_examples=300, deadline=None)
+    def test_within_8_ulps_of_mpmath(self, x):
+        with mpmath.workdps(40):
+            want = float(mpmath.gamma(mpmath.mpf(x)))
+        assert abs(sf.gamma(x) - want) <= 8.0 * math.ulp(want)
+
+    @pytest.mark.parametrize("x, want", [(171.7, math.inf), (5e-324, math.inf),
+                                         (-5e-324, -math.inf), (1e-310, math.inf)])
+    def test_overflow_is_signed_inf(self, x, want):
+        # math.gamma raises OverflowError here; 1/Gamma is then 0.0
+        assert sf.gamma(x) == want
+        assert sf.recip_gamma(x) == 0.0
+
+    @pytest.mark.parametrize("call", [lambda: sf.recip_gamma(-171.5),
+                                      lambda: sf.recip_gamma(-180.5),
+                                      lambda: sf.bessel_j(-180.5, 200.0)])
+    def test_recip_gamma_past_the_float_range_raises_overflow(self, call):
+        # Gamma is subnormal at -171.5 and -0.0 at -180.5, so 1/Gamma is past
+        # the float range; the series of J takes 1/Gamma(nu + 1) at -179.5
+        with pytest.raises(OverflowError, match="1/Gamma"):
+            call()
 
 
 class TestGenBinomial:
@@ -128,6 +160,11 @@ class TestBesselValues:
     def test_half_order_closed_form(self):
         x = math.pi / 2.0
         assert sf.bessel("J", 0.5, x) == pytest.approx(2.0 / math.pi, rel=1e-12)
+
+    def test_cospi_is_exactly_zero_at_half_integers(self):
+        for k in range(-4, 4):
+            assert sf._cospi(k + 0.5) == 0.0
+            assert sf._cospi(float(k)) == (-1.0) ** k
 
     def test_j0_origin_limit(self):
         assert sf.bessel("J", 0.0, 1e-12) == pytest.approx(1.0, abs=1e-10)
