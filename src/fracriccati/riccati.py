@@ -196,9 +196,12 @@ def _bessel_blocks(kind: str, blocks):
 def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     """The chosen branch u = (1/a) sign q r x^(r-1) B_(n-1)(q x^r)/B_n(q x^r)
     on the lattice rps x xs, shape (len(rps), len(xs)), and its denominator:
-    the s of specfun.bessel_scaled for B_n, with the sign of B_n (for J and
-    Y the bits of B_n).  The parameter sets must share one regime.  A ratio
-    of s values neither overflows nor underflows.  The value is nan only
+    the s of B_n, with the sign of B_n (for J and Y the bits of B_n).  The
+    parameter sets must share one regime.  The modified regime takes both
+    orders from one specfun.bessel_pair_scaled pass, whose order n - 1 is
+    exact; the oscillatory regime takes B_(n-1) and B_n as the orders
+    n - 1.0 and n of one specfun.bessel_scaled call.  A ratio of s values
+    neither overflows nor underflows.  The value is nan only
     where the denominator is exactly 0; within round-off of a zero it is
     round-off (branch 1 at the float pi of a = 1, b = -1, delta = 1 is about
     9e15): callers pass the denominator to sign_scan to find poles, or take
@@ -207,7 +210,10 @@ def branch_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     """
     xs = np.asarray(xs, dtype=float)
     _, kind, sign, q, r, n, z = _checked_lattice(rps, branch, xs)
-    num, den = specfun.bessel_scaled(kind, np.stack([n - 1.0, n]), z)[0]
+    if kind in "IK":
+        num, den = specfun.bessel_pair_scaled(kind, n, z)[:2]
+    else:
+        num, den = specfun.bessel_scaled(kind, np.stack([n - 1.0, n]), z)[0]
     return _quotient(rps, _factor(sign, q, r, xs), num, den), den
 
 
@@ -237,18 +243,19 @@ def scanned_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     cell edges x_j +- half inside it and reduced to the exact zero or the
     midpoint x of the piece holding the sign change, which lies within half
     of every point the zero does: the points next to round((x - xs[0]) /
-    step) within half of x are flagged.  The modified regime has no zeros.
+    step) within half of x are flagged.  The modified regime has no zeros:
+    its table is branch_table's, with no pole rows.
 
     The lattice checks run first, then every row's node placement with its
     end and budget checks, so a window over _MAX_SCAN_CELLS cells raises
     ScanBudgetError before anything is evaluated.  Then one
-    specfun.bessel_scaled call takes B_(n-1) and B_n on the lattice and B_n
-    at each row's window ends and new nodes and at the cell edges in the
-    node gap of each estimated zero (_cut_candidates), with the bits of
-    sign_scan's own calls; the cuts that no estimate foresaw, of all rows,
-    take one more call.  A row drops lo where half its z underflows, so
-    that lo cannot be evaluated, and z at xs[0] is below _FIRST_ZERO_Z, so
-    that no zero lies below xs[0].
+    specfun.bessel_scaled call takes B_(n-1) and B_n (the orders n - 1.0
+    and n) on the lattice and B_n at each row's window ends and new nodes
+    and at the cell edges in the node gap of each estimated zero
+    (_cut_candidates), with the bits of sign_scan's own calls; the cuts that
+    no estimate foresaw, of all rows, take one more call.  A row drops lo
+    where half its z underflows, so that lo cannot be evaluated, and z at
+    xs[0] is below _FIRST_ZERO_Z, so that no zero lies below xs[0].
     """
     if map_params(rps[0]).regime != OSCILLATORY:  # or degenerate, which branch_table refuses
         value = branch_table(rps, branch, xs)[0]
@@ -256,7 +263,8 @@ def scanned_table(rps: list[RiccatiParams], branch: int, xs: np.ndarray):
     xs = np.asarray(xs, dtype=float)
     bms, kind, sign, q, r, n, z = _checked_lattice(rps, branch, xs)
     lo, hi, half, step = _window(xs)
-    edges = np.sort(np.concatenate((xs - half, xs + half)))
+    with np.errstate(over="ignore"):  # an edge past the float maximum is inf
+        edges = np.sort(np.concatenate((xs - half, xs + half)))
     cells = edges.tolist()
     scans = []  # (nodes, positions of xs among them, mask of the others, cut candidates)
     for bm, z0 in zip(bms, z[:, 0].tolist()):

@@ -14,9 +14,13 @@ is exactly 0 at half-integers; exact integer orders use the limiting
 log-series (no epsilon-offset tricks).  K is Temme's series below x = 2 and
 Steed's continued fraction CF2 from 2 on (Numerical Recipes 3rd ed. 6.6),
 each giving K_mu and K_(mu+1) for |mu| <= 1/2 with no sin(pi*nu) divisor,
-then the upward recurrence in the order.  The I and K kernels return e = x
-past x = 30 and e = -x from x = 2 on, so ratios over the order need no
-exp(+-x); elsewhere e = 0.
+then the upward recurrence in the order.  I past x = 30 takes its
+large-argument expansion where 4 nu^2 <= 16 x + 1, and its ascending series
+elsewhere.  The I and K kernels return e = x past x = 30 and e = -x from
+x = 2 on, so ratios over the order need no exp(+-x); elsewhere e = 0.
+``bessel_pair_scaled`` gives I or K of the orders n - 1 and n, 0 <= n <= 1/2,
+from one kernel pass: K from one Temme or CF2 run at mu = -n, I from one
+ascending-series loop below x = 30.
 
 Accuracy target: >= 10 significant digits for 0 < x <= 100, |nu| <= 10.
 Known caveat: Y of non-integer nu near an integer can be wrong in every
@@ -43,6 +47,7 @@ __all__ = [
     "bessel_j",
     "bessel_y",
     "bessel_scaled",
+    "bessel_pair_scaled",
     "power",
     "BESSEL_KINDS",
 ]
@@ -151,6 +156,7 @@ _I_SERIES_MAX = 30.0
 # K takes Temme's series below here and CF2 from here on
 _K_CF2_MIN = 2.0
 _LN2 = math.log(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = 2.0**-52  # the spacing of floats at 1
 # J/Y switch from the ascending series to the Hankel expansion here.  The
 # 1.6|nu| scaling balances series cancellation against the asymptotic
@@ -191,6 +197,33 @@ def _series(nu: float, x: float, sign: float) -> float:
         elif k > 2 and mag <= 1e-17 * peak and k > -nu:
             break
     return total
+
+
+def _i_series_pair(n: float, x: float) -> tuple[float, float]:
+    """(I_(n-1)(x), I_n(x)) for 0 <= n <= 1/2 from one ascending-series
+    loop: term k of order n - 1 is term k of order n times n + k over x/2
+    (DLMF 10.25.2), so the order n - 1 is exact.  The loop stops where both
+    orders meet _series' rule, whose k > -nu the k > 2 covers here; no term
+    is negative, so the terms are their own magnitudes."""
+    half = 0.5 * x
+    term = half**n * recip_gamma(n + 1.0)
+    low = term * n / half
+    total, total_low = term, low
+    peak, peak_low = term, low
+    q = half * half
+    for k in range(1, _SERIES_MAX_TERMS):
+        nk = n + k
+        term *= q / (k * nk)
+        low = term * nk / half
+        total += term
+        total_low += low
+        if term > peak:
+            peak = term
+        if low > peak_low:
+            peak_low = low
+        if k > 2 and term <= 1e-17 * peak and low <= 1e-17 * peak_low:
+            break
+    return total_low, total
 
 
 # (2k - 1)^2 and 8k of the asymptotic terms' factor, k = 0 .. 199
@@ -456,19 +489,57 @@ def bessel_y(nu: float, x: float) -> float:
     return (_series(nu, x, -1.0) * _cospi(nu) - _series(-nu, x, -1.0)) / s
 
 
+def _i_expansion_holds(nu, x):
+    """Whether I's large-argument expansion is taken at (nu, x), floats or
+    ndarrays: where 4 nu^2 <= 16 x + 1.  There its first term is at most 2,
+    and past x = 30 no term exceeds 15 times the sum and the smallest is
+    below 1e-17 of it (measured over x in (30, 1e6]).  Every order
+    |nu| <= 10.9 passes at every x past 30."""
+    return 4.0 * nu * nu <= 16.0 * x + 1.0
+
+
+def _i_asymptotic(nu, x):
+    """e^-x I_nu(x) of the large-argument expansion, float or ndarray x:
+    the series of the growing exponential plus the reflected, exponentially
+    small correction (exact for half-integer orders).  The amplitude is
+    1/(sqrt(2 pi) sqrt(x)), as 2 pi x overflows near the float maximum."""
+    s_alt, s_pos = _asymptotic_sums("I", nu, x)
+    if isinstance(x, np.ndarray):
+        amp = 1.0 / (_SQRT_2PI * np.sqrt(x))
+        return amp * (s_alt - _per_value(_sinpi, nu) * _each(math.exp, -2.0 * x) * s_pos)
+    amp = 1.0 / (_SQRT_2PI * math.sqrt(x))
+    return amp * (s_alt - _sinpi(nu) * math.exp(-2.0 * x) * s_pos)
+
+
+def _i_beyond_expansion(nu: float, x: float) -> float:
+    """e^-x I_nu(x) past x = 30 where the expansion is not taken: the
+    ascending series of order |nu|, whose terms are all positive, plus for
+    nu < 0 the reflected term (2/pi) sin(pi |nu|) K_|nu|(x) (DLMF 10.27.2).
+    ValueError where the series leaves the float range."""
+    try:
+        s = _series(abs(nu), x, 1.0) * math.exp(-x)
+        k = _k_split(-nu, x)[0] if nu < 0.0 else 0.0
+    except OverflowError:
+        s = math.inf
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"I of order {nu} at x = {x}: the large-argument expansion "
+                         "diverges and the ascending series leaves the float range")
+    return s + 2.0 / math.pi * _sinpi(-nu) * k * math.exp(-2.0 * x)
+
+
 def _i_split(nu: float, x: float) -> tuple[float, float]:
     """I_nu(x) = s exp(e) as (s, e): the ascending series with e = 0 up to
-    x = 30; past it e = x and e^-x I is the large-argument series of the
-    growing exponential plus the reflected, exponentially small correction
-    (exact for half-integer orders), with no upper limit on x."""
+    x = 30; past it e = x and s = e^-x I from the large-argument expansion
+    where it holds (_i_expansion_holds), with no upper limit on x, and from
+    the ascending series elsewhere (_i_beyond_expansion)."""
     nu, x = _check(nu, x)
     if nu < 0.0 and nu == math.floor(nu):
         nu = -nu
     if x <= _I_SERIES_MAX:
         return _series(nu, x, 1.0), 0.0
-    s_alt, s_pos = _asymptotic_sums("I", nu, x)
-    amp = 1.0 / math.sqrt(2.0 * math.pi * x)
-    return amp * (s_alt - _sinpi(nu) * math.exp(-2.0 * x) * s_pos), x
+    if _i_expansion_holds(nu, x):
+        return _i_asymptotic(nu, x), x
+    return _i_beyond_expansion(nu, x), x
 
 
 def _k_split(nu: float, x: float) -> tuple[float, float]:
@@ -510,12 +581,16 @@ def _k_split(nu: float, x: float) -> tuple[float, float]:
 # A factor that elements share is computed once per distinct argument, as
 # the same call on the same float gives the same bits: gamma and sin(pi nu)
 # per order.  Sub-paths that would not pay to vectorise (Y of integer order
-# below the cutover, arrays under _ARRAY_MIN_SIZE elements) loop the scalar
-# kernels.  The K kernels are one code for floats and ndarrays: an ndarray
-# runs the float loop's steps on all its elements and records each one's
-# ends at its stop (_retire).  Dropping the stopped elements costs a copy of
-# every state array, so the K loops drop them only once fewer than half are
-# live; the J, Y and I loops never do.
+# below the cutover, I past x = 30 beyond its expansion, arrays under
+# _ARRAY_MIN_SIZE elements) loop the scalar kernels.  The K kernels are one
+# code for floats and ndarrays: an ndarray runs the float loop's steps on
+# all its elements and records each one's ends at its stop (_retire).
+# Dropping the stopped elements costs a copy of every state array, so the K
+# loops drop them only once fewer than half are live; the J, Y and I loops
+# never do.  The pairs of orders n - 1 and n take one pass each: K's kernels
+# at mu = -n, and I's series in _i_series_pair_array, which needs no mask
+# at all (its terms are >= 0 and, past an element's stop, too small to
+# change its sums).
 
 
 def _each(func, *args):
@@ -563,6 +638,33 @@ def _series_array(nu: np.ndarray, x: np.ndarray, sign: float) -> np.ndarray:
     return total
 
 
+def _i_series_pair_array(n: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_i_series_pair per element, with no mask: for 0 <= n <= 1/2 every
+    term of both orders from k = 1 on is >= 0 and, past an element's stop,
+    below 1e-17 of its peak and so of its sum, and falling, so adding it
+    leaves the sum's bits as they are.  So the loop runs until the last
+    element has stopped, testing that every fourth step."""
+    half = 0.5 * x
+    term = _each(operator.pow, half, n) * _per_value(recip_gamma, n + 1.0)
+    low = term * n / half
+    total, total_low = term.copy(), low.copy()
+    peak, peak_low = term.copy(), low.copy()
+    q = half * half
+    for k in range(1, _SERIES_MAX_TERMS):
+        nk = n + k
+        np.multiply(term, q / (k * nk), out=term)
+        np.multiply(term, nk, out=low)
+        low /= half
+        total += term
+        total_low += low
+        np.maximum(peak, term, out=peak)
+        np.maximum(peak_low, low, out=peak_low)
+        if k > 2 and k % 4 == 3 and (term <= 1e-17 * peak).all() \
+                and (low <= 1e-17 * peak_low).all():
+            break
+    return total_low, total
+
+
 def _negative_integers(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(nu with negative integers replaced by -nu, mask of the odd ones)."""
     neg = (nu < 0.0) & (nu == np.floor(nu))
@@ -599,13 +701,13 @@ def _i_array(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     series = x <= _I_SERIES_MAX
     if series.any():
         s[series] = _series_array(nu[series], x[series], 1.0)
-    asym = ~series
+    asym = ~series & _i_expansion_holds(nu, x)
     if asym.any():
-        v, t = nu[asym], x[asym]
-        s_alt, s_pos = _asymptotic_sums("I", v, t)
-        amp = 1.0 / np.sqrt(2.0 * math.pi * t)
-        s[asym] = amp * (s_alt - _per_value(_sinpi, v) * _each(math.exp, -2.0 * t) * s_pos)
-    return s, np.where(asym, x, 0.0)
+        s[asym] = _i_asymptotic(nu[asym], x[asym])
+    beyond = ~(series | asym)
+    if beyond.any():
+        s[beyond] = _each(_i_beyond_expansion, nu[beyond], x[beyond])
+    return s, np.where(series, 0.0, x)
 
 
 def _k_array(nu: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -649,9 +751,11 @@ def bessel_scaled(kind: str, nu, x):
     """The Bessel function of the one-letter kind as (s, e), B_nu(x) = s * exp(e).
 
     e = x for I past its series range (x > 30), where s = e^-x I is summed
-    from the large-argument expansion, and e = -x for K from x = 2 on, where
-    CF2 gives s = e^x K itself: s neither overflows nor underflows there, and
-    I has no upper limit on x.  Elsewhere, and for J and Y, e = 0 and s is the value
+    from the large-argument expansion (from the ascending series where the
+    order is too large for it, and ValueError where that series leaves the
+    float range), and e = -x for K from x = 2 on, where CF2 gives s = e^x K
+    itself: s neither overflows nor underflows there, and I has no upper
+    limit on x.  Elsewhere, and for J and Y, e = 0 and s is the value
     itself.  At one x, e does not depend on the order, so a ratio over the
     order is the ratio of the s values.  Floats take the scalar kernels; if
     nu or x is an ndarray, the two are broadcast and the array path returns
@@ -682,6 +786,80 @@ def bessel_scaled(kind: str, nu, x):
             else:
                 s, e = _jy_array(letter, nu, x), np.zeros(x.size)
     return s.reshape(shape), e.reshape(shape)
+
+
+def _i_asymptotic_pair(n, x):
+    """(e^-x I_(n-1)(x), e^-x I_n(x)) of the large-argument expansion, the
+    two orders of an ndarray in one loop over both."""
+    if not isinstance(x, np.ndarray):
+        return _i_asymptotic(n - 1.0, x), _i_asymptotic(n, x)
+    return tuple(np.split(_i_asymptotic(np.concatenate((n - 1.0, n)), np.concatenate((x, x))), 2))
+
+
+def _pair_split(letter: str, n, x):
+    """(s of B_(n-1), s of B_n, e) for I or K, 0 <= n <= 1/2, floats or
+    ndarrays of one size.  K: Temme's series (x < 2) or CF2 at mu = -n gives
+    (K_mu, K_(mu+1)) = (K_n, K_(n-1)), K being even in its order, with no
+    order recurrence.  I: _i_series_pair up to x = 30, and past it the
+    large-argument expansion of each order."""
+    if letter == "K":
+        near, far_e = x < _K_CF2_MIN, -x
+        kernels = (lambda v, t: _k_temme(-v, t)[::-1], lambda v, t: _k_cf2(-v, t)[::-1])
+    else:
+        near, far_e = x <= _I_SERIES_MAX, x
+        kernels = (_i_series_pair_array if isinstance(x, np.ndarray) else _i_series_pair,
+                   _i_asymptotic_pair)
+    if not isinstance(x, np.ndarray):
+        return (*kernels[0 if near else 1](n, x), 0.0 if near else far_e)
+    low, s = np.empty_like(x), np.empty_like(x)
+    for part, kernel in zip((near, ~near), kernels):
+        if part.any():
+            low[part], s[part] = kernel(n[part], x[part])
+    return low, s, np.where(near, 0.0, far_e)
+
+
+def _check_pair(n: float, x: float) -> tuple[float, float]:
+    """(n, x) as floats for a pair: _check's, and 0 <= n <= 1/2."""
+    n, x = _check(n, x)
+    if not 0.0 <= n <= 0.5:
+        raise ValueError(f"a Bessel pair needs an order 0 <= n <= 1/2, got {n}")
+    return n, x
+
+
+def bessel_pair_scaled(kind: str, n, x):
+    """(s of B_(n-1), s of B_n, e) of I or K by the one-letter kind, both
+    orders from one kernel pass: B_(n-1)(x) = s_(n-1) exp(e) and B_n(x) =
+    s_n exp(e), with bessel_scaled's common e, so B_(n-1)/B_n is s_(n-1)/s_n.
+    The order must satisfy 0 <= n <= 1/2 (the Riccati n is in (1/3, 1/2]);
+    the order n - 1 is exact, not the float n - 1.0, below x = 30 for I and
+    everywhere for K.  Floats take the float kernels; if n or x is an
+    ndarray, the two are broadcast and the array path returns ndarrays with
+    the same bits as a float call per element.  OverflowError where an s is
+    past the float range.
+    """
+    letter = kind.upper() if isinstance(kind, str) else None
+    if letter not in ("I", "K"):
+        raise ValueError(f"unknown Bessel pair kind {kind!r}, expected 'I' or 'K'")
+    if not (isinstance(x, np.ndarray) or isinstance(n, np.ndarray)):
+        out = _pair_split(letter, *_check_pair(n, x))
+        if math.isinf(out[0]) or math.isinf(out[1]):
+            raise OverflowError(f"{letter} of order {n} or {n} - 1 overflows at x = {x}")
+        return out
+    n, x, shape = _broadcast(n, x)
+    if x.size < _ARRAY_MIN_SIZE:  # float kernels, one call per element
+        triples = [bessel_pair_scaled(letter, v, t) for v, t in zip(n.tolist(), x.tolist())]
+        out = np.array(triples, dtype=float).reshape(-1, 3).T
+    else:
+        bad = ~((x > 0.0) & (x < math.inf) & (n >= 0.0) & (n <= 0.5))
+        if bad.any():  # the first bad element raises the float path's ValueError
+            _check_pair(n[bad][0], x[bad][0])
+        with np.errstate(all="ignore"):
+            out = _pair_split(letter, n, x)
+        over = np.isinf(out[0]) | np.isinf(out[1])
+        if over.any():
+            raise OverflowError(f"{letter} of order {n[over][0]} or {n[over][0]} - 1 "
+                                f"overflows at x = {x[over][0]}")
+    return tuple(v.reshape(shape) for v in out)
 
 
 def bessel(kind: str, nu, x):

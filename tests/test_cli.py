@@ -722,6 +722,27 @@ class TestBesselArgumentOverflow:
         assert err == f"error: {flags}: x = {x} is too large: the Bessel argument q x^r overflows\n"
 
 
+class TestNearFloatMax:
+    # a grid that ends at the float maximum: 2 pi x and x + half step overflow
+    GRID = ["--delta", "1", "--grid", "0.05:1.7976931348623157e308:2"]
+
+    def test_modified_row_is_the_large_x_limit(self, capsys):
+        # I_(n-1)/I_n -> 1 (coth z = 1 at delta = 1), so u = sqrt(b/a)
+        rc, out, err = run(capsys, ["riccati", "eval", "--a", "0.05", "--b", "0.75"] + self.GRID)
+        assert rc == 0 and err == ""
+        rows = parse_table(out)[1]
+        assert rows[-1][0] == "1.7976931348623157e+308" and rows[-1][2] == "0"
+        assert float(rows[-1][1]) == pytest.approx(math.sqrt(0.75 / 0.05), rel=1e-12)
+
+    def test_oscillatory_window_refused_with_no_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, ["riccati", "eval", "--a", "0.05", "--b", "-0.05"]
+                               + self.GRID)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: --grid too wide: ") and err.count("\n") == 1
+
+
 class TestPoleChecksCallNoFindPoles:
     # riccati verify and cosmo scale ask sign_scan whether their own lattice
     # holds a pole; only the zero positions need find_poles' bisection
@@ -844,10 +865,10 @@ class TestVerifyPinned:
     # max_deviation as one DP5 trajectory in the contracting direction gives it
     @pytest.mark.parametrize("argv, code, stdout", [
         ("riccati verify --a 1 --b 1 --delta 0.5 --x0 0.5 --x1 1.5 --branch 1", 0,
-         "1,1,0.5,1,0.5,1.5,3.0664782046380506e-10,1.2720935416155044e-11"),
+         "1,1,0.5,1,0.5,1.5,3.0576517202766356e-10,1.2721823594574744e-11"),
         ("riccati verify --a 2 --b 0.5 --delta 0.3 --x0 0.2 --x1 3 --branch 1", 0,
          "2,0.5,0.29999999999999999,1,0.20000000000000001,3,"
-         "2.7520644137008276e-10,4.3480330447209781e-11"),
+         "2.2344039733369996e-10,4.3479220224185156e-11"),
         ("riccati verify --a 1 --b -1 --delta 0.7 --x0 0.3 --x1 1.2 --branch 2", 0,
          "1,-1,0.69999999999999996,2,0.29999999999999999,1.2,"
          "3.3507025337214491e-10,1.7190249224086074e-11"),
@@ -1197,6 +1218,10 @@ def fuzz_argv(draw):
          "--x0 5e-324 --x1 1e-300".split())
 @example(argv="riccati verify --a -7 --b 0.333 --delta 0.999999999 --branch 2 "
          "--x0 5e-324 --x1 0.5".split())
+@example(argv="riccati eval --a 0.05 --b 0.75 --delta 1 "
+         "--grid 0.05:1.7976931348623157e308:2".split())
+@example(argv="riccati eval --a 0.05 --b -0.05 --delta 1 "
+         "--grid 0.05:1.7976931348623157e308:2".split())
 @settings(max_examples=300, deadline=None)
 def test_flag_contract_holds_for_any_argv(argv):
     # exit 0, 2, 3, 4 or 5 with no exception or warning, one error line on

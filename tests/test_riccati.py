@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy import special as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from fracriccati import riccati as rc
+from fracriccati import specfun as sf
 from fracriccati.errors import DegenerateRegimeError
 from fracriccati.fracops import frac_const
 from fracriccati.specfun import bessel, gamma
@@ -187,6 +189,36 @@ class TestModifiedRegime:
         for x in (0.5, 25.0, 800.0, 5e3):
             assert eval_u2(rp, x / w) == pytest.approx(-w / a, rel=1e-12)
             assert math.isfinite(eval_u1(rp, x / w))
+
+    @pytest.mark.parametrize("count", [60, 300])  # float kernels, then the array path
+    def test_one_kernel_pass_per_point(self, monkeypatch, count):
+        # a modified table takes both orders from one pass: N elements, not
+        # 2N, reach K's kernels (Temme below z = 2, CF2 from it on) and I's
+        # series, and no single-order call, order recurrence or series runs
+        rps = [rc.RiccatiParams(1.5, 0.8, 0.7)]
+        bm = rc.map_params(rps[0])
+        xs = (np.geomspace(0.05, 60.0, count) / bm.q_mag) ** (1.0 / bm.r)
+        z = bm.q_mag * sf.power(xs, bm.r)
+        names = ("_k_temme", "_k_cf2", "_i_series_pair", "_i_series_pair_array",
+                 "_series", "_series_array", "_k_split", "_k_array")
+        for name in names:
+            monkeypatch.setattr(sf, name, mock.Mock(wraps=getattr(sf, name)))
+        monkeypatch.setattr(sf, "bessel_scaled", mock.Mock(side_effect=AssertionError))
+
+        def elements():
+            # the elements each kernel was passed, the argument x last
+            seen = {name: sum(np.size(c.args[-1]) for c in getattr(sf, name).call_args_list)
+                    for name in names}
+            for name in names:
+                getattr(sf, name).reset_mock()
+            return {name: size for name, size in seen.items() if size}
+
+        rc.branch_table(rps, 2, xs)
+        assert elements() == {"_k_temme": np.count_nonzero(z < 2.0),
+                              "_k_cf2": np.count_nonzero(z >= 2.0)}
+        rc.branch_table(rps, 1, xs)
+        series = "_i_series_pair" if count < sf._ARRAY_MIN_SIZE else "_i_series_pair_array"
+        assert elements() == {series: np.count_nonzero(z <= 30.0)}
 
 
 class TestYBranch:

@@ -436,6 +436,103 @@ class TestTemmeK:
         assert abs(call() - want) <= 1e-14 * want
 
 
+class TestLargeOrderI:
+    # past x = 30 the large-argument expansion of I diverges long before its
+    # smallest term once nu^2 is not small against x; the ascending series
+    # takes over there
+    def test_half_integer_order_past_30(self):
+        assert sf.bessel("I", 40.5, 35.0) == pytest.approx(sp.iv(40.5, 35.0), rel=1e-13)
+        s, e = sf.bessel_scaled("I", np.full(200, 40.5), np.linspace(31.0, 60.0, 200))
+        assert np.allclose(s, sp.ive(40.5, np.linspace(31.0, 60.0, 200)), rtol=1e-13, atol=0.0)
+
+    def test_order_past_the_series_range_raises(self):
+        # I_-180.5(200) is 6.8e51, but (x/2)^nu of the series leaves the
+        # float range
+        for call in (lambda: sf.bessel("I", -180.5, 200.0),
+                     lambda: sf.bessel_scaled("I", np.full(200, -180.5), np.full(200, 200.0))):
+            with pytest.raises(ValueError, match="expansion diverges"):
+                call()
+
+    @given(nu=st.floats(-60.0, 60.0), x=st.floats(30.0, 700.0, exclude_min=True))
+    @example(nu=-47.96875, x=31.0)  # scipy's ive is 2e-13 off here
+    @settings(max_examples=200, deadline=None)
+    def test_scaled_against_mpmath(self, nu, x):
+        # either side of 4 nu^2 = 16 x + 1, negative orders through the
+        # reflected K term
+        with mpmath.workdps(30):
+            want = float(mpmath.besseli(nu, x) * mpmath.exp(-x))
+        assume(want != 0.0)
+        assert abs(sf.bessel_scaled("I", nu, x)[0] - want) <= 5e-14 * abs(want)
+
+
+def mp_pair_ratio(kind, n, z):
+    """B_(n-1)(z)/B_n(z) of I or K in mpmath, the order n - 1 exact."""
+    with mpmath.workdps(40):
+        f = mpmath.besseli if kind == "I" else mpmath.besselk
+        nm = mpmath.mpf(n)
+        return float(f(nm - 1, z) / f(nm, z))
+
+
+PAIR_ARGUMENTS = st.one_of(
+    st.floats(1e-3, 2.0),  # I's series, K's Temme series
+    st.floats(2.0, 30.0),  # I's series, K's CF2
+    st.floats(30.0, 750.0),  # I's expansion, K's CF2
+    st.sampled_from([math.nextafter(2.0, 0.0), math.nextafter(30.0, 31.0)]),
+)
+
+
+class TestBesselPair:
+    @given(kind=st.sampled_from("IK"), delta=st.floats(0.01, 1.0), z=PAIR_ARGUMENTS)
+    @example(kind="K", delta=1.0, z=2.0)
+    @example(kind="I", delta=0.01, z=30.0)
+    @example(kind="I", delta=1.0, z=750.0)
+    @settings(max_examples=300, deadline=None)
+    @example(kind="K", delta=0.9857722500314016, z=math.nextafter(2.0, 0.0))
+    def test_ratio_against_mpmath(self, kind, delta, z):
+        # 1e-14, but 2.5e-14 for Temme's K series on [1, 2): there its sum
+        # cancels, and the ratio read up to 1.75e-14 off over 12 000 draws
+        # on [1.7, 2), with the two orders from one pass or, before it, as
+        # two orders of bessel_scaled
+        n = 1.0 / (3.0 - delta)
+        low, s, e = sf.bessel_pair_scaled(kind, n, z)
+        scaled = {"I": z > 30.0, "K": z >= 2.0}[kind]
+        assert e == ((z if kind == "I" else -z) if scaled else 0.0)
+        rel = 2.5e-14 if kind == "K" and 1.0 <= z < 2.0 else 1e-14
+        assert low / s == pytest.approx(mp_pair_ratio(kind, n, z), rel=rel, abs=0.0)
+
+    @given(
+        kind=st.sampled_from("IK"),
+        deltas=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=40),
+        log_z=st.lists(st.floats(-3.0, math.log10(750.0)), min_size=1, max_size=40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_array_path_has_the_float_bits(self, kind, deltas, log_z):
+        # under _ARRAY_MIN_SIZE elements the float kernels run per element
+        count = min(len(deltas), len(log_z))
+        n = 1.0 / (3.0 - np.array(deltas[:count]))
+        z = 10.0 ** np.array(log_z[:count])
+        want = sf.bessel_pair_scaled(kind, n, z)
+        with mock.patch.object(sf, "_ARRAY_MIN_SIZE", 1):
+            got = sf.bessel_pair_scaled(kind, n, z)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        for i in range(count):
+            assert sf.bessel_pair_scaled(kind, float(n[i]), float(z[i])) == tuple(
+                w[i] for w in want)
+
+    def test_broadcast_and_refusals(self):
+        n = np.array([[1.0 / 3.0], [0.5]])
+        z = np.geomspace(0.01, 100.0, 150)
+        low, s, e = sf.bessel_pair_scaled("K", n, z)
+        assert low.shape == s.shape == e.shape == (2, 150)
+        for bad_n, bad_z in ((0.6, 1.0), (-0.1, 1.0), (math.nan, 1.0), (0.4, 0.0), (0.4, math.inf)):
+            for args in ((bad_n, bad_z), (np.full(150, bad_n), np.full(150, bad_z))):
+                with pytest.raises(ValueError):
+                    sf.bessel_pair_scaled("I", *args)
+        with pytest.raises(ValueError):
+            sf.bessel_pair_scaled("J", 0.4, 1.0)
+
+
 class TestBesselDerivative:
     def test_j1_near_origin(self):
         # J_1'(x) -> 1/2 as x -> 0+
